@@ -1,0 +1,11 @@
+"""Make the benchmark's modules and the checkout's package importable.
+
+Run from the root of the checkout: ``python3 -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH))
+sys.path.insert(0, str(BENCH.parent / "src"))
