@@ -293,6 +293,8 @@ def verify_kraus(
     as Tr_B of the explicit cloner isometry at k = 2 (whose environment basis
     is the single-excitation qudit basis, in composition order).
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     kset = complementary_kraus_1to2(d) if kraus is None else kraus
     completeness_dev = kset.completeness_deviation()
     second_svs = kset.second_singular_values()
@@ -340,6 +342,8 @@ def verify_cloner_equivalence(
     zero-padded to the block dimension) of the matrix-built block must match
     the closed-form cloner spectrum.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     expected = cloner_spectrum(d, k).eigenvalues(pad_to=block_dimension(d, k))
     rng = np.random.default_rng(seed)
     dev = 0.0

@@ -30,18 +30,23 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _dim(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("dimension must be >= 2")
-    return value
+def _int_at_least(minimum: int, what: str):
+    """argparse type for an integer ``what`` that must be >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {minimum}")
+        return value
+
+    parse.__name__ = what  # argparse names the type in "invalid ... value"
+    return parse
 
 
-def _block(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("k must be >= 1")
-    return value
+_dim = _int_at_least(2, "dimension")
+_block = _int_at_least(1, "k")
+_grid = _int_at_least(1, "grid resolution")
+_samples = _int_at_least(1, "sample count")
 
 
 def _accel(text: str) -> float:
@@ -62,13 +67,6 @@ def _base(text: str) -> float:
     value = float(text)
     if not value > 1.0:
         raise argparse.ArgumentTypeError("log base must exceed 1")
-    return value
-
-
-def _grid(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("grid resolution must be >= 1")
     return value
 
 
@@ -149,11 +147,11 @@ def _emit_table(meta: dict, header: list[str], rows: list[tuple], cfg: RunConfig
     else:
         samples = [dict(zip(header, row)) for row in rows]
         payload = {"meta": meta, "samples": samples}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.output)
+        _emit_json(payload, cfg.output)
 
 
 def _emit_json(payload: dict, output: str) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
 
 
 def _mu_header(d: int) -> list[str]:
@@ -195,9 +193,8 @@ def _cmd_curve(args, which: str) -> int:
     cfg = _run_config(args, which)
     spec = _channel_spec(cfg)
     result = regions.cq_curve(spec, cfg.grid) if which == "cq-curve" else regions.ce_curve(spec, cfg.grid)
-    horizon = None if cfg.k is not None else result.samples[0].channel[3]
     header = _mu_header(cfg.d) + ["rate_x", "rate_y", "on_hull"]
-    _emit_table(_meta(cfg, horizon), header, _curve_rows(result), cfg)
+    _emit_table(_meta(cfg, result.samples[0].horizon), header, _curve_rows(result), cfg)
     return EXIT_OK
 
 
@@ -206,7 +203,7 @@ def _cmd_cqe_region(args) -> int:
     surface = regions.region_surface_cqe(
         UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base), cfg.grid
     )
-    meta = _meta(cfg, surface.samples[0].channel[3])
+    meta = _meta(cfg, surface.samples[0].horizon)
     for name, ray in surface.rays.items():
         meta[f"ray_{name}"] = " ".join(_fmt(v) for v in ray)
     header = _mu_header(cfg.d) + ["b1_c2q", "b2_qe", "b3_cqe", "corner_c", "corner_q", "corner_e"]
@@ -234,7 +231,7 @@ def _cmd_rps_region(args) -> int:
         (*_mu_cells(s.ensemble), *(_fmt(b) for b in s.rates))
         for s in samples
     ]
-    _emit_table(_meta(cfg, samples[0].channel[3]), header, rows, cfg)
+    _emit_table(_meta(cfg, samples[0].horizon), header, rows, cfg)
     return EXIT_OK
 
 
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("hadamard", help="Kraus completeness/action/rank-one report")
     v.add_argument("--d", type=_dim, required=True)
-    v.add_argument("--samples", type=int, default=100)
+    v.add_argument("--samples", type=_samples, default=100)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", "-o", default="-")
     v.set_defaults(func=_cmd_verify)
@@ -350,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("cloner-equivalence", help="block-vs-cloner spectral report")
     v.add_argument("--d", type=_dim, required=True)
     v.add_argument("--k", type=_block, required=True)
-    v.add_argument("--samples", type=int, default=20)
+    v.add_argument("--samples", type=_samples, default=20)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", "-o", default="-")
     v.set_defaults(func=_cmd_verify)
@@ -371,7 +368,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _GUARD_ERRORS as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
+        sys.stderr.write(json.dumps(diagnostic, sort_keys=True, allow_nan=False) + "\n")
         return EXIT_GUARD
     except ValueError as exc:
         parser.error(str(exc))  # exits 2

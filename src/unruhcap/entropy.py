@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .spectra import EnsembleParams, Spectrum
+from .spectra import Spectrum, _as_ensemble
 
 __all__ = [
     "EntropyValue",
@@ -96,7 +96,7 @@ def mixture_entropy(weights, components, base: float) -> EntropyValue:
 
 def ensemble_conditional_entropy_A(mu, base: float) -> EntropyValue:
     """Input-side conditional entropy of the cyclic ensemble: H(mu)."""
-    params = mu if isinstance(mu, EnsembleParams) else EnsembleParams(tuple(mu))
+    params = _as_ensemble(mu)
     value = kernels.spectrum_entropy_terms(
         params.as_array(),
         np.ones(params.dimension),

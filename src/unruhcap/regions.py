@@ -14,19 +14,17 @@ All rates are in dits of the configured log base (default: the dimension d).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .combinat import block_dimension, composition_matrix
 from .engine import TradeoffEvaluator
-from .entropy import EntropyValue, ensemble_conditional_entropy_A, mixture_entropy, shannon_entropy
+from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (
     EnsembleParams,
     UnruhConfig,
+    _as_ensemble,
     cloner_spectrum,
     ensemble_spectrum_B,
     ensemble_spectrum_E,
@@ -40,7 +38,6 @@ __all__ = [
     "RegionSample",
     "CapacityWeights",
     "ChannelSpec",
-    "UnruhAggregate",
     "SearchSettings",
     "DynamicCapacityProblem",
     "DynamicCapacityResult",
@@ -79,7 +76,11 @@ PROTOCOL_RAYS = {
 
 @dataclass(frozen=True)
 class EntropyTriple:
-    """The four entropies every region bound is built from (one log base)."""
+    """The four entropies every region bound is built from (one log base).
+
+    For a block mixture the output entropies are block-weighted sums; the
+    mixing terms cancel in every bound.
+    """
 
     h_b: EntropyValue
     h_b_given_x: EntropyValue
@@ -108,6 +109,11 @@ class RegionSample:
         if not all(math.isfinite(r) for r in self.rates):
             raise ValueError("rates must be finite")
 
+    @property
+    def horizon(self) -> int | None:
+        """Truncation horizon K of an Unruh-mode sample; None for a cloner block."""
+        return self.channel[3] if self.channel[0] == "unruh" else None
+
 
 @dataclass(frozen=True)
 class CapacityWeights:
@@ -117,6 +123,8 @@ class CapacityWeights:
     mu_w: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lambda_w) and math.isfinite(self.mu_w)):
+            raise ValueError("capacity weights must be finite")
         if self.lambda_w < 0.0 or self.mu_w < 0.0:
             raise ValueError("capacity weights must be nonnegative")
 
@@ -177,40 +185,6 @@ class ChannelSpec:
         return ("unruh", self.d, self.z, horizon)
 
 
-@dataclass(frozen=True, eq=False)
-class UnruhAggregate:
-    """Per-block entropies plus the raw truncated mixture entropies.
-
-    The mixture entropies include the -p log p mixing terms; those cancel in
-    every region bound, so the bounds are recomputed from the per-block
-    arrays (``log_dims``, ``h_bx_blocks``, ``h_ex_blocks``) instead.
-    """
-
-    mixture: EntropyTriple
-    weights: np.ndarray
-    log_dims: np.ndarray
-    h_bx_blocks: np.ndarray
-    h_ex_blocks: np.ndarray
-    h_a: float
-    horizon: int
-    base: float
-    ensemble: EnsembleParams
-    channel: tuple
-
-    @property
-    def blocks(self) -> list[EntropyTriple]:
-        h_a = EntropyValue(self.h_a, self.base)
-        return [
-            EntropyTriple(
-                EntropyValue(self.log_dims[i], self.base),
-                EntropyValue(self.h_bx_blocks[i], self.base),
-                EntropyValue(self.h_ex_blocks[i], self.base),
-                h_a,
-            )
-            for i in range(self.horizon)
-        ]
-
-
 @dataclass(frozen=True)
 class SearchSettings:
     """Lattice resolution plus bounded derivative-free refinement."""
@@ -252,39 +226,8 @@ class SurfaceResult:
     spec: ChannelSpec
 
 
-def _as_ensemble(mu, d: int) -> EnsembleParams:
-    params = mu if isinstance(mu, EnsembleParams) else EnsembleParams(tuple(mu))
-    if params.dimension != d:
-        raise ValueError(f"ensemble has {params.dimension} weights, expected {d}")
-    return params
-
-
 def default_resolution(d: int) -> int:
     return 64 if d <= 3 else 16
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("UNRUH_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ensembles(fn, items):
-    workers = _worker_count()
-    if workers == 1 or len(items) < 4:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _h_simplex(mu_arr: np.ndarray, base: float) -> float:
-    return kernels.spectrum_entropy_terms(
-        np.ascontiguousarray(mu_arr, dtype=np.float64),
-        np.ones(mu_arr.size),
-        1.0 / math.log(base),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,50 +262,31 @@ def ce_point(triple: EntropyTriple) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Unruh aggregates and CQE / RPS bounds
+# Unruh entropies and CQE / RPS bounds
 # ---------------------------------------------------------------------------
 
-def unruh_entropy_triple(cfg: UnruhConfig, mu) -> UnruhAggregate:
-    """Blockwise entropies of the truncated Unruh channel at ensemble ``mu``.
-
-    The mixture triple holds the raw truncated entropies (mixing terms
-    included); region bounds use the attached per-block arrays, where the
-    mixing terms cancel exactly.
-    """
-    params = _as_ensemble(mu, cfg.d)
-    spec = ChannelSpec.from_unruh(cfg)
-    evaluator = spec.evaluator()
-    h_bx, h_ex = evaluator.block_entropies(params.as_array())
+def _evaluated_triple(evaluator: TradeoffEvaluator, mu: EnsembleParams) -> EntropyTriple:
+    """The entropy record of ``evaluator``'s channel at ensemble ``mu``."""
     base = evaluator.base
-    h_a = ensemble_conditional_entropy_A(params, base)
-    weights = evaluator.weights
-    mixture = EntropyTriple(
-        h_b=mixture_entropy(weights, [EntropyValue(v, base) for v in evaluator.log_dims], base),
-        h_b_given_x=mixture_entropy(weights, [EntropyValue(v, base) for v in h_bx], base),
-        h_e_given_x=mixture_entropy(weights, [EntropyValue(v, base) for v in h_ex], base),
-        h_a_given_x=h_a,
-    )
-    return UnruhAggregate(
-        mixture=mixture,
-        weights=weights,
-        log_dims=evaluator.log_dims,
-        h_bx_blocks=h_bx,
-        h_ex_blocks=h_ex,
-        h_a=h_a.value,
-        horizon=evaluator.horizon,
-        base=base,
-        ensemble=params,
-        channel=spec.channel_tag(evaluator.horizon),
+    s_bx, s_ex = evaluator.sums(mu.as_array())
+    return EntropyTriple(
+        h_b=EntropyValue(evaluator.s_b, base),
+        h_b_given_x=EntropyValue(s_bx, base),
+        h_e_given_x=EntropyValue(s_ex, base),
+        h_a_given_x=ensemble_conditional_entropy_A(mu, base),
     )
 
 
-def cqe_bounds(aggregate: UnruhAggregate) -> tuple[float, float, float]:
+def unruh_entropy_triple(cfg: UnruhConfig, mu) -> EntropyTriple:
+    """Entropy record of the truncated Unruh channel at ensemble ``mu``."""
+    return _evaluated_triple(ChannelSpec.from_unruh(cfg).evaluator(), _as_ensemble(mu, cfg.d))
+
+
+def cqe_bounds(triple: EntropyTriple) -> tuple[float, float, float]:
     """(C+2Q, Q+E, C+Q+E) bounds; the first exceeds the third by H(A|X)."""
-    w = aggregate.weights
-    b3 = float(np.dot(w, aggregate.log_dims - aggregate.h_ex_blocks))
-    b2 = float(np.dot(w, aggregate.h_bx_blocks - aggregate.h_ex_blocks))
-    b1 = aggregate.h_a + b3
-    return (b1, b2, b3)
+    b3 = triple.h_b.value - triple.h_e_given_x.value
+    b2 = triple.h_b_given_x.value - triple.h_e_given_x.value
+    return (triple.h_a_given_x.value + b3, b2, b3)
 
 
 def cqe_corner(bounds: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -372,39 +296,51 @@ def cqe_corner(bounds: tuple[float, float, float]) -> tuple[float, float, float]
     return (b3 - b2, q, b2 - q)
 
 
+def _public_bound(evaluator: TradeoffEvaluator) -> float:
+    """R+P: per block, H(B) minus the entropy H(B|XY) of the pure-input
+    output (the cloner spectrum), which does not depend on the ensemble."""
+    h_xy = np.array(
+        [shannon_entropy(cloner_spectrum(evaluator.d, k), evaluator.base).value
+         for k in range(1, evaluator.horizon + 1)]
+    )
+    return float(np.dot(evaluator.weights, evaluator.log_dims - h_xy))
+
+
+def _rps(rp: float, triple: EntropyTriple) -> tuple[float, float, float]:
+    _, ps, rps = cqe_bounds(triple)
+    return (rp, ps, rps)
+
+
 def rps_bounds(cfg: UnruhConfig, nu) -> tuple[float, float, float]:
     """(R+P, P+S, R+P+S) bounds of the private dynamic region at ensemble nu.
 
-    Per block, R+P is H(B) minus the entropy H(B|XY) of the pure-input output
-    (the cloner spectrum), which does not depend on nu; the other two bounds
-    reuse the CQE coherent-information sums.
+    R+P is ``_public_bound``; the other two reuse the CQE coherent-information
+    bounds.
     """
-    aggregate = unruh_entropy_triple(cfg, nu)
-    base = aggregate.base
-    h_xy = np.array(
-        [shannon_entropy(cloner_spectrum(cfg.d, k), base).value
-         for k in range(1, aggregate.horizon + 1)]
-    )
-    rp = float(np.dot(aggregate.weights, aggregate.log_dims - h_xy))
-    _, ps, rps = cqe_bounds(aggregate)
-    return (rp, ps, rps)
+    evaluator = ChannelSpec.from_unruh(cfg).evaluator()
+    return _rps(_public_bound(evaluator), _evaluated_triple(evaluator, _as_ensemble(nu, cfg.d)))
 
 
 # ---------------------------------------------------------------------------
 # Dynamic capacity optimization
 # ---------------------------------------------------------------------------
 
+def _objective(weights: CapacityWeights, h_b, h_bx, h_ex, h_a):
+    """H(A|X) + (mu+1)H(B) + lam*H(B|X) - (lam+mu+1)H(E|X), elementwise."""
+    lam, muw = weights.lambda_w, weights.mu_w
+    return h_a + (muw + 1.0) * h_b + lam * h_bx - (lam + muw + 1.0) * h_ex
+
+
 def dynamic_objective(evaluator: TradeoffEvaluator, weights: CapacityWeights, mu) -> float:
-    """Weighted objective H(A|X) + (mu+1)H(B) + lam*H(B|X) - (lam+mu+1)H(E|X).
+    """Weighted dynamic capacity objective at ensemble ``mu``.
 
     Mixing terms cancel (their coefficients sum to zero), so the per-block
     weighted sums are used directly.
     """
-    mu_arr = mu.as_array() if isinstance(mu, EnsembleParams) else np.asarray(mu, dtype=np.float64)
-    lam, muw = weights.lambda_w, weights.mu_w
-    s_bx, s_ex = evaluator.sums(mu_arr)
-    h_a = _h_simplex(mu_arr, evaluator.base)
-    return h_a + (muw + 1.0) * evaluator.s_b + lam * s_bx - (lam + muw + 1.0) * s_ex
+    t = _evaluated_triple(evaluator, _as_ensemble(mu, evaluator.d))
+    return _objective(
+        weights, t.h_b.value, t.h_b_given_x.value, t.h_e_given_x.value, t.h_a_given_x.value
+    )
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -487,25 +423,13 @@ class DynamicCapacityProblem:
         self.resolution = resolution or default_resolution(cfg.d)
         self.evaluator = ChannelSpec.from_unruh(cfg).evaluator()
         self.grid = simplex_grid(cfg.d, self.resolution)
-
-        def stats(params: EnsembleParams) -> tuple[float, float, float]:
-            arr = params.as_array()
-            s_bx, s_ex = self.evaluator.sums(arr)
-            return (_h_simplex(arr, self.evaluator.base), s_bx, s_ex)
-
-        rows = _map_ensembles(stats, self.grid)
-        self._h_a = np.array([r[0] for r in rows])
-        self._s_bx = np.array([r[1] for r in rows])
-        self._s_ex = np.array([r[2] for r in rows])
+        triples = [_evaluated_triple(self.evaluator, params) for params in self.grid]
+        self._h_a = np.array([t.h_a_given_x.value for t in triples])
+        self._s_bx = np.array([t.h_b_given_x.value for t in triples])
+        self._s_ex = np.array([t.h_e_given_x.value for t in triples])
 
     def grid_objectives(self, weights: CapacityWeights) -> np.ndarray:
-        lam, muw = weights.lambda_w, weights.mu_w
-        return (
-            self._h_a
-            + (muw + 1.0) * self.evaluator.s_b
-            + lam * self._s_bx
-            - (lam + muw + 1.0) * self._s_ex
-        )
+        return _objective(weights, self.evaluator.s_b, self._s_bx, self._s_ex, self._h_a)
 
     def solve(self, weights: CapacityWeights, settings: SearchSettings | None = None) -> DynamicCapacityResult:
         settings = settings or SearchSettings()
@@ -602,25 +526,16 @@ def simplex_grid(d: int, resolution: int) -> list[EnsembleParams]:
     return [EnsembleParams(m) for m in sorted(mus, reverse=True)]
 
 
-def _sweep(spec: ChannelSpec, resolution: int | None, rate_fn):
-    evaluator = spec.evaluator()
-    grid = simplex_grid(spec.d, resolution or default_resolution(spec.d))
+def _sweep(spec: ChannelSpec, evaluator: TradeoffEvaluator, resolution: int | None, bound_fn):
+    """One ``RegionSample`` of ``bound_fn(entropy record)`` per grid ensemble."""
     tag = spec.channel_tag(evaluator.horizon)
-
-    def one(params: EnsembleParams) -> RegionSample:
-        return RegionSample(rate_fn(evaluator, params), params, tag)
-
-    return _map_ensembles(one, grid)
+    grid = simplex_grid(spec.d, resolution or default_resolution(spec.d))
+    return [RegionSample(bound_fn(_evaluated_triple(evaluator, params)), params, tag) for params in grid]
 
 
 def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, Q) points with their Pareto boundary."""
-
-    def rate_fn(ev: TradeoffEvaluator, params: EnsembleParams):
-        s_bx, s_ex = ev.sums(params.as_array())
-        return (ev.s_b - s_bx, s_bx - s_ex)
-
-    samples = _sweep(spec, resolution, rate_fn)
+    samples = _sweep(spec, spec.evaluator(), resolution, cq_point)
     hull = pareto_hull_indices([s.rates for s in samples])
     return CurveResult(tuple(samples), tuple(hull), spec)
 
@@ -628,13 +543,7 @@ def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
 def ce_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, E) points; entanglement is a cost, so the Pareto boundary
     is hulled on (C, -E)."""
-
-    def rate_fn(ev: TradeoffEvaluator, params: EnsembleParams):
-        s_bx, s_ex = ev.sums(params.as_array())
-        h_a = _h_simplex(params.as_array(), ev.base)
-        return (ev.s_b + h_a - s_ex, h_a)
-
-    samples = _sweep(spec, resolution, rate_fn)
+    samples = _sweep(spec, spec.evaluator(), resolution, ce_point)
     hull = pareto_hull_indices([(s.rates[0], -s.rates[1]) for s in samples])
     return CurveResult(tuple(samples), tuple(hull), spec)
 
@@ -646,14 +555,7 @@ def region_surface_cqe(cfg: UnruhConfig, resolution: int | None = None) -> Surfa
     full region is the hull of the corners swept along the PROTOCOL_RAYS.
     """
     spec = ChannelSpec.from_unruh(cfg)
-
-    def rate_fn(ev: TradeoffEvaluator, params: EnsembleParams):
-        s_bx, s_ex = ev.sums(params.as_array())
-        h_a = _h_simplex(params.as_array(), ev.base)
-        b3 = ev.s_b - s_ex
-        return (h_a + b3, s_bx - s_ex, b3)
-
-    samples = _sweep(spec, resolution, rate_fn)
+    samples = _sweep(spec, spec.evaluator(), resolution, cqe_bounds)
     return SurfaceResult(tuple(samples), dict(PROTOCOL_RAYS), spec)
 
 
@@ -661,20 +563,5 @@ def rps_region(cfg: UnruhConfig, resolution: int | None = None) -> list[RegionSa
     """(R+P, P+S, R+P+S) bound triples per grid ensemble."""
     spec = ChannelSpec.from_unruh(cfg)
     evaluator = spec.evaluator()
-    h_xy = np.array(
-        [shannon_entropy(cloner_spectrum(cfg.d, k), evaluator.base).value
-         for k in range(1, evaluator.horizon + 1)]
-    )
-    rp = float(np.dot(evaluator.weights, evaluator.log_dims - h_xy))
-
-    def rate_fn(ev: TradeoffEvaluator, params: EnsembleParams):
-        s_bx, s_ex = ev.sums(params.as_array())
-        return (rp, s_bx - s_ex, ev.s_b - s_ex)
-
-    grid = simplex_grid(spec.d, resolution or default_resolution(spec.d))
-    tag = spec.channel_tag(evaluator.horizon)
-
-    def one(params: EnsembleParams) -> RegionSample:
-        return RegionSample(rate_fn(evaluator, params), params, tag)
-
-    return _map_ensembles(one, grid)
+    rp = _public_bound(evaluator)
+    return _sweep(spec, evaluator, resolution, lambda triple: _rps(rp, triple))

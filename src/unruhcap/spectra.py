@@ -126,9 +126,10 @@ class EnsembleParams:
         return np.asarray(self.mu, dtype=np.float64)
 
 
-def _as_ensemble(mu, d: int) -> EnsembleParams:
+def _as_ensemble(mu, d: int | None = None) -> EnsembleParams:
+    """``mu`` as ``EnsembleParams``, optionally checked to have ``d`` weights."""
     params = mu if isinstance(mu, EnsembleParams) else EnsembleParams(tuple(mu))
-    if params.dimension != d:
+    if d is not None and params.dimension != d:
         raise ValueError(f"ensemble has {params.dimension} weights, expected {d}")
     return params
 

@@ -164,6 +164,14 @@ def test_verify_cloner_equivalence_report():
     assert set(payload) == {"check", "d", "k", "seed", "deviation", "pass", "details"}
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_verifiers_reject_vacuous_sample_count(n_samples):
+    with pytest.raises(ValueError):
+        verify_kraus(2, n_samples=n_samples)
+    with pytest.raises(ValueError):
+        verify_cloner_equivalence(2, 3, n_samples=n_samples)
+
+
 def test_choi_ppt_check():
     for d, k in ((2, 2), (3, 3)):
         report = choi_ppt_check(d, k)

@@ -157,10 +157,31 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["cq-curve", "--d", "3", "--k", "3", "--grid", "12"]
-    assert run_cli(args + ["-o", str(a)]) == 0
-    monkeypatch.setenv("UNRUH_THREADS", "4")
-    assert run_cli(args + ["-o", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_ce_curve_prints_no_negative_zero(tmp_path):
+    out = tmp_path / "ce.csv"
+    assert run_cli(["ce-curve", "--d", "2", "--z", "0.75", "--grid", "16", "-o", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    cells = [cell for row in rows for cell in row.values()]
+    assert "-0" not in cells
+    assert [r["rate_y"] for r in rows if r["mu_1"] in ("0", "1")] == ["0", "0"]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize(
+    "check", [["hadamard", "--d", "2"], ["cloner-equivalence", "--d", "2", "--k", "3"]]
+)
+def test_verify_rejects_vacuous_sample_count(check, count, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", *check, "--samples", count])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--lambda", "--mu-weight"])
+def test_dyncap_rejects_nonfinite_weights(flag, value, capsys):
+    args = ["dyncap", "--d", "2", "--z", "0.25", "--lambda", "1", "--mu-weight", "0", "--grid", "4"]
+    with pytest.raises(SystemExit) as err:
+        run_cli(args + [flag, value])  # the last occurrence of a flag wins
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""

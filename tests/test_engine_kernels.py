@@ -86,15 +86,3 @@ def test_backend_parity_spectrum_entropy():
     a = _fast.spectrum_entropy_terms(values, mults, 1.4426950408889634)
     b = _kernels_py.spectrum_entropy_terms(values, mults, 1.4426950408889634)
     assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_thread_env_does_not_change_results(monkeypatch):
-    spec = regions.ChannelSpec(d=3, k=3)
-    serial = regions.cq_curve(spec, 12)
-    monkeypatch.setenv("UNRUH_THREADS", "4")
-    threaded = regions.cq_curve(spec, 12)
-    assert [s.rates for s in serial.samples] == [s.rates for s in threaded.samples]
-    assert serial.hull_indices == threaded.hull_indices
-    monkeypatch.setenv("UNRUH_THREADS", "not-a-number")
-    fallback = regions.cq_curve(spec, 12)
-    assert [s.rates for s in fallback.samples] == [s.rates for s in serial.samples]

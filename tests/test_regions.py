@@ -28,7 +28,7 @@ from unruhcap.regions import (
     simplex_grid,
     unruh_entropy_triple,
 )
-from unruhcap.spectra import EnsembleParams, UnruhConfig
+from unruhcap.spectra import EnsembleParams, UnruhConfig, truncation_horizon, unruh_weights
 
 
 def triple_values(t: EntropyTriple):
@@ -102,10 +102,12 @@ def test_entropy_triple_rejects_mixed_bases():
 def test_unruh_triple_noiseless_reduces_to_identity_block():
     for d in (2, 3):
         mu = EnsembleParams((0.6,) + (0.4 / (d - 1),) * (d - 1))
-        agg = unruh_entropy_triple(UnruhConfig(d, 0.0), mu)
-        assert agg.horizon == 1
+        cfg = UnruhConfig(d, 0.0)
+        assert truncation_horizon(cfg) == 1
         cloner = cloner_entropy_triple(d, 1, mu)
-        assert triple_values(agg.mixture) == pytest.approx(triple_values(cloner), abs=1e-13)
+        assert triple_values(unruh_entropy_triple(cfg, mu)) == pytest.approx(
+            triple_values(cloner), abs=1e-13
+        )
 
 
 def test_cqe_bounds_noiseless_uniform():
@@ -121,7 +123,7 @@ def test_cqe_b1_minus_b3_is_input_entropy():
             mu = EnsembleParams(tuple(rng.dirichlet(np.ones(d))))
             agg = unruh_entropy_triple(UnruhConfig(d, z), mu)
             b1, _, b3 = cqe_bounds(agg)
-            assert b1 - b3 == pytest.approx(agg.h_a, abs=1e-14)
+            assert b1 - b3 == pytest.approx(agg.h_a_given_x.value, abs=1e-14)
 
 
 def test_cqe_bounds_regression_d3():
@@ -135,15 +137,15 @@ def test_cqe_bounds_regression_d3():
 
 def test_cqe_b3_matches_block_diagonal_matrix_oracle():
     cfg = UnruhConfig(2, 0.5, log_base=2.0)
-    agg = unruh_entropy_triple(cfg, EnsembleParams.uniform(2))
-    b3 = cqe_bounds(agg)[2]
+    b3 = cqe_bounds(unruh_entropy_triple(cfg, EnsembleParams.uniform(2)))[2]
+    weights = unruh_weights(cfg)
     rho = channelsim.DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     h_b = h_e = 0.0
-    for k in range(1, agg.horizon + 1):
+    for k in range(1, weights.size + 1):
         isometry = channelsim.cloner_isometry(2, k)
         eig_b = channelsim.apply_channel(isometry, rho, "B").eigenvalues()
         eig_e = channelsim.apply_channel(isometry, rho, "E").eigenvalues()
-        w = agg.weights[k - 1]
+        w = weights[k - 1]
         h_b += w * float(-sum(x * np.log2(x) for x in eig_b if x > 1e-15))
         h_e += w * float(-sum(x * np.log2(x) for x in eig_e if x > 1e-15))
     assert b3 == pytest.approx(h_b - h_e, abs=1e-6)
@@ -237,6 +239,11 @@ def test_dynamic_capacity_refinement_dominates_grid():
 def test_capacity_weights_validation():
     with pytest.raises(ValueError):
         CapacityWeights(-0.1, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CapacityWeights(bad, 0.0)
+        with pytest.raises(ValueError):
+            CapacityWeights(0.0, bad)
 
 
 # ---------------------------------------------------------------------------
