@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinat import block_dimension, block_normalizer, composition_matrix
+from .combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
 from .spectra import cloner_spectrum
 
 __all__ = [
@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-10
-
-
-class SizeCapError(RuntimeError):
-    """Raised when a requested matrix construction exceeds its size cap."""
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

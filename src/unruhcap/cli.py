@@ -240,7 +240,7 @@ def _cmd_dyncap(args) -> int:
     result = regions.dynamic_capacity(
         UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base),
         regions.CapacityWeights(args.lambda_w, args.mu_weight),
-        regions.SearchSettings(resolution=cfg.grid),
+        cfg.grid,
     )
     payload = {
         "meta": _meta(cfg, result.horizon),

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "SizeCapError",
     "OccupationVector",
     "compositions",
     "composition_matrix",
@@ -28,6 +29,11 @@ __all__ = [
     "block_normalizer",
     "eigen_multiplicity",
 ]
+
+
+class SizeCapError(RuntimeError):
+    """Raised when a requested construction exceeds its size cap."""
+
 
 # composition_matrix stores entries as int32; weights beyond this never occur
 # because the truncation hard cap is 10_000.

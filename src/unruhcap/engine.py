@@ -7,8 +7,7 @@ peels off the first mode: every weight-``j`` composition of the trailing
 ``d-1`` modes, extended by ``b1`` photons in mode 1, is a basis vector of
 block ``k = j + b1`` (receiver side) and of block ``k + 1`` (environment
 side, with the +1 photon shift).  One pass over the cached (d-1)-mode tables
-therefore accumulates all per-block entropies, via the compiled kernel when
-available.
+therefore accumulates all per-block entropies.
 """
 
 from __future__ import annotations
@@ -18,9 +17,13 @@ import math
 import numpy as np
 
 from . import kernels
-from .combinat import block_dimension, block_normalizer, composition_matrix
+from .combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
 
-__all__ = ["TradeoffEvaluator"]
+__all__ = ["MAX_LATTICE_TERMS", "TradeoffEvaluator"]
+
+# Lattice terms C(K+d, d) scanned per evaluation; larger channels are refused
+# before any table is built.
+MAX_LATTICE_TERMS = 10**9
 
 
 class TradeoffEvaluator:
@@ -49,6 +52,12 @@ class TradeoffEvaluator:
         self.weights = weights
         self.horizon = int(weights.size)
         self._inv_ln_base = 1.0 / math.log(self.base)
+        terms = math.comb(self.horizon + self.d, self.d)
+        if terms > MAX_LATTICE_TERMS:
+            raise SizeCapError(
+                f"d={self.d}, K={self.horizon}: {terms} lattice terms per evaluation "
+                f"exceed cap {MAX_LATTICE_TERMS}"
+            )
 
         k_range = range(1, self.horizon + 1)
         self.log_dims = np.array(

@@ -3,8 +3,8 @@
 Entropies are returned in "dits" of an explicit base (default: the channel
 dimension, so a maximally mixed qudit always has entropy 1).  Every value
 carries its base, which makes accidental mixed-base arithmetic impossible.
-0 log 0 = 0 by continuity; probabilities below 1e-15 are clamped to zero
-before logging.
+0 log 0 = 0 by continuity; probabilities at or below ``kernels.PROB_FLOOR``
+(1e-15) are clamped to zero before logging.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import block_dimension, composition_matrix
+from .combinat import SizeCapError, block_dimension, composition_matrix
 from .engine import TradeoffEvaluator
 from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (
@@ -33,12 +33,12 @@ from .spectra import (
 
 __all__ = [
     "HULL_TOL",
+    "MAX_GRID_POINTS",
     "PROTOCOL_RAYS",
     "EntropyTriple",
     "RegionSample",
     "CapacityWeights",
     "ChannelSpec",
-    "SearchSettings",
     "DynamicCapacityProblem",
     "DynamicCapacityResult",
     "CurveResult",
@@ -63,6 +63,14 @@ __all__ = [
 ]
 
 HULL_TOL = 1e-9
+
+# Ensemble lattice points C(R+d-1, d-1) per sweep; larger grids are refused
+# before the lattice is enumerated.
+MAX_GRID_POINTS = 10**6
+
+# Iteration and convergence bounds of the dynamic capacity refinement.
+REFINE_ITERS = 200
+REFINE_TOL = 1e-9
 
 # Unit resource vectors (C, Q, E) of the reference protocols: teleportation,
 # super-dense coding, entanglement distribution.  Adding any nonnegative
@@ -183,15 +191,6 @@ class ChannelSpec:
         if self.is_cloner:
             return ("cloner", self.d, self.k)
         return ("unruh", self.d, self.z, horizon)
-
-
-@dataclass(frozen=True)
-class SearchSettings:
-    """Lattice resolution plus bounded derivative-free refinement."""
-
-    resolution: int | None = None
-    refine_iters: int = 200
-    refine_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -353,7 +352,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _refine_polytope(fn, start: np.ndarray, step: float, iters: int, tol: float):
+def _refine_polytope(fn, start: np.ndarray, step: float):
     """Maximize fn over the simplex by Nelder-Mead reflection/contraction.
 
     Operates on the first d-1 coordinates (last weight implied); every trial
@@ -381,11 +380,11 @@ def _refine_polytope(fn, start: np.ndarray, step: float, iters: int, tol: float)
         shifted[i] += step
         pts.append(shifted)
     vals = [evaluate(p) for p in pts]
-    for _ in range(iters):
+    for _ in range(REFINE_ITERS):
         order = np.argsort(vals, kind="stable")
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
-        if vals[-1] - vals[0] <= tol:
+        if vals[-1] - vals[0] <= REFINE_TOL:
             break
         centroid = np.mean(pts[:-1], axis=0)
         reflected = centroid + (centroid - pts[-1])
@@ -431,8 +430,7 @@ class DynamicCapacityProblem:
     def grid_objectives(self, weights: CapacityWeights) -> np.ndarray:
         return _objective(weights, self.evaluator.s_b, self._s_bx, self._s_ex, self._h_a)
 
-    def solve(self, weights: CapacityWeights, settings: SearchSettings | None = None) -> DynamicCapacityResult:
-        settings = settings or SearchSettings()
+    def solve(self, weights: CapacityWeights) -> DynamicCapacityResult:
         values = self.grid_objectives(weights)
         best_idx = int(np.argmax(values))
         grid_best = float(values[best_idx])
@@ -440,8 +438,6 @@ class DynamicCapacityProblem:
             lambda mu: dynamic_objective(self.evaluator, weights, mu),
             self.grid[best_idx].as_array(),
             step=1.0 / self.resolution,
-            iters=settings.refine_iters,
-            tol=settings.refine_tol,
         )
         value = max(refined, grid_best)
         argmax = self.grid[best_idx] if grid_best >= refined else EnsembleParams(tuple(mu_arr))
@@ -456,9 +452,7 @@ class DynamicCapacityProblem:
 
 
 def dynamic_capacity(
-    cfg: UnruhConfig,
-    weights: CapacityWeights,
-    settings: SearchSettings | None = None,
+    cfg: UnruhConfig, weights: CapacityWeights, resolution: int | None = None
 ) -> DynamicCapacityResult:
     """Maximize the dynamic capacity objective over the ensemble simplex.
 
@@ -466,8 +460,7 @@ def dynamic_capacity(
     then a bounded polytope refinement improves it; the reported value is the
     best objective seen anywhere (hence never below any lattice value).
     """
-    settings = settings or SearchSettings()
-    return DynamicCapacityProblem(cfg, settings.resolution).solve(weights, settings)
+    return DynamicCapacityProblem(cfg, resolution).solve(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +512,11 @@ def simplex_grid(d: int, resolution: int) -> list[EnsembleParams]:
     not a multiple of d.  Sorted lexicographically descending."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    points = math.comb(resolution + d - 1, d - 1)
+    if points > MAX_GRID_POINTS:
+        raise SizeCapError(
+            f"d={d}, grid {resolution}: {points} ensemble points exceed cap {MAX_GRID_POINTS}"
+        )
     lattice = composition_matrix(d, resolution)
     mus = {tuple(float(c) / resolution for c in row) for row in lattice}
     if resolution % d:

@@ -67,11 +67,6 @@ class Spectrum:
         if abs(self.mass - 1.0) > MASS_TOL:
             raise ValueError(f"spectrum mass {self.mass!r} deviates from 1 beyond {MASS_TOL}")
 
-    @classmethod
-    def from_atoms(cls, atoms) -> "Spectrum":
-        vals, mults = zip(*atoms)
-        return cls(np.asarray(vals, dtype=np.float64), np.asarray(mults, dtype=np.int64))
-
     @property
     def mass(self) -> float:
         return float(np.dot(self.values, self.multiplicities))

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from unruhcap import cli
+from unruhcap import cli, combinat, engine, regions
 
 
 def run_cli(args):
@@ -147,6 +148,34 @@ def test_numeric_guard_exits_3(tmp_path, capsys):
     assert rc == 3
     diagnostic = json.loads(capsys.readouterr().err.strip())
     assert diagnostic["error"] == "ConvergenceError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cqe-region", "--d", "8", "--z", "0.75", "--grid", "2"],  # ~4e12 lattice terms
+        ["cqe-region", "--d", "5", "--z", "0.9", "--grid", "2"],  # ~3e10 lattice terms
+        ["cq-curve", "--d", "12", "--k", "1", "--grid", "64"],  # ~4.9e12 grid points
+    ],
+)
+def test_size_cap_exits_3_before_enumerating(argv, tmp_path, capsys, monkeypatch):
+    # The caps are exact binomial counts taken before the lattice tables are
+    # built, so only a few small tables may be enumerated before the refusal.
+    rows = []
+
+    def budgeted(d, k):
+        rows.append(math.comb(k + d - 1, d - 1))
+        assert sum(rows) <= 10**6, f"enumerated {sum(rows)} lattice rows past the size cap"
+        return combinat.composition_matrix(d, k)
+
+    monkeypatch.setattr(engine, "composition_matrix", budgeted)
+    monkeypatch.setattr(regions, "composition_matrix", budgeted)
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["-o", str(out)]) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "SizeCapError"
+    assert "exceed cap" in diagnostic["message"]
+    assert not out.exists()
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -27,6 +27,12 @@ def test_shannon_entropy_pure_is_zero():
     assert shannon_entropy(Spectrum(np.array([1.0]), np.array([1])), 2.0).value == 0.0
 
 
+def test_shannon_entropy_clamps_atoms_below_floor():
+    # Unclamped, the 1e-16 atom would contribute about 5e-15 bits.
+    spectrum = Spectrum(np.array([1.0, 1e-16]), np.array([1, 1]))
+    assert shannon_entropy(spectrum, 2.0).value == 0.0
+
+
 def test_shannon_entropy_cloner_22():
     # Closed form: H(1/3, 2/3) = log2(3) - 2/3.
     expected = math.log2(3) - 2.0 / 3.0

@@ -11,7 +11,6 @@ from unruhcap.regions import (
     DynamicCapacityProblem,
     EntropyTriple,
     RegionSample,
-    SearchSettings,
     ce_point,
     cloner_entropy_triple,
     cq_curve,
@@ -202,9 +201,7 @@ def test_rps_regression_d5():
 # ---------------------------------------------------------------------------
 
 def test_dynamic_capacity_noiseless_unweighted():
-    result = dynamic_capacity(
-        UnruhConfig(3, 0.0), CapacityWeights(0.0, 0.0), SearchSettings(resolution=24)
-    )
+    result = dynamic_capacity(UnruhConfig(3, 0.0), CapacityWeights(0.0, 0.0), resolution=24)
     assert result.value == pytest.approx(2.0, abs=1e-9)
     assert result.argmax.mu == pytest.approx([1 / 3] * 3, abs=1e-6)
 
