@@ -85,21 +85,13 @@ class RunConfig:
     output: str
     fmt: str
 
-    def __post_init__(self):
-        if (self.k is None) == (self.z is None):
-            raise ValueError("exactly one of k (cloner) or z (Unruh) per run")
 
-
-def _run_config(args, subcommand: str, *, force_z: bool = False) -> RunConfig:
-    k = getattr(args, "k", None)
-    z = getattr(args, "z", None)
-    if force_z and z is None:
-        raise ValueError(f"{subcommand} requires --z")
+def _run_config(args, subcommand: str) -> RunConfig:
     return RunConfig(
         subcommand=subcommand,
         d=args.d,
-        k=k,
-        z=z,
+        k=args.k,
+        z=args.z,
         grid=args.grid if args.grid is not None else regions.default_resolution(args.d),
         truncation_eps=args.eps,
         log_base=args.base if args.base is not None else float(args.d),
@@ -199,7 +191,7 @@ def _cmd_curve(args, which: str) -> int:
 
 
 def _cmd_cqe_region(args) -> int:
-    cfg = _run_config(args, "cqe-region", force_z=True)
+    cfg = _run_config(args, "cqe-region")
     surface = regions.region_surface_cqe(
         UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base), cfg.grid
     )
@@ -222,7 +214,7 @@ def _cmd_cqe_region(args) -> int:
 
 
 def _cmd_rps_region(args) -> int:
-    cfg = _run_config(args, "rps-region", force_z=True)
+    cfg = _run_config(args, "rps-region")
     samples = regions.rps_region(
         UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base), cfg.grid
     )
@@ -236,7 +228,7 @@ def _cmd_rps_region(args) -> int:
 
 
 def _cmd_dyncap(args) -> int:
-    cfg = _run_config(args, "dyncap", force_z=True)
+    cfg = _run_config(args, "dyncap")
     result = regions.dynamic_capacity(
         UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base),
         regions.CapacityWeights(args.lambda_w, args.mu_weight),

@@ -36,7 +36,7 @@ class SizeCapError(RuntimeError):
 
 
 # composition_matrix stores entries as int32; weights beyond this never occur
-# because the truncation hard cap is 10_000.
+# because the truncation horizon is capped at spectra.HORIZON_CAP.
 _MAX_WEIGHT = 2**31 - 1
 
 

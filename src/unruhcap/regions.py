@@ -6,13 +6,15 @@ curves, the full CQE dynamic-region bounds, and the public/private/secret-key
 of blocks that is the Unruh channel.  Sweeps run over the cyclic-ensemble
 simplex (which suffices for all Pareto-optimal points), are hulled with a
 monotone chain, and the weighted dynamic capacity objective is maximized by
-a deterministic lattice search plus bounded polytope refinement.
+a lattice sweep plus a coarse-to-fine lattice climb.
 
 All rates are in dits of the configured log base (default: the dimension d).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,9 +70,8 @@ HULL_TOL = 1e-9
 # before the lattice is enumerated.
 MAX_GRID_POINTS = 10**6
 
-# Iteration and convergence bounds of the dynamic capacity refinement.
-REFINE_ITERS = 200
-REFINE_TOL = 1e-9
+# Halvings of the lattice spacing in the dynamic capacity climb.
+REFINE_LEVELS = 12
 
 # Unit resource vectors (C, Q, E) of the reference protocols: teleportation,
 # super-dense coding, entanglement distribution.  Adding any nonnegative
@@ -330,6 +331,11 @@ def _objective(weights: CapacityWeights, h_b, h_bx, h_ex, h_a):
     return h_a + (muw + 1.0) * h_b + lam * h_bx - (lam + muw + 1.0) * h_ex
 
 
+def _conditional_sums(t: EntropyTriple) -> tuple[float, float, float]:
+    """(H(A|X), H(B|X), H(E|X)): the weight-independent part of the objective."""
+    return (t.h_a_given_x.value, t.h_b_given_x.value, t.h_e_given_x.value)
+
+
 def dynamic_objective(evaluator: TradeoffEvaluator, weights: CapacityWeights, mu) -> float:
     """Weighted dynamic capacity objective at ensemble ``mu``.
 
@@ -342,108 +348,67 @@ def dynamic_objective(evaluator: TradeoffEvaluator, weights: CapacityWeights, mu
     )
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _refine_polytope(fn, start: np.ndarray, step: float):
-    """Maximize fn over the simplex by Nelder-Mead reflection/contraction.
-
-    Operates on the first d-1 coordinates (last weight implied); every trial
-    point is projected back onto the simplex.  Returns the best (value, mu)
-    seen anywhere, so the result can never fall below the starting value.
-    """
-    d = start.size
-    best = {"value": -math.inf, "mu": start.copy()}
-
-    def embed(y: np.ndarray) -> np.ndarray:
-        full = np.append(y, 1.0 - y.sum())
-        return _project_simplex(full)
-
-    def evaluate(y: np.ndarray) -> float:
-        mu = embed(y)
-        value = fn(mu)
-        if value > best["value"]:
-            best["value"] = value
-            best["mu"] = mu
-        return -value
-
-    pts = [start[:-1].astype(float)]
-    for i in range(d - 1):
-        shifted = pts[0].copy()
-        shifted[i] += step
-        pts.append(shifted)
-    vals = [evaluate(p) for p in pts]
-    for _ in range(REFINE_ITERS):
-        order = np.argsort(vals, kind="stable")
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        if vals[-1] - vals[0] <= REFINE_TOL:
-            break
-        centroid = np.mean(pts[:-1], axis=0)
-        reflected = centroid + (centroid - pts[-1])
-        f_r = evaluate(reflected)
-        if f_r < vals[0]:
-            expanded = centroid + 2.0 * (centroid - pts[-1])
-            f_e = evaluate(expanded)
-            if f_e < f_r:
-                pts[-1], vals[-1] = expanded, f_e
-            else:
-                pts[-1], vals[-1] = reflected, f_r
-        elif f_r < vals[-2]:
-            pts[-1], vals[-1] = reflected, f_r
-        else:
-            contracted = centroid + 0.5 * (pts[-1] - centroid)
-            f_c = evaluate(contracted)
-            if f_c < vals[-1]:
-                pts[-1], vals[-1] = contracted, f_c
-            else:
-                pts = [pts[0]] + [pts[0] + 0.5 * (p - pts[0]) for p in pts[1:]]
-                vals = [vals[0]] + [evaluate(p) for p in pts[1:]]
-    return best["value"], best["mu"]
-
-
 class DynamicCapacityProblem:
-    """Shares the weight-independent grid sweep across many weight pairs.
+    """Shares the weight-independent sums across many weight pairs.
 
     The per-ensemble sums (H(A|X), sum p_k H(B|X)_k, sum p_k H(E|X)_k) do not
     depend on the objective weights, so one lattice sweep serves every
-    (lambda, mu) pair; only the local refinement is re-run per pair.
+    (lambda, mu) pair, and the sums at each lattice point a climb visits are
+    kept for the climbs of later pairs.
     """
 
     def __init__(self, cfg: UnruhConfig, resolution: int | None = None):
         self.cfg = cfg
         self.resolution = resolution or default_resolution(cfg.d)
-        self.evaluator = ChannelSpec.from_unruh(cfg).evaluator()
-        self.grid = simplex_grid(cfg.d, self.resolution)
-        triples = [_evaluated_triple(self.evaluator, params) for params in self.grid]
-        self._h_a = np.array([t.h_a_given_x.value for t in triples])
-        self._s_bx = np.array([t.h_b_given_x.value for t in triples])
-        self._s_ex = np.array([t.h_e_given_x.value for t in triples])
+        spec = ChannelSpec.from_unruh(cfg)
+        self.evaluator = spec.evaluator()
+        samples = _sweep(spec, self.evaluator, self.resolution, _conditional_sums)
+        self.grid = [s.ensemble for s in samples]
+        self._h_a, self._s_bx, self._s_ex = np.array([s.rates for s in samples]).T
+        self._climbed: dict = {}
 
     def grid_objectives(self, weights: CapacityWeights) -> np.ndarray:
         return _objective(weights, self.evaluator.s_b, self._s_bx, self._s_ex, self._h_a)
 
+    def _climb_objective(self, weights: CapacityWeights, mu: tuple) -> float:
+        if mu not in self._climbed:
+            params = EnsembleParams(mu)
+            self._climbed[mu] = _conditional_sums(_evaluated_triple(self.evaluator, params))
+        h_a, s_bx, s_ex = self._climbed[mu]
+        return _objective(weights, self.evaluator.s_b, s_bx, s_ex, h_a)
+
     def solve(self, weights: CapacityWeights) -> DynamicCapacityResult:
+        """The best grid point, improved by a coarse-to-fine lattice climb.
+
+        Every grid point, the uniform one included, is ``counts / n`` with
+        n = resolution * d.  Each of ``REFINE_LEVELS`` levels doubles n and
+        the counts, then makes passes of unit moves (one count from slot i to
+        slot j), keeping a move only when it strictly raises the objective,
+        until a pass moves nothing.  Every trial point lies on the simplex,
+        and the value never falls below the grid's best.
+        """
         values = self.grid_objectives(weights)
         best_idx = int(np.argmax(values))
-        grid_best = float(values[best_idx])
-        refined, mu_arr = _refine_polytope(
-            lambda mu: dynamic_objective(self.evaluator, weights, mu),
-            self.grid[best_idx].as_array(),
-            step=1.0 / self.resolution,
-        )
-        value = max(refined, grid_best)
-        argmax = self.grid[best_idx] if grid_best >= refined else EnsembleParams(tuple(mu_arr))
+        grid_best = value = float(values[best_idx])
+        n = self.resolution * self.cfg.d
+        counts = np.rint(self.grid[best_idx].as_array() * n).astype(np.int64)
+        assert counts.sum() == n
+        unit = np.eye(self.cfg.d, dtype=np.int64)
+        for _ in range(REFINE_LEVELS):
+            counts, n = 2 * counts, 2 * n
+            moved = True
+            while moved:
+                moved = False
+                for i, j in itertools.permutations(range(self.cfg.d), 2):
+                    if counts[i] == 0:
+                        continue
+                    trial = counts - unit[i] + unit[j]
+                    trial_value = self._climb_objective(weights, tuple((trial / n).tolist()))
+                    if trial_value > value:
+                        value, counts, moved = trial_value, trial, True
         return DynamicCapacityResult(
             value=value,
-            argmax=argmax,
+            argmax=EnsembleParams(tuple((counts / n).tolist())),
             weights=weights,
             grid_best=grid_best,
             resolution=self.resolution,
@@ -456,9 +421,9 @@ def dynamic_capacity(
 ) -> DynamicCapacityResult:
     """Maximize the dynamic capacity objective over the ensemble simplex.
 
-    Deterministic: a simplex lattice sweep picks the best starting point,
-    then a bounded polytope refinement improves it; the reported value is the
-    best objective seen anywhere (hence never below any lattice value).
+    Deterministic: a lattice sweep picks the best grid point, then a
+    coarse-to-fine lattice climb improves it; the reported value is the best
+    objective seen (hence never below any grid value).
     """
     return DynamicCapacityProblem(cfg, resolution).solve(weights)
 
@@ -517,11 +482,12 @@ def simplex_grid(d: int, resolution: int) -> list[EnsembleParams]:
         raise SizeCapError(
             f"d={d}, grid {resolution}: {points} ensemble points exceed cap {MAX_GRID_POINTS}"
         )
-    lattice = composition_matrix(d, resolution)
-    mus = {tuple(float(c) / resolution for c in row) for row in lattice}
+    # Rows are distinct and lexicographically descending, and dividing by
+    # the resolution keeps both properties.
+    mus = (composition_matrix(d, resolution) / resolution).tolist()
     if resolution % d:
-        mus.add(tuple([1.0 / d] * d))
-    return [EnsembleParams(m) for m in sorted(mus, reverse=True)]
+        bisect.insort(mus, [1.0 / d] * d, key=lambda m: [-x for x in m])
+    return [EnsembleParams(m) for m in mus]
 
 
 def _sweep(spec: ChannelSpec, evaluator: TradeoffEvaluator, resolution: int | None, bound_fn):

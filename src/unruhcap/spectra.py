@@ -19,6 +19,7 @@ import numpy as np
 from .combinat import block_dimension, block_normalizer, composition_matrix, eigen_multiplicity
 
 __all__ = [
+    "HORIZON_CAP",
     "MASS_TOL",
     "Spectrum",
     "EnsembleParams",
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+
+# Largest truncation horizon K that truncation_horizon will search.
+HORIZON_CAP = 10_000
 
 
 class ConvergenceError(RuntimeError):
@@ -137,7 +141,6 @@ class UnruhConfig:
     z: float
     truncation_eps: float = 1e-8
     log_base: float | None = None
-    hard_cap: int = 10_000
 
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 2:
@@ -148,8 +151,6 @@ class UnruhConfig:
             raise ValueError("truncation_eps must be positive")
         if self.log_base is not None and not self.log_base > 1.0:
             raise ValueError("log base must exceed 1")
-        if self.hard_cap < 1:
-            raise ValueError("hard cap must be >= 1")
 
     @property
     def base(self) -> float:
@@ -219,7 +220,7 @@ def truncation_horizon(cfg: UnruhConfig) -> int:
     any region quantity.  Those terms eventually decay faster than sqrt(z)^k;
     once that geometric dominance is reached the tail beyond K is bounded by
     t_{K+1} / (1 - sqrt(z)), and the first K certified below the target is
-    returned.  Raises :class:`ConvergenceError` past the hard cap.
+    returned.  Raises :class:`ConvergenceError` past ``HORIZON_CAP``.
     """
     if cfg.z == 0.0:
         return 1
@@ -227,13 +228,13 @@ def truncation_horizon(cfg: UnruhConfig) -> int:
     sqrt_z = math.sqrt(cfg.z)
     slack = cfg.truncation_eps * (1.0 - sqrt_z)
     t_prev = _tail_term(cfg.d, cfg.z, 1, base)
-    for k in range(1, cfg.hard_cap + 1):
+    for k in range(1, HORIZON_CAP + 1):
         t_next = _tail_term(cfg.d, cfg.z, k + 1, base)
         if t_next <= sqrt_z * t_prev and t_next <= slack:
             return k
         t_prev = t_next
     raise ConvergenceError(
-        f"truncation horizon for d={cfg.d}, z={cfg.z} exceeds hard cap {cfg.hard_cap}"
+        f"truncation horizon for d={cfg.d}, z={cfg.z} exceeds hard cap {HORIZON_CAP}"
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -233,6 +234,26 @@ def test_dynamic_capacity_refinement_dominates_grid():
         assert values[idx] == pytest.approx(direct, abs=1e-12)
 
 
+def test_dynamic_capacity_climbs_off_a_vertex_start():
+    # The grid optimum is the vertex (1, 0); the true optimum lies just inside.
+    result = dynamic_capacity(UnruhConfig(2, 0.95), CapacityWeights(10.0, 10.0))
+    assert result.grid_best == pytest.approx(3.281697287991, abs=1e-9)
+    assert result.value > result.grid_best + 1e-3
+
+
+def test_dynamic_capacity_climbs_off_a_face_start():
+    # The grid optimum lies on the face mu_3 = 0; the true optimum does not.
+    problem = DynamicCapacityProblem(UnruhConfig(3, 0.5), resolution=16)
+    weights = CapacityWeights(0.0, 10.0)
+    result = problem.solve(weights)
+    assert result.value > 5.56
+    assert min(result.argmax.mu) > 0.0
+    direct = dynamic_objective(problem.evaluator, weights, result.argmax)
+    assert direct == pytest.approx(result.value, abs=1e-12)
+    # A repeat climb reads the sums the first one kept and lands on the same point.
+    assert problem.solve(weights) == result
+
+
 def test_capacity_weights_validation():
     with pytest.raises(ValueError):
         CapacityWeights(-0.1, 0.0)
@@ -358,10 +379,13 @@ def test_region_sample_rejects_nonfinite():
 
 
 def test_bounds_invariant_under_cyclic_relabeling():
-    cfg = UnruhConfig(3, 0.5)
-    mu = (0.6, 0.3, 0.1)
-    rolled = (0.1, 0.6, 0.3)
-    b_a = cqe_bounds(unruh_entropy_triple(cfg, mu))
-    b_b = cqe_bounds(unruh_entropy_triple(cfg, rolled))
-    assert b_a == pytest.approx(b_b, abs=1e-12)
-    assert rps_bounds(cfg, mu) == pytest.approx(rps_bounds(cfg, rolled), abs=1e-12)
+    # Every permutation of the ensemble weights (all of S_d, not only the
+    # cyclic shifts) only relabels the occupation basis.
+    for cfg, mu in ((UnruhConfig(3, 0.5), (0.6, 0.3, 0.1)), (UnruhConfig(4, 0.25), (0.4, 0.3, 0.2, 0.1))):
+        b_ref = cqe_bounds(unruh_entropy_triple(cfg, mu))
+        rps_ref = rps_bounds(cfg, mu)
+        perms = list(itertools.permutations(mu))
+        assert len(perms) == math.factorial(cfg.d)
+        for perm in perms:
+            assert cqe_bounds(unruh_entropy_triple(cfg, perm)) == pytest.approx(b_ref, abs=1e-12)
+            assert rps_bounds(cfg, perm) == pytest.approx(rps_ref, abs=1e-12)
