@@ -1,9 +1,9 @@
 """Command-line front end: sweeps, verification runs, bit-stable CSV/JSON.
 
 Every output file starts with a self-describing header (dimension, channel
-parameter, log base, truncation, seed, tool version); reals are written with
-12 significant digits.  Identical configuration and seed produce
-byte-identical files.
+parameter, log base, truncation horizon and its certified tail bound, seed,
+tool version); reals are written with 12 significant digits.  Identical
+configuration and seed produce byte-identical files.
 
 Exit codes: 0 all good (and all verifications passed), 1 a verification
 failed, 2 usage error, 3 numeric guard (non-convergent truncation, size cap).
@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, channelsim, regions
-from .spectra import ConvergenceError, UnruhConfig, cloner_spectrum
+from .spectra import ConvergenceError, UnruhConfig, cloner_spectrum, truncation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -107,6 +107,10 @@ def _channel_spec(cfg: RunConfig) -> regions.ChannelSpec:
     )
 
 
+def _unruh_config(cfg: RunConfig) -> UnruhConfig:
+    return UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base)
+
+
 def _meta(cfg: RunConfig, horizon: int | None) -> dict:
     return {
         "tool": f"unruhcap {__version__}",
@@ -117,6 +121,7 @@ def _meta(cfg: RunConfig, horizon: int | None) -> dict:
         "log_base": _fmt(cfg.log_base),
         "truncation_eps": "none" if cfg.z is None else _fmt(cfg.truncation_eps),
         "K": "none" if horizon is None else str(horizon),
+        "tail_bound": "none" if cfg.z is None else _fmt(truncation(_unruh_config(cfg))[1]),
         "grid": str(cfg.grid),
         "seed": str(cfg.seed),
     }
@@ -192,9 +197,7 @@ def _cmd_curve(args, which: str) -> int:
 
 def _cmd_cqe_region(args) -> int:
     cfg = _run_config(args, "cqe-region")
-    surface = regions.region_surface_cqe(
-        UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base), cfg.grid
-    )
+    surface = regions.region_surface_cqe(_unruh_config(cfg), cfg.grid)
     meta = _meta(cfg, surface.samples[0].horizon)
     for name, ray in surface.rays.items():
         meta[f"ray_{name}"] = " ".join(_fmt(v) for v in ray)
@@ -215,9 +218,7 @@ def _cmd_cqe_region(args) -> int:
 
 def _cmd_rps_region(args) -> int:
     cfg = _run_config(args, "rps-region")
-    samples = regions.rps_region(
-        UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base), cfg.grid
-    )
+    samples = regions.rps_region(_unruh_config(cfg), cfg.grid)
     header = _mu_header(cfg.d) + ["rp_bound", "ps_bound", "rps_bound"]
     rows = [
         (*_mu_cells(s.ensemble), *(_fmt(b) for b in s.rates))
@@ -230,7 +231,7 @@ def _cmd_rps_region(args) -> int:
 def _cmd_dyncap(args) -> int:
     cfg = _run_config(args, "dyncap")
     result = regions.dynamic_capacity(
-        UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base),
+        _unruh_config(cfg),
         regions.CapacityWeights(args.lambda_w, args.mu_weight),
         cfg.grid,
     )

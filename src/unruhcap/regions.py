@@ -4,9 +4,10 @@ Computes the classical/quantum (CQ) and classical/entanglement (CE) boundary
 curves, the full CQE dynamic-region bounds, and the public/private/secret-key
 (RPS) bounds, for either a single 1->k cloner block or the geometric mixture
 of blocks that is the Unruh channel.  Sweeps run over the cyclic-ensemble
-simplex (which suffices for all Pareto-optimal points), are hulled with a
-monotone chain, and the weighted dynamic capacity objective is maximized by
-a lattice sweep plus a coarse-to-fine lattice climb.
+simplex (which suffices for all Pareto-optimal points), evaluate each
+permutation orbit of the grid once (the CQ/CE curves: every point), are
+hulled with a monotone chain, and the weighted dynamic capacity objective is
+maximized by a lattice sweep plus a coarse-to-fine lattice climb.
 
 All rates are in dits of the configured log base (default: the dimension d).
 """
@@ -490,16 +491,41 @@ def simplex_grid(d: int, resolution: int) -> list[EnsembleParams]:
     return [EnsembleParams(m) for m in mus]
 
 
-def _sweep(spec: ChannelSpec, evaluator: TradeoffEvaluator, resolution: int | None, bound_fn):
-    """One ``RegionSample`` of ``bound_fn(entropy record)`` per grid ensemble."""
+def _sweep(
+    spec: ChannelSpec,
+    evaluator: TradeoffEvaluator,
+    resolution: int | None,
+    bound_fn,
+    *,
+    per_orbit: bool = True,
+):
+    """One ``RegionSample`` of ``bound_fn(entropy record)`` per grid ensemble.
+
+    Every entropy of the record is a symmetric function of mu (permuting mu
+    only relabels the occupation basis), so by default each S_d orbit of the
+    grid is evaluated once, at the first member met, and its rates are given
+    to every member.  The grid is lexicographically descending, so that
+    member is the orbit's descending-sorted point.  ``per_orbit=False``
+    evaluates every point.
+    """
     tag = spec.channel_tag(evaluator.horizon)
     grid = simplex_grid(spec.d, resolution or default_resolution(spec.d))
-    return [RegionSample(bound_fn(_evaluated_triple(evaluator, params)), params, tag) for params in grid]
+    samples, rates = [], {}
+    for params in grid:
+        key = tuple(sorted(params.mu)) if per_orbit else len(samples)
+        if key not in rates:
+            rates[key] = bound_fn(_evaluated_triple(evaluator, params))
+        samples.append(RegionSample(rates[key], params, tag))
+    return samples
 
+
+# The curves evaluate every point: orbit-mates then differ in the last bits,
+# and those bits decide which of several tied mates the Pareto hull flags.
+# Sharing one rate pair would move the on_hull flags of existing outputs.
 
 def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, Q) points with their Pareto boundary."""
-    samples = _sweep(spec, spec.evaluator(), resolution, cq_point)
+    samples = _sweep(spec, spec.evaluator(), resolution, cq_point, per_orbit=False)
     hull = pareto_hull_indices([s.rates for s in samples])
     return CurveResult(tuple(samples), tuple(hull), spec)
 
@@ -507,7 +533,7 @@ def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
 def ce_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, E) points; entanglement is a cost, so the Pareto boundary
     is hulled on (C, -E)."""
-    samples = _sweep(spec, spec.evaluator(), resolution, ce_point)
+    samples = _sweep(spec, spec.evaluator(), resolution, ce_point, per_orbit=False)
     hull = pareto_hull_indices([(s.rates[0], -s.rates[1]) for s in samples])
     return CurveResult(tuple(samples), tuple(hull), spec)
 

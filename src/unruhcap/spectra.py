@@ -30,6 +30,7 @@ __all__ = [
     "ensemble_spectrum_E",
     "unruh_weight",
     "unruh_weights",
+    "truncation",
     "truncation_horizon",
 ]
 
@@ -213,29 +214,36 @@ def _tail_term(d: int, z: float, k: int, base: float) -> float:
     return unruh_weight(d, z, k) * (1.0 + math.log(block_dimension(d, k)) / math.log(base))
 
 
-def truncation_horizon(cfg: UnruhConfig) -> int:
-    """Smallest K whose entropy-weighted tail is certified below truncation_eps.
+def truncation(cfg: UnruhConfig) -> tuple[int, float]:
+    """Smallest K whose entropy-weighted tail is certified below
+    truncation_eps, with that certified tail bound.
 
-    Each discarded block can contribute at most p_k * (1 + log_base dim_k) to
-    any region quantity.  Those terms eventually decay faster than sqrt(z)^k;
-    once that geometric dominance is reached the tail beyond K is bounded by
-    t_{K+1} / (1 - sqrt(z)), and the first K certified below the target is
-    returned.  Raises :class:`ConvergenceError` past ``HORIZON_CAP``.
+    Each discarded block can contribute at most t_k = p_k * (1 + log_base
+    dim_k) to any region quantity.  Those terms eventually decay faster than
+    sqrt(z)^k; once that geometric dominance is reached the tail beyond K is
+    bounded by t_{K+1} / (1 - sqrt(z)), and the first K whose bound is at
+    most truncation_eps is returned with the bound (0 when z = 0).  Raises
+    :class:`ConvergenceError` past ``HORIZON_CAP``.
     """
     if cfg.z == 0.0:
-        return 1
+        return 1, 0.0
     base = cfg.base
     sqrt_z = math.sqrt(cfg.z)
-    slack = cfg.truncation_eps * (1.0 - sqrt_z)
     t_prev = _tail_term(cfg.d, cfg.z, 1, base)
     for k in range(1, HORIZON_CAP + 1):
         t_next = _tail_term(cfg.d, cfg.z, k + 1, base)
-        if t_next <= sqrt_z * t_prev and t_next <= slack:
-            return k
+        tail = t_next / (1.0 - sqrt_z)
+        if t_next <= sqrt_z * t_prev and tail <= cfg.truncation_eps:
+            return k, tail
         t_prev = t_next
     raise ConvergenceError(
         f"truncation horizon for d={cfg.d}, z={cfg.z} exceeds hard cap {HORIZON_CAP}"
     )
+
+
+def truncation_horizon(cfg: UnruhConfig) -> int:
+    """The horizon K of :func:`truncation`."""
+    return truncation(cfg)[0]
 
 
 def unruh_weights(cfg: UnruhConfig) -> np.ndarray:

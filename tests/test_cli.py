@@ -75,6 +75,37 @@ def test_unruh_curve_header_carries_horizon(tmp_path):
     assert len(rows) == 9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cq-curve", "--d", "2", "--z", "0.5", "--grid", "4"],
+        ["ce-curve", "--d", "3", "--z", "0.25", "--grid", "2", "--eps", "1e-5"],
+        ["cqe-region", "--d", "2", "--z", "0.75", "--grid", "4", "--eps", "1e-10"],
+        ["rps-region", "--d", "3", "--z", "0.5", "--grid", "2", "--base", "2"],
+        ["dyncap", "--d", "2", "--z", "0.5", "--lambda", "1", "--mu-weight", "0", "--grid", "4"],
+    ],
+)
+def test_unruh_meta_reports_certified_tail_bound(argv, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["-o", str(out)]) == 0
+    if argv[0] == "dyncap":
+        meta = json.loads(out.read_text())["meta"]
+    else:
+        meta, _, _ = read_csv(out)
+    eps = float(argv[argv.index("--eps") + 1]) if "--eps" in argv else 1e-8
+    assert 0.0 < float(meta["tail_bound"]) <= eps
+
+
+def test_tail_bound_is_zero_noiseless_and_none_for_a_cloner(tmp_path):
+    out = tmp_path / "out.csv"
+    assert run_cli(["cqe-region", "--d", "2", "--z", "0", "--grid", "2", "-o", str(out)]) == 0
+    assert read_csv(out)[0]["tail_bound"] == "0"
+    assert run_cli(["cq-curve", "--d", "2", "--k", "3", "--grid", "2", "-o", str(out)]) == 0
+    assert read_csv(out)[0]["tail_bound"] == "none"
+    assert run_cli(["spectrum", "--d", "2", "--k", "3", "-o", str(out)]) == 0
+    assert read_csv(out)[0]["tail_bound"] == "none"
+
+
 def test_cqe_region_rays_and_columns(tmp_path):
     out = tmp_path / "cqe.csv"
     assert run_cli(["cqe-region", "--d", "2", "--z", "0.25", "--grid", "4", "-o", str(out)]) == 0

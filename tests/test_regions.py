@@ -6,12 +6,14 @@ import pytest
 
 from tradeoff_helpers import ce_midpoint_gap, cq_midpoint_gap
 from unruhcap import channelsim, regions
+from unruhcap.engine import TradeoffEvaluator
 from unruhcap.regions import (
     CapacityWeights,
     ChannelSpec,
     DynamicCapacityProblem,
     EntropyTriple,
     RegionSample,
+    ce_curve,
     ce_point,
     cloner_entropy_triple,
     cq_curve,
@@ -389,3 +391,70 @@ def test_bounds_invariant_under_cyclic_relabeling():
         for perm in perms:
             assert cqe_bounds(unruh_entropy_triple(cfg, perm)) == pytest.approx(b_ref, abs=1e-12)
             assert rps_bounds(cfg, perm) == pytest.approx(rps_ref, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Orbit reuse in the sweeps
+# ---------------------------------------------------------------------------
+
+def count_sums(monkeypatch) -> list:
+    """Record the ensemble of every ``TradeoffEvaluator.sums`` call."""
+    calls = []
+    original = TradeoffEvaluator.sums
+
+    def counted(self, mu):
+        calls.append(tuple(mu))
+        return original(self, mu)
+
+    monkeypatch.setattr(TradeoffEvaluator, "sums", counted)
+    return calls
+
+
+def orbit_count(grid) -> int:
+    return len({tuple(sorted(p.mu)) for p in grid})
+
+
+def test_orbit_sweeps_match_per_point_evaluation():
+    for cfg, resolution in ((UnruhConfig(3, 0.5), 7), (UnruhConfig(4, 0.25), 5)):
+        grid = simplex_grid(cfg.d, resolution)
+        assert EnsembleParams.uniform(cfg.d) in grid  # R not a multiple of d
+        assert orbit_count(grid) < len(grid)
+        surface = region_surface_cqe(cfg, resolution)
+        rps = rps_region(cfg, resolution)
+        assert [s.ensemble for s in surface.samples] == grid
+        assert [s.ensemble for s in rps] == grid
+        for params, cqe_sample, rps_sample in zip(grid, surface.samples, rps):
+            want = cqe_bounds(unruh_entropy_triple(cfg, params))
+            assert cqe_sample.rates == pytest.approx(want, abs=1e-12)
+            assert rps_sample.rates == pytest.approx(rps_bounds(cfg, params), abs=1e-12)
+
+
+def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
+    calls = count_sums(monkeypatch)
+    surface = region_surface_cqe(UnruhConfig(5, 0.5), 4)
+    assert len(surface.samples) == 71
+    # The 5 partitions of 4, plus the uniform point; each evaluated at its
+    # descending-sorted member, the first one the grid meets.
+    assert len(calls) == 6
+    assert all(list(mu) == sorted(mu, reverse=True) for mu in calls)
+
+    calls.clear()
+    cfg = UnruhConfig(3, 0.5)
+    rps_region(cfg, 8)
+    assert len(calls) == orbit_count(simplex_grid(3, 8)) == 11
+
+    calls.clear()
+    problem = DynamicCapacityProblem(cfg, resolution=8)
+    assert len(calls) == 11 and len(problem.grid) == 46
+
+
+def test_curves_evaluate_every_grid_point(monkeypatch):
+    # The curves' Pareto hulls pick among tied orbit-mates by their last
+    # bits, so the curves keep one evaluation per point.
+    calls = count_sums(monkeypatch)
+    for spec in (ChannelSpec(d=3, z=0.5), ChannelSpec(d=3, k=4)):
+        for curve in (cq_curve, ce_curve):
+            calls.clear()
+            result = curve(spec, 8)
+            assert len(calls) == len(result.samples) == 46
+            assert [s.ensemble.mu for s in result.samples] == calls

@@ -13,6 +13,7 @@ from unruhcap.spectra import (
     cloner_spectrum,
     ensemble_spectrum_B,
     ensemble_spectrum_E,
+    truncation,
     truncation_horizon,
     unruh_weight,
     unruh_weights,
@@ -106,16 +107,21 @@ def test_truncation_horizon_regression():
 
 
 def test_truncation_horizon_tail_is_certified():
-    for d, z in ((2, 0.5), (3, 0.75), (5, 0.25)):
-        cfg = UnruhConfig(d, z)
-        horizon = truncation_horizon(cfg)
-        base = cfg.base
-        tail = sum(
-            unruh_weight(d, z, k)
-            * (1.0 + math.log(math.comb(k + d - 1, d - 1)) / math.log(base))
-            for k in range(horizon + 1, horizon + 4001)
-        )
-        assert tail <= cfg.truncation_eps
+    assert truncation(UnruhConfig(3, 0.0)) == (1, 0.0)
+    for d, z, eps in ((2, 0.5, 1e-8), (3, 0.75, 1e-8), (5, 0.25, 1e-8), (2, 0.95, 1e-10)):
+        cfg = UnruhConfig(d, z, truncation_eps=eps)
+        horizon, bound = truncation(cfg)
+        assert horizon == truncation_horizon(cfg)
+        assert 0.0 < bound <= eps
+
+        def tail_term(k):
+            return unruh_weight(d, z, k) * (
+                1.0 + math.log(math.comb(k + d - 1, d - 1)) / math.log(cfg.base)
+            )
+
+        assert bound == pytest.approx(tail_term(horizon + 1) / (1.0 - math.sqrt(z)), rel=1e-12)
+        tail = sum(tail_term(k) for k in range(horizon + 1, horizon + 4001))
+        assert tail <= bound
 
 
 def test_truncation_horizon_weakly_monotone_in_eps():
