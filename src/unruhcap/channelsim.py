@@ -20,6 +20,7 @@ from .spectra import cloner_spectrum
 
 __all__ = [
     "HERMITICITY_TOL",
+    "MATRIX_DIM_CAP",
     "SizeCapError",
     "DensityMatrix",
     "Isometry",
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-10
+
+# Largest dense matrix dimension the oracle builds; larger requests are
+# refused before any table or matrix is allocated.
+MATRIX_DIM_CAP = 2000
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -218,6 +223,13 @@ def _block_index(isometry: Isometry, d: int) -> int:
     return k
 
 
+def _capped_block_dimension(d: int, k: int) -> int:
+    dim_b = block_dimension(d, k)
+    if dim_b > MATRIX_DIM_CAP:
+        raise SizeCapError(f"d={d}, k={k}: block dimension {dim_b} exceeds cap {MATRIX_DIM_CAP}")
+    return dim_b
+
+
 def unruh_block_output(d: int, k: int, beta) -> DensityMatrix:
     """Weight-``k`` Unruh output block for the pure input sum(beta_i a_i^dag)|vac>.
 
@@ -230,7 +242,7 @@ def unruh_block_output(d: int, k: int, beta) -> DensityMatrix:
         raise ValueError(f"input amplitudes must have length {d}")
     if abs(np.linalg.norm(b) - 1.0) > HERMITICITY_TOL:
         raise ValueError("input amplitudes must be normalized")
-    dim_b = block_dimension(d, k)
+    dim_b = _capped_block_dimension(d, k)
     comps_b = composition_matrix(d, k)
     comps_e = composition_matrix(d, k - 1)
     idx_b = _index_map(comps_b)
@@ -340,7 +352,8 @@ def verify_cloner_equivalence(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    expected = cloner_spectrum(d, k).eigenvalues(pad_to=block_dimension(d, k))
+    dim_b = _capped_block_dimension(d, k)
+    expected = cloner_spectrum(d, k).eigenvalues(pad_to=dim_b)
     rng = np.random.default_rng(seed)
     dev = 0.0
     for _ in range(n_samples):
@@ -358,7 +371,7 @@ def verify_cloner_equivalence(
     )
 
 
-def choi_ppt_check(d: int, k: int, dim_cap: int = 2000, tol: float = 1e-9) -> CheckReport:
+def choi_ppt_check(d: int, k: int, dim_cap: int = MATRIX_DIM_CAP, tol: float = 1e-9) -> CheckReport:
     """Minimum partial-transpose eigenvalue of the complement's Choi matrix.
 
     A nonnegative spectrum (within tolerance) is the PPT witness that the

@@ -12,9 +12,12 @@ failed, 2 usage error, 3 numeric guard (non-convergent truncation, size cap).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import __version__, channelsim, regions
 from .spectra import ConvergenceError, UnruhConfig, cloner_spectrum, truncation
@@ -111,7 +114,12 @@ def _unruh_config(cfg: RunConfig) -> UnruhConfig:
     return UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base)
 
 
-def _meta(cfg: RunConfig, horizon: int | None) -> dict:
+def _meta(cfg: RunConfig) -> dict:
+    if cfg.z is None:
+        horizon = tail_bound = "none"
+    else:
+        k, bound = truncation(_unruh_config(cfg))
+        horizon, tail_bound = str(k), _fmt(bound)
     return {
         "tool": f"unruhcap {__version__}",
         "subcommand": cfg.subcommand,
@@ -120,43 +128,49 @@ def _meta(cfg: RunConfig, horizon: int | None) -> dict:
         "z": "none" if cfg.z is None else _fmt(cfg.z),
         "log_base": _fmt(cfg.log_base),
         "truncation_eps": "none" if cfg.z is None else _fmt(cfg.truncation_eps),
-        "K": "none" if horizon is None else str(horizon),
-        "tail_bound": "none" if cfg.z is None else _fmt(truncation(_unruh_config(cfg))[1]),
+        "K": horizon,
+        "tail_bound": tail_bound,
         "grid": str(cfg.grid),
         "seed": str(cfg.seed),
     }
 
 
-def _emit(text: str, output: str) -> None:
-    if output == "-":
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path: str):
+    if path == "-":
+        yield sys.stdout
     else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
 
 
-def _emit_table(meta: dict, header: list[str], rows: list[tuple], cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
-        lines = [f"# {key}: {value}" for key, value in meta.items()]
-        lines.append(",".join(header))
-        lines.extend(",".join(row) for row in rows)
-        _emit("\n".join(lines) + "\n", cfg.output)
-    else:
+def _emit_table(meta: dict, header: list[str], rows, cfg: RunConfig) -> None:
+    """Write ``rows`` (sequences of cells) as CSV, line by line, or as JSON."""
+    if cfg.fmt == "json":
         samples = [dict(zip(header, row)) for row in rows]
-        payload = {"meta": meta, "samples": samples}
-        _emit_json(payload, cfg.output)
+        _emit_json({"meta": meta, "samples": samples}, cfg.output)
+        return
+    with _output(cfg.output) as out:
+        for key, value in meta.items():
+            out.write(f"# {key}: {value}\n")
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(row) + "\n")
 
 
 def _emit_json(payload: dict, output: str) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
+    with _output(output) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _mu_header(d: int) -> list[str]:
     return [f"mu_{i}" for i in range(1, d)]
 
 
-def _mu_cells(params) -> list[str]:
-    return [_fmt(x) for x in params.mu[:-1]]
+def _sweep_rows(mu, *columns):
+    """Cells of one sweep row at a time: mu_1..mu_{d-1}, then the columns."""
+    for row in np.hstack([mu[:, :-1], *columns]):
+        yield [_fmt(x) for x in row.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -165,66 +179,39 @@ def _mu_cells(params) -> list[str]:
 
 def _cmd_spectrum(args) -> int:
     cfg = _run_config(args, "spectrum")
-    spectrum = cloner_spectrum(cfg.d, cfg.k)
-    rows = [(_fmt(v), str(m)) for v, m in spectrum.atoms]
-    _emit_table(_meta(cfg, None), ["value", "multiplicity"], rows, cfg)
+    rows = ((_fmt(v), str(m)) for v, m in cloner_spectrum(cfg.d, cfg.k).atoms)
+    _emit_table(_meta(cfg), ["value", "multiplicity"], rows, cfg)
     return EXIT_OK
-
-
-def _curve_rows(result: regions.CurveResult) -> list[tuple]:
-    on_hull = set(result.hull_indices)
-    rows = []
-    for idx, sample in enumerate(result.samples):
-        rows.append(
-            (
-                *_mu_cells(sample.ensemble),
-                _fmt(sample.rates[0]),
-                _fmt(sample.rates[1]),
-                "1" if idx in on_hull else "0",
-            )
-        )
-    return rows
 
 
 def _cmd_curve(args, which: str) -> int:
     cfg = _run_config(args, which)
     spec = _channel_spec(cfg)
     result = regions.cq_curve(spec, cfg.grid) if which == "cq-curve" else regions.ce_curve(spec, cfg.grid)
+    on_hull = np.zeros((len(result.mu), 1))  # 0.0 and 1.0 format as "0" and "1"
+    on_hull[list(result.hull_indices)] = 1.0
     header = _mu_header(cfg.d) + ["rate_x", "rate_y", "on_hull"]
-    _emit_table(_meta(cfg, result.samples[0].horizon), header, _curve_rows(result), cfg)
+    _emit_table(_meta(cfg), header, _sweep_rows(result.mu, result.rates, on_hull), cfg)
     return EXIT_OK
 
 
 def _cmd_cqe_region(args) -> int:
     cfg = _run_config(args, "cqe-region")
     surface = regions.region_surface_cqe(_unruh_config(cfg), cfg.grid)
-    meta = _meta(cfg, surface.samples[0].horizon)
+    meta = _meta(cfg)
     for name, ray in surface.rays.items():
         meta[f"ray_{name}"] = " ".join(_fmt(v) for v in ray)
     header = _mu_header(cfg.d) + ["b1_c2q", "b2_qe", "b3_cqe", "corner_c", "corner_q", "corner_e"]
-    rows = []
-    for sample in surface.samples:
-        corner = regions.cqe_corner(sample.rates)
-        rows.append(
-            (
-                *_mu_cells(sample.ensemble),
-                *(_fmt(b) for b in sample.rates),
-                *(_fmt(c) for c in corner),
-            )
-        )
-    _emit_table(meta, header, rows, cfg)
+    corners = np.column_stack(regions.cqe_corner(surface.rates.T))
+    _emit_table(meta, header, _sweep_rows(surface.mu, surface.rates, corners), cfg)
     return EXIT_OK
 
 
 def _cmd_rps_region(args) -> int:
     cfg = _run_config(args, "rps-region")
-    samples = regions.rps_region(_unruh_config(cfg), cfg.grid)
+    mu, rates = regions.rps_region(_unruh_config(cfg), cfg.grid)
     header = _mu_header(cfg.d) + ["rp_bound", "ps_bound", "rps_bound"]
-    rows = [
-        (*_mu_cells(s.ensemble), *(_fmt(b) for b in s.rates))
-        for s in samples
-    ]
-    _emit_table(_meta(cfg, samples[0].horizon), header, rows, cfg)
+    _emit_table(_meta(cfg), header, _sweep_rows(mu, rates), cfg)
     return EXIT_OK
 
 
@@ -236,7 +223,7 @@ def _cmd_dyncap(args) -> int:
         cfg.grid,
     )
     payload = {
-        "meta": _meta(cfg, result.horizon),
+        "meta": _meta(cfg),
         "value": result.value,
         "argmax_mu": list(result.argmax.mu),
         "lambda": args.lambda_w,

@@ -45,6 +45,8 @@ class TradeoffEvaluator:
         weights = np.ascontiguousarray(block_weights, dtype=np.float64)
         if weights.ndim != 1 or weights.size < 1:
             raise ValueError("block weights must be a nonempty 1-D array")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("block weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("block weights must be nonnegative")
         self.d = int(d)

@@ -80,6 +80,8 @@ def mixture_entropy(weights, components, base: float) -> EntropyValue:
     than 1 (a truncated tail); components must already be in ``base``.
     """
     w = np.ascontiguousarray(weights, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("mixture weights must be finite")
     if np.any(w < 0.0):
         raise ValueError("mixture weights must be nonnegative")
     if w.sum() > 1.0 + _SPECTRUM_MASS_TOL:

@@ -9,12 +9,16 @@ permutation orbit of the grid once (the CQ/CE curves: every point), are
 hulled with a monotone chain, and the weighted dynamic capacity objective is
 maximized by a lattice sweep plus a coarse-to-fine lattice climb.
 
+A sweep holds two arrays and no per-point objects: the read-only grid ``mu``
+of shape (points, d) and the bound ``rates`` of shape (points, m), row for
+row.  ``rps-region --d 6 --z 0.05 --grid 35`` (658,009 points, 2,173 orbits)
+peaks at about 200 MB RSS, the grid alone at about 120 MB (2-core VM).
+
 All rates are in dits of the configured log base (default: the dimension d).
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +43,6 @@ __all__ = [
     "MAX_GRID_POINTS",
     "PROTOCOL_RAYS",
     "EntropyTriple",
-    "RegionSample",
     "CapacityWeights",
     "ChannelSpec",
     "DynamicCapacityProblem",
@@ -56,7 +59,6 @@ __all__ = [
     "dynamic_capacity",
     "rps_bounds",
     "pareto_hull_indices",
-    "pareto_hull_2d",
     "simplex_grid",
     "default_resolution",
     "cq_curve",
@@ -105,24 +107,6 @@ class EntropyTriple:
     @property
     def base(self) -> float:
         return self.h_b.base
-
-
-@dataclass(frozen=True)
-class RegionSample:
-    """One rate tuple with the parameters that generated it."""
-
-    rates: tuple[float, ...]
-    ensemble: EnsembleParams
-    channel: tuple
-
-    def __post_init__(self):
-        if not all(math.isfinite(r) for r in self.rates):
-            raise ValueError("rates must be finite")
-
-    @property
-    def horizon(self) -> int | None:
-        """Truncation horizon K of an Unruh-mode sample; None for a cloner block."""
-        return self.channel[3] if self.channel[0] == "unruh" else None
 
 
 @dataclass(frozen=True)
@@ -189,42 +173,36 @@ class ChannelSpec:
     def evaluator(self) -> TradeoffEvaluator:
         return TradeoffEvaluator(self.d, self.block_weights(), self.base)
 
-    def channel_tag(self, horizon: int) -> tuple:
-        if self.is_cloner:
-            return ("cloner", self.d, self.k)
-        return ("unruh", self.d, self.z, horizon)
-
 
 @dataclass(frozen=True)
 class DynamicCapacityResult:
     value: float
     argmax: EnsembleParams
-    weights: CapacityWeights
     grid_best: float
     resolution: int
-    horizon: int
 
 
 @dataclass(frozen=True, eq=False)
 class CurveResult:
-    """Sweep samples plus the indices of the Pareto boundary polyline."""
+    """Grid ensembles ``mu``, their rate pairs and the rows of the Pareto
+    boundary polyline."""
 
-    samples: tuple
+    mu: np.ndarray
+    rates: np.ndarray
     hull_indices: tuple
-    spec: ChannelSpec
 
     @property
-    def boundary(self) -> list[RegionSample]:
-        return [self.samples[i] for i in self.hull_indices]
+    def boundary(self) -> np.ndarray:
+        return self.rates[list(self.hull_indices)]
 
 
 @dataclass(frozen=True, eq=False)
 class SurfaceResult:
-    """CQE bound triples per ensemble plus the protocol rays."""
+    """Grid ensembles ``mu``, their CQE bound triples and the protocol rays."""
 
-    samples: tuple
+    mu: np.ndarray
+    rates: np.ndarray
     rays: dict
-    spec: ChannelSpec
 
 
 def default_resolution(d: int) -> int:
@@ -266,21 +244,22 @@ def ce_point(triple: EntropyTriple) -> tuple[float, float]:
 # Unruh entropies and CQE / RPS bounds
 # ---------------------------------------------------------------------------
 
-def _evaluated_triple(evaluator: TradeoffEvaluator, mu: EnsembleParams) -> EntropyTriple:
+def _evaluated_triple(evaluator: TradeoffEvaluator, mu) -> EntropyTriple:
     """The entropy record of ``evaluator``'s channel at ensemble ``mu``."""
+    params = _as_ensemble(mu, evaluator.d)
     base = evaluator.base
-    s_bx, s_ex = evaluator.sums(mu.as_array())
+    s_bx, s_ex = evaluator.sums(params.as_array())
     return EntropyTriple(
         h_b=EntropyValue(evaluator.s_b, base),
         h_b_given_x=EntropyValue(s_bx, base),
         h_e_given_x=EntropyValue(s_ex, base),
-        h_a_given_x=ensemble_conditional_entropy_A(mu, base),
+        h_a_given_x=ensemble_conditional_entropy_A(params, base),
     )
 
 
 def unruh_entropy_triple(cfg: UnruhConfig, mu) -> EntropyTriple:
     """Entropy record of the truncated Unruh channel at ensemble ``mu``."""
-    return _evaluated_triple(ChannelSpec.from_unruh(cfg).evaluator(), _as_ensemble(mu, cfg.d))
+    return _evaluated_triple(ChannelSpec.from_unruh(cfg).evaluator(), mu)
 
 
 def cqe_bounds(triple: EntropyTriple) -> tuple[float, float, float]:
@@ -291,7 +270,8 @@ def cqe_bounds(triple: EntropyTriple) -> tuple[float, float, float]:
 
 
 def cqe_corner(bounds: tuple[float, float, float]) -> tuple[float, float, float]:
-    """Rate triple where all three CQE halfspaces are tight."""
+    """Rate triple where all three CQE halfspaces are tight (elementwise when
+    the bounds are arrays)."""
     b1, b2, b3 = bounds
     q = (b1 + b2 - b3) / 2.0
     return (b3 - b2, q, b2 - q)
@@ -319,7 +299,7 @@ def rps_bounds(cfg: UnruhConfig, nu) -> tuple[float, float, float]:
     bounds.
     """
     evaluator = ChannelSpec.from_unruh(cfg).evaluator()
-    return _rps(_public_bound(evaluator), _evaluated_triple(evaluator, _as_ensemble(nu, cfg.d)))
+    return _rps(_public_bound(evaluator), _evaluated_triple(evaluator, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +323,7 @@ def dynamic_objective(evaluator: TradeoffEvaluator, weights: CapacityWeights, mu
     Mixing terms cancel (their coefficients sum to zero), so the per-block
     weighted sums are used directly.
     """
-    t = _evaluated_triple(evaluator, _as_ensemble(mu, evaluator.d))
+    t = _evaluated_triple(evaluator, mu)
     return _objective(
         weights, t.h_b.value, t.h_b_given_x.value, t.h_e_given_x.value, t.h_a_given_x.value
     )
@@ -361,11 +341,9 @@ class DynamicCapacityProblem:
     def __init__(self, cfg: UnruhConfig, resolution: int | None = None):
         self.cfg = cfg
         self.resolution = resolution or default_resolution(cfg.d)
-        spec = ChannelSpec.from_unruh(cfg)
-        self.evaluator = spec.evaluator()
-        samples = _sweep(spec, self.evaluator, self.resolution, _conditional_sums)
-        self.grid = [s.ensemble for s in samples]
-        self._h_a, self._s_bx, self._s_ex = np.array([s.rates for s in samples]).T
+        self.evaluator = ChannelSpec.from_unruh(cfg).evaluator()
+        self.grid, rates = _sweep(self.evaluator, self.resolution, _conditional_sums)
+        self._h_a, self._s_bx, self._s_ex = rates.T
         self._climbed: dict = {}
 
     def grid_objectives(self, weights: CapacityWeights) -> np.ndarray:
@@ -373,8 +351,7 @@ class DynamicCapacityProblem:
 
     def _climb_objective(self, weights: CapacityWeights, mu: tuple) -> float:
         if mu not in self._climbed:
-            params = EnsembleParams(mu)
-            self._climbed[mu] = _conditional_sums(_evaluated_triple(self.evaluator, params))
+            self._climbed[mu] = _conditional_sums(_evaluated_triple(self.evaluator, mu))
         h_a, s_bx, s_ex = self._climbed[mu]
         return _objective(weights, self.evaluator.s_b, s_bx, s_ex, h_a)
 
@@ -392,7 +369,7 @@ class DynamicCapacityProblem:
         best_idx = int(np.argmax(values))
         grid_best = value = float(values[best_idx])
         n = self.resolution * self.cfg.d
-        counts = np.rint(self.grid[best_idx].as_array() * n).astype(np.int64)
+        counts = np.rint(self.grid[best_idx] * n).astype(np.int64)
         assert counts.sum() == n
         unit = np.eye(self.cfg.d, dtype=np.int64)
         for _ in range(REFINE_LEVELS):
@@ -410,10 +387,8 @@ class DynamicCapacityProblem:
         return DynamicCapacityResult(
             value=value,
             argmax=EnsembleParams(tuple((counts / n).tolist())),
-            weights=weights,
             grid_best=grid_best,
             resolution=self.resolution,
-            horizon=self.evaluator.horizon,
         )
 
 
@@ -460,22 +435,15 @@ def pareto_hull_indices(points) -> list[int]:
     return upper[start:]
 
 
-def pareto_hull_2d(samples) -> list[RegionSample]:
-    """Boundary polyline (subset of ``samples``) of the upper-right Pareto hull."""
-    samples = list(samples)
-    if any(len(s.rates) != 2 for s in samples):
-        raise ValueError("pareto_hull_2d needs 2-D rate samples")
-    return [samples[i] for i in pareto_hull_indices([s.rates for s in samples])]
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def simplex_grid(d: int, resolution: int) -> list[EnsembleParams]:
-    """Deterministic ensemble lattice: compositions of ``resolution`` over d
-    slots, divided through; the uniform point is added when the resolution is
-    not a multiple of d.  Sorted lexicographically descending."""
+def simplex_grid(d: int, resolution: int) -> np.ndarray:
+    """Deterministic ensemble lattice as a read-only (points, d) array:
+    compositions of ``resolution`` over d slots, divided through; the uniform
+    point is added when the resolution is not a multiple of d.  Rows are
+    lexicographically descending."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     points = math.comb(resolution + d - 1, d - 1)
@@ -485,38 +453,41 @@ def simplex_grid(d: int, resolution: int) -> list[EnsembleParams]:
         )
     # Rows are distinct and lexicographically descending, and dividing by
     # the resolution keeps both properties.
-    mus = (composition_matrix(d, resolution) / resolution).tolist()
+    mu = composition_matrix(d, resolution) / resolution
     if resolution % d:
-        bisect.insort(mus, [1.0 / d] * d, key=lambda m: [-x for x in m])
-    return [EnsembleParams(m) for m in mus]
+        # No row has first weight exactly 1/d, so the first column alone
+        # places the uniform row.
+        mu = np.insert(mu, np.count_nonzero(mu[:, 0] > 1.0 / d), 1.0 / d, axis=0)
+    mu.setflags(write=False)
+    return mu
 
 
 def _sweep(
-    spec: ChannelSpec,
-    evaluator: TradeoffEvaluator,
-    resolution: int | None,
-    bound_fn,
-    *,
-    per_orbit: bool = True,
+    evaluator: TradeoffEvaluator, resolution: int | None, bound_fn, *, per_orbit: bool = True
 ):
-    """One ``RegionSample`` of ``bound_fn(entropy record)`` per grid ensemble.
+    """The grid ``mu`` and its ``rates``: row i is ``bound_fn(entropy record)``
+    at ensemble ``mu[i]``.
 
     Every entropy of the record is a symmetric function of mu (permuting mu
     only relabels the occupation basis), so by default each S_d orbit of the
-    grid is evaluated once, at the first member met, and its rates are given
-    to every member.  The grid is lexicographically descending, so that
-    member is the orbit's descending-sorted point.  ``per_orbit=False``
-    evaluates every point.
+    grid is evaluated once, at its first row, and its rates are given to
+    every member.  The grid is lexicographically descending, so that row is
+    the orbit's descending-sorted point.  ``per_orbit=False`` evaluates
+    every point.
     """
-    tag = spec.channel_tag(evaluator.horizon)
-    grid = simplex_grid(spec.d, resolution or default_resolution(spec.d))
-    samples, rates = [], {}
-    for params in grid:
-        key = tuple(sorted(params.mu)) if per_orbit else len(samples)
-        if key not in rates:
-            rates[key] = bound_fn(_evaluated_triple(evaluator, params))
-        samples.append(RegionSample(rates[key], params, tag))
-    return samples
+    mu = simplex_grid(evaluator.d, resolution or default_resolution(evaluator.d))
+    if per_orbit:
+        # One bytes key per sorted row: the weights are finite and >= +0.0,
+        # so equal bytes mean equal rows, and bytes sort far faster than rows.
+        keys = np.sort(mu, axis=1)
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first, member_of = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        first = member_of = np.arange(len(mu))
+    rates = np.array([bound_fn(_evaluated_triple(evaluator, mu[i])) for i in first])
+    if not np.isfinite(rates).all():
+        raise ValueError("rates must be finite")
+    return mu, rates[member_of]
 
 
 # The curves evaluate every point: orbit-mates then differ in the last bits,
@@ -525,33 +496,29 @@ def _sweep(
 
 def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, Q) points with their Pareto boundary."""
-    samples = _sweep(spec, spec.evaluator(), resolution, cq_point, per_orbit=False)
-    hull = pareto_hull_indices([s.rates for s in samples])
-    return CurveResult(tuple(samples), tuple(hull), spec)
+    mu, rates = _sweep(spec.evaluator(), resolution, cq_point, per_orbit=False)
+    return CurveResult(mu, rates, tuple(pareto_hull_indices(rates)))
 
 
 def ce_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, E) points; entanglement is a cost, so the Pareto boundary
     is hulled on (C, -E)."""
-    samples = _sweep(spec, spec.evaluator(), resolution, ce_point, per_orbit=False)
-    hull = pareto_hull_indices([(s.rates[0], -s.rates[1]) for s in samples])
-    return CurveResult(tuple(samples), tuple(hull), spec)
+    mu, rates = _sweep(spec.evaluator(), resolution, ce_point, per_orbit=False)
+    return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * (1.0, -1.0))))
 
 
 def region_surface_cqe(cfg: UnruhConfig, resolution: int | None = None) -> SurfaceResult:
     """CQE bound triples (b1, b2, b3) per grid ensemble, plus protocol rays.
 
-    Each sample's corner (all three halfspaces tight) is ``cqe_corner``; the
+    Each row's corner (all three halfspaces tight) is ``cqe_corner``; the
     full region is the hull of the corners swept along the PROTOCOL_RAYS.
     """
-    spec = ChannelSpec.from_unruh(cfg)
-    samples = _sweep(spec, spec.evaluator(), resolution, cqe_bounds)
-    return SurfaceResult(tuple(samples), dict(PROTOCOL_RAYS), spec)
+    mu, rates = _sweep(ChannelSpec.from_unruh(cfg).evaluator(), resolution, cqe_bounds)
+    return SurfaceResult(mu, rates, dict(PROTOCOL_RAYS))
 
 
-def rps_region(cfg: UnruhConfig, resolution: int | None = None) -> list[RegionSample]:
-    """(R+P, P+S, R+P+S) bound triples per grid ensemble."""
-    spec = ChannelSpec.from_unruh(cfg)
-    evaluator = spec.evaluator()
+def rps_region(cfg: UnruhConfig, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The grid ``mu`` and its (R+P, P+S, R+P+S) bound triples, row for row."""
+    evaluator = ChannelSpec.from_unruh(cfg).evaluator()
     rp = _public_bound(evaluator)
-    return _sweep(spec, evaluator, resolution, lambda triple: _rps(rp, triple))
+    return _sweep(evaluator, resolution, lambda triple: _rps(rp, triple))

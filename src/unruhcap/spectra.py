@@ -65,6 +65,8 @@ class Spectrum:
             raise ValueError("values and multiplicities must be 1-D and aligned")
         if values.size == 0:
             raise ValueError("spectrum needs at least one atom")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("spectrum probabilities must be finite")
         if np.any(values < 0.0):
             raise ValueError("spectrum probabilities must be nonnegative")
         if np.any(mults < 1):
@@ -101,6 +103,8 @@ class EnsembleParams:
         object.__setattr__(self, "mu", mu)
         if len(mu) < 2:
             raise ValueError("ensemble needs at least 2 weights")
+        if not all(math.isfinite(x) for x in mu):
+            raise ValueError("ensemble weights must be finite")
         if any(x < 0.0 for x in mu):
             raise ValueError("ensemble weights must be nonnegative")
         if abs(math.fsum(mu) - 1.0) > MASS_TOL:

@@ -76,7 +76,7 @@ def test_criterion_4_noiseless_limits():
         base = float(d)
         # CQ boundary at z=0 is the segment (1,0)-(0,1).
         curve = regions.cq_curve(regions.ChannelSpec(d=d, z=0.0))
-        boundary = [s.rates for s in curve.boundary]
+        boundary = curve.boundary
         if len(boundary) != 2:
             failures.append(f"d={d}: noiseless boundary has {len(boundary)} vertices")
         else:
@@ -84,13 +84,13 @@ def test_criterion_4_noiseless_limits():
                 failures.append(f"d={d}: top endpoint {boundary[0]}")
             if not np.allclose(boundary[1], (1.0, 0.0), atol=1e-12):
                 failures.append(f"d={d}: right endpoint {boundary[1]}")
-        for sample in curve.samples:
-            if abs(sum(sample.rates) - 1.0) > 1e-12:
-                failures.append(f"d={d}: off-segment sample {sample.rates}")
+        for rates in curve.rates:
+            if abs(sum(rates) - 1.0) > 1e-12:
+                failures.append(f"d={d}: off-segment sample {rates}")
                 break
         cloner_curve = regions.cq_curve(regions.ChannelSpec(d=d, k=1), resolution=16)
-        for sample in cloner_curve.samples:
-            if abs(sum(sample.rates) - 1.0) > 1e-12:
+        for rates in cloner_curve.rates:
+            if abs(sum(rates) - 1.0) > 1e-12:
                 failures.append(f"d={d}: k=1 sweep off segment")
                 break
 
@@ -155,11 +155,10 @@ def test_criterion_6_entropy_identity_audits():
                 failures.append(f"d={d} k={k}: mass dev B={worst_b:.2e} E={worst_e:.2e}")
     for d, z, res in ((2, 0.5, 16), (3, 0.25, 8)):
         surface = regions.region_surface_cqe(UnruhConfig(d, z), resolution=res)
-        for sample in surface.samples:
-            b1, _, b3 = sample.rates
-            h_a = ensemble_conditional_entropy_A(sample.ensemble, float(d)).value
+        for mu, (b1, _, b3) in zip(surface.mu, surface.rates):
+            h_a = ensemble_conditional_entropy_A(mu, float(d)).value
             if abs((b1 - b3) - h_a) > 1e-12:
-                failures.append(f"d={d} z={z}: b1-b3 != h_A at {sample.ensemble.mu}")
+                failures.append(f"d={d} z={z}: b1-b3 != h_A at {mu}")
                 break
     _finish(6, "entropy identity audits", failures)
 

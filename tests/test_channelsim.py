@@ -184,6 +184,15 @@ def test_choi_ppt_check():
         choi_ppt_check(3, 3, dim_cap=5)
 
 
+def test_unruh_block_output_refuses_blocks_past_the_matrix_cap():
+    # dim_B = C(k+1, 1) = k + 1 at d = 2: k = 1999 is the largest block built.
+    beta = np.array([1.0, 0.0])
+    with pytest.raises(SizeCapError, match="exceeds cap 2000"):
+        unruh_block_output(2, 2000, beta)
+    with pytest.raises(SizeCapError):
+        verify_cloner_equivalence(4, 60)  # dim_B = 39,711
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[1.0, 0.5], [0.0, 0.0]]))  # not Hermitian

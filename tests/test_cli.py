@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from unruhcap import cli, combinat, engine, regions
+from unruhcap import channelsim, cli, combinat, engine, regions
 
 
 def run_cli(args):
@@ -207,6 +207,23 @@ def test_size_cap_exits_3_before_enumerating(argv, tmp_path, capsys, monkeypatch
     assert diagnostic["error"] == "SizeCapError"
     assert "exceed cap" in diagnostic["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d, k", [("4", "60"), ("2", "2000")])  # dim_B = 39,711 and 2,001
+def test_oracle_size_cap_exits_3_before_allocating(d, k, capsys, monkeypatch):
+    # dim_B = C(k+d-1, d-1) is checked before any basis table, spectrum or
+    # matrix is built; building one fails the test.
+    def refuse(*args):
+        raise AssertionError(f"built {args} past the oracle cap")
+
+    monkeypatch.setattr(channelsim, "composition_matrix", refuse)
+    monkeypatch.setattr(channelsim, "cloner_spectrum", refuse)
+    assert run_cli(["verify", "cloner-equivalence", "--d", d, "--k", k]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = json.loads(captured.err.strip())
+    assert diagnostic["error"] == "SizeCapError"
+    assert "exceeds cap 2000" in diagnostic["message"]
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from unruhcap import channelsim
+from unruhcap.engine import TradeoffEvaluator
 from unruhcap.entropy import (
     EntropyValue,
     ensemble_conditional_entropy_A,
     mixture_entropy,
     shannon_entropy,
 )
+from unruhcap.regions import cloner_entropy_triple
 from unruhcap.spectra import EnsembleParams, Spectrum, UnruhConfig, cloner_spectrum, unruh_weights
 
 
@@ -161,3 +163,21 @@ def test_entropy_value_guards():
     assert converted.value == pytest.approx(0.5, abs=1e-15)
     assert converted.base == 4.0
     assert float(EntropyValue(0.25, 2.0)) == 0.25
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: EnsembleParams((bad, 1.0)),
+        lambda bad: Spectrum([bad, 1.0], [1, 1]),
+        lambda bad: TradeoffEvaluator(2, [bad, 0.5], 2.0),
+        lambda bad: mixture_entropy([bad, 0.5], [EntropyValue(0.0, 2.0)] * 2, 2.0),
+        lambda bad: cloner_entropy_triple(2, 2, (bad, 1.0)),
+    ],
+    ids=["ensemble", "spectrum", "evaluator-weights", "mixture-weights", "cloner-triple"],
+)
+def test_validated_records_refuse_nonfinite_numbers(build, bad):
+    # A NaN compares false against every bound, so range checks alone let it through.
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)

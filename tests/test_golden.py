@@ -1,0 +1,33 @@
+"""Frozen CLI outputs: small runs whose stdout must not change by one byte.
+
+The files under ``tests/golden/`` were written by the same commands before
+the sweeps were rewritten as arrays; a refactor of the sweep, hull or
+emission code must reproduce them exactly.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from unruhcap import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "cq-curve-cloner.csv": "cq-curve --d 3 --k 2 --grid 8",
+    "cq-curve-unruh.csv": "cq-curve --d 2 --z 0.5 --grid 16",
+    "ce-curve.csv": "ce-curve --d 3 --z 0.5 --grid 8",
+    "cqe-region.csv": "cqe-region --d 3 --z 0.5 --grid 7",
+    "rps-region.csv": "rps-region --d 4 --z 0.25 --grid 5",
+    "dyncap.json": "dyncap --d 3 --z 0.5 --lambda 0 --mu-weight 10 --grid 16 --format json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden_file(name, capsys):
+    assert cli.main(COMMANDS[name].split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(COMMANDS)

@@ -12,7 +12,6 @@ from unruhcap.regions import (
     ChannelSpec,
     DynamicCapacityProblem,
     EntropyTriple,
-    RegionSample,
     ce_curve,
     ce_point,
     cloner_entropy_triple,
@@ -22,7 +21,6 @@ from unruhcap.regions import (
     cqe_corner,
     dynamic_capacity,
     dynamic_objective,
-    pareto_hull_2d,
     pareto_hull_indices,
     region_surface_cqe,
     rps_bounds,
@@ -218,7 +216,7 @@ def test_dynamic_capacity_large_lambda_tracks_coherent_information():
         s_bx, s_ex = problem.evaluator.sums(np.asarray(mu))
         return s_bx - s_ex
 
-    best_grid_coherent = max(coherent(p.as_array()) for p in problem.grid)
+    best_grid_coherent = max(coherent(mu) for mu in problem.grid)
     assert coherent(result.argmax.as_array()) >= best_grid_coherent - 1e-6
 
 
@@ -271,8 +269,7 @@ def test_capacity_weights_validation():
 # ---------------------------------------------------------------------------
 
 def test_hull_single_point():
-    sample = RegionSample((0.4, 0.2), EnsembleParams.uniform(2), ("cloner", 2, 1))
-    assert pareto_hull_2d([sample]) == [sample]
+    assert pareto_hull_indices(np.array([[0.4, 0.2]])) == [0]
 
 
 def test_hull_collinear_descending_line_keeps_extremes():
@@ -288,10 +285,11 @@ def test_hull_drops_dominated_and_interior_points():
     assert kept == [(0.0, 1.0), (0.6, 0.55), (1.0, 0.0)]
 
 
-def test_hull_rejects_non_2d():
-    sample = RegionSample((0.4, 0.2, 0.1), EnsembleParams.uniform(2), ("cloner", 2, 1))
+def test_hull_rejects_empty_and_non_2d():
     with pytest.raises(ValueError):
-        pareto_hull_2d([sample])
+        pareto_hull_indices([])
+    with pytest.raises(ValueError):
+        pareto_hull_indices(np.array([[0.4, 0.2, 0.1]]))
 
 
 def test_cq_boundary_beats_time_sharing_chord_d2_k2():
@@ -306,12 +304,11 @@ def test_ce_boundary_sags_below_chord_d2_k2():
 
 def test_cq_noiseless_boundary_is_the_unit_segment():
     curve = cq_curve(ChannelSpec(d=2, k=1), resolution=4)
-    boundary = [s.rates for s in curve.boundary]
+    boundary = curve.boundary
     assert len(boundary) == 2
     assert boundary[0] == pytest.approx((0.0, 1.0), abs=1e-12)
     assert boundary[1] == pytest.approx((1.0, 0.0), abs=1e-12)
-    for sample in curve.samples:
-        assert sum(sample.rates) == pytest.approx(1.0, abs=1e-12)
+    assert curve.rates.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +318,9 @@ def test_cq_noiseless_boundary_is_the_unit_segment():
 def test_region_surface_corners_are_tight():
     surface = region_surface_cqe(UnruhConfig(2, 0.25), resolution=8)
     assert set(surface.rays) == {"TP", "SD", "ED"}
-    for sample in surface.samples:
-        b1, b2, b3 = sample.rates
-        c, q, e = cqe_corner(sample.rates)
+    for rates in surface.rates:
+        b1, b2, b3 = rates
+        c, q, e = cqe_corner(rates)
         assert c + 2 * q == pytest.approx(b1, abs=1e-12)
         assert q + e == pytest.approx(b2, abs=1e-12)
         assert c + q + e == pytest.approx(b3, abs=1e-12)
@@ -331,34 +328,44 @@ def test_region_surface_corners_are_tight():
 
 def test_region_surface_noiseless_contains_super_dense_corner():
     surface = region_surface_cqe(UnruhConfig(2, 0.0), resolution=4)
-    uniform_sample = next(
-        s for s in surface.samples if s.ensemble.mu == pytest.approx((0.5, 0.5))
-    )
-    corner = np.array(cqe_corner(uniform_sample.rates))
+    (uniform_row,) = np.flatnonzero(np.all(surface.mu == 0.5, axis=1))
+    corner = np.array(cqe_corner(surface.rates[uniform_row]))
     sd_corner = corner + np.array(surface.rays["SD"])
     assert sd_corner == pytest.approx([2.0, 0.0, -1.0], abs=1e-12)
 
 
 def test_rps_region_sweep_shapes():
-    samples = rps_region(UnruhConfig(2, 0.5), resolution=8)
-    assert len(samples) == 9
-    rp_values = {s.rates[0] for s in samples}
-    assert len(rp_values) == 1  # public bound is ensemble independent
-    for s in samples:
-        assert s.channel[0] == "unruh" and len(s.rates) == 3
+    mu, rates = rps_region(UnruhConfig(2, 0.5), resolution=8)
+    assert mu.shape == (9, 2) and rates.shape == (9, 3)
+    assert len(set(rates[:, 0])) == 1  # public bound is ensemble independent
 
 
 def test_simplex_grid_contents():
     grid = simplex_grid(2, 64)
-    assert len(grid) == 65
+    assert grid.shape == (65, 2)
+    assert not grid.flags.writeable
     grid3 = simplex_grid(3, 64)
     assert len(grid3) == math.comb(66, 2) + 1  # uniform appended (64 not divisible by 3)
-    tuples = [g.mu for g in grid3]
+    tuples = [tuple(row) for row in grid3.tolist()]
     assert tuples == sorted(tuples, reverse=True)
     assert (1.0, 0.0, 0.0) in tuples
-    assert any(np.allclose(t, [1 / 3] * 3) for t in tuples)
+    assert (1 / 3, 1 / 3, 1 / 3) in tuples
     with pytest.raises(ValueError):
         simplex_grid(3, 0)
+
+
+@pytest.mark.parametrize("d, resolution", [(2, 3), (3, 7), (4, 5), (4, 8), (5, 4), (6, 3)])
+def test_simplex_grid_matches_enumeration(d, resolution):
+    # Every composition divided through, plus the uniform point when d does
+    # not divide the resolution, sorted lexicographically descending.
+    want = {
+        tuple(c / resolution for c in comp)
+        for comp in itertools.product(range(resolution + 1), repeat=d)
+        if sum(comp) == resolution
+    }
+    want.add((1.0 / d,) * d)
+    got = [tuple(row) for row in simplex_grid(d, resolution).tolist()]
+    assert got == sorted(want, reverse=True)
 
 
 def test_channel_spec_validation():
@@ -370,14 +377,13 @@ def test_channel_spec_validation():
         ChannelSpec(d=3, k=0)
     with pytest.raises(ValueError):
         ChannelSpec(d=3, z=1.5)
-    spec = ChannelSpec(d=3, z=0.5)
-    assert spec.channel_tag(7) == ("unruh", 3, 0.5, 7)
-    assert ChannelSpec(d=3, k=2).channel_tag(2) == ("cloner", 3, 2)
 
 
-def test_region_sample_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        RegionSample((math.inf, 0.0), EnsembleParams.uniform(2), ("cloner", 2, 1))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_sweep_rejects_nonfinite_rates(bad):
+    evaluator = ChannelSpec(d=2, k=2).evaluator()
+    with pytest.raises(ValueError, match="finite"):
+        regions._sweep(evaluator, 4, lambda triple: (bad, 0.0))
 
 
 def test_bounds_invariant_under_cyclic_relabeling():
@@ -411,28 +417,28 @@ def count_sums(monkeypatch) -> list:
 
 
 def orbit_count(grid) -> int:
-    return len({tuple(sorted(p.mu)) for p in grid})
+    return len({tuple(sorted(mu)) for mu in grid.tolist()})
 
 
 def test_orbit_sweeps_match_per_point_evaluation():
     for cfg, resolution in ((UnruhConfig(3, 0.5), 7), (UnruhConfig(4, 0.25), 5)):
         grid = simplex_grid(cfg.d, resolution)
-        assert EnsembleParams.uniform(cfg.d) in grid  # R not a multiple of d
+        # R is not a multiple of d, so the uniform point is added.
+        assert (1.0 / cfg.d,) * cfg.d in [tuple(mu) for mu in grid.tolist()]
         assert orbit_count(grid) < len(grid)
         surface = region_surface_cqe(cfg, resolution)
-        rps = rps_region(cfg, resolution)
-        assert [s.ensemble for s in surface.samples] == grid
-        assert [s.ensemble for s in rps] == grid
-        for params, cqe_sample, rps_sample in zip(grid, surface.samples, rps):
-            want = cqe_bounds(unruh_entropy_triple(cfg, params))
-            assert cqe_sample.rates == pytest.approx(want, abs=1e-12)
-            assert rps_sample.rates == pytest.approx(rps_bounds(cfg, params), abs=1e-12)
+        rps_mu, rps_rates = rps_region(cfg, resolution)
+        assert np.array_equal(surface.mu, grid) and np.array_equal(rps_mu, grid)
+        for mu, cqe_rates, rps_row in zip(grid, surface.rates, rps_rates):
+            want = cqe_bounds(unruh_entropy_triple(cfg, mu))
+            assert cqe_rates == pytest.approx(want, abs=1e-12)
+            assert rps_row == pytest.approx(rps_bounds(cfg, mu), abs=1e-12)
 
 
 def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
     calls = count_sums(monkeypatch)
     surface = region_surface_cqe(UnruhConfig(5, 0.5), 4)
-    assert len(surface.samples) == 71
+    assert surface.rates.shape == (71, 3)
     # The 5 partitions of 4, plus the uniform point; each evaluated at its
     # descending-sorted member, the first one the grid meets.
     assert len(calls) == 6
@@ -456,5 +462,5 @@ def test_curves_evaluate_every_grid_point(monkeypatch):
         for curve in (cq_curve, ce_curve):
             calls.clear()
             result = curve(spec, 8)
-            assert len(calls) == len(result.samples) == 46
-            assert [s.ensemble.mu for s in result.samples] == calls
+            assert len(calls) == len(result.rates) == 46
+            assert [tuple(mu) for mu in result.mu.tolist()] == calls

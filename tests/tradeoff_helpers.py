@@ -22,7 +22,7 @@ def cq_midpoint_gap(spec: regions.ChannelSpec, resolution: int):
     the chord ordinate at the midpoint.
     """
     curve = regions.cq_curve(spec, resolution)
-    boundary = [s.rates for s in curve.boundary]
+    boundary = curve.boundary
     evaluator = spec.evaluator()
     s_bx_v, s_ex_v = evaluator.sums(EnsembleParams.vertex(spec.d).as_array())
     c_classical = evaluator.s_b - s_bx_v
@@ -43,7 +43,7 @@ def ce_midpoint_gap(spec: regions.ChannelSpec, resolution: int):
     less entanglement at fixed classical rate, i.e. lies below the chord.
     """
     curve = regions.ce_curve(spec, resolution)
-    boundary = [s.rates for s in curve.boundary]
+    boundary = curve.boundary
     evaluator = spec.evaluator()
     _, s_ex_v = evaluator.sums(EnsembleParams.vertex(spec.d).as_array())
     c_classical = evaluator.s_b - s_ex_v
