@@ -20,7 +20,10 @@ from .spectra import cloner_spectrum
 
 __all__ = [
     "HERMITICITY_TOL",
+    "CHECK_TOL",
+    "RANK_TOL",
     "MATRIX_DIM_CAP",
+    "KRAUS_DIM_CAP",
     "SizeCapError",
     "DensityMatrix",
     "Isometry",
@@ -38,9 +41,20 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 
+# Pass thresholds of the reports: the largest deviation of a channel action,
+# a spectrum or a partial-transpose eigenvalue, and the largest second
+# singular value of a rank-one Kraus operator.  Kraus completeness is held
+# to HERMITICITY_TOL.
+CHECK_TOL = 1e-9
+RANK_TOL = 1e-10
+
 # Largest dense matrix dimension the oracle builds; larger requests are
 # refused before any table or matrix is allocated.
 MATRIX_DIM_CAP = 2000
+
+# Largest dimension of the 1->2 complement Kraus set, which has 4^(d-1)
+# operators.
+KRAUS_DIM_CAP = 8
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -258,7 +272,7 @@ def unruh_block_output(d: int, k: int, beta) -> DensityMatrix:
     return DensityMatrix(mat / float(block_normalizer(d, k)))
 
 
-def complementary_kraus_1to2(d: int, dim_cap: int = 8) -> KrausSet:
+def complementary_kraus_1to2(d: int) -> KrausSet:
     """Rank-one Kraus operators of the 1->2 cloner's complementary channel.
 
     The set has d + 4^(d-1) operators: projectors |j><j| / sqrt(d+1), plus
@@ -269,8 +283,8 @@ def complementary_kraus_1to2(d: int, dim_cap: int = 8) -> KrausSet:
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    if d > dim_cap:
-        raise SizeCapError(f"dimension {d} exceeds cap {dim_cap} (4^(d-1) operators)")
+    if d > KRAUS_DIM_CAP:
+        raise SizeCapError(f"dimension {d} exceeds cap {KRAUS_DIM_CAP} (4^(d-1) operators)")
     ops = []
     proj_scale = 1.0 / math.sqrt(d + 1.0)
     for j in range(d):
@@ -287,13 +301,7 @@ def complementary_kraus_1to2(d: int, dim_cap: int = 8) -> KrausSet:
 
 
 def verify_kraus(
-    d: int,
-    n_samples: int = 100,
-    seed: int = 0,
-    kraus: KrausSet | None = None,
-    completeness_tol: float = 1e-10,
-    action_tol: float = 1e-9,
-    rank_tol: float = 1e-10,
+    d: int, n_samples: int = 100, seed: int = 0, kraus: KrausSet | None = None
 ) -> CheckReport:
     """Check the 1->2 complement Kraus set: completeness, action, rank one.
 
@@ -316,9 +324,9 @@ def verify_kraus(
         action_dev = max(action_dev, float(np.max(np.abs(via_kraus - via_isometry))))
     max_second = float(second_svs.max())
     passed = (
-        completeness_dev <= completeness_tol
-        and action_dev <= action_tol
-        and max_second <= rank_tol
+        completeness_dev <= HERMITICITY_TOL
+        and action_dev <= CHECK_TOL
+        and max_second <= RANK_TOL
     )
     return CheckReport(
         check="hadamard-kraus",
@@ -337,13 +345,7 @@ def verify_kraus(
     )
 
 
-def verify_cloner_equivalence(
-    d: int,
-    k: int,
-    n_samples: int = 20,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> CheckReport:
+def verify_cloner_equivalence(d: int, k: int, n_samples: int = 20, seed: int = 0) -> CheckReport:
     """Spectral check that the weight-``k`` Unruh block is a 1->k cloner.
 
     For seeded random pure inputs, the sorted eigenvalues (with multiplicity,
@@ -366,12 +368,12 @@ def verify_cloner_equivalence(
         k=k,
         seed=seed,
         deviation=dev,
-        passed=dev <= tol,
+        passed=dev <= CHECK_TOL,
         details={"n_samples": n_samples, "max_spectral_dev": dev},
     )
 
 
-def choi_ppt_check(d: int, k: int, dim_cap: int = MATRIX_DIM_CAP, tol: float = 1e-9) -> CheckReport:
+def choi_ppt_check(d: int, k: int) -> CheckReport:
     """Minimum partial-transpose eigenvalue of the complement's Choi matrix.
 
     A nonnegative spectrum (within tolerance) is the PPT witness that the
@@ -379,8 +381,8 @@ def choi_ppt_check(d: int, k: int, dim_cap: int = MATRIX_DIM_CAP, tol: float = 1
     """
     dim_e = block_dimension(d, k - 1)
     total = d * dim_e
-    if total > dim_cap:
-        raise SizeCapError(f"Choi dimension {total} exceeds cap {dim_cap}")
+    if total > MATRIX_DIM_CAP:
+        raise SizeCapError(f"Choi dimension {total} exceeds cap {MATRIX_DIM_CAP}")
     isometry = cloner_isometry(d, k)
     dim_b = block_dimension(d, k)
     v3 = isometry.matrix.reshape(dim_b, dim_e, d)
@@ -397,6 +399,6 @@ def choi_ppt_check(d: int, k: int, dim_cap: int = MATRIX_DIM_CAP, tol: float = 1
         k=k,
         seed=None,
         deviation=max(0.0, -min_eig),
-        passed=min_eig >= -tol,
+        passed=min_eig >= -CHECK_TOL,
         details={"min_partial_transpose_eigenvalue": min_eig, "choi_dim": total},
     )

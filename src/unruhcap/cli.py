@@ -15,12 +15,11 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, channelsim, regions
-from .spectra import ConvergenceError, UnruhConfig, cloner_spectrum, truncation
+from .spectra import ConvergenceError, cloner_spectrum, truncation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,65 +72,30 @@ def _base(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized per-run configuration shared by the sweep subcommands."""
-
-    subcommand: str
-    d: int
-    k: int | None
-    z: float | None
-    grid: int
-    truncation_eps: float
-    log_base: float
-    seed: int
-    output: str
-    fmt: str
-
-
-def _run_config(args, subcommand: str) -> RunConfig:
-    return RunConfig(
-        subcommand=subcommand,
-        d=args.d,
-        k=args.k,
-        z=args.z,
-        grid=args.grid if args.grid is not None else regions.default_resolution(args.d),
-        truncation_eps=args.eps,
-        log_base=args.base if args.base is not None else float(args.d),
-        seed=args.seed,
-        output=args.output,
-        fmt=args.format,
-    )
-
-
-def _channel_spec(cfg: RunConfig) -> regions.ChannelSpec:
+def _spec(args) -> regions.ChannelSpec:
     return regions.ChannelSpec(
-        d=cfg.d, k=cfg.k, z=cfg.z, truncation_eps=cfg.truncation_eps, log_base=cfg.log_base
+        d=args.d, k=args.k, z=args.z, truncation_eps=args.eps, log_base=args.base
     )
 
 
-def _unruh_config(cfg: RunConfig) -> UnruhConfig:
-    return UnruhConfig(cfg.d, cfg.z, cfg.truncation_eps, cfg.log_base)
-
-
-def _meta(cfg: RunConfig) -> dict:
-    if cfg.z is None:
+def _meta(args, spec: regions.ChannelSpec) -> dict:
+    if spec.z is None:
         horizon = tail_bound = "none"
     else:
-        k, bound = truncation(_unruh_config(cfg))
+        k, bound = truncation(spec.unruh_config())
         horizon, tail_bound = str(k), _fmt(bound)
     return {
         "tool": f"unruhcap {__version__}",
-        "subcommand": cfg.subcommand,
-        "d": str(cfg.d),
-        "k": "none" if cfg.k is None else str(cfg.k),
-        "z": "none" if cfg.z is None else _fmt(cfg.z),
-        "log_base": _fmt(cfg.log_base),
-        "truncation_eps": "none" if cfg.z is None else _fmt(cfg.truncation_eps),
+        "subcommand": args.subcommand,
+        "d": str(spec.d),
+        "k": "none" if spec.k is None else str(spec.k),
+        "z": "none" if spec.z is None else _fmt(spec.z),
+        "log_base": _fmt(spec.base),
+        "truncation_eps": "none" if spec.z is None else _fmt(spec.truncation_eps),
         "K": horizon,
         "tail_bound": tail_bound,
-        "grid": str(cfg.grid),
-        "seed": str(cfg.seed),
+        "grid": str(args.grid or regions.default_resolution(spec.d)),
+        "seed": str(args.seed),
     }
 
 
@@ -144,13 +108,13 @@ def _output(path: str):
             yield handle
 
 
-def _emit_table(meta: dict, header: list[str], rows, cfg: RunConfig) -> None:
+def _emit_table(meta: dict, header: list[str], rows, args) -> None:
     """Write ``rows`` (sequences of cells) as CSV, line by line, or as JSON."""
-    if cfg.fmt == "json":
+    if args.format == "json":
         samples = [dict(zip(header, row)) for row in rows]
-        _emit_json({"meta": meta, "samples": samples}, cfg.output)
+        _emit_json({"meta": meta, "samples": samples}, args.output)
         return
-    with _output(cfg.output) as out:
+    with _output(args.output) as out:
         for key, value in meta.items():
             out.write(f"# {key}: {value}\n")
         out.write(",".join(header) + "\n")
@@ -178,52 +142,52 @@ def _sweep_rows(mu, *columns):
 # ---------------------------------------------------------------------------
 
 def _cmd_spectrum(args) -> int:
-    cfg = _run_config(args, "spectrum")
-    rows = ((_fmt(v), str(m)) for v, m in cloner_spectrum(cfg.d, cfg.k).atoms)
-    _emit_table(_meta(cfg), ["value", "multiplicity"], rows, cfg)
+    spec = _spec(args)
+    rows = ((_fmt(v), str(m)) for v, m in cloner_spectrum(spec.d, spec.k).atoms)
+    _emit_table(_meta(args, spec), ["value", "multiplicity"], rows, args)
     return EXIT_OK
 
 
-def _cmd_curve(args, which: str) -> int:
-    cfg = _run_config(args, which)
-    spec = _channel_spec(cfg)
-    result = regions.cq_curve(spec, cfg.grid) if which == "cq-curve" else regions.ce_curve(spec, cfg.grid)
+def _cmd_curve(args) -> int:
+    spec = _spec(args)
+    curve = regions.cq_curve if args.subcommand == "cq-curve" else regions.ce_curve
+    result = curve(spec, args.grid)
     on_hull = np.zeros((len(result.mu), 1))  # 0.0 and 1.0 format as "0" and "1"
     on_hull[list(result.hull_indices)] = 1.0
-    header = _mu_header(cfg.d) + ["rate_x", "rate_y", "on_hull"]
-    _emit_table(_meta(cfg), header, _sweep_rows(result.mu, result.rates, on_hull), cfg)
+    header = _mu_header(spec.d) + ["rate_x", "rate_y", "on_hull"]
+    _emit_table(_meta(args, spec), header, _sweep_rows(result.mu, result.rates, on_hull), args)
     return EXIT_OK
 
 
 def _cmd_cqe_region(args) -> int:
-    cfg = _run_config(args, "cqe-region")
-    surface = regions.region_surface_cqe(_unruh_config(cfg), cfg.grid)
-    meta = _meta(cfg)
-    for name, ray in surface.rays.items():
+    spec = _spec(args)
+    mu, rates = regions.region_surface_cqe(spec.unruh_config(), args.grid)
+    meta = _meta(args, spec)
+    for name, ray in regions.PROTOCOL_RAYS.items():
         meta[f"ray_{name}"] = " ".join(_fmt(v) for v in ray)
-    header = _mu_header(cfg.d) + ["b1_c2q", "b2_qe", "b3_cqe", "corner_c", "corner_q", "corner_e"]
-    corners = np.column_stack(regions.cqe_corner(surface.rates.T))
-    _emit_table(meta, header, _sweep_rows(surface.mu, surface.rates, corners), cfg)
+    header = _mu_header(spec.d) + ["b1_c2q", "b2_qe", "b3_cqe", "corner_c", "corner_q", "corner_e"]
+    corners = np.column_stack(regions.cqe_corner(rates.T))
+    _emit_table(meta, header, _sweep_rows(mu, rates, corners), args)
     return EXIT_OK
 
 
 def _cmd_rps_region(args) -> int:
-    cfg = _run_config(args, "rps-region")
-    mu, rates = regions.rps_region(_unruh_config(cfg), cfg.grid)
-    header = _mu_header(cfg.d) + ["rp_bound", "ps_bound", "rps_bound"]
-    _emit_table(_meta(cfg), header, _sweep_rows(mu, rates), cfg)
+    spec = _spec(args)
+    mu, rates = regions.rps_region(spec.unruh_config(), args.grid)
+    header = _mu_header(spec.d) + ["rp_bound", "ps_bound", "rps_bound"]
+    _emit_table(_meta(args, spec), header, _sweep_rows(mu, rates), args)
     return EXIT_OK
 
 
 def _cmd_dyncap(args) -> int:
-    cfg = _run_config(args, "dyncap")
+    spec = _spec(args)
     result = regions.dynamic_capacity(
-        _unruh_config(cfg),
+        spec.unruh_config(),
         regions.CapacityWeights(args.lambda_w, args.mu_weight),
-        cfg.grid,
+        args.grid,
     )
     payload = {
-        "meta": _meta(cfg),
+        "meta": _meta(args, spec),
         "value": result.value,
         "argmax_mu": list(result.argmax.mu),
         "lambda": args.lambda_w,
@@ -231,7 +195,7 @@ def _cmd_dyncap(args) -> int:
         "grid_best": result.grid_best,
         "resolution": result.resolution,
     }
-    _emit_json(payload, cfg.output)
+    _emit_json(payload, args.output)
     return EXIT_OK
 
 
@@ -292,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=_dim, required=True)
         _add_channel_choice(p)
         _add_common(p)
-        p.set_defaults(func=lambda a, which=name: _cmd_curve(a, which))
+        p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("cqe-region", help="CQE bound triples and corner cloud")
     p.add_argument("--d", type=_dim, required=True)

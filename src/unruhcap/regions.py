@@ -9,9 +9,13 @@ permutation orbit of the grid once (the CQ/CE curves: every point), are
 hulled with a monotone chain, and the weighted dynamic capacity objective is
 maximized by a lattice sweep plus a coarse-to-fine lattice climb.
 
-A sweep holds two arrays and no per-point objects: the read-only grid ``mu``
-of shape (points, d) and the bound ``rates`` of shape (points, m), row for
-row.  ``rps-region --d 6 --z 0.05 --grid 35`` (658,009 points, 2,173 orbits)
+Every bound is a linear function of four entropies of the ensemble, H(B),
+H(B|X), H(E|X) and H(A|X).  A sweep produces one entropy table, an
+``EntropyTriple`` whose fields are columns over the read-only grid ``mu`` of
+shape (points, d), and each bound formula (``cq_point``, ``ce_point``,
+``cqe_bounds``, the dynamic objective) applies to that table elementwise,
+exactly as it does to the triple of one ensemble.
+``rps-region --d 6 --z 0.05 --grid 35`` (658,009 points, 2,173 orbits)
 peaks at about 200 MB RSS, the grid alone at about 120 MB (2-core VM).
 
 All rates are in dits of the configured log base (default: the dimension d).
@@ -22,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +53,6 @@ __all__ = [
     "DynamicCapacityProblem",
     "DynamicCapacityResult",
     "CurveResult",
-    "SurfaceResult",
     "cloner_entropy_triple",
     "cq_point",
     "ce_point",
@@ -86,27 +90,18 @@ PROTOCOL_RAYS = {
 }
 
 
-@dataclass(frozen=True)
-class EntropyTriple:
-    """The four entropies every region bound is built from (one log base).
+class EntropyTriple(NamedTuple):
+    """The four entropies every region bound is built from, in the channel's
+    log base: floats for one ensemble, or columns of a sweep's table.
 
     For a block mixture the output entropies are block-weighted sums; the
     mixing terms cancel in every bound.
     """
 
-    h_b: EntropyValue
-    h_b_given_x: EntropyValue
-    h_e_given_x: EntropyValue
-    h_a_given_x: EntropyValue
-
-    def __post_init__(self):
-        bases = {v.base for v in (self.h_b, self.h_b_given_x, self.h_e_given_x, self.h_a_given_x)}
-        if len(bases) != 1:
-            raise ValueError("entropy triple mixes log bases")
-
-    @property
-    def base(self) -> float:
-        return self.h_b.base
+    h_b: float
+    h_b_given_x: float
+    h_e_given_x: float
+    h_a_given_x: float
 
 
 @dataclass(frozen=True)
@@ -196,15 +191,6 @@ class CurveResult:
         return self.rates[list(self.hull_indices)]
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceResult:
-    """Grid ensembles ``mu``, their CQE bound triples and the protocol rays."""
-
-    mu: np.ndarray
-    rates: np.ndarray
-    rays: dict
-
-
 def default_resolution(d: int) -> int:
     return 64 if d <= 3 else 16
 
@@ -217,26 +203,25 @@ def cloner_entropy_triple(d: int, k: int, mu, base: float | None = None) -> Entr
     """Entropies of the cyclic ensemble through a single 1->k cloner block."""
     params = _as_ensemble(mu, d)
     b = float(d) if base is None else float(base)
-    h_b = EntropyValue(math.log(block_dimension(d, k)) / math.log(b), b)
     return EntropyTriple(
-        h_b=h_b,
-        h_b_given_x=shannon_entropy(ensemble_spectrum_B(d, k, params), b),
-        h_e_given_x=shannon_entropy(ensemble_spectrum_E(d, k, params), b),
-        h_a_given_x=ensemble_conditional_entropy_A(params, b),
+        h_b=EntropyValue(math.log(block_dimension(d, k)) / math.log(b), b).value,
+        h_b_given_x=shannon_entropy(ensemble_spectrum_B(d, k, params), b).value,
+        h_e_given_x=shannon_entropy(ensemble_spectrum_E(d, k, params), b).value,
+        h_a_given_x=ensemble_conditional_entropy_A(params, b).value,
     )
 
 
 def cq_point(triple: EntropyTriple) -> tuple[float, float]:
     """(classical rate, quantum rate) = (Holevo, coherent information)."""
-    c = triple.h_b.value - triple.h_b_given_x.value
-    q = triple.h_b_given_x.value - triple.h_e_given_x.value
+    c = triple.h_b - triple.h_b_given_x
+    q = triple.h_b_given_x - triple.h_e_given_x
     return (c, q)
 
 
 def ce_point(triple: EntropyTriple) -> tuple[float, float]:
     """(classical rate, entanglement consumption rate)."""
-    c = triple.h_b.value + triple.h_a_given_x.value - triple.h_e_given_x.value
-    e = triple.h_a_given_x.value
+    c = triple.h_b + triple.h_a_given_x - triple.h_e_given_x
+    e = triple.h_a_given_x
     return (c, e)
 
 
@@ -250,10 +235,10 @@ def _evaluated_triple(evaluator: TradeoffEvaluator, mu) -> EntropyTriple:
     base = evaluator.base
     s_bx, s_ex = evaluator.sums(params.as_array())
     return EntropyTriple(
-        h_b=EntropyValue(evaluator.s_b, base),
-        h_b_given_x=EntropyValue(s_bx, base),
-        h_e_given_x=EntropyValue(s_ex, base),
-        h_a_given_x=ensemble_conditional_entropy_A(params, base),
+        h_b=EntropyValue(evaluator.s_b, base).value,
+        h_b_given_x=EntropyValue(s_bx, base).value,
+        h_e_given_x=EntropyValue(s_ex, base).value,
+        h_a_given_x=ensemble_conditional_entropy_A(params, base).value,
     )
 
 
@@ -264,9 +249,9 @@ def unruh_entropy_triple(cfg: UnruhConfig, mu) -> EntropyTriple:
 
 def cqe_bounds(triple: EntropyTriple) -> tuple[float, float, float]:
     """(C+2Q, Q+E, C+Q+E) bounds; the first exceeds the third by H(A|X)."""
-    b3 = triple.h_b.value - triple.h_e_given_x.value
-    b2 = triple.h_b_given_x.value - triple.h_e_given_x.value
-    return (triple.h_a_given_x.value + b3, b2, b3)
+    b3 = triple.h_b - triple.h_e_given_x
+    b2 = triple.h_b_given_x - triple.h_e_given_x
+    return (triple.h_a_given_x + b3, b2, b3)
 
 
 def cqe_corner(bounds: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -287,11 +272,6 @@ def _public_bound(evaluator: TradeoffEvaluator) -> float:
     return float(np.dot(evaluator.weights, evaluator.log_dims - h_xy))
 
 
-def _rps(rp: float, triple: EntropyTriple) -> tuple[float, float, float]:
-    _, ps, rps = cqe_bounds(triple)
-    return (rp, ps, rps)
-
-
 def rps_bounds(cfg: UnruhConfig, nu) -> tuple[float, float, float]:
     """(R+P, P+S, R+P+S) bounds of the private dynamic region at ensemble nu.
 
@@ -299,22 +279,21 @@ def rps_bounds(cfg: UnruhConfig, nu) -> tuple[float, float, float]:
     bounds.
     """
     evaluator = ChannelSpec.from_unruh(cfg).evaluator()
-    return _rps(_public_bound(evaluator), _evaluated_triple(evaluator, nu))
+    _, ps, rps = cqe_bounds(_evaluated_triple(evaluator, nu))
+    return (_public_bound(evaluator), ps, rps)
 
 
 # ---------------------------------------------------------------------------
 # Dynamic capacity optimization
 # ---------------------------------------------------------------------------
 
-def _objective(weights: CapacityWeights, h_b, h_bx, h_ex, h_a):
+def _objective(weights: CapacityWeights, t: EntropyTriple):
     """H(A|X) + (mu+1)H(B) + lam*H(B|X) - (lam+mu+1)H(E|X), elementwise."""
     lam, muw = weights.lambda_w, weights.mu_w
-    return h_a + (muw + 1.0) * h_b + lam * h_bx - (lam + muw + 1.0) * h_ex
-
-
-def _conditional_sums(t: EntropyTriple) -> tuple[float, float, float]:
-    """(H(A|X), H(B|X), H(E|X)): the weight-independent part of the objective."""
-    return (t.h_a_given_x.value, t.h_b_given_x.value, t.h_e_given_x.value)
+    return (
+        t.h_a_given_x + (muw + 1.0) * t.h_b + lam * t.h_b_given_x
+        - (lam + muw + 1.0) * t.h_e_given_x
+    )
 
 
 def dynamic_objective(evaluator: TradeoffEvaluator, weights: CapacityWeights, mu) -> float:
@@ -323,37 +302,31 @@ def dynamic_objective(evaluator: TradeoffEvaluator, weights: CapacityWeights, mu
     Mixing terms cancel (their coefficients sum to zero), so the per-block
     weighted sums are used directly.
     """
-    t = _evaluated_triple(evaluator, mu)
-    return _objective(
-        weights, t.h_b.value, t.h_b_given_x.value, t.h_e_given_x.value, t.h_a_given_x.value
-    )
+    return _objective(weights, _evaluated_triple(evaluator, mu))
 
 
 class DynamicCapacityProblem:
-    """Shares the weight-independent sums across many weight pairs.
+    """Shares one entropy table of the grid across many weight pairs.
 
-    The per-ensemble sums (H(A|X), sum p_k H(B|X)_k, sum p_k H(E|X)_k) do not
-    depend on the objective weights, so one lattice sweep serves every
-    (lambda, mu) pair, and the sums at each lattice point a climb visits are
-    kept for the climbs of later pairs.
+    The table does not depend on the objective weights, so one lattice sweep
+    serves every (lambda, mu) pair, and the entropies at each lattice point a
+    climb visits are kept for the climbs of later pairs.
     """
 
     def __init__(self, cfg: UnruhConfig, resolution: int | None = None):
         self.cfg = cfg
         self.resolution = resolution or default_resolution(cfg.d)
         self.evaluator = ChannelSpec.from_unruh(cfg).evaluator()
-        self.grid, rates = _sweep(self.evaluator, self.resolution, _conditional_sums)
-        self._h_a, self._s_bx, self._s_ex = rates.T
+        self.grid, self._table = _sweep(self.evaluator, self.resolution)
         self._climbed: dict = {}
 
     def grid_objectives(self, weights: CapacityWeights) -> np.ndarray:
-        return _objective(weights, self.evaluator.s_b, self._s_bx, self._s_ex, self._h_a)
+        return _objective(weights, self._table)
 
     def _climb_objective(self, weights: CapacityWeights, mu: tuple) -> float:
         if mu not in self._climbed:
-            self._climbed[mu] = _conditional_sums(_evaluated_triple(self.evaluator, mu))
-        h_a, s_bx, s_ex = self._climbed[mu]
-        return _objective(weights, self.evaluator.s_b, s_bx, s_ex, h_a)
+            self._climbed[mu] = _evaluated_triple(self.evaluator, mu)
+        return _objective(weights, self._climbed[mu])
 
     def solve(self, weights: CapacityWeights) -> DynamicCapacityResult:
         """The best grid point, improved by a coarse-to-fine lattice climb.
@@ -462,18 +435,16 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
     return mu
 
 
-def _sweep(
-    evaluator: TradeoffEvaluator, resolution: int | None, bound_fn, *, per_orbit: bool = True
-):
-    """The grid ``mu`` and its ``rates``: row i is ``bound_fn(entropy record)``
-    at ensemble ``mu[i]``.
+def _sweep(evaluator: TradeoffEvaluator, resolution: int | None, *, per_orbit: bool = True):
+    """The grid ``mu`` and its entropy ``table``: an ``EntropyTriple`` of
+    columns whose entry i is the entropy record at ensemble ``mu[i]``.
 
     Every entropy of the record is a symmetric function of mu (permuting mu
     only relabels the occupation basis), so by default each S_d orbit of the
-    grid is evaluated once, at its first row, and its rates are given to
+    grid is evaluated once, at its first row, and its entropies are given to
     every member.  The grid is lexicographically descending, so that row is
     the orbit's descending-sorted point.  ``per_orbit=False`` evaluates
-    every point.
+    every point.  Each entry was checked finite by ``_evaluated_triple``.
     """
     mu = simplex_grid(evaluator.d, resolution or default_resolution(evaluator.d))
     if per_orbit:
@@ -484,10 +455,8 @@ def _sweep(
         _, first, member_of = np.unique(keys, return_index=True, return_inverse=True)
     else:
         first = member_of = np.arange(len(mu))
-    rates = np.array([bound_fn(_evaluated_triple(evaluator, mu[i])) for i in first])
-    if not np.isfinite(rates).all():
-        raise ValueError("rates must be finite")
-    return mu, rates[member_of]
+    evaluated = np.array([_evaluated_triple(evaluator, mu[i]) for i in first])
+    return mu, EntropyTriple(*(column[member_of] for column in evaluated.T))
 
 
 # The curves evaluate every point: orbit-mates then differ in the last bits,
@@ -496,29 +465,33 @@ def _sweep(
 
 def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, Q) points with their Pareto boundary."""
-    mu, rates = _sweep(spec.evaluator(), resolution, cq_point, per_orbit=False)
+    mu, table = _sweep(spec.evaluator(), resolution, per_orbit=False)
+    rates = np.column_stack(cq_point(table))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates)))
 
 
 def ce_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, E) points; entanglement is a cost, so the Pareto boundary
     is hulled on (C, -E)."""
-    mu, rates = _sweep(spec.evaluator(), resolution, ce_point, per_orbit=False)
+    mu, table = _sweep(spec.evaluator(), resolution, per_orbit=False)
+    rates = np.column_stack(ce_point(table))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * (1.0, -1.0))))
 
 
-def region_surface_cqe(cfg: UnruhConfig, resolution: int | None = None) -> SurfaceResult:
-    """CQE bound triples (b1, b2, b3) per grid ensemble, plus protocol rays.
+def region_surface_cqe(cfg: UnruhConfig, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The grid ``mu`` and its CQE bound triples (b1, b2, b3), row for row.
 
     Each row's corner (all three halfspaces tight) is ``cqe_corner``; the
     full region is the hull of the corners swept along the PROTOCOL_RAYS.
     """
-    mu, rates = _sweep(ChannelSpec.from_unruh(cfg).evaluator(), resolution, cqe_bounds)
-    return SurfaceResult(mu, rates, dict(PROTOCOL_RAYS))
+    mu, table = _sweep(ChannelSpec.from_unruh(cfg).evaluator(), resolution)
+    return mu, np.column_stack(cqe_bounds(table))
 
 
 def rps_region(cfg: UnruhConfig, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The grid ``mu`` and its (R+P, P+S, R+P+S) bound triples, row for row."""
+    """The grid ``mu`` and its (R+P, P+S, R+P+S) bound triples, row for row;
+    R+P is ``_public_bound``, the other two reuse the CQE bounds."""
     evaluator = ChannelSpec.from_unruh(cfg).evaluator()
-    rp = _public_bound(evaluator)
-    return _sweep(evaluator, resolution, lambda triple: _rps(rp, triple))
+    mu, table = _sweep(evaluator, resolution)
+    _, ps, rps = cqe_bounds(table)
+    return mu, np.column_stack((np.full_like(ps, _public_bound(evaluator)), ps, rps))

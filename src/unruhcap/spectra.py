@@ -16,11 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import block_dimension, block_normalizer, composition_matrix, eigen_multiplicity
+from .combinat import (
+    SizeCapError,
+    block_dimension,
+    block_normalizer,
+    composition_matrix,
+    eigen_multiplicity,
+)
 
 __all__ = [
     "HORIZON_CAP",
     "MASS_TOL",
+    "MAX_SPECTRUM_ROWS",
     "Spectrum",
     "EnsembleParams",
     "UnruhConfig",
@@ -38,6 +45,10 @@ MASS_TOL = 1e-12
 
 # Largest truncation horizon K that truncation_horizon will search.
 HORIZON_CAP = 10_000
+
+# Atoms (one per b = 1..k) of the largest cloner spectrum built; larger k is
+# refused before any atom is computed.
+MAX_SPECTRUM_ROWS = 10**6
 
 
 class ConvergenceError(RuntimeError):
@@ -164,6 +175,8 @@ class UnruhConfig:
 
 def cloner_spectrum(d: int, k: int) -> Spectrum:
     """Output spectrum {(b/M_k, m_b)} of a 1->k cloner for any pure input."""
+    if k > MAX_SPECTRUM_ROWS:
+        raise SizeCapError(f"k={k}: {k} spectrum rows exceed cap {MAX_SPECTRUM_ROWS}")
     m_k = block_normalizer(d, k)
     values = np.array([b / m_k for b in range(1, k + 1)], dtype=np.float64)
     mults = np.array([eigen_multiplicity(d, k, b) for b in range(1, k + 1)], dtype=np.int64)

@@ -154,8 +154,8 @@ def test_criterion_6_entropy_identity_audits():
             if worst_b > 1e-12 or worst_e > 1e-12:
                 failures.append(f"d={d} k={k}: mass dev B={worst_b:.2e} E={worst_e:.2e}")
     for d, z, res in ((2, 0.5, 16), (3, 0.25, 8)):
-        surface = regions.region_surface_cqe(UnruhConfig(d, z), resolution=res)
-        for mu, (b1, _, b3) in zip(surface.mu, surface.rates):
+        grid, rates = regions.region_surface_cqe(UnruhConfig(d, z), resolution=res)
+        for mu, (b1, _, b3) in zip(grid, rates):
             h_a = ensemble_conditional_entropy_A(mu, float(d)).value
             if abs((b1 - b3) - h_a) > 1e-12:
                 failures.append(f"d={d} z={z}: b1-b3 != h_A at {mu}")

@@ -151,6 +151,16 @@ def test_verify_kraus_reports():
     assert report5.details["completeness_dev"] < 1e-10
 
 
+def test_verify_kraus_fails_on_a_wrong_channel():
+    # A complete Kraus set of the identity channel, not the complement: the
+    # action check and the rank-one check must both fail.
+    report = verify_kraus(2, n_samples=5, kraus=KrausSet((np.eye(2),)))
+    assert report.passed is False
+    assert report.details["completeness_dev"] == 0.0
+    assert report.details["action_dev"] == pytest.approx(0.50, abs=0.01)
+    assert report.details["max_second_singular"] == 1.0
+
+
 def test_kraus_action_deviation_near_machine_epsilon():
     for d in (2, 3, 4, 5):
         report = verify_kraus(d, n_samples=25, seed=3)
@@ -180,8 +190,8 @@ def test_choi_ppt_check():
     trivial = choi_ppt_check(2, 1)
     assert trivial.passed
     assert trivial.details["min_partial_transpose_eigenvalue"] >= -1e-12
-    with pytest.raises(SizeCapError):
-        choi_ppt_check(3, 3, dim_cap=5)
+    with pytest.raises(SizeCapError, match="Choi dimension 6160 exceeds cap 2000"):
+        choi_ppt_check(4, 20)  # d * C(22, 3), refused before the isometry is built
 
 
 def test_unruh_block_output_refuses_blocks_past_the_matrix_cap():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from unruhcap import channelsim, cli, combinat, engine, regions
+from unruhcap import channelsim, cli, combinat, engine, regions, spectra
 
 
 def run_cli(args):
@@ -224,6 +224,23 @@ def test_oracle_size_cap_exits_3_before_allocating(d, k, capsys, monkeypatch):
     diagnostic = json.loads(captured.err.strip())
     assert diagnostic["error"] == "SizeCapError"
     assert "exceeds cap 2000" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("k", ["1000001", str(10**9)])
+def test_spectrum_size_cap_exits_3_before_building(k, tmp_path, capsys, monkeypatch):
+    # The table has k rows; k past spectra.MAX_SPECTRUM_ROWS is refused before
+    # any atom is computed.
+    def refuse(*args):
+        raise AssertionError(f"built {args} past the spectrum cap")
+
+    monkeypatch.setattr(spectra, "block_normalizer", refuse)
+    monkeypatch.setattr(spectra, "eigen_multiplicity", refuse)
+    out = tmp_path / "x.csv"
+    assert run_cli(["spectrum", "--d", "2", "--k", k, "-o", str(out)]) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "SizeCapError"
+    assert "exceed cap 1000000" in diagnostic["message"]
+    assert not out.exists()
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

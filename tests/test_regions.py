@@ -11,7 +11,6 @@ from unruhcap.regions import (
     CapacityWeights,
     ChannelSpec,
     DynamicCapacityProblem,
-    EntropyTriple,
     ce_curve,
     ce_point,
     cloner_entropy_triple,
@@ -31,10 +30,6 @@ from unruhcap.regions import (
 from unruhcap.spectra import EnsembleParams, UnruhConfig, truncation_horizon, unruh_weights
 
 
-def triple_values(t: EntropyTriple):
-    return (t.h_b.value, t.h_b_given_x.value, t.h_e_given_x.value, t.h_a_given_x.value)
-
-
 # ---------------------------------------------------------------------------
 # Entropy triples and CQ/CE points
 # ---------------------------------------------------------------------------
@@ -42,21 +37,21 @@ def triple_values(t: EntropyTriple):
 def test_cloner_triple_identity_channel():
     for d in (2, 3, 5):
         t = cloner_entropy_triple(d, 1, EnsembleParams.uniform(d))
-        assert triple_values(t) == pytest.approx((1.0, 1.0, 0.0, 1.0), abs=1e-12)
+        assert tuple(t) == pytest.approx((1.0, 1.0, 0.0, 1.0), abs=1e-12)
 
 
 def test_cloner_triple_vertex_d2_k2():
     t = cloner_entropy_triple(2, 2, EnsembleParams.vertex(2), base=2.0)
     h23 = math.log2(3) - 2.0 / 3.0  # H(2/3, 1/3)
-    assert t.h_b.value == pytest.approx(math.log2(3), abs=1e-14)
-    assert t.h_b_given_x.value == pytest.approx(h23, abs=1e-13)
-    assert t.h_e_given_x.value == pytest.approx(h23, abs=1e-13)
-    assert t.h_a_given_x.value == 0.0
+    assert t.h_b == pytest.approx(math.log2(3), abs=1e-14)
+    assert t.h_b_given_x == pytest.approx(h23, abs=1e-13)
+    assert t.h_e_given_x == pytest.approx(h23, abs=1e-13)
+    assert t.h_a_given_x == 0.0
 
 
 def test_cloner_triple_uniform_spectrum_is_flat():
     t = cloner_entropy_triple(5, 10, EnsembleParams.uniform(5))
-    assert t.h_b_given_x.value == pytest.approx(t.h_b.value, abs=1e-12)
+    assert t.h_b_given_x == pytest.approx(t.h_b, abs=1e-12)
 
 
 def test_cq_point_examples():
@@ -83,18 +78,6 @@ def test_ce_point_examples():
     assert e == pytest.approx(1.0, abs=1e-14)
 
 
-def test_entropy_triple_rejects_mixed_bases():
-    from unruhcap.entropy import EntropyValue
-
-    with pytest.raises(ValueError):
-        EntropyTriple(
-            EntropyValue(1.0, 2.0),
-            EntropyValue(1.0, 2.0),
-            EntropyValue(1.0, 3.0),
-            EntropyValue(1.0, 2.0),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Unruh aggregates, CQE and RPS bounds
 # ---------------------------------------------------------------------------
@@ -105,9 +88,7 @@ def test_unruh_triple_noiseless_reduces_to_identity_block():
         cfg = UnruhConfig(d, 0.0)
         assert truncation_horizon(cfg) == 1
         cloner = cloner_entropy_triple(d, 1, mu)
-        assert triple_values(unruh_entropy_triple(cfg, mu)) == pytest.approx(
-            triple_values(cloner), abs=1e-13
-        )
+        assert tuple(unruh_entropy_triple(cfg, mu)) == pytest.approx(tuple(cloner), abs=1e-13)
 
 
 def test_cqe_bounds_noiseless_uniform():
@@ -123,7 +104,7 @@ def test_cqe_b1_minus_b3_is_input_entropy():
             mu = EnsembleParams(tuple(rng.dirichlet(np.ones(d))))
             agg = unruh_entropy_triple(UnruhConfig(d, z), mu)
             b1, _, b3 = cqe_bounds(agg)
-            assert b1 - b3 == pytest.approx(agg.h_a_given_x.value, abs=1e-14)
+            assert b1 - b3 == pytest.approx(agg.h_a_given_x, abs=1e-14)
 
 
 def test_cqe_bounds_regression_d3():
@@ -254,6 +235,32 @@ def test_dynamic_capacity_climbs_off_a_face_start():
     assert problem.solve(weights) == result
 
 
+@pytest.mark.parametrize(
+    "d, z, lam, muw, resolution, gap",
+    [
+        (2, 0.5, 1.0, 10.0, 32, 0.124),
+        (2, 0.75, 100.0, 100.0, 32, 1.575),
+        (3, 0.25, 6.0, 90.0, 16, 0.456),
+        (3, 0.5, 0.3, 10.0, 16, 0.046),
+        (3, 0.75, 100.0, 100.0, 16, 1.375),
+    ],
+)
+def test_dynamic_region_beats_time_sharing(d, z, lam, muw, resolution, gap):
+    # Time-sharing is the hull of the vertex and uniform ensembles' regions
+    # plus the protocol rays, so its support at weights (lambda, mu) is the
+    # larger of their two objectives; a grid point above both is a strict
+    # gain of trade-off coding over time-sharing.
+    problem = DynamicCapacityProblem(UnruhConfig(d, z), resolution)
+    weights = CapacityWeights(lam, muw)
+    time_sharing = max(
+        dynamic_objective(problem.evaluator, weights, mu)
+        for mu in (EnsembleParams.vertex(d), EnsembleParams.uniform(d))
+    )
+    got = float(problem.grid_objectives(weights).max()) - time_sharing
+    assert got > 0.0
+    assert got == pytest.approx(gap, abs=1e-3)
+
+
 def test_capacity_weights_validation():
     with pytest.raises(ValueError):
         CapacityWeights(-0.1, 0.0)
@@ -316,9 +323,9 @@ def test_cq_noiseless_boundary_is_the_unit_segment():
 # ---------------------------------------------------------------------------
 
 def test_region_surface_corners_are_tight():
-    surface = region_surface_cqe(UnruhConfig(2, 0.25), resolution=8)
-    assert set(surface.rays) == {"TP", "SD", "ED"}
-    for rates in surface.rates:
+    _, surface = region_surface_cqe(UnruhConfig(2, 0.25), resolution=8)
+    assert set(regions.PROTOCOL_RAYS) == {"TP", "SD", "ED"}
+    for rates in surface:
         b1, b2, b3 = rates
         c, q, e = cqe_corner(rates)
         assert c + 2 * q == pytest.approx(b1, abs=1e-12)
@@ -327,10 +334,10 @@ def test_region_surface_corners_are_tight():
 
 
 def test_region_surface_noiseless_contains_super_dense_corner():
-    surface = region_surface_cqe(UnruhConfig(2, 0.0), resolution=4)
-    (uniform_row,) = np.flatnonzero(np.all(surface.mu == 0.5, axis=1))
-    corner = np.array(cqe_corner(surface.rates[uniform_row]))
-    sd_corner = corner + np.array(surface.rays["SD"])
+    mu, rates = region_surface_cqe(UnruhConfig(2, 0.0), resolution=4)
+    (uniform_row,) = np.flatnonzero(np.all(mu == 0.5, axis=1))
+    corner = np.array(cqe_corner(rates[uniform_row]))
+    sd_corner = corner + np.array(regions.PROTOCOL_RAYS["SD"])
     assert sd_corner == pytest.approx([2.0, 0.0, -1.0], abs=1e-12)
 
 
@@ -380,10 +387,12 @@ def test_channel_spec_validation():
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_sweep_rejects_nonfinite_rates(bad):
+def test_sweep_rejects_nonfinite_rates(bad, monkeypatch):
+    # Every entry of a sweep's entropy table passes through EntropyValue.
     evaluator = ChannelSpec(d=2, k=2).evaluator()
+    monkeypatch.setattr(evaluator, "sums", lambda mu: (bad, 0.0))
     with pytest.raises(ValueError, match="finite"):
-        regions._sweep(evaluator, 4, lambda triple: (bad, 0.0))
+        regions._sweep(evaluator, 4)
 
 
 def test_bounds_invariant_under_cyclic_relabeling():
@@ -426,19 +435,19 @@ def test_orbit_sweeps_match_per_point_evaluation():
         # R is not a multiple of d, so the uniform point is added.
         assert (1.0 / cfg.d,) * cfg.d in [tuple(mu) for mu in grid.tolist()]
         assert orbit_count(grid) < len(grid)
-        surface = region_surface_cqe(cfg, resolution)
+        cqe_mu, cqe_rates = region_surface_cqe(cfg, resolution)
         rps_mu, rps_rates = rps_region(cfg, resolution)
-        assert np.array_equal(surface.mu, grid) and np.array_equal(rps_mu, grid)
-        for mu, cqe_rates, rps_row in zip(grid, surface.rates, rps_rates):
+        assert np.array_equal(cqe_mu, grid) and np.array_equal(rps_mu, grid)
+        for mu, cqe_row, rps_row in zip(grid, cqe_rates, rps_rates):
             want = cqe_bounds(unruh_entropy_triple(cfg, mu))
-            assert cqe_rates == pytest.approx(want, abs=1e-12)
+            assert cqe_row == pytest.approx(want, abs=1e-12)
             assert rps_row == pytest.approx(rps_bounds(cfg, mu), abs=1e-12)
 
 
 def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
     calls = count_sums(monkeypatch)
-    surface = region_surface_cqe(UnruhConfig(5, 0.5), 4)
-    assert surface.rates.shape == (71, 3)
+    _, rates = region_surface_cqe(UnruhConfig(5, 0.5), 4)
+    assert rates.shape == (71, 3)
     # The 5 partitions of 4, plus the uniform point; each evaluated at its
     # descending-sorted member, the first one the grid meets.
     assert len(calls) == 6
