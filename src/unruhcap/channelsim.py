@@ -303,7 +303,9 @@ def complementary_kraus_1to2(d: int) -> KrausSet:
 def verify_kraus(
     d: int, n_samples: int = 100, seed: int = 0, kraus: KrausSet | None = None
 ) -> CheckReport:
-    """Check the 1->2 complement Kraus set: completeness, action, rank one.
+    """Check the 1->2 complement Kraus set: action and rank one.  Its
+    completeness deviation is reported but not tested here: ``KrausSet``
+    already refuses a set that is not complete.
 
     The action oracle is independent: the complementary channel is evaluated
     as Tr_B of the explicit cloner isometry at k = 2 (whose environment basis
@@ -323,11 +325,7 @@ def verify_kraus(
         via_isometry = apply_channel(isometry, rho, keep="E").matrix
         action_dev = max(action_dev, float(np.max(np.abs(via_kraus - via_isometry))))
     max_second = float(second_svs.max())
-    passed = (
-        completeness_dev <= HERMITICITY_TOL
-        and action_dev <= CHECK_TOL
-        and max_second <= RANK_TOL
-    )
+    passed = action_dev <= CHECK_TOL and max_second <= RANK_TOL
     return CheckReport(
         check="hadamard-kraus",
         d=d,

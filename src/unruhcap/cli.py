@@ -84,7 +84,7 @@ def _meta(args, spec: regions.ChannelSpec) -> dict:
     else:
         k, bound = truncation(spec.unruh_config())
         horizon, tail_bound = str(k), _fmt(bound)
-    return {
+    meta = {
         "tool": f"unruhcap {__version__}",
         "subcommand": args.subcommand,
         "d": str(spec.d),
@@ -94,9 +94,11 @@ def _meta(args, spec: regions.ChannelSpec) -> dict:
         "truncation_eps": "none" if spec.z is None else _fmt(spec.truncation_eps),
         "K": horizon,
         "tail_bound": tail_bound,
-        "grid": str(args.grid or regions.default_resolution(spec.d)),
-        "seed": str(args.seed),
     }
+    if args.subcommand != "spectrum":  # a spectrum has no ensemble grid
+        meta["grid"] = str(args.grid or regions.default_resolution(spec.d))
+    meta["seed"] = str(args.seed)
+    return meta
 
 
 @contextlib.contextmanager
@@ -108,18 +110,18 @@ def _output(path: str):
             yield handle
 
 
-def _emit_table(meta: dict, header: list[str], rows, args) -> None:
-    """Write ``rows`` (sequences of cells) as CSV, line by line, or as JSON."""
+def _emit_table(meta: dict, header: list[str], lines, args) -> None:
+    """Write ``lines`` (CSV rows, each ending in a newline) as CSV, or their
+    cells as JSON samples."""
     if args.format == "json":
-        samples = [dict(zip(header, row)) for row in rows]
+        samples = [dict(zip(header, line[:-1].split(","))) for line in lines]
         _emit_json({"meta": meta, "samples": samples}, args.output)
         return
     with _output(args.output) as out:
         for key, value in meta.items():
             out.write(f"# {key}: {value}\n")
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
+        out.writelines(lines)
 
 
 def _emit_json(payload: dict, output: str) -> None:
@@ -131,10 +133,13 @@ def _mu_header(d: int) -> list[str]:
     return [f"mu_{i}" for i in range(1, d)]
 
 
-def _sweep_rows(mu, *columns):
-    """Cells of one sweep row at a time: mu_1..mu_{d-1}, then the columns."""
-    for row in np.hstack([mu[:, :-1], *columns]):
-        yield [_fmt(x) for x in row.tolist()]
+def _sweep_lines(mu, *columns):
+    """CSV lines of a sweep, one row at a time: mu_1..mu_{d-1}, then the
+    columns, each cell formatted as ``_fmt`` does."""
+    table = np.hstack([mu[:, :-1], *columns])
+    template = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    for row in table:
+        yield template % tuple(row.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +148,8 @@ def _sweep_rows(mu, *columns):
 
 def _cmd_spectrum(args) -> int:
     spec = _spec(args)
-    rows = ((_fmt(v), str(m)) for v, m in cloner_spectrum(spec.d, spec.k).atoms)
-    _emit_table(_meta(args, spec), ["value", "multiplicity"], rows, args)
+    lines = (f"{_fmt(v)},{m}\n" for v, m in cloner_spectrum(spec.d, spec.k).atoms)
+    _emit_table(_meta(args, spec), ["value", "multiplicity"], lines, args)
     return EXIT_OK
 
 
@@ -155,7 +160,7 @@ def _cmd_curve(args) -> int:
     on_hull = np.zeros((len(result.mu), 1))  # 0.0 and 1.0 format as "0" and "1"
     on_hull[list(result.hull_indices)] = 1.0
     header = _mu_header(spec.d) + ["rate_x", "rate_y", "on_hull"]
-    _emit_table(_meta(args, spec), header, _sweep_rows(result.mu, result.rates, on_hull), args)
+    _emit_table(_meta(args, spec), header, _sweep_lines(result.mu, result.rates, on_hull), args)
     return EXIT_OK
 
 
@@ -167,7 +172,7 @@ def _cmd_cqe_region(args) -> int:
         meta[f"ray_{name}"] = " ".join(_fmt(v) for v in ray)
     header = _mu_header(spec.d) + ["b1_c2q", "b2_qe", "b3_cqe", "corner_c", "corner_q", "corner_e"]
     corners = np.column_stack(regions.cqe_corner(rates.T))
-    _emit_table(meta, header, _sweep_rows(mu, rates, corners), args)
+    _emit_table(meta, header, _sweep_lines(mu, rates, corners), args)
     return EXIT_OK
 
 
@@ -175,7 +180,7 @@ def _cmd_rps_region(args) -> int:
     spec = _spec(args)
     mu, rates = regions.rps_region(spec.unruh_config(), args.grid)
     header = _mu_header(spec.d) + ["rp_bound", "ps_bound", "rps_bound"]
-    _emit_table(_meta(args, spec), header, _sweep_rows(mu, rates), args)
+    _emit_table(_meta(args, spec), header, _sweep_lines(mu, rates), args)
     return EXIT_OK
 
 
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_dim, required=True)
     p.add_argument("--k", type=_block, required=True)
     _add_common(p, grid=False)
-    p.set_defaults(func=_cmd_spectrum, grid=None, z=None)
+    p.set_defaults(func=_cmd_spectrum, z=None)
 
     for name, help_text in (
         ("cq-curve", "classical/quantum Pareto boundary sweep"),

@@ -6,7 +6,13 @@ continuity, and rounding residue below the floor is treated as zero).
 
 import numpy as np
 
-__all__ = ["BACKEND", "PROB_FLOOR", "spectrum_entropy_terms", "block_family_entropy"]
+__all__ = [
+    "BACKEND",
+    "PROB_FLOOR",
+    "spectrum_entropy_terms",
+    "block_family_entropy",
+    "histogram_entropy",
+]
 
 # Recorded in benchmark fingerprints; runs compare only within one backend.
 BACKEND = "python"
@@ -45,3 +51,39 @@ def block_family_entropy(a_sub, mu1, inv_norm_b, inv_norm_e, inv_ln_base, out_b,
         safe = np.where(mask, p, 1.0)
         terms = np.where(mask, p * np.log(safe), 0.0)
         out[j + off : j + off + m] -= terms.sum(axis=1) * inv_ln_base
+
+
+def histogram_entropy(counts, n, inv_norm, inv_ln_base):
+    """Per-block spectrum entropies at the grid ensemble ``counts / n``.
+
+    ``counts`` are d nonnegative integers summing to ``n``, and ``inv_norm``
+    holds 1/M_k for blocks k = 1..K.  Every atom of block k is an integer
+    ``v`` over ``n * M_k``, so the spectra are fixed by the counts
+    N_k[v] = #{b in comp(d, k) : b . counts = v}, the coefficients of
+    prod_i 1/(1 - y x^counts_i), built one mode at a time.  The receiver
+    atoms of block k are v/(n M_k) with multiplicity N_k[v]; the environment
+    atoms of block k are (v + n)/(n M_k) with multiplicity N_{k-1}[v].
+    Returns arrays ``(h_b, h_e)`` indexed by block ``k-1``.
+
+    Every count is at most dim_K = C(K+d-1, d-1) <= C(K+d, d), which the
+    engine caps at ``MAX_LATTICE_TERMS`` = 1e9 < 2**53 when it is built, so
+    the float counts and all their partial sums are exact.
+    """
+    horizon = inv_norm.shape[0]
+    width = (horizon - 1) * max(counts) + n + 1
+    # Row k holds n zeros, then N_k: row k-1 read from column 0 is N_{k-1}
+    # moved up by n, aligned with row k's atoms.
+    hist = np.zeros((horizon + 1, n + width))
+    nk = hist[:, n:]
+    nk[0, 0] = 1.0
+    for c in counts:
+        for k in range(1, horizon + 1):
+            nk[k, c:] += nk[k - 1, : width - c]
+    p = np.arange(width, dtype=np.float64) * (inv_norm / n)[:, None]
+    plogp = np.zeros_like(p)
+    np.log(p, out=plogp, where=p > PROB_FLOOR)
+    plogp *= p
+    del p
+    h_b = -(nk[1:] * plogp).sum(axis=1) * inv_ln_base
+    h_e = -(hist[:-1, :width] * plogp).sum(axis=1) * inv_ln_base
+    return h_b, h_e

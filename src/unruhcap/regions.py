@@ -5,8 +5,9 @@ curves, the full CQE dynamic-region bounds, and the public/private/secret-key
 (RPS) bounds, for either a single 1->k cloner block or the geometric mixture
 of blocks that is the Unruh channel.  Sweeps run over the cyclic-ensemble
 simplex (which suffices for all Pareto-optimal points), evaluate each
-permutation orbit of the grid once (the CQ/CE curves: every point), are
-hulled with a monotone chain, and the weighted dynamic capacity objective is
+permutation orbit of the grid once, on the cheaper of the engine's two exact
+kernels (the CQ/CE curves: every point, on the lattice kernel), are hulled
+with a monotone chain, and the weighted dynamic capacity objective is
 maximized by a lattice sweep plus a coarse-to-fine lattice climb.
 
 Every bound is a linear function of four entropies of the ensemble, H(B),
@@ -229,11 +230,12 @@ def ce_point(triple: EntropyTriple) -> tuple[float, float]:
 # Unruh entropies and CQE / RPS bounds
 # ---------------------------------------------------------------------------
 
-def _evaluated_triple(evaluator: TradeoffEvaluator, mu) -> EntropyTriple:
-    """The entropy record of ``evaluator``'s channel at ensemble ``mu``."""
+def _evaluated_triple(evaluator: TradeoffEvaluator, mu, n: int | None = None) -> EntropyTriple:
+    """The entropy record of ``evaluator``'s channel at ensemble ``mu`` (a
+    grid point ``counts / n`` when ``n`` is given; see ``engine.grid_counts``)."""
     params = _as_ensemble(mu, evaluator.d)
     base = evaluator.base
-    s_bx, s_ex = evaluator.sums(params.as_array())
+    s_bx, s_ex = evaluator.sums(params.as_array(), n)
     return EntropyTriple(
         h_b=EntropyValue(evaluator.s_b, base).value,
         h_b_given_x=EntropyValue(s_bx, base).value,
@@ -443,11 +445,18 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int | None, *, per_orbit: b
     only relabels the occupation basis), so by default each S_d orbit of the
     grid is evaluated once, at its first row, and its entropies are given to
     every member.  The grid is lexicographically descending, so that row is
-    the orbit's descending-sorted point.  ``per_orbit=False`` evaluates
-    every point.  Each entry was checked finite by ``_evaluated_triple``.
+    the orbit's descending-sorted point, as a grid point the engine may
+    send to its histogram kernel.  ``per_orbit=False`` evaluates every point
+    on the lattice kernel.  Each entry was checked finite by
+    ``_evaluated_triple``.
     """
-    mu = simplex_grid(evaluator.d, resolution or default_resolution(evaluator.d))
+    resolution = resolution or default_resolution(evaluator.d)
+    mu = simplex_grid(evaluator.d, resolution)
+    n = None
     if per_orbit:
+        # Every row, the uniform one included, is counts / (resolution * d),
+        # which lets the engine run its histogram kernel where it is cheaper.
+        n = resolution * evaluator.d
         # One bytes key per sorted row: the weights are finite and >= +0.0,
         # so equal bytes mean equal rows, and bytes sort far faster than rows.
         keys = np.sort(mu, axis=1)
@@ -455,7 +464,7 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int | None, *, per_orbit: b
         _, first, member_of = np.unique(keys, return_index=True, return_inverse=True)
     else:
         first = member_of = np.arange(len(mu))
-    evaluated = np.array([_evaluated_triple(evaluator, mu[i]) for i in first])
+    evaluated = np.array([_evaluated_triple(evaluator, mu[i], n) for i in first])
     return mu, EntropyTriple(*(column[member_of] for column in evaluated.T))
 
 

@@ -161,6 +161,13 @@ def test_verify_kraus_fails_on_a_wrong_channel():
     assert report.details["max_second_singular"] == 1.0
 
 
+def test_kraus_set_refuses_an_incomplete_set():
+    # Completeness is enforced here, so verify_kraus never sees a set that
+    # fails it.
+    with pytest.raises(ValueError, match="completeness"):
+        KrausSet((0.5 * np.eye(2),))
+
+
 def test_kraus_action_deviation_near_machine_epsilon():
     for d in (2, 3, 4, 5):
         report = verify_kraus(d, n_samples=25, seed=3)

@@ -37,6 +37,17 @@ def test_spectrum_command(tmp_path):
     assert meta["tool"].startswith("unruhcap ")
 
 
+def test_grid_header_only_for_sweeps(tmp_path):
+    # A spectrum has no ensemble grid; a sweep names the one it ran.
+    out = tmp_path / "out.csv"
+    assert run_cli(["spectrum", "--d", "3", "--k", "4", "-o", str(out)]) == 0
+    assert "grid" not in read_csv(out)[0]
+    assert run_cli(["rps-region", "--d", "3", "--z", "0.5", "--grid", "2", "-o", str(out)]) == 0
+    assert read_csv(out)[0]["grid"] == "2"
+    assert run_cli(["cqe-region", "--d", "2", "--z", "0.25", "-o", str(out)]) == 0
+    assert read_csv(out)[0]["grid"] == str(regions.default_resolution(2))
+
+
 def test_cq_curve_noiseless_contains_endpoints(tmp_path):
     out = tmp_path / "cq.csv"
     assert run_cli(["cq-curve", "--d", "2", "--k", "1", "--grid", "4", "-o", str(out)]) == 0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from unruhcap import kernels, regions
-from unruhcap.engine import TradeoffEvaluator
-from unruhcap.entropy import shannon_entropy
+from unruhcap import engine, kernels, regions
+from unruhcap.combinat import block_normalizer
+from unruhcap.engine import TradeoffEvaluator, grid_counts, pick_kernel
+from unruhcap.entropy import ensemble_conditional_entropy_A, shannon_entropy
 from unruhcap.spectra import UnruhConfig, ensemble_spectrum_B, ensemble_spectrum_E
 
 
@@ -63,3 +64,66 @@ def test_evaluator_rejects_bad_inputs():
     evaluator = TradeoffEvaluator(2, np.array([1.0]), 2.0)
     with pytest.raises(ValueError):
         evaluator.block_entropies(np.array([0.5, 0.3, 0.2]))
+
+
+def random_grid_points(rng, d, count):
+    """Seeded random (counts, n) with counts a composition of n over d slots."""
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        cuts = np.sort(rng.integers(0, n + 1, d - 1))
+        yield np.diff(np.concatenate(([0], cuts, [n]))), n
+
+
+def test_histogram_kernel_matches_spectra_route_and_lattice_per_block():
+    rng = np.random.default_rng(31)
+    horizon = 5
+    for d in (2, 3, 4, 5, 6):
+        evaluator = TradeoffEvaluator(d, np.full(horizon, 1.0 / horizon), float(d))
+        inv_norm = np.array([1.0 / block_normalizer(d, k) for k in range(1, horizon + 1)])
+        for counts, n in random_grid_points(rng, d, 4):
+            mu = counts / n
+            h_b, h_e = kernels.histogram_entropy(tuple(counts), n, inv_norm, 1.0 / np.log(d))
+            lat_b, lat_e = evaluator.block_entropies(mu)
+            assert np.abs(h_b - lat_b).max() <= 1e-12
+            assert np.abs(h_e - lat_e).max() <= 1e-12
+            for k in range(1, horizon + 1):
+                ref_b = shannon_entropy(ensemble_spectrum_B(d, k, tuple(mu)), float(d)).value
+                ref_e = shannon_entropy(ensemble_spectrum_E(d, k, tuple(mu)), float(d)).value
+                assert h_b[k - 1] == pytest.approx(ref_b, abs=1e-12)
+                assert h_e[k - 1] == pytest.approx(ref_e, abs=1e-12)
+
+
+def test_cost_function_picks_each_kernel():
+    # A region-d5 orbit: 2.6M lattice terms against a few thousand cells.
+    k5 = regions.ChannelSpec(d=5, z=0.5).evaluator().horizon
+    assert pick_kernel(5, k5, grid_counts(np.array([2, 1, 1, 0, 0]) / 4, 4)[0]) == "histogram"
+    # An interior d = 2 point of a long horizon: 142k lattice terms against
+    # a histogram of 533 rows by thousands of values.
+    k2 = regions.ChannelSpec(d=2, z=0.95).evaluator().horizon
+    counts, n = grid_counts(np.array([40, 24]) / 64, 64)
+    assert (counts, n) == ((5, 3), 8)
+    assert pick_kernel(2, k2, counts) == "lattice"
+
+
+def test_grid_counts_reduce_and_refuse_off_grid_points():
+    assert grid_counts(np.full(3, 1.0 / 3), 21) == ((1, 1, 1), 3)
+    assert grid_counts(np.array([1.0, 0.0]), 128) == ((1, 0), 1)
+    evaluator = TradeoffEvaluator(3, np.array([0.5, 0.5]), 3.0)
+    with pytest.raises(ValueError, match="grid"):
+        evaluator.block_entropies(np.array([0.5, 0.3, 0.2]), 4)
+    with pytest.raises(ValueError, match="grid"):
+        evaluator.sums(np.array([0.6, 0.3, 0.1]), 7)
+
+
+def test_histogram_only_sweep_builds_no_lattice_table(monkeypatch):
+    # cqe-region --d 5 --z 0.75 --grid 4: the lattice would scan 2.1e8 terms
+    # per orbit; every orbit goes to the histogram, so no table is built.
+    def refuse(*args):
+        raise AssertionError(f"built lattice table {args}")
+
+    monkeypatch.setattr(engine, "composition_matrix", refuse)
+    mu, rates = regions.region_surface_cqe(UnruhConfig(5, 0.75), 4)
+    assert rates.shape == (71, 3)
+    for row, (b1, _, b3) in zip(mu, rates):
+        h_a = ensemble_conditional_entropy_A(tuple(row), 5.0).value
+        assert b1 - b3 == pytest.approx(h_a, abs=1e-12)

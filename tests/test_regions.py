@@ -390,7 +390,7 @@ def test_channel_spec_validation():
 def test_sweep_rejects_nonfinite_rates(bad, monkeypatch):
     # Every entry of a sweep's entropy table passes through EntropyValue.
     evaluator = ChannelSpec(d=2, k=2).evaluator()
-    monkeypatch.setattr(evaluator, "sums", lambda mu: (bad, 0.0))
+    monkeypatch.setattr(evaluator, "sums", lambda mu, n=None: (bad, 0.0))
     with pytest.raises(ValueError, match="finite"):
         regions._sweep(evaluator, 4)
 
@@ -417,9 +417,9 @@ def count_sums(monkeypatch) -> list:
     calls = []
     original = TradeoffEvaluator.sums
 
-    def counted(self, mu):
+    def counted(self, mu, n=None):
         calls.append(tuple(mu))
-        return original(self, mu)
+        return original(self, mu, n)
 
     monkeypatch.setattr(TradeoffEvaluator, "sums", counted)
     return calls
