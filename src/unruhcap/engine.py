@@ -14,14 +14,15 @@ block.  Two exact kernels do this:
   how many basis vectors share each integer atom numerator ``b . counts``,
   in about d (K+1)(K max(counts) + 2n) cell operations.
 
-The per-orbit sweeps pass the grid denominator ``n``; ``pick_kernel`` then
-runs whichever kernel costs less for that point, by the measured cost of a
-histogram cell in lattice terms.  Without ``n`` the lattice kernel runs.
+The per-orbit sweeps pass the grid denominator ``n``; ``pick_kernel``, the
+one size gate, runs the cheaper kernel within its own cap (without ``n``,
+the lattice kernel) and refuses when neither kernel fits.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -37,13 +38,13 @@ __all__ = [
     "pick_kernel",
 ]
 
-# Lattice terms C(K+d, d) scanned per evaluation; larger channels are refused
-# before any table is built.
+# Lattice terms C(K+d, d) scanned per evaluation; past it an evaluation
+# runs on the histogram kernel or is refused (``pick_kernel``).
 MAX_LATTICE_TERMS = 10**9
 
 # Cells of the histogram's count array (float64: 32 MB; the kernel peaks at
-# about three such arrays); a larger histogram leaves the evaluation to the
-# lattice kernel.
+# about three such arrays); past it an evaluation runs on the lattice kernel
+# or is refused (``pick_kernel``).
 MAX_HISTOGRAM_CELLS = 4 * 10**6
 
 # Cost of one histogram cell operation in lattice terms.  Over 41 sampled
@@ -68,20 +69,32 @@ def grid_counts(mu, n: int) -> tuple[tuple[int, ...], int]:
     return tuple(int(c) // g for c in counts), n // g
 
 
-def pick_kernel(d: int, horizon: int, counts) -> str:
-    """``"histogram"`` or ``"lattice"``: the cheaper exact kernel for the
-    grid point with (reduced) ``counts``.
+def pick_kernel(d: int, horizon: int, counts=None) -> str:
+    """``"histogram"`` or ``"lattice"``: the cheaper exact kernel within its
+    own cap at the grid point with (reduced) ``counts`` (only their max and
+    sum are read), or at an off-grid point (``None``); else ``SizeCapError``.
 
-    The lattice kernel scans C(K+d, d) terms.  The histogram makes d passes
-    over its count array to build it and about two more to weigh the atoms;
-    it runs only when that work, in lattice terms, is smaller and its array
-    is within ``MAX_HISTOGRAM_CELLS``.
+    The lattice kernel scans C(K+d, d) terms, at most ``MAX_LATTICE_TERMS``.
+    The histogram makes d passes over its count array to build it and about
+    two more to weigh the atoms, at ``HISTOGRAM_CELL_COST`` lattice terms per
+    cell; its array is capped at ``MAX_HISTOGRAM_CELLS``, and its largest
+    count, dim_K = C(K+d-1, d-1), must be below 2**53 to stay exact.
     """
-    cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * sum(counts) + 1)
-    if cells > MAX_HISTOGRAM_CELLS:
+    terms = math.comb(horizon + d, d)
+    histogram = "needs a grid point"
+    if counts is not None:
+        cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * sum(counts) + 1)
+        dim = math.comb(horizon + d - 1, d - 1)
+        if cells <= MAX_HISTOGRAM_CELLS and dim < 2**53:
+            if terms > MAX_LATTICE_TERMS or HISTOGRAM_CELL_COST * (d + 2) * cells < terms:
+                return "histogram"
+        histogram = f"{cells} cells (cap {MAX_HISTOGRAM_CELLS}), dim_K = {dim} (cap 2**53 - 1)"
+    if terms <= MAX_LATTICE_TERMS:
         return "lattice"
-    work = HISTOGRAM_CELL_COST * (d + 2) * cells
-    return "histogram" if work < math.comb(horizon + d, d) else "lattice"
+    raise SizeCapError(
+        f"d={d}, K={horizon}: {terms} lattice terms per evaluation exceed cap "
+        f"{MAX_LATTICE_TERMS}; histogram kernel: {histogram}"
+    )
 
 
 class TradeoffEvaluator:
@@ -112,12 +125,6 @@ class TradeoffEvaluator:
         self.weights = weights
         self.horizon = int(weights.size)
         self._inv_ln_base = 1.0 / math.log(self.base)
-        terms = math.comb(self.horizon + self.d, self.d)
-        if terms > MAX_LATTICE_TERMS:
-            raise SizeCapError(
-                f"d={self.d}, K={self.horizon}: {terms} lattice terms per evaluation "
-                f"exceed cap {MAX_LATTICE_TERMS}"
-            )
 
         k_range = range(1, self.horizon + 1)
         self.log_dims = np.array(
@@ -128,19 +135,12 @@ class TradeoffEvaluator:
         self._inv_norm = np.zeros(self.horizon + 2)
         for k in k_range:
             self._inv_norm[k] = 1.0 / float(block_normalizer(d, k))
-        self._sub = None  # lattice tables, built by the first lattice evaluation
 
-    def _lattice_tables(self):
-        """Per sub-weight j: the (d-1)-mode table plus the 1/M_k lookups for
-        every admissible first-mode count b1 (zero marks an inactive block)."""
-        if self._sub is None:
-            self._sub, self._inb, self._ine = [], [], []
-            for j in range(self.horizon + 1):
-                self._sub.append(composition_matrix(self.d - 1, j))
-                b1s = np.arange(self.horizon - j + 1)
-                self._inb.append(np.ascontiguousarray(self._inv_norm[j + b1s]))
-                self._ine.append(np.ascontiguousarray(self._inv_norm[j + b1s + 1]))
-        return self._sub, self._inb, self._ine
+    @cached_property
+    def _sub_tables(self) -> list:
+        """The (d-1)-mode table of every sub-weight j = 0..K, built by the
+        first lattice evaluation."""
+        return [composition_matrix(self.d - 1, j) for j in range(self.horizon + 1)]
 
     def block_entropies(self, mu, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Receiver/environment spectrum entropies of every block at ``mu``.
@@ -148,32 +148,28 @@ class TradeoffEvaluator:
         Returns arrays ``(h_bx, h_ex)`` indexed by block ``k-1``, in base
         units, exactly matching the entropies of ``ensemble_spectrum_B/E``.
         With ``n``, ``mu`` must be a grid point ``counts / n`` (see
-        ``grid_counts``), and the cheaper exact kernel (``pick_kernel``) runs;
-        without it, the lattice kernel.
+        ``grid_counts``); ``pick_kernel`` picks the kernel, or refuses.
         """
         mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
         if mu_arr.shape != (self.d,):
             raise ValueError(f"ensemble must have {self.d} weights")
-        if n is not None:
-            counts, n = grid_counts(mu_arr, n)
-            if pick_kernel(self.d, self.horizon, counts) == "histogram":
-                return kernels.histogram_entropy(
-                    counts, n, self._inv_norm[1 : self.horizon + 1], self._inv_ln_base
-                )
-        sub, inb, ine = self._lattice_tables()
+        counts, n = (None, None) if n is None else grid_counts(mu_arr, n)
+        if pick_kernel(self.d, self.horizon, counts) == "histogram":
+            return kernels.histogram_entropy(
+                counts, n, self._inv_norm[1 : self.horizon + 1], self._inv_ln_base
+            )
         out_b = np.zeros(self.horizon + 2)
         out_e = np.zeros(self.horizon + 2)
         tail = mu_arr[1:]
-        for j in range(self.horizon + 1):
-            comps = sub[j]
+        for j, comps in enumerate(self._sub_tables):
             a_sub = np.zeros(comps.shape[0])
             for c in range(self.d - 1):
                 a_sub += comps[:, c] * tail[c]
             kernels.block_family_entropy(
                 a_sub,
                 float(mu_arr[0]),
-                inb[j],
-                ine[j],
+                self._inv_norm[j : self.horizon + 1],
+                self._inv_norm[j + 1 : self.horizon + 2],
                 self._inv_ln_base,
                 out_b,
                 out_e,

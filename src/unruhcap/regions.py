@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinat import SizeCapError, block_dimension, composition_matrix
-from .engine import TradeoffEvaluator
+from .engine import TradeoffEvaluator, pick_kernel
 from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (
     EnsembleParams,
@@ -41,6 +41,7 @@ from .spectra import (
     cloner_spectrum,
     ensemble_spectrum_B,
     ensemble_spectrum_E,
+    truncation_horizon,
     unruh_weights,
 )
 
@@ -161,6 +162,7 @@ class ChannelSpec:
 
     def block_weights(self) -> np.ndarray:
         if self.is_cloner:
+            pick_kernel(self.d, self.k, (1,))  # at the vertex, before allocating k weights
             weights = np.zeros(self.k)
             weights[self.k - 1] = 1.0
             return weights
@@ -376,6 +378,7 @@ def dynamic_capacity(
     coarse-to-fine lattice climb improves it; the reported value is the best
     objective seen (hence never below any grid value).
     """
+    pick_kernel(cfg.d, truncation_horizon(cfg))  # the climb runs on the lattice kernel
     return DynamicCapacityProblem(cfg, resolution).solve(weights)
 
 
@@ -451,6 +454,8 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int | None, *, per_orbit: b
     ``_evaluated_triple``.
     """
     resolution = resolution or default_resolution(evaluator.d)
+    # Gate before the grid: per orbit at the vertex, its cheapest point; else the lattice.
+    pick_kernel(evaluator.d, evaluator.horizon, (1,) if per_orbit else None)
     mu = simplex_grid(evaluator.d, resolution)
     n = None
     if per_orbit:

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from unruhcap import channelsim, cli, combinat, engine, regions, spectra
+from unruhcap import channelsim, cli, combinat, engine, entropy, regions, spectra
 
 
 def run_cli(args):
@@ -195,8 +196,9 @@ def test_numeric_guard_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cqe-region", "--d", "8", "--z", "0.75", "--grid", "2"],  # ~4e12 lattice terms
-        ["cqe-region", "--d", "5", "--z", "0.9", "--grid", "2"],  # ~3e10 lattice terms
+        ["cq-curve", "--d", "8", "--z", "0.75", "--grid", "2"],  # ~4e12 terms, lattice only
+        ["cqe-region", "--d", "10", "--z", "0.9", "--grid", "2"],  # dim_K ~1.3e18 >= 2**53
+        ["dyncap", "--d", "8", "--z", "0.75", "--lambda", "1", "--mu-weight", "0", "--grid", "2"],
         ["cq-curve", "--d", "12", "--k", "1", "--grid", "64"],  # ~4.9e12 grid points
     ],
 )
@@ -218,6 +220,76 @@ def test_size_cap_exits_3_before_enumerating(argv, tmp_path, capsys, monkeypatch
     assert diagnostic["error"] == "SizeCapError"
     assert "exceed cap" in diagnostic["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cq-curve", "--d", "8", "--z", "0.75"],
+        ["dyncap", "--d", "8", "--z", "0.75", "--lambda", "1", "--mu-weight", "0"],
+        ["cqe-region", "--d", "10", "--z", "0.9"],
+    ],
+)
+def test_size_gate_refuses_before_the_grid(argv, capsys, monkeypatch):
+    # The curves and the dyncap climb run on the lattice only, which is over
+    # its cap here; at d = 10 no kernel fits even the vertex.  Each is refused
+    # before the ensemble grid is built.
+    def refuse(*args):
+        raise AssertionError(f"built grid {args} past the size gate")
+
+    monkeypatch.setattr(regions, "simplex_grid", refuse)
+    assert run_cli(argv + ["--grid", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "SizeCapError"
+
+
+def test_cloner_block_past_every_cap_exits_3_before_allocating(capsys):
+    # 2**62 block weights can never be allocated: the vertex, the cheapest
+    # grid point, fits no kernel, so the block is refused before its weights.
+    assert run_cli(["cq-curve", "--d", "2", "--k", str(2**62)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = json.loads(captured.err.strip())
+    assert diagnostic["error"] == "SizeCapError"
+    assert "exceed cap" in diagnostic["message"]
+
+
+@pytest.mark.parametrize(
+    "command, d, z", [("cqe-region", 5, 0.9), ("cqe-region", 8, 0.75), ("rps-region", 8, 0.75)]
+)
+def test_histogram_only_sweeps_match_closed_form_rows(command, d, z, tmp_path, monkeypatch):
+    # The lattice would scan 3.3e10 (d = 5) or 4.2e12 (d = 8) terms per
+    # orbit; every orbit runs on the histogram kernel and no table is built.
+    def refuse(*args):
+        raise AssertionError(f"built lattice table {args}")
+
+    monkeypatch.setattr(engine, "composition_matrix", refuse)
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--d", str(d), "--z", str(z), "--grid", "4", "-o", str(out)]) == 0
+    meta, _, rows = read_csv(out)
+    assert 0.0 < float(meta["tail_bound"]) <= 1e-8
+    cfg = spectra.UnruhConfig(d, z)
+    sweep = regions.region_surface_cqe if command == "cqe-region" else regions.rps_region
+    mu, rates = sweep(cfg, 4)
+    assert len(rows) == len(mu)
+    # At the vertex the receiver and environment spectra of block k are both
+    # the cloner spectrum; at the uniform point they are flat over dim_k and
+    # dim_{k-1} atoms.  (b2, b3) are (Q+E, C+Q+E), or (P+S, R+P+S).
+    p = spectra.unruh_weights(cfg)
+    log_dim = np.array([math.log(combinat.block_dimension(d, k), d) for k in range(len(p) + 1)])
+    h_cloner = [entropy.shannon_entropy(spectra.cloner_spectrum(d, k), d).value
+                for k in range(1, len(p) + 1)]
+    public = p @ (log_dim[1:] - h_cloner)
+    (vertex,) = np.flatnonzero(mu[:, 0] == 1.0)
+    (uniform,) = np.flatnonzero(np.all(mu == 1.0 / d, axis=1))
+    b2, b3 = rates[:, 1], rates[:, 2]
+    assert abs(b2[vertex]) <= 1e-12
+    assert abs(b3[vertex] - public) <= 1e-12
+    assert abs(b2[uniform] - p @ (log_dim[1:] - log_dim[:-1])) <= 1e-12
+    assert abs(b3[uniform] - b2[uniform]) <= 1e-12
+    if command == "rps-region":
+        assert np.abs(rates[:, 0] - public).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d, k", [("4", "60"), ("2", "2000")])  # dim_B = 39,711 and 2,001

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from unruhcap import engine, kernels, regions
-from unruhcap.combinat import block_normalizer
-from unruhcap.engine import TradeoffEvaluator, grid_counts, pick_kernel
+from unruhcap.combinat import SizeCapError, block_normalizer
+from unruhcap.engine import MAX_LATTICE_TERMS, TradeoffEvaluator, grid_counts, pick_kernel
 from unruhcap.entropy import ensemble_conditional_entropy_A, shannon_entropy
-from unruhcap.spectra import UnruhConfig, ensemble_spectrum_B, ensemble_spectrum_E
+from unruhcap.spectra import (
+    UnruhConfig,
+    ensemble_spectrum_B,
+    ensemble_spectrum_E,
+    truncation_horizon,
+)
 
 
 def test_backend_is_reported():
@@ -103,6 +110,24 @@ def test_cost_function_picks_each_kernel():
     counts, n = grid_counts(np.array([40, 24]) / 64, 64)
     assert (counts, n) == ((5, 3), 8)
     assert pick_kernel(2, k2, counts) == "lattice"
+    # An off-grid point has only the lattice kernel.
+    assert pick_kernel(5, k5) == "lattice"
+    # d = 8, z = 0.75: the lattice is over its cap, and the histogram of the
+    # uniform point (counts (1,) * 8) has 21,406 cells.
+    k8 = truncation_horizon(UnruhConfig(8, 0.75))
+    assert math.comb(k8 + 8, 8) > MAX_LATTICE_TERMS
+    assert pick_kernel(8, k8, (1,) * 8) == "histogram"
+    # Both over their caps: off the grid, or a histogram of 1.9e7 cells.
+    with pytest.raises(SizeCapError, match="needs a grid point"):
+        pick_kernel(8, k8)
+    with pytest.raises(SizeCapError, match="cells"):
+        pick_kernel(8, k8, (1000, 1))
+    # d = 10, z = 0.9: the vertex histogram has 180,200 cells, within its
+    # cap, but dim_K = 1.3e18 >= 2**53 would make its float counts inexact.
+    k10 = truncation_horizon(UnruhConfig(10, 0.9))
+    assert math.comb(k10 + 9, 9) >= 2**53
+    with pytest.raises(SizeCapError, match=r"2\*\*53"):
+        pick_kernel(10, k10, (1,))
 
 
 def test_grid_counts_reduce_and_refuse_off_grid_points():
