@@ -9,7 +9,7 @@ block.  Two exact kernels do this:
   mode 1, is a basis vector of block ``k = j + b1`` (receiver side) and of
   block ``k + 1`` (environment side, with the +1 photon shift).  One pass
   over the (d-1)-mode tables, C(K+d, d) terms, accumulates all per-block
-  entropies.  The tables are built by the first lattice evaluation.
+  entropies.
 * the histogram kernel (a grid point ``mu = counts / n``) counts, per block,
   how many basis vectors share each integer atom numerator ``b . counts``,
   in about d (K+1)(K max(counts) + 2n) cell operations.
@@ -38,13 +38,10 @@ __all__ = [
     "pick_kernel",
 ]
 
-# Lattice terms C(K+d, d) scanned per evaluation; past it an evaluation
-# runs on the histogram kernel or is refused (``pick_kernel``).
+# Per-evaluation caps of the two kernels; ``pick_kernel`` runs one within its
+# cap or refuses.  Lattice: the C(K+d, d) terms scanned.  Histogram: the cells
+# of its count array (float64: 32 MB; the kernel peaks at about three such).
 MAX_LATTICE_TERMS = 10**9
-
-# Cells of the histogram's count array (float64: 32 MB; the kernel peaks at
-# about three such arrays); past it an evaluation runs on the lattice kernel
-# or is refused (``pick_kernel``).
 MAX_HISTOGRAM_CELLS = 4 * 10**6
 
 # Cost of one histogram cell operation in lattice terms.  Over 41 sampled
@@ -74,21 +71,24 @@ def pick_kernel(d: int, horizon: int, counts=None) -> str:
     own cap at the grid point with (reduced) ``counts`` (only their max and
     sum are read), or at an off-grid point (``None``); else ``SizeCapError``.
 
-    The lattice kernel scans C(K+d, d) terms, at most ``MAX_LATTICE_TERMS``.
-    The histogram makes d passes over its count array to build it and about
-    two more to weigh the atoms, at ``HISTOGRAM_CELL_COST`` lattice terms per
-    cell; its array is capped at ``MAX_HISTOGRAM_CELLS``, and its largest
-    count, dim_K = C(K+d-1, d-1), must be below 2**53 to stay exact.
+    The lattice scans C(K+d, d) terms.  The histogram makes d passes over its
+    count array to build it and about two more to weigh the atoms, at
+    ``HISTOGRAM_CELL_COST`` lattice terms per cell; it also needs its largest
+    count dim_K = C(K+d-1, d-1) below 2**53, to stay exact, and its least
+    possible atom 1/(n M_K) above ``kernels.PROB_FLOOR``.
     """
     terms = math.comb(horizon + d, d)
     histogram = "needs a grid point"
     if counts is not None:
-        cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * sum(counts) + 1)
+        n = sum(counts)
+        cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * n + 1)
         dim = math.comb(horizon + d - 1, d - 1)
-        if cells <= MAX_HISTOGRAM_CELLS and dim < 2**53:
+        atom = n * math.comb(horizon + d - 1, d)  # n M_K
+        if cells <= MAX_HISTOGRAM_CELLS and dim < 2**53 and atom * kernels.PROB_FLOOR < 1:
             if terms > MAX_LATTICE_TERMS or HISTOGRAM_CELL_COST * (d + 2) * cells < terms:
                 return "histogram"
         histogram = f"{cells} cells (cap {MAX_HISTOGRAM_CELLS}), dim_K = {dim} (cap 2**53 - 1)"
+        histogram += f", least atom 1/{atom} (floor {kernels.PROB_FLOOR})"
     if terms <= MAX_LATTICE_TERMS:
         return "lattice"
     raise SizeCapError(
@@ -138,8 +138,7 @@ class TradeoffEvaluator:
 
     @cached_property
     def _sub_tables(self) -> list:
-        """The (d-1)-mode table of every sub-weight j = 0..K, built by the
-        first lattice evaluation."""
+        """The (d-1)-mode table of each sub-weight j = 0..K; built on first use."""
         return [composition_matrix(self.d - 1, j) for j in range(self.horizon + 1)]
 
     def block_entropies(self, mu, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:

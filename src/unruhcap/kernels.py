@@ -65,8 +65,8 @@ def histogram_entropy(counts, n, inv_norm, inv_ln_base):
     atoms of block k are (v + n)/(n M_k) with multiplicity N_{k-1}[v].
     Returns arrays ``(h_b, h_e)`` indexed by block ``k-1``.
 
-    Every count and partial sum is at most dim_K = C(K+d-1, d-1), which
-    ``engine.pick_kernel`` keeps below 2**53, so the float counts are exact.
+    ``engine.pick_kernel`` keeps every count, at most dim_K = C(K+d-1, d-1),
+    below 2**53, so it is exact, and every nonzero atom above the floor.
     """
     horizon = inv_norm.shape[0]
     width = (horizon - 1) * max(counts) + n + 1

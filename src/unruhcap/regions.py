@@ -454,8 +454,9 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int | None, *, per_orbit: b
     ``_evaluated_triple``.
     """
     resolution = resolution or default_resolution(evaluator.d)
-    # Gate before the grid: per orbit at the vertex, its cheapest point; else the lattice.
-    pick_kernel(evaluator.d, evaluator.horizon, (1,) if per_orbit else None)
+    # Gate before the grid, per orbit at the costliest reduced counts: (r-1, 1) or (1,) * d.
+    for counts in ((resolution - 1, 1), (1,) * evaluator.d) if per_orbit else (None,):
+        pick_kernel(evaluator.d, evaluator.horizon, counts)
     mu = simplex_grid(evaluator.d, resolution)
     n = None
     if per_orbit:

@@ -225,20 +225,25 @@ def test_size_cap_exits_3_before_enumerating(argv, tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cq-curve", "--d", "8", "--z", "0.75"],
-        ["dyncap", "--d", "8", "--z", "0.75", "--lambda", "1", "--mu-weight", "0"],
-        ["cqe-region", "--d", "10", "--z", "0.9"],
+        ["cq-curve", "--d", "8", "--z", "0.75", "--grid", "2"],
+        ["dyncap", "--d", "8", "--z", "0.75", "--lambda", "1", "--mu-weight", "0", "--grid", "2"],
+        ["cqe-region", "--d", "10", "--z", "0.9", "--grid", "2"],
+        ["cqe-region", "--d", "5", "--z", "0.9", "--grid", "64"],
+        ["cqe-region", "--d", "9", "--z", "0.8", "--grid", "2"],
     ],
 )
 def test_size_gate_refuses_before_the_grid(argv, capsys, monkeypatch):
     # The curves and the dyncap climb run on the lattice only, which is over
-    # its cap here; at d = 10 no kernel fits even the vertex.  Each is refused
-    # before the ensemble grid is built.
+    # its cap here.  A per-orbit sweep is gated at its costliest orbits: at
+    # d = 10 no kernel fits even the vertex; at d = 5, grid 64 the histogram of
+    # (63, 1) / 64 needs 6.8e6 cells; at d = 9, z = 0.8 (K = 188) the atoms
+    # 1/(n M_K) of (1, 1) / 2 fall below the floor.  Each is refused before
+    # the ensemble grid is built.
     def refuse(*args):
         raise AssertionError(f"built grid {args} past the size gate")
 
     monkeypatch.setattr(regions, "simplex_grid", refuse)
-    assert run_cli(argv + ["--grid", "2"]) == 3
+    assert run_cli(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.strip())["error"] == "SizeCapError"

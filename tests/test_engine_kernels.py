@@ -128,6 +128,25 @@ def test_cost_function_picks_each_kernel():
     assert math.comb(k10 + 9, 9) >= 2**53
     with pytest.raises(SizeCapError, match=r"2\*\*53"):
         pick_kernel(10, k10, (1,))
+    # d = 9, K = 300: 95,718 cells and 1e15 < dim_K < 2**53, but the uniform
+    # row's atoms 1/dim_K would fall below PROB_FLOOR and read as zero.
+    assert 10**15 < math.comb(308, 8) < 2**53
+    with pytest.raises(SizeCapError, match="least atom"):
+        pick_kernel(9, 300, (1,) * 9)
+
+
+def test_size_gate_keeps_every_histogram_atom_above_the_floor():
+    # At d = 9 and the uniform row (n = 9), K = 146 is the last horizon with
+    # n M_K < 1e15.  There every block's receiver atoms are 1/dim_k and its
+    # environment atoms 1/dim_{k-1}, whatever the floor.
+    assert 9 * block_normalizer(9, 146) < 10**15 <= 9 * block_normalizer(9, 147)
+    with pytest.raises(SizeCapError, match="least atom"):
+        pick_kernel(9, 147, (1,) * 9)
+    assert pick_kernel(9, 146, (1,) * 9) == "histogram"
+    h_b, h_e = TradeoffEvaluator(9, np.ones(146), 9.0).block_entropies(np.full(9, 1 / 9), 9)
+    log_dims = np.log([math.comb(k + 8, 8) for k in range(147)]) / math.log(9)
+    np.testing.assert_allclose(h_b, log_dims[1:], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h_e, log_dims[:-1], rtol=0, atol=1e-12)
 
 
 def test_grid_counts_reduce_and_refuse_off_grid_points():
