@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, channelsim, regions
+from . import __version__, channelsim, kernels, regions
 from .spectra import ConvergenceError, cloner_spectrum, truncation
 
 EXIT_OK = 0
@@ -67,8 +67,10 @@ def _eps(text: str) -> float:
 
 def _base(text: str) -> float:
     value = float(text)
-    if not value > 1.0:
-        raise argparse.ArgumentTypeError("log base must exceed 1")
+    try:
+        kernels.check_log_base(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

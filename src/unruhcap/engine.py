@@ -44,12 +44,13 @@ __all__ = [
 MAX_LATTICE_TERMS = 10**9
 MAX_HISTOGRAM_CELLS = 4 * 10**6
 
-# Cost of one histogram cell operation in lattice terms.  Over 41 sampled
-# sweep orbits (d = 2..6, both kernels >= 0.5 ms, 2-core VM, numpy) the
-# measured ratio had median 0.05 and quartiles 0.018-0.17.  The upper
-# quartile keeps every d = 2 orbit (histogram work >= 0.6 (K+1)(K+2) against
+# Cost of one histogram cell operation in lattice terms.  Over 35 sampled
+# sweep orbits (d = 2..5, z = 0.05..0.95, both kernels >= 0.5 ms, 2-core VM,
+# numpy 2.4) the measured ratio had median 0.09 and quartiles 0.02-0.34.
+# 0.15 keeps every d = 2 orbit (histogram work >= 0.6 (K+1)(K+2) against
 # (K+1)(K+2)/2 lattice terms) on the lattice kernel, where small lattices are
-# decided by fixed per-call costs rather than by terms.
+# decided by fixed per-call costs rather than by terms.  Another value moves
+# orbits between the kernels, and with them the last digits of sweep outputs.
 HISTOGRAM_CELL_COST = 0.15
 
 
@@ -111,8 +112,7 @@ class TradeoffEvaluator:
     def __init__(self, d: int, block_weights, base: float):
         if d < 2:
             raise ValueError("dimension must be >= 2")
-        if not base > 1.0:
-            raise ValueError("log base must exceed 1")
+        kernels.check_log_base(base)
         weights = np.ascontiguousarray(block_weights, dtype=np.float64)
         if weights.ndim != 1 or weights.size < 1:
             raise ValueError("block weights must be a nonempty 1-D array")

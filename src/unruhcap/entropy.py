@@ -35,8 +35,7 @@ class EntropyValue:
     base: float
 
     def __post_init__(self):
-        if not self.base > 1.0:
-            raise ValueError("log base must exceed 1")
+        kernels.check_log_base(self.base)
         if not math.isfinite(self.value):
             raise ValueError("entropy must be finite")
         if self.value < -1e-9:
@@ -48,8 +47,7 @@ class EntropyValue:
         return self.value
 
     def in_base(self, base: float) -> "EntropyValue":
-        if not base > 1.0:
-            raise ValueError("log base must exceed 1")
+        kernels.check_log_base(base)
         return EntropyValue(self.value * math.log(self.base) / math.log(base), base)
 
 
@@ -61,8 +59,7 @@ def _require_base(values, base: float) -> None:
 
 def shannon_entropy(spectrum: Spectrum, base: float) -> EntropyValue:
     """Entropy -sum(m * p * log_base p) of a spectrum with unit mass."""
-    if not base > 1.0:
-        raise ValueError("log base must exceed 1")
+    kernels.check_log_base(base)
     if abs(spectrum.mass - 1.0) > _SPECTRUM_MASS_TOL:
         raise ValueError(f"spectrum mass {spectrum.mass!r} deviates from 1 beyond 1e-09")
     value = kernels.spectrum_entropy_terms(

@@ -1,14 +1,24 @@
 """Hot entropy kernels (numpy).
 
 Probabilities at or below ``PROB_FLOOR`` contribute nothing (0 log 0 = 0 by
-continuity, and rounding residue below the floor is treated as zero).
+continuity, and rounding residue below the floor is treated as zero).  The
+lattice and histogram kernels set such atoms to 1 before the log, since
+1 log 1 is an exact 0.
+
+Bit contract of the lattice kernel: each block's entropy is one contiguous
+row sum of its terms, in composition order.  The CQ and CE curves flag one
+of several orbit-mates whose rates tie up to the last bit, so a change in
+how the terms are grouped or ordered can move an ``on_hull`` flag.
 """
+
+import math
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
     "PROB_FLOOR",
+    "check_log_base",
     "spectrum_entropy_terms",
     "block_family_entropy",
     "histogram_entropy",
@@ -18,6 +28,15 @@ __all__ = [
 BACKEND = "python"
 
 PROB_FLOOR = 1e-15
+
+
+def check_log_base(base: float) -> None:
+    """``ValueError`` unless the entropy log ``base`` is finite and exceeds 1
+    (an infinite base would turn every entropy into 0)."""
+    if base <= 1.0:
+        raise ValueError("log base must exceed 1")
+    if not math.isfinite(base):
+        raise ValueError("log base must be finite")
 
 
 def spectrum_entropy_terms(values, multiplicities, inv_ln_base):
@@ -39,18 +58,21 @@ def block_family_entropy(a_sub, mu1, inv_norm_b, inv_norm_e, inv_ln_base, out_b,
     is ``(mu1*b1 + a + 1) / M_{k+1}``.  Entropy contributions (in units of the
     configured log base) are added into ``out_b[j + b1]`` and
     ``out_e[j + b1 + 1]``; entries with a zero inverse normalizer are skipped.
+    Both sides share one ``(2, m, L)`` array, so row ``[side, b1]`` holds the
+    terms of one block.
     """
     m = inv_norm_b.shape[0]
-    x = mu1 * np.arange(m, dtype=np.float64)[:, None] + a_sub[None, :]
-    for shift, inv_norm, out, off in (
-        (0.0, inv_norm_b, out_b, 0),
-        (1.0, inv_norm_e, out_e, 1),
-    ):
-        p = (x + shift) * inv_norm[:, None]
-        mask = p > PROB_FLOOR
-        safe = np.where(mask, p, 1.0)
-        terms = np.where(mask, p * np.log(safe), 0.0)
-        out[j + off : j + off + m] -= terms.sum(axis=1) * inv_ln_base
+    p = np.empty((2, m, a_sub.shape[0]))
+    np.add(mu1 * np.arange(m, dtype=np.float64)[:, None], a_sub, out=p[0])
+    np.add(p[0], 1.0, out=p[1])
+    p[0] *= inv_norm_b[:, None]
+    p[1] *= inv_norm_e[:, None]
+    p[p <= PROB_FLOOR] = 1.0
+    plogp = np.log(p)
+    plogp *= p
+    h = plogp.sum(axis=2) * inv_ln_base
+    out_b[j : j + m] -= h[0]
+    out_e[j + 1 : j + 1 + m] -= h[1]
 
 
 def histogram_entropy(counts, n, inv_norm, inv_ln_base):
@@ -79,8 +101,8 @@ def histogram_entropy(counts, n, inv_norm, inv_ln_base):
         for k in range(1, horizon + 1):
             nk[k, c:] += nk[k - 1, : width - c]
     p = np.arange(width, dtype=np.float64) * (inv_norm / n)[:, None]
-    plogp = np.zeros_like(p)
-    np.log(p, out=plogp, where=p > PROB_FLOOR)
+    p[p <= PROB_FLOOR] = 1.0
+    plogp = np.log(p)
     plogp *= p
     del p
     h_b = -(nk[1:] * plogp).sum(axis=1) * inv_ln_base

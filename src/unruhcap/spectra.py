@@ -23,6 +23,7 @@ from .combinat import (
     composition_matrix,
     eigen_multiplicity,
 )
+from .kernels import check_log_base
 
 __all__ = [
     "HORIZON_CAP",
@@ -165,8 +166,8 @@ class UnruhConfig:
             raise ValueError("acceleration parameter must satisfy 0 <= z < 1")
         if not self.truncation_eps > 0.0:
             raise ValueError("truncation_eps must be positive")
-        if self.log_base is not None and not self.log_base > 1.0:
-            raise ValueError("log base must exceed 1")
+        if self.log_base is not None:
+            check_log_base(self.log_base)
 
     @property
     def base(self) -> float:

@@ -186,6 +186,20 @@ def test_usage_errors_exit_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "value, message", [("inf", "log base must be finite"), ("1", "log base must exceed 1")]
+)
+@pytest.mark.parametrize("channel", [["--z", "0.5"], ["--k", "3"]])
+def test_log_base_must_be_finite_and_exceed_1(channel, value, message, capsys):
+    # An infinite base would print every rate as 0.
+    with pytest.raises(SystemExit) as err:
+        run_cli(["cq-curve", "--d", "2", *channel, "--grid", "2", "--base", value])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_numeric_guard_exits_3(tmp_path, capsys):
     rc = run_cli(["cq-curve", "--d", "2", "--z", "0.9999", "-o", str(tmp_path / "x.csv")])
     assert rc == 3

@@ -33,6 +33,41 @@ def test_block_family_skips_floor_atoms_and_inactive_blocks():
     assert out_e.tolist() == [0.0] * 5
 
 
+def _per_side_block_family(a_sub, mu1, inv_b, inv_e, inv_ln_base, out_b, out_e, j):
+    """The lattice kernel written one side at a time, with masked terms."""
+    floor = kernels.PROB_FLOOR
+    m = inv_b.shape[0]
+    x = mu1 * np.arange(m, dtype=np.float64)[:, None] + a_sub[None, :]
+    for shift, inv, out, off in ((0.0, inv_b, out_b, 0), (1.0, inv_e, out_e, 1)):
+        p = (x + shift) * inv[:, None]
+        terms = np.where(p > floor, p * np.log(np.where(p > floor, p, 1.0)), 0.0)
+        out[j + off : j + off + m] -= terms.sum(axis=1) * inv_ln_base
+
+
+def test_lattice_kernel_bits_match_the_per_side_formula():
+    # Equality is bitwise, not to a tolerance: the CQ/CE curves flag one of
+    # several orbit-mates whose rates tie up to the last bit, so any change
+    # in the kernel's rounding can move an on_hull flag of existing outputs.
+    rng = np.random.default_rng(20261018)
+    floor = kernels.PROB_FLOOR
+    specials = [0.0, floor, np.nextafter(floor, 0.0), np.nextafter(floor, 1.0), 1e-16]
+    for _ in range(300):
+        m, length, j = int(rng.integers(1, 12)), int(rng.integers(1, 400)), int(rng.integers(0, 6))
+        a_sub = rng.uniform(0.0, 3.0, length) * rng.choice([1.0, 1e-14, 40.0], length)
+        a_sub[rng.random(length) < 0.2] = rng.choice(specials)
+        mu1 = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        inv_b, inv_e = rng.uniform(1e-3, 1.0, (2, m)) * rng.choice([1.0, 1e-16], (2, m))
+        for inv in (inv_b, inv_e):  # zero normalizers; unit ones keep atoms at the floor
+            inv[rng.random(m) < 0.2] = 0.0
+            inv[rng.random(m) < 0.2] = 1.0
+        inv_ln_base = 1.0 / math.log(float(rng.uniform(1.5, 9.0)))
+        out_b, out_e = rng.normal(size=(2, j + m + 2))
+        want_b, want_e = out_b.copy(), out_e.copy()
+        _per_side_block_family(a_sub, mu1, inv_b, inv_e, inv_ln_base, want_b, want_e, j)
+        kernels.block_family_entropy(a_sub, mu1, inv_b, inv_e, inv_ln_base, out_b, out_e, j)
+        assert np.array_equal(out_b, want_b) and np.array_equal(out_e, want_e)
+
+
 def test_engine_matches_spectra_route_per_block():
     # Dual route: streamed kernel accumulation vs explicit spectrum objects.
     rng = np.random.default_rng(23)

@@ -174,8 +174,24 @@ def test_entropy_value_guards():
         lambda bad: TradeoffEvaluator(2, [bad, 0.5], 2.0),
         lambda bad: mixture_entropy([bad, 0.5], [EntropyValue(0.0, 2.0)] * 2, 2.0),
         lambda bad: cloner_entropy_triple(2, 2, (bad, 1.0)),
+        lambda bad: TradeoffEvaluator(2, [1.0], bad),
+        lambda bad: UnruhConfig(2, 0.5, log_base=bad),
+        lambda bad: shannon_entropy(flat_spectrum(2), bad),
+        lambda bad: EntropyValue(0.5, bad),
+        lambda bad: EntropyValue(0.5, 2.0).in_base(bad),
     ],
-    ids=["ensemble", "spectrum", "evaluator-weights", "mixture-weights", "cloner-triple"],
+    ids=[
+        "ensemble",
+        "spectrum",
+        "evaluator-weights",
+        "mixture-weights",
+        "cloner-triple",
+        "evaluator-base",
+        "config-base",
+        "shannon-base",
+        "value-base",
+        "in-base",
+    ],
 )
 def test_validated_records_refuse_nonfinite_numbers(build, bad):
     # A NaN compares false against every bound, so range checks alone let it through.
