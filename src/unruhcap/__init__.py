@@ -12,14 +12,8 @@ The package has two independent computation routes that check each other:
 
 __version__ = "0.1.0"
 
-from .combinat import (
-    OccupationVector,
-    block_dimension,
-    block_normalizer,
-    compositions,
-    eigen_multiplicity,
-)
-from .entropy import EntropyValue, ensemble_conditional_entropy_A, mixture_entropy, shannon_entropy
+from .combinat import block_dimension, block_normalizer, eigen_multiplicity
+from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (
     ConvergenceError,
     EnsembleParams,
@@ -34,14 +28,11 @@ from .spectra import (
 )
 
 __all__ = [
-    "OccupationVector",
     "block_dimension",
     "block_normalizer",
-    "compositions",
     "eigen_multiplicity",
     "EntropyValue",
     "shannon_entropy",
-    "mixture_entropy",
     "ensemble_conditional_entropy_A",
     "Spectrum",
     "EnsembleParams",

@@ -1,7 +1,7 @@
 """Matrix-level oracle: explicit cloner isometries, Unruh blocks, Kraus sets.
 
 Everything here is built directly from defining sums over occupation-vector
-bases (ordered as :func:`unruhcap.combinat.compositions`), independently of
+bases (rows of :func:`unruhcap.combinat.composition_matrix`), independently of
 the closed-form spectra, so the two routes can check each other.  Random
 pure states are drawn from the unitarily invariant measure via normalized
 complex Gaussian vectors with an explicit seed recorded in every report.

@@ -168,7 +168,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_cqe_region(args) -> int:
     spec = _spec(args)
-    mu, rates = regions.region_surface_cqe(spec.unruh_config(), args.grid)
+    mu, rates = regions.region_surface_cqe(spec, args.grid)
     meta = _meta(args, spec)
     for name, ray in regions.PROTOCOL_RAYS.items():
         meta[f"ray_{name}"] = " ".join(_fmt(v) for v in ray)
@@ -180,7 +180,7 @@ def _cmd_cqe_region(args) -> int:
 
 def _cmd_rps_region(args) -> int:
     spec = _spec(args)
-    mu, rates = regions.rps_region(spec.unruh_config(), args.grid)
+    mu, rates = regions.rps_region(spec, args.grid)
     header = _mu_header(spec.d) + ["rp_bound", "ps_bound", "rps_bound"]
     _emit_table(_meta(args, spec), header, _sweep_lines(mu, rates), args)
     return EXIT_OK
@@ -188,11 +188,8 @@ def _cmd_rps_region(args) -> int:
 
 def _cmd_dyncap(args) -> int:
     spec = _spec(args)
-    result = regions.dynamic_capacity(
-        spec.unruh_config(),
-        regions.CapacityWeights(args.lambda_w, args.mu_weight),
-        args.grid,
-    )
+    weights = regions.CapacityWeights(args.lambda_w, args.mu_weight)
+    result = regions.dynamic_capacity(spec, weights, args.grid)
     payload = {
         "meta": _meta(args, spec),
         "value": result.value,

@@ -7,7 +7,7 @@ spectra can rely on identities such as ``sum(b * multiplicity(b)) ==
 normalizer`` holding exactly; floating point enters only when probabilities
 are finally formed.
 
-The enumeration order of :func:`compositions` (lexicographic descending) is
+The row order of :func:`composition_matrix` (lexicographic descending) is
 part of the public contract: it fixes the basis ordering of every matrix and
 spectrum produced elsewhere in the package.
 """
@@ -15,15 +15,12 @@ spectrum produced elsewhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "SizeCapError",
-    "OccupationVector",
-    "compositions",
     "composition_matrix",
     "block_dimension",
     "block_normalizer",
@@ -38,27 +35,6 @@ class SizeCapError(RuntimeError):
 # composition_matrix stores entries as int32; weights beyond this never occur
 # because the truncation horizon is capped at spectra.HORIZON_CAP.
 _MAX_WEIGHT = 2**31 - 1
-
-
-@dataclass(frozen=True)
-class OccupationVector:
-    """Occupation numbers of ``d >= 2`` modes; ``weight`` is the photon total."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) < 2:
-            raise ValueError("occupation vector needs at least 2 modes")
-        if any((not isinstance(n, int)) or n < 0 for n in self.entries):
-            raise ValueError("occupation numbers must be nonnegative integers")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.entries)
 
 
 def _check_dim(d: int) -> None:
@@ -93,19 +69,6 @@ def composition_matrix(d: int, k: int) -> np.ndarray:
         mat = np.vstack(blocks)
     mat.setflags(write=False)
     return mat
-
-
-def compositions(d: int, k: int) -> list[OccupationVector]:
-    """Every occupation vector of dimension ``d`` and weight ``k``.
-
-    The order is lexicographic descending, e.g. ``(2,0), (1,1), (0,2)`` for
-    ``d = 2, k = 2``; there are ``block_dimension(d, k)`` entries.
-    """
-    _check_dim(d)
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"weight must be an integer >= 0, got {k!r}")
-    mat = composition_matrix(d, k)
-    return [OccupationVector(tuple(int(v) for v in row)) for row in mat]
 
 
 def block_dimension(d: int, k: int) -> int:

@@ -1,10 +1,10 @@
-"""Shannon/von Neumann entropy of spectra and block-orthogonal mixtures.
+"""Shannon/von Neumann entropy of spectra and of the cyclic ensemble's input.
 
 Entropies are returned in "dits" of an explicit base (default: the channel
-dimension, so a maximally mixed qudit always has entropy 1).  Every value
-carries its base, which makes accidental mixed-base arithmetic impossible.
-0 log 0 = 0 by continuity; probabilities at or below ``kernels.PROB_FLOOR``
-(1e-15) are clamped to zero before logging.
+dimension, so a maximally mixed qudit always has entropy 1), as a checked
+``EntropyValue`` that records its base.  0 log 0 = 0 by continuity;
+probabilities at or below ``kernels.PROB_FLOOR`` (1e-15) are clamped to zero
+before logging.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .spectra import Spectrum, _as_ensemble
 __all__ = [
     "EntropyValue",
     "shannon_entropy",
-    "mixture_entropy",
     "ensemble_conditional_entropy_A",
 ]
 
@@ -43,19 +42,6 @@ class EntropyValue:
         # Tiny negative rounding residue is clamped to exact zero.
         object.__setattr__(self, "value", max(0.0, float(self.value)))
 
-    def __float__(self) -> float:
-        return self.value
-
-    def in_base(self, base: float) -> "EntropyValue":
-        kernels.check_log_base(base)
-        return EntropyValue(self.value * math.log(self.base) / math.log(base), base)
-
-
-def _require_base(values, base: float) -> None:
-    for v in values:
-        if isinstance(v, EntropyValue) and v.base != base:
-            raise ValueError(f"entropy base mismatch: {v.base} != {base}")
-
 
 def shannon_entropy(spectrum: Spectrum, base: float) -> EntropyValue:
     """Entropy -sum(m * p * log_base p) of a spectrum with unit mass."""
@@ -68,29 +54,6 @@ def shannon_entropy(spectrum: Spectrum, base: float) -> EntropyValue:
         1.0 / math.log(base),
     )
     return EntropyValue(value, base)
-
-
-def mixture_entropy(weights, components, base: float) -> EntropyValue:
-    """Entropy of a weighted direct sum of orthogonal blocks.
-
-    Returns ``sum_k(-w_k log_base w_k + w_k H_k)``.  Weights may sum to less
-    than 1 (a truncated tail); components must already be in ``base``.
-    """
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("mixture weights must be finite")
-    if np.any(w < 0.0):
-        raise ValueError("mixture weights must be nonnegative")
-    if w.sum() > 1.0 + _SPECTRUM_MASS_TOL:
-        raise ValueError("mixture weights must sum to at most 1")
-    comps = list(components)
-    if w.size != len(comps):
-        raise ValueError("weights and components must align")
-    _require_base(comps, base)
-    inv_ln_base = 1.0 / math.log(base)
-    mixing = kernels.spectrum_entropy_terms(w, np.ones_like(w), inv_ln_base)
-    inner = float(np.dot(w, [float(c) for c in comps]))
-    return EntropyValue(mixing + inner, base)
 
 
 def ensemble_conditional_entropy_A(mu, base: float) -> EntropyValue:

@@ -3,7 +3,8 @@
 Computes the classical/quantum (CQ) and classical/entanglement (CE) boundary
 curves, the full CQE dynamic-region bounds, and the public/private/secret-key
 (RPS) bounds, for either a single 1->k cloner block or the geometric mixture
-of blocks that is the Unruh channel.  Sweeps run over the cyclic-ensemble
+of blocks that is the Unruh channel, each named by one ``ChannelSpec``, which
+builds its evaluator once.  Sweeps run over the cyclic-ensemble
 simplex (which suffices for all Pareto-optimal points), evaluate each
 permutation orbit of the grid once, on the cheaper of the engine's two exact
 kernels (the CQ/CE curves: every point, on the lattice kernel), are hulled
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +43,6 @@ from .spectra import (
     cloner_spectrum,
     ensemble_spectrum_B,
     ensemble_spectrum_E,
-    truncation_horizon,
     unruh_weights,
 )
 
@@ -122,7 +123,8 @@ class CapacityWeights:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Either a single 1->k cloner block (``k``) or the Unruh channel (``z``)."""
+    """Either a single 1->k cloner block (``k``) or the Unruh channel (``z``):
+    the channel argument of every entry point of this module."""
 
     d: int
     k: int | None = None
@@ -141,14 +143,6 @@ class ChannelSpec:
         elif not isinstance(self.d, int) or self.d < 2:
             raise ValueError("dimension must be an integer >= 2")
 
-    @classmethod
-    def from_unruh(cls, cfg: UnruhConfig) -> "ChannelSpec":
-        return cls(d=cfg.d, z=cfg.z, truncation_eps=cfg.truncation_eps, log_base=cfg.log_base)
-
-    @property
-    def is_cloner(self) -> bool:
-        return self.k is not None
-
     @property
     def base(self) -> float:
         return float(self.d) if self.log_base is None else float(self.log_base)
@@ -160,16 +154,17 @@ class ChannelSpec:
             d=self.d, z=self.z, truncation_eps=self.truncation_eps, log_base=self.log_base
         )
 
-    def block_weights(self) -> np.ndarray:
-        if self.is_cloner:
+    @cached_property
+    def evaluator(self) -> TradeoffEvaluator:
+        """The channel's evaluator, built on first use: one-hot weights for a
+        cloner block, the truncated geometric weights for the Unruh channel."""
+        if self.k is not None:
             pick_kernel(self.d, self.k, (1,))  # at the vertex, before allocating k weights
             weights = np.zeros(self.k)
             weights[self.k - 1] = 1.0
-            return weights
-        return unruh_weights(self.unruh_config())
-
-    def evaluator(self) -> TradeoffEvaluator:
-        return TradeoffEvaluator(self.d, self.block_weights(), self.base)
+        else:
+            weights = unruh_weights(self.unruh_config())
+        return TradeoffEvaluator(self.d, weights, self.base)
 
 
 @dataclass(frozen=True)
@@ -246,9 +241,9 @@ def _evaluated_triple(evaluator: TradeoffEvaluator, mu, n: int | None = None) ->
     )
 
 
-def unruh_entropy_triple(cfg: UnruhConfig, mu) -> EntropyTriple:
-    """Entropy record of the truncated Unruh channel at ensemble ``mu``."""
-    return _evaluated_triple(ChannelSpec.from_unruh(cfg).evaluator(), mu)
+def unruh_entropy_triple(spec: ChannelSpec, mu) -> EntropyTriple:
+    """Entropy record of the channel ``spec`` at ensemble ``mu``."""
+    return _evaluated_triple(spec.evaluator, mu)
 
 
 def cqe_bounds(triple: EntropyTriple) -> tuple[float, float, float]:
@@ -276,15 +271,14 @@ def _public_bound(evaluator: TradeoffEvaluator) -> float:
     return float(np.dot(evaluator.weights, evaluator.log_dims - h_xy))
 
 
-def rps_bounds(cfg: UnruhConfig, nu) -> tuple[float, float, float]:
+def rps_bounds(spec: ChannelSpec, nu) -> tuple[float, float, float]:
     """(R+P, P+S, R+P+S) bounds of the private dynamic region at ensemble nu.
 
     R+P is ``_public_bound``; the other two reuse the CQE coherent-information
     bounds.
     """
-    evaluator = ChannelSpec.from_unruh(cfg).evaluator()
-    _, ps, rps = cqe_bounds(_evaluated_triple(evaluator, nu))
-    return (_public_bound(evaluator), ps, rps)
+    _, ps, rps = cqe_bounds(_evaluated_triple(spec.evaluator, nu))
+    return (_public_bound(spec.evaluator), ps, rps)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +311,9 @@ class DynamicCapacityProblem:
     climb visits are kept for the climbs of later pairs.
     """
 
-    def __init__(self, cfg: UnruhConfig, resolution: int | None = None):
-        self.cfg = cfg
-        self.resolution = resolution or default_resolution(cfg.d)
-        self.evaluator = ChannelSpec.from_unruh(cfg).evaluator()
+    def __init__(self, spec: ChannelSpec, resolution: int | None = None):
+        self.evaluator = spec.evaluator
+        self.resolution = resolution or default_resolution(self.evaluator.d)
         self.grid, self._table = _sweep(self.evaluator, self.resolution)
         self._climbed: dict = {}
 
@@ -345,16 +338,17 @@ class DynamicCapacityProblem:
         values = self.grid_objectives(weights)
         best_idx = int(np.argmax(values))
         grid_best = value = float(values[best_idx])
-        n = self.resolution * self.cfg.d
+        d = self.evaluator.d
+        n = self.resolution * d
         counts = np.rint(self.grid[best_idx] * n).astype(np.int64)
         assert counts.sum() == n
-        unit = np.eye(self.cfg.d, dtype=np.int64)
+        unit = np.eye(d, dtype=np.int64)
         for _ in range(REFINE_LEVELS):
             counts, n = 2 * counts, 2 * n
             moved = True
             while moved:
                 moved = False
-                for i, j in itertools.permutations(range(self.cfg.d), 2):
+                for i, j in itertools.permutations(range(d), 2):
                     if counts[i] == 0:
                         continue
                     trial = counts - unit[i] + unit[j]
@@ -370,16 +364,26 @@ class DynamicCapacityProblem:
 
 
 def dynamic_capacity(
-    cfg: UnruhConfig, weights: CapacityWeights, resolution: int | None = None
+    spec: ChannelSpec, weights: CapacityWeights, resolution: int | None = None
 ) -> DynamicCapacityResult:
     """Maximize the dynamic capacity objective over the ensemble simplex.
 
     Deterministic: a lattice sweep picks the best grid point, then a
     coarse-to-fine lattice climb improves it; the reported value is the best
-    objective seen (hence never below any grid value).
+    objective seen (hence never below any grid value).  Weights so large that
+    the objective could overflow are refused before the grid is built.
     """
-    pick_kernel(cfg.d, truncation_horizon(cfg))  # the climb runs on the lattice kernel
-    return DynamicCapacityProblem(cfg, resolution).solve(weights)
+    evaluator = spec.evaluator
+    pick_kernel(evaluator.d, evaluator.horizon)  # the climb runs on the lattice kernel
+    # No entropy exceeds the larger of log dim_K and log d, and the absolute
+    # coefficients of the objective sum to 2 lambda + 2 mu + 3.
+    top = max(float(evaluator.log_dims[-1]), math.log(evaluator.d, evaluator.base))
+    if not math.isfinite(2.0 * (weights.lambda_w + weights.mu_w + 2.0) * top):
+        raise OverflowError(
+            f"capacity weights lambda={weights.lambda_w!r}, mu={weights.mu_w!r}: "
+            "the objective would overflow"
+        )
+    return DynamicCapacityProblem(spec, resolution).solve(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +484,7 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int | None, *, per_orbit: b
 
 def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, Q) points with their Pareto boundary."""
-    mu, table = _sweep(spec.evaluator(), resolution, per_orbit=False)
+    mu, table = _sweep(spec.evaluator, resolution, per_orbit=False)
     rates = np.column_stack(cq_point(table))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates)))
 
@@ -488,25 +492,24 @@ def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
 def ce_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, E) points; entanglement is a cost, so the Pareto boundary
     is hulled on (C, -E)."""
-    mu, table = _sweep(spec.evaluator(), resolution, per_orbit=False)
+    mu, table = _sweep(spec.evaluator, resolution, per_orbit=False)
     rates = np.column_stack(ce_point(table))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * (1.0, -1.0))))
 
 
-def region_surface_cqe(cfg: UnruhConfig, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def region_surface_cqe(spec: ChannelSpec, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The grid ``mu`` and its CQE bound triples (b1, b2, b3), row for row.
 
     Each row's corner (all three halfspaces tight) is ``cqe_corner``; the
     full region is the hull of the corners swept along the PROTOCOL_RAYS.
     """
-    mu, table = _sweep(ChannelSpec.from_unruh(cfg).evaluator(), resolution)
+    mu, table = _sweep(spec.evaluator, resolution)
     return mu, np.column_stack(cqe_bounds(table))
 
 
-def rps_region(cfg: UnruhConfig, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def rps_region(spec: ChannelSpec, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The grid ``mu`` and its (R+P, P+S, R+P+S) bound triples, row for row;
     R+P is ``_public_bound``, the other two reuse the CQE bounds."""
-    evaluator = ChannelSpec.from_unruh(cfg).evaluator()
-    mu, table = _sweep(evaluator, resolution)
+    mu, table = _sweep(spec.evaluator, resolution)
     _, ps, rps = cqe_bounds(table)
-    return mu, np.column_stack((np.full_like(ps, _public_bound(evaluator)), ps, rps))
+    return mu, np.column_stack((np.full_like(ps, _public_bound(spec.evaluator)), ps, rps))

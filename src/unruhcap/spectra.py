@@ -4,8 +4,8 @@ The weight-``k`` block of the Unruh channel, normalized, is a 1->k universal
 cloner; its output spectrum for any pure input is ``{b/M_k : b = 1..k}`` with
 multiplicities ``m_b``.  For the cyclic trade-off ensembles the receiver and
 environment spectra are linear statistics ``alpha(b)/M_k`` over occupation
-vectors.  Atoms are kept unmerged, ordered exactly as
-:func:`unruhcap.combinat.compositions`, so spectra compare bit-for-bit
+vectors.  Atoms are kept unmerged, ordered exactly as the rows of
+:func:`unruhcap.combinat.composition_matrix`, so spectra compare bit-for-bit
 against the matrix oracle.
 """
 

@@ -100,7 +100,7 @@ def test_criterion_4_noiseless_limits():
             failures.append(f"d={d}: CE endpoint {regions.ce_point(triple)}")
 
         # CQE bounds (2, 1, 1) at the uniform ensemble.
-        aggregate = regions.unruh_entropy_triple(UnruhConfig(d, 0.0), EnsembleParams.uniform(d))
+        aggregate = regions.unruh_entropy_triple(regions.ChannelSpec(d, z=0.0), EnsembleParams.uniform(d))
         if not np.allclose(regions.cqe_bounds(aggregate), (2.0, 1.0, 1.0), atol=1e-12):
             failures.append(f"d={d}: CQE bounds {regions.cqe_bounds(aggregate)}")
 
@@ -110,7 +110,7 @@ def test_criterion_4_noiseless_limits():
             EnsembleParams.vertex(d),
             EnsembleParams((0.75,) + (0.25 / (d - 1),) * (d - 1)),
         ):
-            rp, ps, rps = regions.rps_bounds(UnruhConfig(d, 0.0), nu)
+            rp, ps, rps = regions.rps_bounds(regions.ChannelSpec(d, z=0.0), nu)
             h_nu = -math.fsum(p * math.log(p) / math.log(d) for p in nu.mu if p > 0)
             if abs(rp - 1.0) > 1e-12 or abs(rps - 1.0) > 1e-12 or abs(ps - h_nu) > 1e-12:
                 failures.append(f"d={d} nu={nu.mu}: rps bounds ({rp}, {ps}, {rps})")
@@ -154,7 +154,7 @@ def test_criterion_6_entropy_identity_audits():
             if worst_b > 1e-12 or worst_e > 1e-12:
                 failures.append(f"d={d} k={k}: mass dev B={worst_b:.2e} E={worst_e:.2e}")
     for d, z, res in ((2, 0.5, 16), (3, 0.25, 8)):
-        grid, rates = regions.region_surface_cqe(UnruhConfig(d, z), resolution=res)
+        grid, rates = regions.region_surface_cqe(regions.ChannelSpec(d, z=z), resolution=res)
         for mu, (b1, _, b3) in zip(grid, rates):
             h_a = ensemble_conditional_entropy_A(mu, float(d)).value
             if abs((b1 - b3) - h_a) > 1e-12:
@@ -173,7 +173,7 @@ def test_criterion_7_supporting_hyperplane_audit():
     assert len(weight_pairs) == 20
     for d in (2, 3):
         for z in (0.25, 0.75):
-            problem = regions.DynamicCapacityProblem(UnruhConfig(d, z))
+            problem = regions.DynamicCapacityProblem(regions.ChannelSpec(d, z=z))
             stride = max(1, len(problem.grid) // 23)
             for weights in weight_pairs:
                 result = problem.solve(weights)

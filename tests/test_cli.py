@@ -288,14 +288,14 @@ def test_histogram_only_sweeps_match_closed_form_rows(command, d, z, tmp_path, m
     assert run_cli([command, "--d", str(d), "--z", str(z), "--grid", "4", "-o", str(out)]) == 0
     meta, _, rows = read_csv(out)
     assert 0.0 < float(meta["tail_bound"]) <= 1e-8
-    cfg = spectra.UnruhConfig(d, z)
+    spec = regions.ChannelSpec(d, z=z)
     sweep = regions.region_surface_cqe if command == "cqe-region" else regions.rps_region
-    mu, rates = sweep(cfg, 4)
+    mu, rates = sweep(spec, 4)
     assert len(rows) == len(mu)
     # At the vertex the receiver and environment spectra of block k are both
     # the cloner spectrum; at the uniform point they are flat over dim_k and
     # dim_{k-1} atoms.  (b2, b3) are (Q+E, C+Q+E), or (P+S, R+P+S).
-    p = spectra.unruh_weights(cfg)
+    p = spectra.unruh_weights(spec.unruh_config())
     log_dim = np.array([math.log(combinat.block_dimension(d, k), d) for k in range(len(p) + 1)])
     h_cloner = [entropy.shannon_entropy(spectra.cloner_spectrum(d, k), d).value
                 for k in range(1, len(p) + 1)]
@@ -381,3 +381,25 @@ def test_dyncap_rejects_nonfinite_weights(flag, value, capsys):
         run_cli(args + [flag, value])  # the last occurrence of a flag wins
     assert err.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "weights", [["--lambda", "1e308", "--mu-weight", "0"], ["--lambda", "1", "--mu-weight", "1e308"]]
+)
+def test_dyncap_refuses_overflowing_weights_before_the_grid(weights, capsys, monkeypatch):
+    # Finite weights whose objective would overflow are a numeric guard, not
+    # a usage error, and are refused before the sweep runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("swept the grid past the overflow guard")
+
+    monkeypatch.setattr(regions, "_sweep", refuse)
+    assert run_cli(["dyncap", "--d", "2", "--z", "0.5", *weights, "--grid", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "OverflowError"
+
+
+def test_dyncap_accepts_large_finite_weights(capsys):
+    argv = ["dyncap", "--d", "2", "--z", "0.5", "--lambda", "1e300", "--mu-weight", "0", "--grid", "4"]
+    assert run_cli(argv) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["value"])

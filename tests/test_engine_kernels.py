@@ -86,9 +86,7 @@ def test_engine_matches_spectra_route_per_block():
 
 
 def test_engine_weighted_sums_match_blockwise_dot():
-    cfg = UnruhConfig(3, 0.4, log_base=2.0)
-    spec = regions.ChannelSpec.from_unruh(cfg)
-    evaluator = spec.evaluator()
+    evaluator = regions.ChannelSpec(3, z=0.4, log_base=2.0).evaluator
     mu = np.array([0.6, 0.3, 0.1])
     h_bx, h_ex = evaluator.block_entropies(mu)
     s_bx, s_ex = evaluator.sums(mu)
@@ -137,11 +135,11 @@ def test_histogram_kernel_matches_spectra_route_and_lattice_per_block():
 
 def test_cost_function_picks_each_kernel():
     # A region-d5 orbit: 2.6M lattice terms against a few thousand cells.
-    k5 = regions.ChannelSpec(d=5, z=0.5).evaluator().horizon
+    k5 = regions.ChannelSpec(d=5, z=0.5).evaluator.horizon
     assert pick_kernel(5, k5, grid_counts(np.array([2, 1, 1, 0, 0]) / 4, 4)[0]) == "histogram"
     # An interior d = 2 point of a long horizon: 142k lattice terms against
     # a histogram of 533 rows by thousands of values.
-    k2 = regions.ChannelSpec(d=2, z=0.95).evaluator().horizon
+    k2 = regions.ChannelSpec(d=2, z=0.95).evaluator.horizon
     counts, n = grid_counts(np.array([40, 24]) / 64, 64)
     assert (counts, n) == ((5, 3), 8)
     assert pick_kernel(2, k2, counts) == "lattice"
@@ -201,7 +199,7 @@ def test_histogram_only_sweep_builds_no_lattice_table(monkeypatch):
         raise AssertionError(f"built lattice table {args}")
 
     monkeypatch.setattr(engine, "composition_matrix", refuse)
-    mu, rates = regions.region_surface_cqe(UnruhConfig(5, 0.75), 4)
+    mu, rates = regions.region_surface_cqe(regions.ChannelSpec(5, z=0.75), 4)
     assert rates.shape == (71, 3)
     for row, (b1, _, b3) in zip(mu, rates):
         h_a = ensemble_conditional_entropy_A(tuple(row), 5.0).value

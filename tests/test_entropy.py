@@ -9,7 +9,6 @@ from unruhcap.engine import TradeoffEvaluator
 from unruhcap.entropy import (
     EntropyValue,
     ensemble_conditional_entropy_A,
-    mixture_entropy,
     shannon_entropy,
 )
 from unruhcap.regions import cloner_entropy_triple
@@ -74,30 +73,9 @@ def test_entropy_permutation_invariance():
     assert h1 == pytest.approx(h2, abs=1e-13)
 
 
-def test_mixture_entropy_single_block():
-    inner = EntropyValue(0.7, 2.0)
-    assert mixture_entropy([1.0], [inner], 2.0).value == pytest.approx(0.7, abs=1e-15)
-
-
-def test_mixture_entropy_pure_mixing_term():
-    zero = EntropyValue(0.0, 2.0)
-    assert mixture_entropy([0.5, 0.5], [zero, zero], 2.0).value == pytest.approx(1.0, abs=1e-15)
-
-
-def test_mixture_entropy_shift_identity():
-    # Equal components pull out: H(w) + H0.
-    rng = np.random.default_rng(3)
-    w = rng.dirichlet(np.ones(6))
-    h0 = 1.2345
-    comps = [EntropyValue(h0, 2.0)] * 6
-    direct = mixture_entropy(w, comps, 2.0).value
-    mixing = -sum(x * math.log2(x) for x in w)
-    assert direct == pytest.approx(mixing + h0, abs=1e-12)
-
-
-def test_mixture_entropy_matches_block_diagonal_matrix_oracle():
+def test_block_decomposition_matches_block_diagonal_matrix_oracle():
     # Truncated block-diagonal output, diagonalized outright, against the
-    # blockwise decomposition with the same truncation.
+    # blockwise decomposition H(p) + sum_k p_k H_k with the same truncation.
     cfg = UnruhConfig(2, 0.5, truncation_eps=1e-3, log_base=2.0)
     weights = unruh_weights(cfg)
     rng = np.random.default_rng(21)
@@ -107,23 +85,12 @@ def test_mixture_entropy_matches_block_diagonal_matrix_oracle():
     for k in range(1, weights.size + 1):
         block = channelsim.unruh_block_output(2, k, beta)
         eigs.append(weights[k - 1] * block.eigenvalues())
-        comps.append(shannon_entropy(cloner_spectrum(2, k), 2.0))
+        comps.append(shannon_entropy(cloner_spectrum(2, k), 2.0).value)
     flat = np.concatenate(eigs)
     flat = flat[flat > 1e-15]
     direct = float(-(flat * np.log2(flat)).sum())
-    decomposed = mixture_entropy(weights, comps, 2.0).value
+    decomposed = float(-(weights * np.log2(weights)).sum() + weights @ comps)
     assert decomposed == pytest.approx(direct, abs=1e-8)
-
-
-def test_mixture_entropy_validation():
-    with pytest.raises(ValueError):
-        mixture_entropy([0.6, 0.6], [EntropyValue(0.0, 2.0)] * 2, 2.0)
-    with pytest.raises(ValueError):
-        mixture_entropy([-0.1, 0.5], [EntropyValue(0.0, 2.0)] * 2, 2.0)
-    with pytest.raises(ValueError):
-        mixture_entropy([0.5, 0.5], [EntropyValue(0.0, 2.0), EntropyValue(0.0, 3.0)], 2.0)
-    with pytest.raises(ValueError):
-        mixture_entropy([0.5], [EntropyValue(0.0, 2.0)] * 2, 2.0)
 
 
 def test_ensemble_conditional_entropy_examples():
@@ -159,10 +126,6 @@ def test_entropy_value_guards():
     with pytest.raises(ValueError):
         EntropyValue(0.5, 1.0)
     assert EntropyValue(-1e-12, 2.0).value == 0.0  # rounding residue clamps
-    converted = EntropyValue(1.0, 2.0).in_base(4.0)
-    assert converted.value == pytest.approx(0.5, abs=1e-15)
-    assert converted.base == 4.0
-    assert float(EntropyValue(0.25, 2.0)) == 0.25
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -172,25 +135,21 @@ def test_entropy_value_guards():
         lambda bad: EnsembleParams((bad, 1.0)),
         lambda bad: Spectrum([bad, 1.0], [1, 1]),
         lambda bad: TradeoffEvaluator(2, [bad, 0.5], 2.0),
-        lambda bad: mixture_entropy([bad, 0.5], [EntropyValue(0.0, 2.0)] * 2, 2.0),
         lambda bad: cloner_entropy_triple(2, 2, (bad, 1.0)),
         lambda bad: TradeoffEvaluator(2, [1.0], bad),
         lambda bad: UnruhConfig(2, 0.5, log_base=bad),
         lambda bad: shannon_entropy(flat_spectrum(2), bad),
         lambda bad: EntropyValue(0.5, bad),
-        lambda bad: EntropyValue(0.5, 2.0).in_base(bad),
     ],
     ids=[
         "ensemble",
         "spectrum",
         "evaluator-weights",
-        "mixture-weights",
         "cloner-triple",
         "evaluator-base",
         "config-base",
         "shannon-base",
         "value-base",
-        "in-base",
     ],
 )
 def test_validated_records_refuse_nonfinite_numbers(build, bad):

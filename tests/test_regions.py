@@ -27,7 +27,7 @@ from unruhcap.regions import (
     simplex_grid,
     unruh_entropy_triple,
 )
-from unruhcap.spectra import EnsembleParams, UnruhConfig, truncation_horizon, unruh_weights
+from unruhcap.spectra import EnsembleParams, truncation_horizon, unruh_weights
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +85,15 @@ def test_ce_point_examples():
 def test_unruh_triple_noiseless_reduces_to_identity_block():
     for d in (2, 3):
         mu = EnsembleParams((0.6,) + (0.4 / (d - 1),) * (d - 1))
-        cfg = UnruhConfig(d, 0.0)
-        assert truncation_horizon(cfg) == 1
+        spec = ChannelSpec(d, z=0.0)
+        assert truncation_horizon(spec.unruh_config()) == 1
         cloner = cloner_entropy_triple(d, 1, mu)
-        assert tuple(unruh_entropy_triple(cfg, mu)) == pytest.approx(tuple(cloner), abs=1e-13)
+        assert tuple(unruh_entropy_triple(spec, mu)) == pytest.approx(tuple(cloner), abs=1e-13)
 
 
 def test_cqe_bounds_noiseless_uniform():
     for d in (2, 3):
-        agg = unruh_entropy_triple(UnruhConfig(d, 0.0), EnsembleParams.uniform(d))
+        agg = unruh_entropy_triple(ChannelSpec(d, z=0.0), EnsembleParams.uniform(d))
         assert cqe_bounds(agg) == pytest.approx((2.0, 1.0, 1.0), abs=1e-12)
 
 
@@ -102,14 +102,14 @@ def test_cqe_b1_minus_b3_is_input_entropy():
     for d, z in ((2, 0.3), (3, 0.6)):
         for _ in range(4):
             mu = EnsembleParams(tuple(rng.dirichlet(np.ones(d))))
-            agg = unruh_entropy_triple(UnruhConfig(d, z), mu)
+            agg = unruh_entropy_triple(ChannelSpec(d, z=z), mu)
             b1, _, b3 = cqe_bounds(agg)
             assert b1 - b3 == pytest.approx(agg.h_a_given_x, abs=1e-14)
 
 
 def test_cqe_bounds_regression_d3():
     # Pinned from a validated run cross-checked against the matrix oracle.
-    agg = unruh_entropy_triple(UnruhConfig(3, 0.75), EnsembleParams.uniform(3))
+    agg = unruh_entropy_triple(ChannelSpec(3, z=0.75), EnsembleParams.uniform(3))
     bounds = cqe_bounds(agg)
     assert bounds[0] == pytest.approx(1.1721801124066247, rel=1e-9)
     assert bounds[1] == pytest.approx(0.1721801124066250, rel=1e-9)
@@ -117,9 +117,9 @@ def test_cqe_bounds_regression_d3():
 
 
 def test_cqe_b3_matches_block_diagonal_matrix_oracle():
-    cfg = UnruhConfig(2, 0.5, log_base=2.0)
-    b3 = cqe_bounds(unruh_entropy_triple(cfg, EnsembleParams.uniform(2)))[2]
-    weights = unruh_weights(cfg)
+    spec = ChannelSpec(2, z=0.5, log_base=2.0)
+    b3 = cqe_bounds(unruh_entropy_triple(spec, EnsembleParams.uniform(2)))[2]
+    weights = unruh_weights(spec.unruh_config())
     rho = channelsim.DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     h_b = h_e = 0.0
     for k in range(1, weights.size + 1):
@@ -142,7 +142,7 @@ def test_unruh_cq_classical_endpoint_degrades_with_z():
     }
     endpoints = []
     for z, pin in expected.items():
-        evaluator = ChannelSpec(d=2, z=z).evaluator()
+        evaluator = ChannelSpec(d=2, z=z).evaluator
         s_bx, _ = evaluator.sums(np.array([1.0, 0.0]))
         c_classical = evaluator.s_b - s_bx
         assert c_classical == pytest.approx(pin, rel=1e-9, abs=1e-12)
@@ -153,7 +153,7 @@ def test_unruh_cq_classical_endpoint_degrades_with_z():
 def test_rps_bounds_noiseless():
     d = 3
     for nu in (EnsembleParams.uniform(d), EnsembleParams.vertex(d), EnsembleParams((0.6, 0.3, 0.1))):
-        rp, ps, rps = rps_bounds(UnruhConfig(d, 0.0), nu)
+        rp, ps, rps = rps_bounds(ChannelSpec(d, z=0.0), nu)
         h_nu = -math.fsum(p * math.log(p) / math.log(d) for p in nu.mu if p > 0)
         assert rp == pytest.approx(1.0, abs=1e-12)
         assert rps == pytest.approx(1.0, abs=1e-12)
@@ -166,13 +166,13 @@ def test_rps_public_bound_dominates_difference():
     for d, z in ((2, 0.25), (2, 0.75), (3, 0.5)):
         for _ in range(4):
             nu = EnsembleParams(tuple(rng.dirichlet(np.ones(d))))
-            rp, ps, rps = rps_bounds(UnruhConfig(d, z), nu)
+            rp, ps, rps = rps_bounds(ChannelSpec(d, z=z), nu)
             assert rp >= rps - ps - 1e-12
 
 
 def test_rps_regression_d5():
     # Pinned from a validated run (single heavy sample, uniform ensemble).
-    rp, ps, rps = rps_bounds(UnruhConfig(5, 0.75), EnsembleParams.uniform(5))
+    rp, ps, rps = rps_bounds(ChannelSpec(5, z=0.75), EnsembleParams.uniform(5))
     assert rp == pytest.approx(0.28835980083062107, rel=1e-9)
     assert ps == pytest.approx(0.14231700935041713, rel=1e-9)
     assert rps == pytest.approx(0.14231700935041713, rel=1e-8)
@@ -183,14 +183,13 @@ def test_rps_regression_d5():
 # ---------------------------------------------------------------------------
 
 def test_dynamic_capacity_noiseless_unweighted():
-    result = dynamic_capacity(UnruhConfig(3, 0.0), CapacityWeights(0.0, 0.0), resolution=24)
+    result = dynamic_capacity(ChannelSpec(3, z=0.0), CapacityWeights(0.0, 0.0), resolution=24)
     assert result.value == pytest.approx(2.0, abs=1e-9)
     assert result.argmax.mu == pytest.approx([1 / 3] * 3, abs=1e-6)
 
 
 def test_dynamic_capacity_large_lambda_tracks_coherent_information():
-    cfg = UnruhConfig(2, 0.25)
-    problem = DynamicCapacityProblem(cfg, resolution=32)
+    problem = DynamicCapacityProblem(ChannelSpec(2, z=0.25), resolution=32)
     result = problem.solve(CapacityWeights(lambda_w=1e5, mu_w=0.0))
 
     def coherent(mu):
@@ -202,8 +201,7 @@ def test_dynamic_capacity_large_lambda_tracks_coherent_information():
 
 
 def test_dynamic_capacity_refinement_dominates_grid():
-    cfg = UnruhConfig(2, 0.25)
-    problem = DynamicCapacityProblem(cfg, resolution=64)
+    problem = DynamicCapacityProblem(ChannelSpec(2, z=0.25), resolution=64)
     weights = CapacityWeights(lambda_w=1.0, mu_w=0.0)
     result = problem.solve(weights)
     values = problem.grid_objectives(weights)
@@ -217,14 +215,14 @@ def test_dynamic_capacity_refinement_dominates_grid():
 
 def test_dynamic_capacity_climbs_off_a_vertex_start():
     # The grid optimum is the vertex (1, 0); the true optimum lies just inside.
-    result = dynamic_capacity(UnruhConfig(2, 0.95), CapacityWeights(10.0, 10.0))
+    result = dynamic_capacity(ChannelSpec(2, z=0.95), CapacityWeights(10.0, 10.0))
     assert result.grid_best == pytest.approx(3.281697287991, abs=1e-9)
     assert result.value > result.grid_best + 1e-3
 
 
 def test_dynamic_capacity_climbs_off_a_face_start():
     # The grid optimum lies on the face mu_3 = 0; the true optimum does not.
-    problem = DynamicCapacityProblem(UnruhConfig(3, 0.5), resolution=16)
+    problem = DynamicCapacityProblem(ChannelSpec(3, z=0.5), resolution=16)
     weights = CapacityWeights(0.0, 10.0)
     result = problem.solve(weights)
     assert result.value > 5.56
@@ -235,6 +233,15 @@ def test_dynamic_capacity_climbs_off_a_face_start():
     assert problem.solve(weights) == result
 
 
+def time_sharing_rows(grid) -> list:
+    """Rows of the vertex (1, 0, ..., 0) and the uniform ensemble in ``grid``;
+    both are points of every sweep grid."""
+    d = grid.shape[1]
+    (vertex,) = np.flatnonzero(grid[:, 0] == 1.0)
+    (uniform,) = np.flatnonzero(np.all(grid == 1.0 / d, axis=1))
+    return [vertex, uniform]
+
+
 @pytest.mark.parametrize(
     "d, z, lam, muw, resolution, gap",
     [
@@ -243,20 +250,46 @@ def test_dynamic_capacity_climbs_off_a_face_start():
         (3, 0.25, 6.0, 90.0, 16, 0.456),
         (3, 0.5, 0.3, 10.0, 16, 0.046),
         (3, 0.75, 100.0, 100.0, 16, 1.375),
+        (5, 0.5, 24.0, 93.0, 8, 0.346),
+        (5, 0.75, 96.0, 99.0, 8, 0.923),
+        (5, 0.9, 87.0, 30.0, 4, 0.143),
+        (8, 0.75, 96.0, 99.0, 4, 0.406),
+        (8, 0.5, 24.0, 96.0, 8, 0.251),
     ],
 )
 def test_dynamic_region_beats_time_sharing(d, z, lam, muw, resolution, gap):
     # Time-sharing is the hull of the vertex and uniform ensembles' regions
     # plus the protocol rays, so its support at weights (lambda, mu) is the
     # larger of their two objectives; a grid point above both is a strict
-    # gain of trade-off coding over time-sharing.
-    problem = DynamicCapacityProblem(UnruhConfig(d, z), resolution)
-    weights = CapacityWeights(lam, muw)
-    time_sharing = max(
-        dynamic_objective(problem.evaluator, weights, mu)
-        for mu in (EnsembleParams.vertex(d), EnsembleParams.uniform(d))
-    )
-    got = float(problem.grid_objectives(weights).max()) - time_sharing
+    # gain of trade-off coding over time-sharing.  Both ensembles are grid
+    # rows, which keeps d = 5 and 8 on the per-orbit sweep's kernels.
+    problem = DynamicCapacityProblem(ChannelSpec(d, z=z), resolution)
+    values = problem.grid_objectives(CapacityWeights(lam, muw))
+    got = float(values.max() - values[time_sharing_rows(problem.grid)].max())
+    assert got > 0.0
+    assert got == pytest.approx(gap, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "d, z, lam, muw, resolution, gap",
+    [
+        (2, 0.5, 27.0, 93.0, 32, 1.182),
+        (3, 0.5, 27.0, 96.0, 16, 0.9986),
+        (5, 0.5, 27.0, 96.0, 8, 0.4694),
+        (5, 0.75, 99.0, 96.0, 8, 0.9978),
+        (5, 0.9, 93.0, 27.0, 4, 0.2506),
+        (8, 0.75, 99.0, 96.0, 4, 0.5324),
+        (8, 0.5, 27.0, 96.0, 8, 0.3633),
+    ],
+)
+def test_private_region_beats_time_sharing(d, z, lam, muw, resolution, gap):
+    # The private dynamic region's support at weights (lambda, mu) is
+    # (R+P) + lambda (P+S) + mu (R+P+S), with R+P the same at every ensemble;
+    # as for the quantum region, time-sharing reaches the larger of the
+    # vertex and uniform rows.
+    mu, rates = rps_region(ChannelSpec(d, z=z), resolution)
+    support = rates @ np.array([1.0, lam, muw])
+    got = float(support.max() - support[time_sharing_rows(mu)].max())
     assert got > 0.0
     assert got == pytest.approx(gap, abs=1e-3)
 
@@ -323,7 +356,7 @@ def test_cq_noiseless_boundary_is_the_unit_segment():
 # ---------------------------------------------------------------------------
 
 def test_region_surface_corners_are_tight():
-    _, surface = region_surface_cqe(UnruhConfig(2, 0.25), resolution=8)
+    _, surface = region_surface_cqe(ChannelSpec(2, z=0.25), resolution=8)
     assert set(regions.PROTOCOL_RAYS) == {"TP", "SD", "ED"}
     for rates in surface:
         b1, b2, b3 = rates
@@ -334,7 +367,7 @@ def test_region_surface_corners_are_tight():
 
 
 def test_region_surface_noiseless_contains_super_dense_corner():
-    mu, rates = region_surface_cqe(UnruhConfig(2, 0.0), resolution=4)
+    mu, rates = region_surface_cqe(ChannelSpec(2, z=0.0), resolution=4)
     (uniform_row,) = np.flatnonzero(np.all(mu == 0.5, axis=1))
     corner = np.array(cqe_corner(rates[uniform_row]))
     sd_corner = corner + np.array(regions.PROTOCOL_RAYS["SD"])
@@ -342,7 +375,7 @@ def test_region_surface_noiseless_contains_super_dense_corner():
 
 
 def test_rps_region_sweep_shapes():
-    mu, rates = rps_region(UnruhConfig(2, 0.5), resolution=8)
+    mu, rates = rps_region(ChannelSpec(2, z=0.5), resolution=8)
     assert mu.shape == (9, 2) and rates.shape == (9, 3)
     assert len(set(rates[:, 0])) == 1  # public bound is ensemble independent
 
@@ -389,7 +422,7 @@ def test_channel_spec_validation():
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_sweep_rejects_nonfinite_rates(bad, monkeypatch):
     # Every entry of a sweep's entropy table passes through EntropyValue.
-    evaluator = ChannelSpec(d=2, k=2).evaluator()
+    evaluator = ChannelSpec(d=2, k=2).evaluator
     monkeypatch.setattr(evaluator, "sums", lambda mu, n=None: (bad, 0.0))
     with pytest.raises(ValueError, match="finite"):
         regions._sweep(evaluator, 4)
@@ -398,14 +431,14 @@ def test_sweep_rejects_nonfinite_rates(bad, monkeypatch):
 def test_bounds_invariant_under_cyclic_relabeling():
     # Every permutation of the ensemble weights (all of S_d, not only the
     # cyclic shifts) only relabels the occupation basis.
-    for cfg, mu in ((UnruhConfig(3, 0.5), (0.6, 0.3, 0.1)), (UnruhConfig(4, 0.25), (0.4, 0.3, 0.2, 0.1))):
-        b_ref = cqe_bounds(unruh_entropy_triple(cfg, mu))
-        rps_ref = rps_bounds(cfg, mu)
+    for spec, mu in ((ChannelSpec(3, z=0.5), (0.6, 0.3, 0.1)), (ChannelSpec(4, z=0.25), (0.4, 0.3, 0.2, 0.1))):
+        b_ref = cqe_bounds(unruh_entropy_triple(spec, mu))
+        rps_ref = rps_bounds(spec, mu)
         perms = list(itertools.permutations(mu))
-        assert len(perms) == math.factorial(cfg.d)
+        assert len(perms) == math.factorial(spec.d)
         for perm in perms:
-            assert cqe_bounds(unruh_entropy_triple(cfg, perm)) == pytest.approx(b_ref, abs=1e-12)
-            assert rps_bounds(cfg, perm) == pytest.approx(rps_ref, abs=1e-12)
+            assert cqe_bounds(unruh_entropy_triple(spec, perm)) == pytest.approx(b_ref, abs=1e-12)
+            assert rps_bounds(spec, perm) == pytest.approx(rps_ref, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -430,23 +463,23 @@ def orbit_count(grid) -> int:
 
 
 def test_orbit_sweeps_match_per_point_evaluation():
-    for cfg, resolution in ((UnruhConfig(3, 0.5), 7), (UnruhConfig(4, 0.25), 5)):
-        grid = simplex_grid(cfg.d, resolution)
+    for spec, resolution in ((ChannelSpec(3, z=0.5), 7), (ChannelSpec(4, z=0.25), 5)):
+        grid = simplex_grid(spec.d, resolution)
         # R is not a multiple of d, so the uniform point is added.
-        assert (1.0 / cfg.d,) * cfg.d in [tuple(mu) for mu in grid.tolist()]
+        assert (1.0 / spec.d,) * spec.d in [tuple(mu) for mu in grid.tolist()]
         assert orbit_count(grid) < len(grid)
-        cqe_mu, cqe_rates = region_surface_cqe(cfg, resolution)
-        rps_mu, rps_rates = rps_region(cfg, resolution)
+        cqe_mu, cqe_rates = region_surface_cqe(spec, resolution)
+        rps_mu, rps_rates = rps_region(spec, resolution)
         assert np.array_equal(cqe_mu, grid) and np.array_equal(rps_mu, grid)
         for mu, cqe_row, rps_row in zip(grid, cqe_rates, rps_rates):
-            want = cqe_bounds(unruh_entropy_triple(cfg, mu))
+            want = cqe_bounds(unruh_entropy_triple(spec, mu))
             assert cqe_row == pytest.approx(want, abs=1e-12)
-            assert rps_row == pytest.approx(rps_bounds(cfg, mu), abs=1e-12)
+            assert rps_row == pytest.approx(rps_bounds(spec, mu), abs=1e-12)
 
 
 def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
     calls = count_sums(monkeypatch)
-    _, rates = region_surface_cqe(UnruhConfig(5, 0.5), 4)
+    _, rates = region_surface_cqe(ChannelSpec(5, z=0.5), 4)
     assert rates.shape == (71, 3)
     # The 5 partitions of 4, plus the uniform point; each evaluated at its
     # descending-sorted member, the first one the grid meets.
@@ -454,12 +487,12 @@ def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
     assert all(list(mu) == sorted(mu, reverse=True) for mu in calls)
 
     calls.clear()
-    cfg = UnruhConfig(3, 0.5)
-    rps_region(cfg, 8)
+    spec = ChannelSpec(3, z=0.5)
+    rps_region(spec, 8)
     assert len(calls) == orbit_count(simplex_grid(3, 8)) == 11
 
     calls.clear()
-    problem = DynamicCapacityProblem(cfg, resolution=8)
+    problem = DynamicCapacityProblem(spec, resolution=8)
     assert len(calls) == 11 and len(problem.grid) == 46
 
 

@@ -23,7 +23,7 @@ def cq_midpoint_gap(spec: regions.ChannelSpec, resolution: int):
     """
     curve = regions.cq_curve(spec, resolution)
     boundary = curve.boundary
-    evaluator = spec.evaluator()
+    evaluator = spec.evaluator
     s_bx_v, s_ex_v = evaluator.sums(EnsembleParams.vertex(spec.d).as_array())
     c_classical = evaluator.s_b - s_bx_v
     s_bx_u, s_ex_u = evaluator.sums(EnsembleParams.uniform(spec.d).as_array())
@@ -44,7 +44,7 @@ def ce_midpoint_gap(spec: regions.ChannelSpec, resolution: int):
     """
     curve = regions.ce_curve(spec, resolution)
     boundary = curve.boundary
-    evaluator = spec.evaluator()
+    evaluator = spec.evaluator
     _, s_ex_v = evaluator.sums(EnsembleParams.vertex(spec.d).as_array())
     c_classical = evaluator.s_b - s_ex_v
     _, s_ex_u = evaluator.sums(EnsembleParams.uniform(spec.d).as_array())
