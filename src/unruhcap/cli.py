@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, channelsim, kernels, regions
-from .spectra import ConvergenceError, cloner_spectrum, truncation
+from .spectra import ConvergenceError, cloner_spectrum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,7 +84,7 @@ def _meta(args, spec: regions.ChannelSpec) -> dict:
     if spec.z is None:
         horizon = tail_bound = "none"
     else:
-        k, bound = truncation(spec.unruh_config())
+        k, bound = spec.horizon_tail
         horizon, tail_bound = str(k), _fmt(bound)
     meta = {
         "tool": f"unruhcap {__version__}",

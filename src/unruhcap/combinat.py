@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "SizeCapError",
     "composition_matrix",
+    "composition_table",
     "block_dimension",
     "block_normalizer",
     "eigen_multiplicity",
@@ -69,6 +70,37 @@ def composition_matrix(d: int, k: int) -> np.ndarray:
         mat = np.vstack(blocks)
     mat.setflags(write=False)
     return mat
+
+
+def composition_table(d: int, horizon: int) -> np.ndarray:
+    """Every length-``d`` composition of every weight j = 0..``horizon``, as a
+    read-only int32 table with one row per mode (column = composition).
+
+    Columns run by weight, and those of weight j are the rows of
+    ``composition_matrix(d, j)`` in order; they start at column C(j+d-1, d).
+    Built directly, so ``composition_matrix``'s cache keeps no copy of it.
+    """
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"composition dimension must be an integer >= 1, got {d!r}")
+    if not isinstance(horizon, int) or not 0 <= horizon <= _MAX_WEIGHT:
+        raise ValueError(f"composition horizon {horizon!r} out of supported range")
+    table = np.arange(horizon + 1, dtype=np.int32)[None, :]
+    sizes = [1] * (horizon + 1)  # compositions of each weight j
+    for modes in range(2, d + 1):
+        weight = np.repeat(np.arange(horizon + 1, dtype=np.int32), sizes)
+        # Weight j with one more mode in front: (j - w, c) for the compositions
+        # c of weight w = 0..j, which are the first C(j+modes-1, modes-1)
+        # columns of ``table``, in order, so the front mode descends.
+        sizes = [math.comb(j + modes - 1, modes - 1) for j in range(horizon + 1)]
+        grown = np.empty((modes, sum(sizes)), dtype=np.int32)
+        start = 0
+        for j, size in enumerate(sizes):
+            np.subtract(j, weight[:size], out=grown[0, start : start + size])
+            grown[1:, start : start + size] = table[:, :size]
+            start += size
+        table = grown
+    table.setflags(write=False)
+    return table
 
 
 def block_dimension(d: int, k: int) -> int:

@@ -7,9 +7,12 @@ block.  Two exact kernels do this:
 * the lattice kernel (any ``mu``) peels off the first mode: every weight-``j``
   composition of the trailing ``d-1`` modes, extended by ``b1`` photons in
   mode 1, is a basis vector of block ``k = j + b1`` (receiver side) and of
-  block ``k + 1`` (environment side, with the +1 photon shift).  One pass
-  over the (d-1)-mode tables, C(K+d, d) terms, accumulates all per-block
-  entropies.
+  block ``k + 1`` (environment side, with the +1 photon shift).  One
+  evaluation takes the trailing dot products of all sub-weights from one
+  (d-1)-mode table, then makes one kernel call per sub-weight, C(K+d, d)
+  terms in all.  Each block's terms from one sub-weight are one contiguous
+  1-D pairwise row sum, accumulated in sub-weight order; that order fixes
+  the output bits (see ``kernels``).
 * the histogram kernel (a grid point ``mu = counts / n``) counts, per block,
   how many basis vectors share each integer atom numerator ``b . counts``,
   in about d (K+1)(K max(counts) + 2n) cell operations.
@@ -27,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
+from .combinat import SizeCapError, block_dimension, block_normalizer, composition_table
 
 __all__ = [
     "HISTOGRAM_CELL_COST",
@@ -137,9 +140,16 @@ class TradeoffEvaluator:
             self._inv_norm[k] = 1.0 / float(block_normalizer(d, k))
 
     @cached_property
-    def _sub_tables(self) -> list:
-        """The (d-1)-mode table of each sub-weight j = 0..K; built on first use."""
-        return [composition_matrix(self.d - 1, j) for j in range(self.horizon + 1)]
+    def _lattice(self) -> tuple:
+        """The lattice kernel's constants, built on first use: the (d-1)-mode
+        table of every sub-weight j = 0..K, the column span of each j in it,
+        the column b1 = 0..K, and the (2, K+1, 1) normalizer pairs: row 0
+        holds 1/M_k and row 1 holds 1/M_{k+1}, for k = 0..K."""
+        table = composition_table(self.d - 1, self.horizon)
+        starts = [math.comb(j + self.d - 2, self.d - 1) for j in range(self.horizon + 2)]
+        b1 = np.arange(self.horizon + 1, dtype=np.float64)[:, None]
+        pairs = np.stack((self._inv_norm[:-1], self._inv_norm[1:]))[:, :, None]
+        return table, list(zip(starts[:-1], starts[1:])), b1, pairs
 
     def block_entropies(self, mu, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Receiver/environment spectrum entropies of every block at ``mu``.
@@ -157,24 +167,23 @@ class TradeoffEvaluator:
             return kernels.histogram_entropy(
                 counts, n, self._inv_norm[1 : self.horizon + 1], self._inv_ln_base
             )
-        out_b = np.zeros(self.horizon + 2)
-        out_e = np.zeros(self.horizon + 2)
-        tail = mu_arr[1:]
-        for j, comps in enumerate(self._sub_tables):
-            a_sub = np.zeros(comps.shape[0])
-            for c in range(self.d - 1):
-                a_sub += comps[:, c] * tail[c]
+        table, spans, b1, pairs = self._lattice
+        a_all = np.zeros(table.shape[1])
+        for c in range(self.d - 1):
+            a_all += table[c] * mu_arr[c + 1]
+        mu_b1 = mu_arr[0] * b1
+        # Row 0: receiver block k at column k; row 1: environment block k+1.
+        out = np.zeros((2, self.horizon + 1))
+        for j, (start, stop) in enumerate(spans):
             kernels.block_family_entropy(
-                a_sub,
-                float(mu_arr[0]),
-                self._inv_norm[j : self.horizon + 1],
-                self._inv_norm[j + 1 : self.horizon + 2],
+                a_all[start:stop],
+                pairs[:, j:],
+                mu_b1[: self.horizon + 1 - j],
                 self._inv_ln_base,
-                out_b,
-                out_e,
+                out,
                 j,
             )
-        return out_b[1 : self.horizon + 1], out_e[1 : self.horizon + 1]
+        return out[0, 1:], out[1, :-1]
 
     def sums(self, mu, n: int | None = None) -> tuple[float, float]:
         """Weighted sums (sum_k p_k H_B|X,k, sum_k p_k H_E|X,k) at ``mu``."""

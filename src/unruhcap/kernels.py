@@ -5,10 +5,12 @@ continuity, and rounding residue below the floor is treated as zero).  The
 lattice and histogram kernels set such atoms to 1 before the log, since
 1 log 1 is an exact 0.
 
-Bit contract of the lattice kernel: each block's entropy is one contiguous
-row sum of its terms, in composition order.  The CQ and CE curves flag one
-of several orbit-mates whose rates tie up to the last bit, so a change in
-how the terms are grouped or ordered can move an ``on_hull`` flag.
+Bit contract of the lattice kernel: each block's contribution from one
+sub-weight is one contiguous 1-D pairwise row sum of its terms, in
+composition order, and those contributions are accumulated in sub-weight
+order.  The CQ and CE curves flag one of several orbit-mates whose rates tie
+up to the last bit, so a change in how the terms are grouped or ordered can
+move an ``on_hull`` flag.
 """
 
 import math
@@ -48,31 +50,34 @@ def spectrum_entropy_terms(values, multiplicities, inv_ln_base):
     return float(-(m[mask] * vm * np.log(vm)).sum() * inv_ln_base)
 
 
-def block_family_entropy(a_sub, mu1, inv_norm_b, inv_norm_e, inv_ln_base, out_b, out_e, j):
+def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j):
     """Accumulate per-block spectrum entropies for one sub-composition family.
 
     ``a_sub`` holds the dot products of every (d-1)-mode composition of
-    weight ``j`` with the trailing ensemble weights.  Prepending a first mode
-    with ``b1`` photons lands in block ``k = j + b1``: the receiver-side atom
-    is ``(mu1*b1 + a) / M_k`` and the environment-side atom of block ``k + 1``
-    is ``(mu1*b1 + a + 1) / M_{k+1}``.  Entropy contributions (in units of the
-    configured log base) are added into ``out_b[j + b1]`` and
-    ``out_e[j + b1 + 1]``; entries with a zero inverse normalizer are skipped.
-    Both sides share one ``(2, m, L)`` array, so row ``[side, b1]`` holds the
-    terms of one block.
+    weight ``j`` with the trailing ensemble weights, and the (m, 1) column
+    ``mu_b1`` holds ``mu1*b1`` for b1 = 0..m-1.  Prepending a first mode with
+    ``b1`` photons lands in block ``k = j + b1``: the receiver-side atom is
+    ``(mu1*b1 + a) / M_k`` and the environment-side atom of block ``k + 1`` is
+    ``(mu1*b1 + a + 1) / M_{k+1}``.  ``inv_norm`` is the (2, m, 1) normalizer
+    pair: ``inv_norm[0, b1]`` is 1/M_k and ``inv_norm[1, b1]`` is 1/M_{k+1};
+    a zero inverse normalizer makes every atom of its side a floor atom.
+    Entropy contributions (in units of the configured log base) are
+    subtracted from ``out[0, j + b1]`` (receiver block k) and
+    ``out[1, j + b1]`` (environment block k + 1).  Both sides share one
+    ``(2, m, L)`` array, so row ``[side, b1]`` holds the terms of one block
+    and is summed on its own.
     """
-    m = inv_norm_b.shape[0]
+    m = mu_b1.shape[0]
     p = np.empty((2, m, a_sub.shape[0]))
-    np.add(mu1 * np.arange(m, dtype=np.float64)[:, None], a_sub, out=p[0])
+    np.add(mu_b1, a_sub, out=p[0])
     np.add(p[0], 1.0, out=p[1])
-    p[0] *= inv_norm_b[:, None]
-    p[1] *= inv_norm_e[:, None]
-    p[p <= PROB_FLOOR] = 1.0
+    p *= inv_norm
+    np.putmask(p, p <= PROB_FLOOR, 1.0)
     plogp = np.log(p)
     plogp *= p
-    h = plogp.sum(axis=2) * inv_ln_base
-    out_b[j : j + m] -= h[0]
-    out_e[j + 1 : j + 1 + m] -= h[1]
+    h = np.add.reduce(plogp, axis=2)
+    h *= inv_ln_base
+    out[:, j : j + m] -= h
 
 
 def histogram_entropy(counts, n, inv_norm, inv_ln_base):

@@ -43,6 +43,7 @@ from .spectra import (
     cloner_spectrum,
     ensemble_spectrum_B,
     ensemble_spectrum_E,
+    truncation,
     unruh_weights,
 )
 
@@ -155,6 +156,12 @@ class ChannelSpec:
         )
 
     @cached_property
+    def horizon_tail(self) -> tuple[int, float]:
+        """The Unruh channel's truncation horizon K and its certified tail
+        bound (``spectra.truncation``), searched once per spec."""
+        return truncation(self.unruh_config())
+
+    @cached_property
     def evaluator(self) -> TradeoffEvaluator:
         """The channel's evaluator, built on first use: one-hot weights for a
         cloner block, the truncated geometric weights for the Unruh channel."""
@@ -163,7 +170,7 @@ class ChannelSpec:
             weights = np.zeros(self.k)
             weights[self.k - 1] = 1.0
         else:
-            weights = unruh_weights(self.unruh_config())
+            weights = unruh_weights(self.unruh_config(), self.horizon_tail[0])
         return TradeoffEvaluator(self.d, weights, self.base)
 
 
@@ -263,11 +270,12 @@ def cqe_corner(bounds: tuple[float, float, float]) -> tuple[float, float, float]
 
 def _public_bound(evaluator: TradeoffEvaluator) -> float:
     """R+P: per block, H(B) minus the entropy H(B|XY) of the pure-input
-    output (the cloner spectrum), which does not depend on the ensemble."""
-    h_xy = np.array(
-        [shannon_entropy(cloner_spectrum(evaluator.d, k), evaluator.base).value
-         for k in range(1, evaluator.horizon + 1)]
-    )
+    output (the cloner spectrum), which does not depend on the ensemble.
+    A block of weight 0 adds an exact 0 whatever its entropy, so its
+    spectrum is not built."""
+    h_xy = np.zeros(evaluator.horizon)
+    for k in np.flatnonzero(evaluator.weights) + 1:
+        h_xy[k - 1] = shannon_entropy(cloner_spectrum(evaluator.d, int(k)), evaluator.base).value
     return float(np.dot(evaluator.weights, evaluator.log_dims - h_xy))
 
 

@@ -264,7 +264,9 @@ def truncation_horizon(cfg: UnruhConfig) -> int:
     return truncation(cfg)[0]
 
 
-def unruh_weights(cfg: UnruhConfig) -> np.ndarray:
-    """Block weights p_1..p_K at the config's own truncation horizon."""
-    horizon = truncation_horizon(cfg)
+def unruh_weights(cfg: UnruhConfig, horizon: int | None = None) -> np.ndarray:
+    """Block weights p_1..p_K at ``horizon``, by default the config's own
+    truncation horizon."""
+    if horizon is None:
+        horizon = truncation_horizon(cfg)
     return np.array([unruh_weight(cfg.d, cfg.z, k) for k in range(1, horizon + 1)])

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +134,27 @@ def test_cqe_region_rays_and_columns(tmp_path):
         assert q + e == pytest.approx(b2, abs=1e-9)
 
 
+def test_unruh_command_searches_the_horizon_once(capsys, monkeypatch):
+    # The K/tail_bound header and the evaluator's weights share one search.
+    searches = []
+    search = spectra.truncation
+
+    def counted(cfg):
+        searches.append(cfg)
+        return search(cfg)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("unruhcap") and getattr(module, "truncation", None) is search:
+            monkeypatch.setattr(module, "truncation", counted)
+    assert run_cli(["cqe-region", "--d", "3", "--z", "0.5", "--grid", "4"]) == 0
+    assert searches == [spectra.UnruhConfig(3, 0.5)]
+    out = capsys.readouterr().out
+    assert "# K: 41\n# tail_bound: 9.30099526576e-09\n" in out
+    # The whole stdout as printed while the header ran its own search.
+    digest = "f337da8859bbed2c746a40a73c4a4d0dc66c74329f8cb4f9fff32cc473e046bc"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_rps_region_command(tmp_path):
     out = tmp_path / "rps.csv"
     assert run_cli(["rps-region", "--d", "2", "--z", "0.5", "--grid", "4", "-o", str(out)]) == 0
@@ -221,12 +244,19 @@ def test_size_cap_exits_3_before_enumerating(argv, tmp_path, capsys, monkeypatch
     # built, so only a few small tables may be enumerated before the refusal.
     rows = []
 
-    def budgeted(d, k):
-        rows.append(math.comb(k + d - 1, d - 1))
+    def spend(count):
+        rows.append(count)
         assert sum(rows) <= 10**6, f"enumerated {sum(rows)} lattice rows past the size cap"
+
+    def budgeted(d, k):
+        spend(math.comb(k + d - 1, d - 1))
         return combinat.composition_matrix(d, k)
 
-    monkeypatch.setattr(engine, "composition_matrix", budgeted)
+    def budgeted_table(d, horizon):
+        spend(math.comb(horizon + d, d))
+        return combinat.composition_table(d, horizon)
+
+    monkeypatch.setattr(engine, "composition_table", budgeted_table)
     monkeypatch.setattr(regions, "composition_matrix", budgeted)
     out = tmp_path / "x.csv"
     assert run_cli(argv + ["-o", str(out)]) == 3
@@ -283,7 +313,7 @@ def test_histogram_only_sweeps_match_closed_form_rows(command, d, z, tmp_path, m
     def refuse(*args):
         raise AssertionError(f"built lattice table {args}")
 
-    monkeypatch.setattr(engine, "composition_matrix", refuse)
+    monkeypatch.setattr(engine, "composition_table", refuse)
     out = tmp_path / "x.csv"
     assert run_cli([command, "--d", str(d), "--z", str(z), "--grid", "4", "-o", str(out)]) == 0
     meta, _, rows = read_csv(out)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -101,3 +102,23 @@ def test_composition_matrix_is_cached_and_readonly():
     assert mat is combinat.composition_matrix(3, 4)
     with pytest.raises(ValueError):
         mat[0, 0] = 7
+
+
+def test_composition_table_stacks_every_weight_in_matrix_order():
+    for d in range(1, 6):
+        for horizon in range(0, 7):
+            before = combinat.composition_matrix.cache_info().currsize
+            table = combinat.composition_table(d, horizon)
+            # Built directly: the matrix cache gains no per-weight copy.
+            assert combinat.composition_matrix.cache_info().currsize == before
+            assert table.shape == (d, math.comb(horizon + d, d))
+            for j in range(horizon + 1):
+                start = math.comb(j + d - 1, d)
+                block = table[:, start : start + math.comb(j + d - 1, d - 1)]
+                assert block.T.tolist() == composition_matrix(d, j).tolist()
+    with pytest.raises(ValueError):
+        combinat.composition_table(3, 4)[0, 0] = 7
+    with pytest.raises(ValueError):
+        combinat.composition_table(0, 3)
+    with pytest.raises(ValueError):
+        combinat.composition_table(2, -1)

@@ -1,10 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from unruhcap import engine, kernels, regions
-from unruhcap.combinat import SizeCapError, block_normalizer
+from unruhcap import cli, engine, kernels, regions
+from unruhcap.combinat import SizeCapError, block_normalizer, composition_matrix
 from unruhcap.engine import MAX_LATTICE_TERMS, TradeoffEvaluator, grid_counts, pick_kernel
 from unruhcap.entropy import ensemble_conditional_entropy_A, shannon_entropy
 from unruhcap.spectra import (
@@ -28,7 +29,11 @@ def test_block_family_skips_floor_atoms_and_inactive_blocks():
     inv_e = np.zeros(2)
     out_b = np.zeros(5)
     out_e = np.zeros(5)
-    kernels.block_family_entropy(a_sub, 0.0, inv_b, inv_e, 1.0, out_b, out_e, 2)
+    # The kernel's accumulator holds environment block k+1 at column k.
+    out = np.stack((out_b[:-1], out_e[1:]))
+    mu_b1 = 0.0 * np.arange(2.0)[:, None]
+    kernels.block_family_entropy(a_sub, np.stack((inv_b, inv_e))[:, :, None], mu_b1, 1.0, out, 2)
+    out_b[:-1], out_e[1:] = out
     assert out_b.tolist() == [0.0, 0.0, -(0.5 * np.log(0.5)), 0.0, 0.0]
     assert out_e.tolist() == [0.0] * 5
 
@@ -64,8 +69,87 @@ def test_lattice_kernel_bits_match_the_per_side_formula():
         out_b, out_e = rng.normal(size=(2, j + m + 2))
         want_b, want_e = out_b.copy(), out_e.copy()
         _per_side_block_family(a_sub, mu1, inv_b, inv_e, inv_ln_base, want_b, want_e, j)
-        kernels.block_family_entropy(a_sub, mu1, inv_b, inv_e, inv_ln_base, out_b, out_e, j)
+        out = np.stack((out_b[:-1], out_e[1:]))  # environment block k+1 at column k
+        mu_b1 = mu1 * np.arange(m, dtype=np.float64)[:, None]
+        inv_norm = np.stack((inv_b, inv_e))[:, :, None]
+        kernels.block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j)
+        out_b[:-1], out_e[1:] = out
         assert np.array_equal(out_b, want_b) and np.array_equal(out_e, want_e)
+
+
+def _per_sub_weight_block_entropies(evaluator, mu):
+    """The lattice evaluation as one loop over sub-weights j: a zero vector
+    plus the column products of weight j's own table, then the per-side
+    kernel."""
+    d, horizon = evaluator.d, evaluator.horizon
+    inv_norm = np.zeros(horizon + 2)
+    for k in range(1, horizon + 1):
+        inv_norm[k] = 1.0 / float(block_normalizer(d, k))
+    inv_ln_base = 1.0 / math.log(evaluator.base)
+    out_b = np.zeros(horizon + 2)
+    out_e = np.zeros(horizon + 2)
+    for j in range(horizon + 1):
+        comps = composition_matrix(d - 1, j)
+        a_sub = np.zeros(comps.shape[0])
+        for c in range(d - 1):
+            a_sub += comps[:, c] * mu[c + 1]
+        _per_side_block_family(
+            a_sub, float(mu[0]), inv_norm[j : horizon + 1], inv_norm[j + 1 : horizon + 2],
+            inv_ln_base, out_b, out_e, j,
+        )
+    return out_b[1 : horizon + 1], out_e[1 : horizon + 1]
+
+
+@pytest.mark.parametrize("d, horizon", [(2, 120), (3, 100), (4, 12), (5, 6)])
+def test_engine_bits_match_the_per_sub_weight_loop(d, horizon):
+    # Bitwise, as for the kernel: the evaluation takes all trailing dot
+    # products at once, but every block must keep its last bit.
+    rng = np.random.default_rng(1000 + d)
+    evaluator = TradeoffEvaluator(d, rng.uniform(0.0, 1.0, horizon), float(d))
+    points = [np.full(d, 1.0 / d), np.eye(d)[0], np.eye(d)[-1]]
+    for _ in range(4):
+        mu = rng.dirichlet(np.ones(d))
+        points.append(mu)
+        zeroed = mu.copy()
+        zeroed[rng.random(d) < 0.5] = 0.0
+        if zeroed.sum() > 0.0:
+            points.append(zeroed / zeroed.sum())
+    for mu in points:
+        want_b, want_e = _per_sub_weight_block_entropies(evaluator, mu)
+        got_b, got_e = evaluator.block_entropies(mu)
+        assert np.array_equal(got_b, want_b) and np.array_equal(got_e, want_e)
+
+
+def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
+    # The benchmark tracer counts one evaluation per block_entropies call
+    # and len(args[0]) * len(args[2]) terms per kernel call.
+    evals, horizons = [], []
+    kernel, evaluate = kernels.block_family_entropy, TradeoffEvaluator.block_entropies
+    weights = regions.unruh_weights
+
+    def record_eval(self, mu, *args, **kwargs):
+        evals.append((np.asarray(mu).shape, []))
+        return evaluate(self, mu, *args, **kwargs)
+
+    def record_kernel(*args):
+        evals[-1][1].append((len(args[0]), len(args[2]), args[-1]))
+        return kernel(*args)
+
+    def record_weights(*args):
+        result = weights(*args)
+        horizons.append(len(result))
+        return result
+
+    monkeypatch.setattr(kernels, "block_family_entropy", record_kernel)
+    monkeypatch.setattr(TradeoffEvaluator, "block_entropies", record_eval)
+    monkeypatch.setattr(regions, "unruh_weights", record_weights)
+    assert cli.main(["cq-curve", "--d", "3", "--z", "0.5", "--grid", "4", "-o", os.devnull]) == 0
+    horizon = truncation_horizon(UnruhConfig(3, 0.5))
+    assert horizons == [horizon]
+    assert len(evals) == len(regions.simplex_grid(3, 4))  # one per grid point
+    for shape, calls in evals:
+        assert shape == (3,)
+        assert calls == [(math.comb(j + 1, 1), horizon + 1 - j, j) for j in range(horizon + 1)]
 
 
 def test_engine_matches_spectra_route_per_block():
@@ -198,7 +282,7 @@ def test_histogram_only_sweep_builds_no_lattice_table(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"built lattice table {args}")
 
-    monkeypatch.setattr(engine, "composition_matrix", refuse)
+    monkeypatch.setattr(engine, "composition_table", refuse)
     mu, rates = regions.region_surface_cqe(regions.ChannelSpec(5, z=0.75), 4)
     assert rates.shape == (71, 3)
     for row, (b1, _, b3) in zip(mu, rates):

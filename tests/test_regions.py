@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from tradeoff_helpers import ce_midpoint_gap, cq_midpoint_gap
 from unruhcap import channelsim, regions
 from unruhcap.engine import TradeoffEvaluator
+from unruhcap.entropy import shannon_entropy
 from unruhcap.regions import (
     CapacityWeights,
     ChannelSpec,
@@ -27,7 +29,7 @@ from unruhcap.regions import (
     simplex_grid,
     unruh_entropy_triple,
 )
-from unruhcap.spectra import EnsembleParams, truncation_horizon, unruh_weights
+from unruhcap.spectra import EnsembleParams, cloner_spectrum, truncation_horizon, unruh_weights
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,17 @@ def test_rps_public_bound_dominates_difference():
             nu = EnsembleParams(tuple(rng.dirichlet(np.ones(d))))
             rp, ps, rps = rps_bounds(ChannelSpec(d, z=z), nu)
             assert rp >= rps - ps - 1e-12
+
+
+def test_public_bound_of_a_long_cloner_block_builds_one_spectrum():
+    # Every block but k = 3000 has weight 0 and adds an exact 0, so R+P is
+    # log dim_k - H(cloner spectrum) to the bit, without 2,999 other spectra.
+    start = time.perf_counter()
+    spec = ChannelSpec(2, k=3000)
+    evaluator = spec.evaluator
+    h_xy = shannon_entropy(cloner_spectrum(2, 3000), spec.base).value
+    assert regions._public_bound(evaluator) == evaluator.log_dims[-1] - h_xy
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rps_regression_d5():
