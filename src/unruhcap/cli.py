@@ -6,7 +6,8 @@ tool version); reals are written with 12 significant digits.  Identical
 configuration and seed produce byte-identical files.
 
 Exit codes: 0 all good (and all verifications passed), 1 a verification
-failed, 2 usage error, 3 numeric guard (non-convergent truncation, size cap).
+failed, 2 usage error, 3 numeric guard (non-convergent truncation, size cap),
+141 (128 + SIGPIPE) stdout closed early, as by ``| head``, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -24,6 +26,7 @@ from .spectra import ConvergenceError, cloner_spectrum
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_GUARD = 3
+EXIT_PIPE = 141
 
 _GUARD_ERRORS = (ConvergenceError, channelsim.SizeCapError, OverflowError)
 
@@ -197,6 +200,7 @@ def _cmd_dyncap(args) -> int:
         "lambda": args.lambda_w,
         "mu_weight": args.mu_weight,
         "grid_best": result.grid_best,
+        "family_gap": result.family_gap,
         "resolution": result.resolution,
     }
     _emit_json(payload, args.output)
@@ -313,7 +317,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # On the null device, the interpreter's last flush of stdout cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except _GUARD_ERRORS as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True, allow_nan=False) + "\n")

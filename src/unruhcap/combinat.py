@@ -15,7 +15,6 @@ spectrum produced elsewhere in the package.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,13 +42,12 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
 
 
-@lru_cache(maxsize=None)
 def composition_matrix(d: int, k: int) -> np.ndarray:
     """All length-``d`` compositions of ``k`` as a read-only int32 matrix.
 
     Rows are ordered lexicographically descending.  ``d = 1`` is allowed here
-    (single row ``[k]``) because the sweep engine peels off the first mode and
-    recurses on the remaining ``d - 1``.
+    (single row ``[k]``).  Row i is ``k - w`` followed by column i, of weight
+    w, of ``composition_table(d - 1, k)``, so the first mode descends.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"composition dimension must be an integer >= 1, got {d!r}")
@@ -60,14 +58,10 @@ def composition_matrix(d: int, k: int) -> np.ndarray:
     if d == 1:
         mat = np.array([[k]], dtype=np.int32)
     else:
-        blocks = []
-        for first in range(k, -1, -1):
-            sub = composition_matrix(d - 1, k - first)
-            blk = np.empty((sub.shape[0], d), dtype=np.int32)
-            blk[:, 0] = first
-            blk[:, 1:] = sub
-            blocks.append(blk)
-        mat = np.vstack(blocks)
+        tail = composition_table(d - 1, k)
+        mat = np.empty((tail.shape[1], d), dtype=np.int32)
+        mat[:, 1:] = tail.T
+        np.subtract(k, tail.sum(axis=0, dtype=np.int32), out=mat[:, 0])
     mat.setflags(write=False)
     return mat
 
@@ -78,7 +72,6 @@ def composition_table(d: int, horizon: int) -> np.ndarray:
 
     Columns run by weight, and those of weight j are the rows of
     ``composition_matrix(d, j)`` in order; they start at column C(j+d-1, d).
-    Built directly, so ``composition_matrix``'s cache keeps no copy of it.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"composition dimension must be an integer >= 1, got {d!r}")

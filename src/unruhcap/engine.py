@@ -20,6 +20,9 @@ block.  Two exact kernels do this:
 The per-orbit sweeps pass the grid denominator ``n``; ``pick_kernel``, the
 one size gate, runs the cheaper kernel within its own cap (without ``n``,
 the lattice kernel) and refuses when neither kernel fits.
+
+A third kernel, ``family_sums``, serves the one-heavy ensembles
+(a, b, ..., b) alone, in about K**2 terms for any d, with no gate.
 """
 
 from __future__ import annotations
@@ -78,8 +81,7 @@ def pick_kernel(d: int, horizon: int, counts=None) -> str:
     The lattice scans C(K+d, d) terms.  The histogram makes d passes over its
     count array to build it and about two more to weigh the atoms, at
     ``HISTOGRAM_CELL_COST`` lattice terms per cell; it also needs its largest
-    count dim_K = C(K+d-1, d-1) below 2**53, to stay exact, and its least
-    possible atom 1/(n M_K) above ``kernels.PROB_FLOOR``.
+    count dim_K = C(K+d-1, d-1) below 2**53, to stay exact.
     """
     terms = math.comb(horizon + d, d)
     histogram = "needs a grid point"
@@ -87,12 +89,10 @@ def pick_kernel(d: int, horizon: int, counts=None) -> str:
         n = sum(counts)
         cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * n + 1)
         dim = math.comb(horizon + d - 1, d - 1)
-        atom = n * math.comb(horizon + d - 1, d)  # n M_K
-        if cells <= MAX_HISTOGRAM_CELLS and dim < 2**53 and atom * kernels.PROB_FLOOR < 1:
+        if cells <= MAX_HISTOGRAM_CELLS and dim < 2**53:
             if terms > MAX_LATTICE_TERMS or HISTOGRAM_CELL_COST * (d + 2) * cells < terms:
                 return "histogram"
         histogram = f"{cells} cells (cap {MAX_HISTOGRAM_CELLS}), dim_K = {dim} (cap 2**53 - 1)"
-        histogram += f", least atom 1/{atom} (floor {kernels.PROB_FLOOR})"
     if terms <= MAX_LATTICE_TERMS:
         return "lattice"
     raise SizeCapError(
@@ -189,3 +189,7 @@ class TradeoffEvaluator:
         """Weighted sums (sum_k p_k H_B|X,k, sum_k p_k H_E|X,k) at ``mu``."""
         h_bx, h_ex = self.block_entropies(mu, n)
         return float(np.dot(self.weights, h_bx)), float(np.dot(self.weights, h_ex))
+
+    def family_sums(self, a: float) -> tuple[float, float]:
+        """``sums`` at (a, b, ..., b), b = (1-a)/(d-1), a in [0, 1], on the family kernel."""
+        return kernels.family_sums(a, self.d, self.weights, self._inv_norm, self._inv_ln_base)

@@ -2,9 +2,8 @@
 
 Entropies are returned in "dits" of an explicit base (default: the channel
 dimension, so a maximally mixed qudit always has entropy 1), as a checked
-``EntropyValue`` that records its base.  0 log 0 = 0 by continuity;
-probabilities at or below ``kernels.PROB_FLOOR`` (1e-15) are clamped to zero
-before logging.
+``EntropyValue`` that records its base.  0 log 0 = 0 by continuity; every
+atom that is not exactly 0, however small, is counted.
 """
 
 from __future__ import annotations

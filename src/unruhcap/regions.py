@@ -9,7 +9,8 @@ simplex (which suffices for all Pareto-optimal points), evaluate each
 permutation orbit of the grid once, on the cheaper of the engine's two exact
 kernels (the CQ/CE curves: every point, on the lattice kernel), are hulled
 with a monotone chain, and the weighted dynamic capacity objective is
-maximized by a lattice sweep plus a coarse-to-fine lattice climb.
+maximized by a grid sweep plus a coarse-to-fine climb along the one-heavy
+ensembles (a, b, ..., b), on the engine's family kernel.
 
 Every bound is a linear function of four entropies of the ensemble, H(B),
 H(B|X), H(E|X) and H(A|X).  A sweep produces one entropy table, an
@@ -25,7 +26,6 @@ All rates are in dits of the configured log base (default: the dimension d).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,7 +40,6 @@ from .spectra import (
     EnsembleParams,
     UnruhConfig,
     _as_ensemble,
-    cloner_spectrum,
     ensemble_spectrum_B,
     ensemble_spectrum_E,
     truncation,
@@ -81,7 +80,7 @@ HULL_TOL = 1e-9
 # before the lattice is enumerated.
 MAX_GRID_POINTS = 10**6
 
-# Halvings of the lattice spacing in the dynamic capacity climb.
+# The dynamic capacity climb's last step is 1/(resolution * d * 2**REFINE_LEVELS) or less.
 REFINE_LEVELS = 12
 
 # Unit resource vectors (C, Q, E) of the reference protocols: teleportation,
@@ -179,6 +178,7 @@ class DynamicCapacityResult:
     value: float
     argmax: EnsembleParams
     grid_best: float
+    family_gap: float  # max(0, grid_best - the best value found on the one-heavy family)
     resolution: int
 
 
@@ -270,13 +270,9 @@ def cqe_corner(bounds: tuple[float, float, float]) -> tuple[float, float, float]
 
 def _public_bound(evaluator: TradeoffEvaluator) -> float:
     """R+P: per block, H(B) minus the entropy H(B|XY) of the pure-input
-    output (the cloner spectrum), which does not depend on the ensemble.
-    A block of weight 0 adds an exact 0 whatever its entropy, so its
-    spectrum is not built."""
-    h_xy = np.zeros(evaluator.horizon)
-    for k in np.flatnonzero(evaluator.weights) + 1:
-        h_xy[k - 1] = shannon_entropy(cloner_spectrum(evaluator.d, int(k)), evaluator.base).value
-    return float(np.dot(evaluator.weights, evaluator.log_dims - h_xy))
+    output, which does not depend on the ensemble.  That output spectrum is
+    the receiver spectrum at the vertex a = 1 of the one-heavy family."""
+    return evaluator.s_b - evaluator.family_sums(1.0)[0]
 
 
 def rps_bounds(spec: ChannelSpec, nu) -> tuple[float, float, float]:
@@ -314,59 +310,55 @@ def dynamic_objective(evaluator: TradeoffEvaluator, weights: CapacityWeights, mu
 class DynamicCapacityProblem:
     """Shares one entropy table of the grid across many weight pairs.
 
-    The table does not depend on the objective weights, so one lattice sweep
-    serves every (lambda, mu) pair, and the entropies at each lattice point a
-    climb visits are kept for the climbs of later pairs.
+    The table does not depend on the objective weights, so one grid sweep
+    serves every (lambda, mu) pair.
     """
 
     def __init__(self, spec: ChannelSpec, resolution: int | None = None):
         self.evaluator = spec.evaluator
         self.resolution = resolution or default_resolution(self.evaluator.d)
         self.grid, self._table = _sweep(self.evaluator, self.resolution)
-        self._climbed: dict = {}
 
     def grid_objectives(self, weights: CapacityWeights) -> np.ndarray:
         return _objective(weights, self._table)
 
-    def _climb_objective(self, weights: CapacityWeights, mu: tuple) -> float:
-        if mu not in self._climbed:
-            self._climbed[mu] = _evaluated_triple(self.evaluator, mu)
-        return _objective(weights, self._climbed[mu])
-
     def solve(self, weights: CapacityWeights) -> DynamicCapacityResult:
-        """The best grid point, improved by a coarse-to-fine lattice climb.
-
-        Every grid point, the uniform one included, is ``counts / n`` with
-        n = resolution * d.  Each of ``REFINE_LEVELS`` levels doubles n and
-        the counts, then makes passes of unit moves (one count from slot i to
-        slot j), keeping a move only when it strictly raises the objective,
-        until a pass moves nothing.  Every trial point lies on the simplex,
-        and the value never falls below the grid's best.
-        """
+        """The best grid point, and a coarse-to-fine climb along the one-heavy
+        family (a, b, ..., b), b = (1-a)/(d-1), a in [1/d, 1], from its best
+        grid row with their spacing (d-1)/resolution as the step.  It moves up,
+        else down, while a move strictly raises the objective, then halves the
+        step.  The reduction to the family is measured, not proven:
+        ``family_gap`` reports it."""
         values = self.grid_objectives(weights)
         best_idx = int(np.argmax(values))
-        grid_best = value = float(values[best_idx])
-        d = self.evaluator.d
-        n = self.resolution * d
-        counts = np.rint(self.grid[best_idx] * n).astype(np.int64)
-        assert counts.sum() == n
-        unit = np.eye(d, dtype=np.int64)
-        for _ in range(REFINE_LEVELS):
-            counts, n = 2 * counts, 2 * n
-            moved = True
-            while moved:
-                moved = False
-                for i, j in itertools.permutations(range(d), 2):
-                    if counts[i] == 0:
-                        continue
-                    trial = counts - unit[i] + unit[j]
-                    trial_value = self._climb_objective(weights, tuple((trial / n).tolist()))
-                    if trial_value > value:
-                        value, counts, moved = trial_value, trial, True
+        grid_best = float(values[best_idx])
+        evaluator, grid, d = self.evaluator, self.grid, self.evaluator.d
+        on_family = np.all(grid[:, 1:] == grid[:, 1:2], axis=1) & (grid[:, 0] >= grid[:, 1])
+        start = int(np.flatnonzero(on_family)[np.argmax(values[on_family])])
+        a, value, argmax = float(grid[start, 0]), float(values[start]), EnsembleParams(grid[start])
+        step, finest = (d - 1) / self.resolution, 1.0 / (self.resolution * d * 2**REFINE_LEVELS)
+        while step > finest / 2:  # the first step <= finest is the last
+            for sign in (1.0, -1.0):
+                origin = a
+                while (trial := min(max(a + sign * step, 1.0 / d), 1.0)) != a:
+                    params = EnsembleParams((trial,) + ((1.0 - trial) / (d - 1),) * (d - 1))
+                    h_a = ensemble_conditional_entropy_A(params, evaluator.base).value
+                    triple = EntropyTriple(evaluator.s_b, *evaluator.family_sums(trial), h_a)
+                    trial_value = _objective(weights, triple)
+                    if not trial_value > value:
+                        break
+                    a, value, argmax = trial, trial_value, params
+                if a != origin:  # one step down is where the climb came from
+                    break
+            step /= 2.0
+        family_gap = max(0.0, grid_best - value)
+        if family_gap > 0.0:
+            value, argmax = grid_best, EnsembleParams(grid[best_idx])
         return DynamicCapacityResult(
             value=value,
-            argmax=EnsembleParams(tuple((counts / n).tolist())),
+            argmax=argmax,
             grid_best=grid_best,
+            family_gap=family_gap,
             resolution=self.resolution,
         )
 
@@ -376,13 +368,12 @@ def dynamic_capacity(
 ) -> DynamicCapacityResult:
     """Maximize the dynamic capacity objective over the ensemble simplex.
 
-    Deterministic: a lattice sweep picks the best grid point, then a
-    coarse-to-fine lattice climb improves it; the reported value is the best
-    objective seen (hence never below any grid value).  Weights so large that
-    the objective could overflow are refused before the grid is built.
+    Deterministic: a grid sweep and a climb along the one-heavy family
+    (``DynamicCapacityProblem.solve``); the reported value is never below any
+    grid value.  Weights so large that the objective could overflow are
+    refused before the grid is built.
     """
     evaluator = spec.evaluator
-    pick_kernel(evaluator.d, evaluator.horizon)  # the climb runs on the lattice kernel
     # No entropy exceeds the larger of log dim_K and log d, and the absolute
     # coefficients of the objective sum to 2 lambda + 2 mu + 3.
     top = max(float(evaluator.log_dims[-1]), math.log(evaluator.d, evaluator.base))

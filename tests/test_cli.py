@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +181,74 @@ def test_dyncap_command(tmp_path):
     assert payload["meta"]["K"] != "none"
 
 
+@pytest.mark.parametrize(
+    "d, lam, muw, resolution", [(5, 1.0, 0.5, 4), (8, 1.0, 0.0, 2)]
+)
+def test_dyncap_past_the_lattice_cap_climbs_on_the_family(d, lam, muw, resolution, monkeypatch, capsys):
+    # z = 0.75: the lattice would scan 2.1e8 (d = 5) or 4.2e12 (d = 8) terms
+    # per evaluation.  The grid runs on the histogram kernel and the climb on
+    # the family kernel, so no lattice table is built.  The optimum is the
+    # uniform point, where the spectra are flat over dim_k and dim_{k-1} atoms.
+    def refuse(*args):
+        raise AssertionError(f"built lattice table {args}")
+
+    monkeypatch.setattr(engine, "composition_table", refuse)
+    argv = ["dyncap", "--d", str(d), "--z", "0.75", "--lambda", str(lam),
+            "--mu-weight", str(muw), "--grid", str(resolution)]
+    assert run_cli(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["family_gap"] == 0.0
+    assert payload["argmax_mu"] == [1.0 / d] * d
+    spec = regions.ChannelSpec(d, z=0.75)
+    p = spectra.unruh_weights(spec.unruh_config())
+    log_dim = np.array([math.log(combinat.block_dimension(d, k), d) for k in range(len(p) + 1)])
+    s_b, s_e = p @ log_dim[1:], p @ log_dim[:-1]
+    want = 1.0 + (muw + 1.0) * s_b + lam * s_b - (lam + muw + 1.0) * s_e
+    assert payload["value"] == payload["grid_best"] == pytest.approx(want, abs=1e-12)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises ``BrokenPipeError``,
+    and its descriptor is a file's."""
+
+    def __init__(self, path: Path):
+        self.handle = open(path, "w")
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.handle.fileno()
+
+
+def test_broken_pipe_exits_141_silently(tmp_path, capsys, monkeypatch):
+    pipe = _ClosedPipe(tmp_path / "stdout")
+    monkeypatch.setattr(sys, "stdout", pipe)
+    try:
+        assert run_cli(["cq-curve", "--d", "2", "--z", "0.5", "--grid", "4"]) == 141
+        assert capsys.readouterr().err == ""
+        # stdout's descriptor now points at the null device, so a last flush
+        # of buffered output cannot raise again.
+        assert os.path.samestat(os.fstat(pipe.fileno()), os.stat(os.devnull))
+    finally:
+        pipe.handle.close()
+
+
+def test_broken_pipe_in_a_child_process_exits_141_silently():
+    # 5,001 rows (about 200 KB) overfill the pipe, so the child is still
+    # writing when the reader closes it after one line.
+    env = dict(os.environ, PYTHONPATH=str(Path(regions.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "unruhcap", "cq-curve", "--d", "2", "--k", "1", "--grid", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert child.stdout.readline() == f"# tool: unruhcap {cli.__version__}\n".encode()
+    child.stdout.close()
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
 def test_verify_commands_pass(tmp_path):
     out = tmp_path / "had.json"
     assert run_cli(["verify", "hadamard", "--d", "2", "--samples", "10", "-o", str(out)]) == 0
@@ -235,7 +306,7 @@ def test_numeric_guard_exits_3(tmp_path, capsys):
     [
         ["cq-curve", "--d", "8", "--z", "0.75", "--grid", "2"],  # ~4e12 terms, lattice only
         ["cqe-region", "--d", "10", "--z", "0.9", "--grid", "2"],  # dim_K ~1.3e18 >= 2**53
-        ["dyncap", "--d", "8", "--z", "0.75", "--lambda", "1", "--mu-weight", "0", "--grid", "2"],
+        ["dyncap", "--d", "10", "--z", "0.9", "--lambda", "1", "--mu-weight", "0", "--grid", "2"],
         ["cq-curve", "--d", "12", "--k", "1", "--grid", "64"],  # ~4.9e12 grid points
     ],
 )
@@ -270,19 +341,19 @@ def test_size_cap_exits_3_before_enumerating(argv, tmp_path, capsys, monkeypatch
     "argv",
     [
         ["cq-curve", "--d", "8", "--z", "0.75", "--grid", "2"],
-        ["dyncap", "--d", "8", "--z", "0.75", "--lambda", "1", "--mu-weight", "0", "--grid", "2"],
+        ["dyncap", "--d", "10", "--z", "0.9", "--lambda", "1", "--mu-weight", "0", "--grid", "2"],
         ["cqe-region", "--d", "10", "--z", "0.9", "--grid", "2"],
         ["cqe-region", "--d", "5", "--z", "0.9", "--grid", "64"],
-        ["cqe-region", "--d", "9", "--z", "0.8", "--grid", "2"],
+        ["ce-curve", "--d", "9", "--z", "0.8", "--grid", "2"],
     ],
 )
 def test_size_gate_refuses_before_the_grid(argv, capsys, monkeypatch):
-    # The curves and the dyncap climb run on the lattice only, which is over
-    # its cap here.  A per-orbit sweep is gated at its costliest orbits: at
-    # d = 10 no kernel fits even the vertex; at d = 5, grid 64 the histogram of
-    # (63, 1) / 64 needs 6.8e6 cells; at d = 9, z = 0.8 (K = 188) the atoms
-    # 1/(n M_K) of (1, 1) / 2 fall below the floor.  Each is refused before
-    # the ensemble grid is built.
+    # The curves run on the lattice only, which is over its cap here.  A
+    # per-orbit sweep, the dyncap grid among them, is gated at its costliest
+    # orbits: at d = 10, z = 0.9 no kernel fits even the vertex (the lattice
+    # is over its cap, and dim_K = 1.3e18 >= 2**53 would make the histogram's
+    # float counts inexact); at d = 5, grid 64 the histogram of (63, 1) / 64
+    # needs 6.8e6 cells.  Each is refused before the ensemble grid is built.
     def refuse(*args):
         raise AssertionError(f"built grid {args} past the size gate")
 
@@ -305,11 +376,13 @@ def test_cloner_block_past_every_cap_exits_3_before_allocating(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, d, z", [("cqe-region", 5, 0.9), ("cqe-region", 8, 0.75), ("rps-region", 8, 0.75)]
+    "command, d, z",
+    [("cqe-region", 5, 0.9), ("cqe-region", 8, 0.75), ("rps-region", 8, 0.75), ("cqe-region", 9, 0.8)],
 )
 def test_histogram_only_sweeps_match_closed_form_rows(command, d, z, tmp_path, monkeypatch):
-    # The lattice would scan 3.3e10 (d = 5) or 4.2e12 (d = 8) terms per
-    # orbit; every orbit runs on the histogram kernel and no table is built.
+    # The lattice would scan 3.3e10 (d = 5), 4.2e12 (d = 8) or 1.0e15 (d = 9)
+    # terms per orbit; every orbit runs on the histogram kernel and no table
+    # is built.  At d = 9 (K = 188) the least atom, 1/(4 M_K), is 2.6e-16.
     def refuse(*args):
         raise AssertionError(f"built lattice table {args}")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from unruhcap import cli, engine, kernels, regions
-from unruhcap.combinat import SizeCapError, block_normalizer, composition_matrix
+from unruhcap.combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
 from unruhcap.engine import MAX_LATTICE_TERMS, TradeoffEvaluator, grid_counts, pick_kernel
 from unruhcap.entropy import ensemble_conditional_entropy_A, shannon_entropy
 from unruhcap.spectra import (
@@ -20,11 +20,12 @@ def test_backend_is_reported():
     assert kernels.BACKEND == "python"
 
 
-def test_block_family_skips_floor_atoms_and_inactive_blocks():
-    # Receiver atoms of block j+0 are [0.5, PROB_FLOOR, 1e-16, 0]: only 0.5
-    # contributes.  Block j+1 and every environment block have a zero inverse
-    # normalizer, so their atoms are all 0 and must add exactly nothing.
-    a_sub = np.array([0.5, kernels.PROB_FLOOR, 1e-16, 0.0])
+def test_block_family_skips_zero_atoms_and_inactive_blocks():
+    # Receiver atoms of block j+0 are [0.5, 1e-16, 0]: the exact 0 adds
+    # nothing, and the 1e-16 atom adds its -3.7e-15, about 66 units in the
+    # last place of the total.  Block j+1 and every environment block have a
+    # zero inverse normalizer, so their atoms are all 0 and add nothing.
+    a_sub = np.array([0.5, 1e-16, 0.0])
     inv_b = np.array([1.0, 0.0])
     inv_e = np.zeros(2)
     out_b = np.zeros(5)
@@ -34,18 +35,19 @@ def test_block_family_skips_floor_atoms_and_inactive_blocks():
     mu_b1 = 0.0 * np.arange(2.0)[:, None]
     kernels.block_family_entropy(a_sub, np.stack((inv_b, inv_e))[:, :, None], mu_b1, 1.0, out, 2)
     out_b[:-1], out_e[1:] = out
-    assert out_b.tolist() == [0.0, 0.0, -(0.5 * np.log(0.5)), 0.0, 0.0]
+    h = -(0.5 * np.log(0.5) + 1e-16 * np.log(1e-16))
+    assert h != -(0.5 * np.log(0.5))
+    assert out_b.tolist() == [0.0, 0.0, h, 0.0, 0.0]
     assert out_e.tolist() == [0.0] * 5
 
 
 def _per_side_block_family(a_sub, mu1, inv_b, inv_e, inv_ln_base, out_b, out_e, j):
-    """The lattice kernel written one side at a time, with masked terms."""
-    floor = kernels.PROB_FLOOR
+    """The lattice kernel written one side at a time, with zero atoms masked."""
     m = inv_b.shape[0]
     x = mu1 * np.arange(m, dtype=np.float64)[:, None] + a_sub[None, :]
     for shift, inv, out, off in ((0.0, inv_b, out_b, 0), (1.0, inv_e, out_e, 1)):
         p = (x + shift) * inv[:, None]
-        terms = np.where(p > floor, p * np.log(np.where(p > floor, p, 1.0)), 0.0)
+        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
         out[j + off : j + off + m] -= terms.sum(axis=1) * inv_ln_base
 
 
@@ -54,15 +56,14 @@ def test_lattice_kernel_bits_match_the_per_side_formula():
     # several orbit-mates whose rates tie up to the last bit, so any change
     # in the kernel's rounding can move an on_hull flag of existing outputs.
     rng = np.random.default_rng(20261018)
-    floor = kernels.PROB_FLOOR
-    specials = [0.0, floor, np.nextafter(floor, 0.0), np.nextafter(floor, 1.0), 1e-16]
+    specials = [0.0, 5e-324, 1e-300, 1e-15, 1e-16]
     for _ in range(300):
         m, length, j = int(rng.integers(1, 12)), int(rng.integers(1, 400)), int(rng.integers(0, 6))
         a_sub = rng.uniform(0.0, 3.0, length) * rng.choice([1.0, 1e-14, 40.0], length)
         a_sub[rng.random(length) < 0.2] = rng.choice(specials)
         mu1 = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
         inv_b, inv_e = rng.uniform(1e-3, 1.0, (2, m)) * rng.choice([1.0, 1e-16], (2, m))
-        for inv in (inv_b, inv_e):  # zero normalizers; unit ones keep atoms at the floor
+        for inv in (inv_b, inv_e):  # zero normalizers; unit ones keep the tiny atoms
             inv[rng.random(m) < 0.2] = 0.0
             inv[rng.random(m) < 0.2] = 1.0
         inv_ln_base = 1.0 / math.log(float(rng.uniform(1.5, 9.0)))
@@ -245,25 +246,68 @@ def test_cost_function_picks_each_kernel():
     assert math.comb(k10 + 9, 9) >= 2**53
     with pytest.raises(SizeCapError, match=r"2\*\*53"):
         pick_kernel(10, k10, (1,))
-    # d = 9, K = 300: 95,718 cells and 1e15 < dim_K < 2**53, but the uniform
-    # row's atoms 1/dim_K would fall below PROB_FLOOR and read as zero.
-    assert 10**15 < math.comb(308, 8) < 2**53
-    with pytest.raises(SizeCapError, match="least atom"):
-        pick_kernel(9, 300, (1,) * 9)
+    # d = 9, K = 300: 95,718 cells and dim_K < 2**53.
+    assert math.comb(308, 8) < 2**53
+    assert pick_kernel(9, 300, (1,) * 9) == "histogram"
 
 
-def test_size_gate_keeps_every_histogram_atom_above_the_floor():
-    # At d = 9 and the uniform row (n = 9), K = 146 is the last horizon with
-    # n M_K < 1e15.  There every block's receiver atoms are 1/dim_k and its
-    # environment atoms 1/dim_{k-1}, whatever the floor.
-    assert 9 * block_normalizer(9, 146) < 10**15 <= 9 * block_normalizer(9, 147)
-    with pytest.raises(SizeCapError, match="least atom"):
-        pick_kernel(9, 147, (1,) * 9)
-    assert pick_kernel(9, 146, (1,) * 9) == "histogram"
-    h_b, h_e = TradeoffEvaluator(9, np.ones(146), 9.0).block_entropies(np.full(9, 1 / 9), 9)
-    log_dims = np.log([math.comb(k + 8, 8) for k in range(147)]) / math.log(9)
+def test_histogram_uniform_row_is_flat_at_d9_k300():
+    # The uniform row's receiver atoms of block k are 1/dim_k, and its
+    # environment atoms 1/dim_{k-1}: down to 1/dim_300 = 5.5e-16 at K = 300,
+    # where n M_K = 5.5e17.  Each atom counts, however small, so the entropies
+    # are log dim_k and log dim_{k-1}.
+    assert 9 * block_normalizer(9, 300) > 10**17
+    assert pick_kernel(9, 300, (1,) * 9) == "histogram"
+    h_b, h_e = TradeoffEvaluator(9, np.ones(300), 9.0).block_entropies(np.full(9, 1 / 9), 9)
+    log_dims = np.log([math.comb(k + 8, 8) for k in range(301)]) / math.log(9)
     np.testing.assert_allclose(h_b, log_dims[1:], rtol=0, atol=1e-12)
     np.testing.assert_allclose(h_e, log_dims[:-1], rtol=0, atol=1e-12)
+
+
+def family_block(d, horizon, k, a):
+    """Block k's (H(B|X), H(E|X)) on the family kernel: its sums for the
+    one-hot weights of block k among ``horizon`` blocks."""
+    weights = np.zeros(horizon)
+    weights[k - 1] = 1.0
+    return TradeoffEvaluator(d, weights, float(d)).family_sums(a)
+
+
+@pytest.mark.parametrize("d, horizon", [(2, 8), (3, 7), (4, 6), (5, 5), (6, 4)])
+def test_family_kernel_matches_spectra_route_per_block(d, horizon):
+    rng = np.random.default_rng(700 + d)
+    for a in [1.0 / d, *rng.uniform(1.0 / d, 1.0, 3), 1.0]:
+        mu = (a,) + ((1.0 - a) / (d - 1),) * (d - 1)
+        per_block = np.array([family_block(d, horizon, k, a) for k in range(1, horizon + 1)])
+        for k in range(1, horizon + 1):
+            ref_b = shannon_entropy(ensemble_spectrum_B(d, k, mu), float(d)).value
+            ref_e = shannon_entropy(ensemble_spectrum_E(d, k, mu), float(d)).value
+            assert per_block[k - 1, 0] == pytest.approx(ref_b, abs=1e-12)
+            assert per_block[k - 1, 1] == pytest.approx(ref_e, abs=1e-12)
+        weights = rng.uniform(0.0, 1.0, horizon)
+        got = TradeoffEvaluator(d, weights, float(d)).family_sums(a)
+        assert got == pytest.approx(tuple(weights @ per_block), abs=1e-12)
+
+
+def test_family_sums_skip_blocks_of_weight_zero():
+    # A single cloner block k reads only the photon numbers k (receiver) and
+    # k - 1 (environment); blocks of weight zero past it change nothing.
+    assert family_block(4, 9, 7, 0.7) == family_block(4, 7, 7, 0.7)
+
+
+def test_family_kernel_keeps_every_atom_at_d20():
+    # d = 20, z = 0.9 (K = 588): M_K is about 1e37, so every atom lies far
+    # below 1e-15, and the counts C(r+18, 18) reach 1e34, rounded to floats.
+    # At the uniform point the spectra are flat: log dim_k and log dim_{k-1}.
+    horizon = truncation_horizon(UnruhConfig(20, 0.9))
+    assert horizon == 588 and block_normalizer(20, horizon) > 10**37
+    log_dims = np.array([math.log(block_dimension(20, k), 20) for k in range(horizon + 1)])
+    assert family_block(20, horizon, horizon, 1.0 / 20) == pytest.approx(
+        (log_dims[horizon], log_dims[horizon - 1]), abs=1e-12
+    )
+    weights = np.random.default_rng(20).dirichlet(np.ones(horizon))
+    got = TradeoffEvaluator(20, weights, 20.0).family_sums(1.0 / 20)
+    assert got == pytest.approx((weights @ log_dims[1:], weights @ log_dims[:-1]), abs=1e-12)
+
 
 
 def test_grid_counts_reduce_and_refuse_off_grid_points():

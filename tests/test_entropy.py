@@ -28,10 +28,12 @@ def test_shannon_entropy_pure_is_zero():
     assert shannon_entropy(Spectrum(np.array([1.0]), np.array([1])), 2.0).value == 0.0
 
 
-def test_shannon_entropy_clamps_atoms_below_floor():
-    # Unclamped, the 1e-16 atom would contribute about 5e-15 bits.
+def test_shannon_entropy_skips_only_exact_zero_atoms():
+    # The 1e-16 atom is real mass and adds its 5.3e-15 bits; an exact 0 adds
+    # nothing (0 log 0 = 0).
     spectrum = Spectrum(np.array([1.0, 1e-16]), np.array([1, 1]))
-    assert shannon_entropy(spectrum, 2.0).value == 0.0
+    assert shannon_entropy(spectrum, 2.0).value == pytest.approx(-1e-16 * math.log2(1e-16), rel=1e-12)
+    assert shannon_entropy(Spectrum(np.array([1.0, 0.0]), np.array([1, 1])), 2.0).value == 0.0
 
 
 def test_shannon_entropy_cloner_22():

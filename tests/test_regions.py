@@ -172,14 +172,22 @@ def test_rps_public_bound_dominates_difference():
             assert rp >= rps - ps - 1e-12
 
 
-def test_public_bound_of_a_long_cloner_block_builds_one_spectrum():
-    # Every block but k = 3000 has weight 0 and adds an exact 0, so R+P is
-    # log dim_k - H(cloner spectrum) to the bit, without 2,999 other spectra.
+@pytest.mark.parametrize(
+    "spec",
+    [ChannelSpec(2, z=0.5), ChannelSpec(3, z=0.75), ChannelSpec(4, z=0.25, log_base=2.0),
+     ChannelSpec(3, k=7), ChannelSpec(2, k=6000)],
+)
+def test_public_bound_matches_the_cloner_spectrum_formula(spec):
+    # R+P per block is log dim_k minus the entropy of the cloner spectrum,
+    # built here one block of positive weight at a time.  The single block
+    # k = 6000 runs on the family kernel at one photon number per side.
     start = time.perf_counter()
-    spec = ChannelSpec(2, k=3000)
     evaluator = spec.evaluator
-    h_xy = shannon_entropy(cloner_spectrum(2, 3000), spec.base).value
-    assert regions._public_bound(evaluator) == evaluator.log_dims[-1] - h_xy
+    h_xy = np.zeros(evaluator.horizon)
+    for k in np.flatnonzero(evaluator.weights) + 1:
+        h_xy[k - 1] = shannon_entropy(cloner_spectrum(spec.d, int(k)), spec.base).value
+    want = float(np.dot(evaluator.weights, evaluator.log_dims - h_xy))
+    assert regions._public_bound(evaluator) == pytest.approx(want, abs=1e-12)
     assert time.perf_counter() - start < 1.0
 
 
@@ -242,8 +250,24 @@ def test_dynamic_capacity_climbs_off_a_face_start():
     assert min(result.argmax.mu) > 0.0
     direct = dynamic_objective(problem.evaluator, weights, result.argmax)
     assert direct == pytest.approx(result.value, abs=1e-12)
-    # A repeat climb reads the sums the first one kept and lands on the same point.
+    # The optimum lies on the family (a, b, b), and a repeat solve lands on it again.
+    assert result.argmax.mu[1] == result.argmax.mu[2] and result.family_gap == 0.0
     assert problem.solve(weights) == result
+
+
+@pytest.mark.parametrize("d, z", [(2, 0.25), (2, 0.75), (3, 0.25), (3, 0.75)])
+def test_family_climb_beats_a_grid_twice_as_fine(d, z):
+    # The oracle of the one-heavy reduction, on criterion 7's problems and
+    # weight pairs: no row of a grid twice as fine, on the family or off it,
+    # beats the climb, and the grid's best never beats the family's.
+    problem = DynamicCapacityProblem(ChannelSpec(d, z=z))
+    fine = DynamicCapacityProblem(ChannelSpec(d, z=z), 2 * problem.resolution)
+    for lam in (0.0, 0.5, 1.0, 2.0, 5.0):
+        for muw in (0.0, 0.5, 1.0, 3.0):
+            weights = CapacityWeights(lam, muw)
+            result = problem.solve(weights)
+            assert result.family_gap == 0.0
+            assert result.value >= float(fine.grid_objectives(weights).max()) - 1e-12
 
 
 def time_sharing_rows(grid) -> list:
