@@ -17,9 +17,9 @@ block.  Two exact kernels do this:
   how many basis vectors share each integer atom numerator ``b . counts``,
   in about d (K+1)(K max(counts) + 2n) cell operations.
 
-The per-orbit sweeps pass the grid denominator ``n``; ``pick_kernel``, the
-one size gate, runs the cheaper kernel within its own cap (without ``n``,
-the lattice kernel) and refuses when neither kernel fits.
+The region sweeps pass the grid denominator ``n``; ``pick_kernel``, the one
+size gate, runs the cheaper kernel within its own cap (without ``n``, as in
+the CQ/CE curves, the lattice kernel) and refuses when neither kernel fits.
 
 A third kernel, ``family_sums``, serves the one-heavy ensembles
 (a, b, ..., b) alone, in about K**2 terms for any d, with no gate.

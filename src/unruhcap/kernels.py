@@ -7,9 +7,10 @@ The kernels set zero atoms to 1 before the log, since 1 log 1 is an exact 0.
 Bit contract of the lattice kernel: each block's contribution from one
 sub-weight is one contiguous 1-D pairwise row sum of its terms, in
 composition order, and those contributions are accumulated in sub-weight
-order.  The CQ and CE curves flag one of several orbit-mates whose rates tie
-up to the last bit, so a change in how the terms are grouped or ordered can
-move an ``on_hull`` flag.
+order.  The CQ and CE curves evaluate each orbit once, and each tied
+orbit-mate of a hull vertex once more on its own; the last bits of those
+evaluations decide which mate the hull flags, so a change in how the terms
+are grouped or ordered can move an ``on_hull`` flag.
 """
 
 import math

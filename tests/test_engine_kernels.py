@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from tradeoff_helpers import orbit_first_rows, tied_rows
 from unruhcap import cli, engine, kernels, regions
 from unruhcap.combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
 from unruhcap.engine import MAX_LATTICE_TERMS, TradeoffEvaluator, grid_counts, pick_kernel
@@ -124,6 +125,9 @@ def test_engine_bits_match_the_per_sub_weight_loop(d, horizon):
 def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     # The benchmark tracer counts one evaluation per block_entropies call
     # and len(args[0]) * len(args[2]) terms per kernel call.
+    curve = regions.cq_curve(regions.ChannelSpec(3, z=0.5), 4)
+    first = orbit_first_rows(curve.mu)
+    tied = set(tied_rows(curve.rates, curve.hull_indices)) - set(first)
     evals, horizons = [], []
     kernel, evaluate = kernels.block_family_entropy, TradeoffEvaluator.block_entropies
     weights = regions.unruh_weights
@@ -147,7 +151,7 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     assert cli.main(["cq-curve", "--d", "3", "--z", "0.5", "--grid", "4", "-o", os.devnull]) == 0
     horizon = truncation_horizon(UnruhConfig(3, 0.5))
     assert horizons == [horizon]
-    assert len(evals) == len(regions.simplex_grid(3, 4))  # one per grid point
+    assert len(evals) == len(first) + len(tied)  # one per orbit, one per tied mate
     for shape, calls in evals:
         assert shape == (3,)
         assert calls == [(math.comb(j + 1, 1), horizon + 1 - j, j) for j in range(horizon + 1)]

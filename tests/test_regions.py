@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from tradeoff_helpers import ce_midpoint_gap, cq_midpoint_gap
+from tradeoff_helpers import ce_midpoint_gap, cq_midpoint_gap, orbit_first_rows, tied_rows
 from unruhcap import channelsim, regions
 from unruhcap.engine import TradeoffEvaluator
 from unruhcap.entropy import shannon_entropy
@@ -331,6 +331,29 @@ def test_private_region_beats_time_sharing(d, z, lam, muw, resolution, gap):
     assert got == pytest.approx(gap, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "d, z, resolution, cq_gap, ce_gap",
+    [
+        (2, 0.25, 32, 5.957e-3, 6.510e-3),
+        (2, 0.5, 32, 1.021e-2, 1.338e-2),
+        (2, 0.75, 32, 9.869e-3, 2.026e-2),
+        (3, 0.25, 16, 4.489e-3, 4.369e-3),
+        (3, 0.5, 16, 8.255e-3, 8.676e-3),
+        (3, 0.75, 16, 8.188e-3, 1.245e-2),
+        (5, 0.25, 8, 8.460e-4, 2.735e-4),
+    ],
+)
+def test_unruh_curves_beat_time_sharing(d, z, resolution, cq_gap, ce_gap):
+    # The CQ boundary rises above, and the CE boundary sags below, the
+    # time-sharing chord at its midpoint, for the Unruh channel as for a
+    # single cloner block (criterion 5).
+    spec = ChannelSpec(d, z=z)
+    for gap, want in ((cq_midpoint_gap, cq_gap), (ce_midpoint_gap, ce_gap)):
+        got, _ = gap(spec, resolution)
+        assert got > 0.0
+        assert got == pytest.approx(want, rel=1e-3)
+
+
 def test_capacity_weights_validation():
     with pytest.raises(ValueError):
         CapacityWeights(-0.1, 0.0)
@@ -533,13 +556,47 @@ def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
     assert len(calls) == 11 and len(problem.grid) == 46
 
 
-def test_curves_evaluate_every_grid_point(monkeypatch):
-    # The curves' Pareto hulls pick among tied orbit-mates by their last
-    # bits, so the curves keep one evaluation per point.
+def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(monkeypatch):
+    # One evaluation per orbit, at its first row; the other rows tied with a
+    # hull vertex are evaluated again on their own, since their last bits
+    # decide which of the tied mates the hull flags.
     calls = count_sums(monkeypatch)
     for spec in (ChannelSpec(d=3, z=0.5), ChannelSpec(d=3, k=4)):
         for curve in (cq_curve, ce_curve):
             calls.clear()
             result = curve(spec, 8)
-            assert len(calls) == len(result.rates) == 46
-            assert [tuple(mu) for mu in result.mu.tolist()] == calls
+            rows = [tuple(mu) for mu in result.mu.tolist()]
+            first = orbit_first_rows(result.mu)
+            tied = sorted(set(tied_rows(result.rates, result.hull_indices)) - set(first))
+            assert len(first) == 11 and len(rows) == 46 and tied
+            assert sorted(calls) == sorted(rows[i] for i in first + tied)
+
+
+@pytest.mark.parametrize("name", ["cq", "ce"])
+@pytest.mark.parametrize(
+    "spec, resolutions",
+    [
+        (ChannelSpec(2, z=0.5), (16, 33)),
+        (ChannelSpec(2, k=3, log_base=10.0), (16, 33)),
+        (ChannelSpec(3, z=0.5, log_base=2.0), (8, 13)),
+        (ChannelSpec(3, k=4), (8, 13)),
+        (ChannelSpec(4, z=0.2), (5, 8)),
+        (ChannelSpec(4, k=3), (5, 8)),
+        (ChannelSpec(5, z=0.1), (4, 6)),
+        (ChannelSpec(5, k=10), (4, 6)),
+    ],
+    ids=["d2-z0.5", "d2-k3-base10", "d3-z0.5-base2", "d3-k4", "d4-z0.2", "d4-k3", "d5-z0.1", "d5-k10"],
+)
+def test_orbit_curves_match_per_point_evaluation(name, spec, resolutions):
+    # Oracle: every grid row evaluated on its own, then hulled.  The orbit
+    # curve flags the same rows, with the same bits on every row that can
+    # decide a flag, and every other row within rounding.
+    curve, point, sign = {"cq": (cq_curve, cq_point, 1.0), "ce": (ce_curve, ce_point, -1.0)}[name]
+    for resolution in resolutions:
+        result = curve(spec, resolution)
+        want = np.array([point(regions._evaluated_triple(spec.evaluator, mu)) for mu in result.mu])
+        hull = tuple(pareto_hull_indices(want * (1.0, sign)))
+        assert result.hull_indices == hull
+        exact = tied_rows(want, hull)
+        assert np.array_equal(result.rates[exact], want[exact])
+        assert np.abs(result.rates - want).max() <= 1e-12

@@ -1,9 +1,28 @@
-"""Shared geometry helpers for boundary-vs-time-sharing checks."""
+"""Shared helpers for the CQ/CE curve tests: which rows a curve evaluates,
+and the geometry of boundary-vs-time-sharing checks."""
 
 import numpy as np
 
 from unruhcap import regions
 from unruhcap.spectra import EnsembleParams
+
+
+def tied_rows(rates, hull_indices) -> np.ndarray:
+    """Rows whose rate pair lies within ``HULL_TOL`` (max-norm) of a hull
+    vertex: the rows whose last bits can decide which one the hull flags."""
+    rates = np.asarray(rates)
+    tied = np.zeros(len(rates), dtype=bool)
+    for vertex in rates[list(hull_indices)]:
+        tied |= np.abs(rates - vertex).max(axis=1) <= regions.HULL_TOL
+    return np.flatnonzero(tied)
+
+
+def orbit_first_rows(grid) -> list:
+    """The first row of each S_d orbit of ``grid``, in grid order."""
+    first = {}
+    for i, row in enumerate(grid.tolist()):
+        first.setdefault(tuple(sorted(row)), i)
+    return sorted(first.values())
 
 
 def boundary_interp(points, x):
