@@ -12,6 +12,15 @@ The package has two independent computation routes that check each other:
 
 __version__ = "0.1.0"
 
+import os
+
+# No computation here is large enough to gain from a threaded BLAS, but
+# OpenBLAS starts its worker threads when numpy loads, and they spin for
+# tens of milliseconds before sleeping, doubling the CPU time of a short
+# command.  One thread unless the caller chose otherwise; this only takes
+# effect when the package is imported before numpy, as by the CLI.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .combinat import block_dimension, block_normalizer, eigen_multiplicity
 from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (

@@ -249,6 +249,25 @@ def test_broken_pipe_in_a_child_process_exits_141_silently():
     child.stderr.close()
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_keeps_blas_single_threaded_unless_chosen(preset, expected):
+    # An idle OpenBLAS worker spins after numpy loads, and its CPU time lands
+    # in short commands; the package keeps one thread unless the caller set one.
+    env = dict(os.environ, PYTHONPATH=str(Path(regions.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = (
+        "import os, unruhcap.cli, numpy; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    value, threads = done.stdout.split()
+    assert value == expected
+    if preset is None:
+        assert threads == "1"
+
+
 def test_verify_commands_pass(tmp_path):
     out = tmp_path / "had.json"
     assert run_cli(["verify", "hadamard", "--d", "2", "--samples", "10", "-o", str(out)]) == 0
