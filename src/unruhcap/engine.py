@@ -15,11 +15,14 @@ block.  Two exact kernels do this:
   the output bits (see ``kernels``).
 * the histogram kernel (a grid point ``mu = counts / n``) counts, per block,
   how many basis vectors share each integer atom numerator ``b . counts``,
-  in about d (K+1)(K max(counts) + 2n) cell operations.
+  in about d (K+1)(K max(counts) + 2n) cell operations, 16 blocks at a time,
+  then weighs each block with matrix-vector products against v and v log v
+  (one 1-D log per evaluation; see ``kernels.histogram_entropy``).
 
-The region sweeps pass the grid denominator ``n``; ``pick_kernel``, the one
-size gate, runs the cheaper kernel within its own cap (without ``n``, as in
-the CQ/CE curves, the lattice kernel) and refuses when neither kernel fits.
+Every sweep passes the grid denominator ``n``; ``pick_kernel``, the one size
+gate, runs the cheaper kernel within its own cap (without ``n``, as for the
+rows the CQ/CE curves evaluate again near a hull vertex, the lattice
+kernel) and refuses when neither kernel fits.
 
 A third kernel, ``family_sums``, serves the one-heavy ensembles
 (a, b, ..., b) alone, in about K**2 terms for any d, with no gate.
@@ -46,13 +49,17 @@ __all__ = [
 
 # Per-evaluation caps of the two kernels; ``pick_kernel`` runs one within its
 # cap or refuses.  Lattice: the C(K+d, d) terms scanned.  Histogram: the cells
-# of its count array (float64: 32 MB; the kernel peaks at about three such).
+# of its (K+1)-row count array, swept once per mode (it holds 16 + d rows of
+# them at a time).
 MAX_LATTICE_TERMS = 10**9
 MAX_HISTOGRAM_CELLS = 4 * 10**6
 
 # Cost of one histogram cell operation in lattice terms.  Over 35 sampled
 # sweep orbits (d = 2..5, z = 0.05..0.95, both kernels >= 0.5 ms, 2-core VM,
-# numpy 2.4) the measured ratio had median 0.09 and quartiles 0.02-0.34.
+# numpy 2.4) the measured ratio had median 0.09 and quartiles 0.02-0.34; for
+# the log-free, chunked kernel three seeded draws of 35 gave medians
+# 0.074-0.094 and quartiles 0.012-0.228 (0.13 for the kernel it replaced,
+# by the same script).
 # 0.15 keeps every d = 2 orbit (histogram work >= 0.6 (K+1)(K+2) against
 # (K+1)(K+2)/2 lattice terms) on the lattice kernel, where small lattices are
 # decided by fixed per-call costs rather than by terms.  Another value moves
@@ -79,8 +86,9 @@ def pick_kernel(d: int, horizon: int, counts=None) -> str:
     sum are read), or at an off-grid point (``None``); else ``SizeCapError``.
 
     The lattice scans C(K+d, d) terms.  The histogram makes d passes over its
-    count array to build it and about two more to weigh the atoms, at
-    ``HISTOGRAM_CELL_COST`` lattice terms per cell; it also needs its largest
+    (K+1)-row count array to build it and weighs the atoms with four
+    matrix-vector products; the cost model charges d + 2 passes, at
+    ``HISTOGRAM_CELL_COST`` lattice terms per cell.  It also needs its largest
     count dim_K = C(K+d-1, d-1) below 2**53, to stay exact.
     """
     terms = math.comb(horizon + d, d)

@@ -7,10 +7,12 @@ The kernels set zero atoms to 1 before the log, since 1 log 1 is an exact 0.
 Bit contract of the lattice kernel: each block's contribution from one
 sub-weight is one contiguous 1-D pairwise row sum of its terms, in
 composition order, and those contributions are accumulated in sub-weight
-order.  The CQ and CE curves evaluate each orbit once, and each tied
-orbit-mate of a hull vertex once more on its own; the last bits of those
-evaluations decide which mate the hull flags, so a change in how the terms
-are grouped or ordered can move an ``on_hull`` flag.
+order.  The CQ and CE curves evaluate every row within ``HULL_TOL`` of a
+hull vertex once more on its own, on this kernel; the last bits of those
+evaluations decide which of several tied rows the hull flags, so a change in
+how the terms are grouped or ordered can move an ``on_hull`` flag.  The
+histogram kernel has no such contract: rows evaluated on it are exact to
+rounding only.
 """
 
 import math
@@ -19,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "BACKEND",
+    "HISTOGRAM_CHUNK",
     "check_log_base",
     "spectrum_entropy_terms",
     "block_family_entropy",
@@ -28,6 +31,9 @@ __all__ = [
 
 # Recorded in benchmark fingerprints; runs compare only within one backend.
 BACKEND = "python"
+
+# Blocks of count rows the histogram kernel builds at a time.
+HISTOGRAM_CHUNK = 16
 
 
 def check_log_base(base: float) -> None:
@@ -90,27 +96,47 @@ def histogram_entropy(counts, n, inv_norm, inv_ln_base):
     atoms of block k are (v + n)/(n M_k) with multiplicity N_{k-1}[v].
     Returns arrays ``(h_b, h_e)`` indexed by block ``k-1``.
 
+    With s = 1/(n M_k), a side's sum_v N[v] p log p is
+    s * (sum_v N[v] v log v + log s * sum_v N[v] v): one 1-D log of v log v
+    over the numerators, then two matrix-vector products per side.  Both
+    sides of a block read equal-shaped row views against the same vectors,
+    so equal spectra (the two sides of every block at a vertex) give equal
+    bits.  The rows are built ``HISTOGRAM_CHUNK`` blocks at a time; each mode
+    carries its last row of the previous chunk forward, so memory is
+    O((HISTOGRAM_CHUNK + d) * width), not O(K * width).
+
     ``engine.pick_kernel`` keeps every count, at most dim_K = C(K+d-1, d-1),
     below 2**53, so it is exact.
     """
     horizon = inv_norm.shape[0]
     width = (horizon - 1) * max(counts) + n + 1
-    # Row k holds n zeros, then N_k: row k-1 read from column 0 is N_{k-1}
-    # moved up by n, aligned with row k's atoms.
-    hist = np.zeros((horizon + 1, n + width))
+    v = np.arange(width, dtype=np.float64)
+    vlogv = v * np.log(np.maximum(v, 1.0))  # 0 log 0 = 0
+    # Row r holds n zeros, then N_{k0+r}: row r-1 read from column 0 is
+    # N_{k0+r-1} moved up by n, aligned with row r's atoms.
+    hist = np.zeros((HISTOGRAM_CHUNK + 1, n + width))
     nk = hist[:, n:]
-    nk[0, 0] = 1.0
-    for c in counts:
-        for k in range(1, horizon + 1):
-            nk[k, c:] += nk[k - 1, : width - c]
-    p = np.arange(width, dtype=np.float64) * (inv_norm / n)[:, None]
-    p[p == 0.0] = 1.0
-    plogp = np.log(p)
-    plogp *= p
-    del p
-    h_b = -(nk[1:] * plogp).sum(axis=1) * inv_ln_base
-    h_e = -(hist[:-1, :width] * plogp).sum(axis=1) * inv_ln_base
-    return h_b, h_e
+    # carry[i]: row 0 of the chunk, N_{k0}, after mode i (the previous
+    # chunk's last row).
+    carry = np.zeros((len(counts), width))
+    carry[:, 0] = 1.0
+    # [sum N v log v, sum N v] per side and block.
+    sums = np.empty((2, 2, horizon))
+    for k0 in range(0, horizon, HISTOGRAM_CHUNK):
+        m = min(HISTOGRAM_CHUNK, horizon - k0)
+        nk[1:] = 0.0
+        for i, c in enumerate(counts):
+            nk[0] = carry[i]
+            for r in range(1, m + 1):
+                nk[r, c:] += nk[r - 1, : width - c]
+            carry[i] = nk[m]
+        for side, rows in enumerate((nk[1 : m + 1], hist[:m, :width])):
+            np.matmul(rows, vlogv, out=sums[0, side, k0 : k0 + m])
+            np.matmul(rows, v, out=sums[1, side, k0 : k0 + m])
+    s = inv_norm / n
+    h = s * (sums[0] + np.log(s) * sums[1])
+    h *= -inv_ln_base
+    return h[0], h[1]
 
 
 def family_sums(a, d, weights, inv_norm, inv_ln_base):

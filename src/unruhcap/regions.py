@@ -7,8 +7,8 @@ of blocks that is the Unruh channel, each named by one ``ChannelSpec``, which
 builds its evaluator once.  Sweeps run over the cyclic-ensemble
 simplex (which suffices for all Pareto-optimal points), evaluate each
 permutation orbit of the grid once, on the cheaper of the engine's two exact
-kernels (the CQ/CE curves: on the lattice kernel, plus the tied orbit-mates
-of their hull vertices on their own), are hulled with a monotone chain, and
+kernels (the CQ/CE curves then evaluate every row near a hull vertex again
+on its own, on the lattice kernel), are hulled with a monotone chain, and
 the weighted dynamic capacity objective is maximized by a grid sweep plus a
 coarse-to-fine climb along the one-heavy ensembles (a, b, ..., b), on the
 engine's family kernel.
@@ -318,7 +318,7 @@ class DynamicCapacityProblem:
     def __init__(self, spec: ChannelSpec, resolution: int | None = None):
         self.evaluator = spec.evaluator
         self.resolution = resolution or default_resolution(self.evaluator.d)
-        self.grid, self._table, _ = _sweep(self.evaluator, self.resolution)
+        self.grid, self._table = _sweep(self.evaluator, self.resolution)
 
     def grid_objectives(self, weights: CapacityWeights) -> np.ndarray:
         return _objective(weights, self._table)
@@ -444,25 +444,23 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
     return mu
 
 
-def _sweep(evaluator: TradeoffEvaluator, resolution: int | None, *, histogram: bool = True):
-    """The grid ``mu``, its entropy ``table`` and the row ``first`` that
-    represents each row's orbit: ``table`` is an ``EntropyTriple`` of columns
-    whose entry i is the entropy record at ensemble ``mu[first[i]]``.
+def _sweep(evaluator: TradeoffEvaluator, resolution: int | None):
+    """The grid ``mu`` and its entropy ``table``, an ``EntropyTriple`` of
+    columns whose entry i is the entropy record of ``mu[i]``'s orbit.
 
     Every entropy of the record is a symmetric function of mu (permuting mu
     only relabels the occupation basis), so each S_d orbit of the grid is
     evaluated once, at its first row, and its entropies are given to every
     member.  The grid is lexicographically descending, so that row is the
-    orbit's descending-sorted point.  With ``histogram``, it is passed as a
-    grid point, which the engine may send to its histogram kernel; without,
-    it runs on the lattice kernel, with the bits a lone evaluation of that
-    row gives.  Each entry was checked finite by ``_evaluated_triple``.
+    orbit's descending-sorted point.  It is passed as a grid point, and the
+    engine runs it on the cheaper of its two exact kernels.  Each entry was
+    checked finite by ``_evaluated_triple``.
     """
     resolution = resolution or default_resolution(evaluator.d)
     # Every row, the uniform one included, is counts / (resolution * d).
-    n = resolution * evaluator.d if histogram else None
+    n = resolution * evaluator.d
     # Gate before the grid, per orbit at the costliest reduced counts: (r-1, 1) or (1,) * d.
-    for counts in ((resolution - 1, 1), (1,) * evaluator.d) if histogram else (None,):
+    for counts in ((resolution - 1, 1), (1,) * evaluator.d):
         pick_kernel(evaluator.d, evaluator.horizon, counts)
     mu = simplex_grid(evaluator.d, resolution)
     # One bytes key per sorted row: the weights are finite and >= +0.0, so
@@ -471,26 +469,29 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int | None, *, histogram: b
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first, member_of = np.unique(keys, return_index=True, return_inverse=True)
     evaluated = np.array([_evaluated_triple(evaluator, mu[i], n) for i in first])
-    return mu, EntropyTriple(*(column[member_of] for column in evaluated.T)), first[member_of]
+    return mu, EntropyTriple(*(column[member_of] for column in evaluated.T))
 
 
 def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveResult:
     """The grid's rate pairs and the Pareto hull of ``rates * sign``.
 
-    Orbit-mates share their orbit's rates, so they tie exactly, while on
-    their own they would differ in the last bits, and those bits decide
-    which of several tied mates the hull flags.  So every row other than
-    its orbit's first whose rate pair lies within ``HULL_TOL`` (max-norm) of
-    a vertex of the shared-rate hull is evaluated on its own, and the hull is
-    taken again on the result.
+    The sweep's rates are exact to rounding, but on the histogram kernel or
+    shared among orbit-mates they differ from a lone lattice evaluation of
+    each row in the last bits, and those bits decide which of several tied
+    rows the hull flags.  So every row whose rate pair lies within
+    ``HULL_TOL`` (max-norm) of a vertex of the sweep's hull, orbit-firsts
+    included, is evaluated on its own on the lattice kernel, and the hull
+    is taken again on the result.
     """
     evaluator = spec.evaluator
-    mu, table, first = _sweep(evaluator, resolution, histogram=False)
+    # The rows near hull vertices need the lattice: gate it before the grid.
+    pick_kernel(evaluator.d, evaluator.horizon)
+    mu, table = _sweep(evaluator, resolution)
     rates = np.column_stack(rate_pair(table))
     tied = np.zeros(len(mu), dtype=bool)
     for vertex in rates[pareto_hull_indices(rates * sign)]:
         tied |= np.abs(rates - vertex).max(axis=1) <= HULL_TOL
-    for i in np.flatnonzero(tied & (first != np.arange(len(mu)))):
+    for i in np.flatnonzero(tied):
         rates[i] = rate_pair(_evaluated_triple(evaluator, mu[i]))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * sign)))
 
@@ -498,10 +499,11 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
 def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, Q) points with their Pareto boundary.
 
-    One lattice evaluation per orbit, at its first row; the tied orbit-mates
-    of a hull vertex keep their own lattice bits (see ``_curve``), so the
-    ``on_hull`` flag lands on the row a per-point sweep flags, and every
-    other row is within rounding of its own evaluation.
+    One evaluation per orbit, at its first row, on the cheaper exact kernel;
+    every row within ``HULL_TOL`` of a hull vertex then carries its own
+    lattice bits (see ``_curve``), so the ``on_hull`` flag lands on the row a
+    per-point lattice sweep flags, and every other row is within rounding of
+    its own evaluation.
     """
     return _curve(spec, resolution, cq_point, (1.0, 1.0))
 
@@ -518,13 +520,13 @@ def region_surface_cqe(spec: ChannelSpec, resolution: int | None = None) -> tupl
     Each row's corner (all three halfspaces tight) is ``cqe_corner``; the
     full region is the hull of the corners swept along the PROTOCOL_RAYS.
     """
-    mu, table, _ = _sweep(spec.evaluator, resolution)
+    mu, table = _sweep(spec.evaluator, resolution)
     return mu, np.column_stack(cqe_bounds(table))
 
 
 def rps_region(spec: ChannelSpec, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The grid ``mu`` and its (R+P, P+S, R+P+S) bound triples, row for row;
     R+P is ``_public_bound``, the other two reuse the CQE bounds."""
-    mu, table, _ = _sweep(spec.evaluator, resolution)
+    mu, table = _sweep(spec.evaluator, resolution)
     _, ps, rps = cqe_bounds(table)
     return mu, np.column_stack((np.full_like(ps, _public_bound(spec.evaluator)), ps, rps))

@@ -124,20 +124,23 @@ def test_engine_bits_match_the_per_sub_weight_loop(d, horizon):
 
 def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     # The benchmark tracer counts one evaluation per block_entropies call
-    # and len(args[0]) * len(args[2]) terms per kernel call.
+    # and len(args[0]) * len(args[2]) terms per kernel call.  A curve
+    # evaluates each orbit once at its grid point, on the kernel the gate
+    # picks, then every row tied with a hull vertex once more off the grid,
+    # on the lattice.
     curve = regions.cq_curve(regions.ChannelSpec(3, z=0.5), 4)
     first = orbit_first_rows(curve.mu)
-    tied = set(tied_rows(curve.rates, curve.hull_indices)) - set(first)
+    tied = tied_rows(curve.rates, curve.hull_indices)
     evals, horizons = [], []
     kernel, evaluate = kernels.block_family_entropy, TradeoffEvaluator.block_entropies
     weights = regions.unruh_weights
 
-    def record_eval(self, mu, *args, **kwargs):
-        evals.append((np.asarray(mu).shape, []))
-        return evaluate(self, mu, *args, **kwargs)
+    def record_eval(self, mu, n=None):
+        evals.append((np.array(mu), n, []))
+        return evaluate(self, mu, n)
 
     def record_kernel(*args):
-        evals[-1][1].append((len(args[0]), len(args[2]), args[-1]))
+        evals[-1][2].append((len(args[0]), len(args[2]), args[-1]))
         return kernel(*args)
 
     def record_weights(*args):
@@ -151,10 +154,17 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     assert cli.main(["cq-curve", "--d", "3", "--z", "0.5", "--grid", "4", "-o", os.devnull]) == 0
     horizon = truncation_horizon(UnruhConfig(3, 0.5))
     assert horizons == [horizon]
-    assert len(evals) == len(first) + len(tied)  # one per orbit, one per tied mate
-    for shape, calls in evals:
-        assert shape == (3,)
-        assert calls == [(math.comb(j + 1, 1), horizon + 1 - j, j) for j in range(horizon + 1)]
+    # One per orbit at its grid point (n = 4 * 3), then one per tied row.
+    assert [n for _, n, _ in evals] == [12] * len(first) + [None] * len(tied)
+    on_lattice = [
+        n is None or pick_kernel(3, horizon, grid_counts(mu, n)[0]) == "lattice"
+        for mu, n, _ in evals
+    ]
+    assert not all(on_lattice)  # some orbits ran on the histogram
+    lattice_calls = [(j + 1, horizon + 1 - j, j) for j in range(horizon + 1)]
+    for (mu, _, calls), lattice in zip(evals, on_lattice):
+        assert mu.shape == (3,)
+        assert calls == (lattice_calls if lattice else [])
 
 
 def test_engine_matches_spectra_route_per_block():
@@ -220,6 +230,49 @@ def test_histogram_kernel_matches_spectra_route_and_lattice_per_block():
                 ref_e = shannon_entropy(ensemble_spectrum_E(d, k, tuple(mu)), float(d)).value
                 assert h_b[k - 1] == pytest.approx(ref_b, abs=1e-12)
                 assert h_e[k - 1] == pytest.approx(ref_e, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, horizon, base",
+    [(2, 33, 10.0), (3, 15, 3.0), (3, 16, 3.0), (3, 17, 3.0), (4, 16, 4.0), (5, 17, 5.0), (6, 16, 6.0)],
+)
+def test_histogram_kernel_matches_spectra_route_across_chunks(d, horizon, base):
+    # Blocks are built 16 at a time, each mode carrying its last row into the
+    # next chunk: K below, at and past a chunk multiple, and two past.
+    assert kernels.HISTOGRAM_CHUNK == 16
+    rng = np.random.default_rng(100 * d + horizon)
+    inv_norm = np.array([1.0 / block_normalizer(d, k) for k in range(1, horizon + 1)])
+    points = list(random_grid_points(rng, d, 3))
+    points.append((np.eye(d, dtype=np.int64)[0], 1))  # the vertex: d - 1 zero counts
+    for counts, n in points:
+        mu = tuple(counts / n)
+        want = np.array([
+            [shannon_entropy(spectrum(d, k, mu), base).value for k in range(1, horizon + 1)]
+            for spectrum in (ensemble_spectrum_B, ensemble_spectrum_E)
+        ])
+        # The counts as given, and times 3 (gcd-reducible): the same atoms.
+        for scale in (1, 3):
+            got = kernels.histogram_entropy(
+                tuple(int(c) * scale for c in counts), n * scale, inv_norm, 1.0 / math.log(base)
+            )
+            assert np.abs(np.array(got) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_vertex_private_bound_is_exactly_zero(d):
+    # At a vertex the receiver and environment spectra of every block are
+    # one multiset, so each block's two entropies, and P+S = H(B|X) - H(E|X),
+    # must tie exactly; from d = 3 on the vertex orbit runs on the histogram
+    # kernel.  The weighted sums can hide a last-bit split of one block, so
+    # the blocks are compared too.
+    spec = regions.ChannelSpec(d, z=0.25)
+    assert (pick_kernel(d, spec.evaluator.horizon, (1,)) == "histogram") == (d > 2)
+    h_b, h_e = spec.evaluator.block_entropies(np.eye(d)[0], 1)
+    assert np.array_equal(h_b, h_e)
+    mu, rates = regions.rps_region(spec, 4)
+    vertices = np.flatnonzero(mu.max(axis=1) == 1.0)
+    assert len(vertices) == d
+    assert np.all(rates[vertices, 1] == 0.0)
 
 
 def test_cost_function_picks_each_kernel():

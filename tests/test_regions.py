@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tradeoff_helpers import ce_midpoint_gap, cq_midpoint_gap, orbit_first_rows, tied_rows
-from unruhcap import channelsim, regions
+from unruhcap import channelsim, kernels, regions
 from unruhcap.engine import TradeoffEvaluator
 from unruhcap.entropy import shannon_entropy
 from unruhcap.regions import (
@@ -506,12 +506,13 @@ def test_bounds_invariant_under_cyclic_relabeling():
 # ---------------------------------------------------------------------------
 
 def count_sums(monkeypatch) -> list:
-    """Record the ensemble of every ``TradeoffEvaluator.sums`` call."""
+    """Record the ensemble and grid denominator of every
+    ``TradeoffEvaluator.sums`` call."""
     calls = []
     original = TradeoffEvaluator.sums
 
     def counted(self, mu, n=None):
-        calls.append(tuple(mu))
+        calls.append((tuple(mu), n))
         return original(self, mu, n)
 
     monkeypatch.setattr(TradeoffEvaluator, "sums", counted)
@@ -544,7 +545,7 @@ def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
     # The 5 partitions of 4, plus the uniform point; each evaluated at its
     # descending-sorted member, the first one the grid meets.
     assert len(calls) == 6
-    assert all(list(mu) == sorted(mu, reverse=True) for mu in calls)
+    assert all(list(mu) == sorted(mu, reverse=True) and n == 20 for mu, n in calls)
 
     calls.clear()
     spec = ChannelSpec(3, z=0.5)
@@ -557,9 +558,10 @@ def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
 
 
 def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(monkeypatch):
-    # One evaluation per orbit, at its first row; the other rows tied with a
-    # hull vertex are evaluated again on their own, since their last bits
-    # decide which of the tied mates the hull flags.
+    # One evaluation per orbit, at its first row with the grid denominator;
+    # then every row tied with a hull vertex, orbit-firsts included, once
+    # more on its own without it, since its last bits decide which of the
+    # tied rows the hull flags.
     calls = count_sums(monkeypatch)
     for spec in (ChannelSpec(d=3, z=0.5), ChannelSpec(d=3, k=4)):
         for curve in (cq_curve, ce_curve):
@@ -567,9 +569,10 @@ def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(mo
             result = curve(spec, 8)
             rows = [tuple(mu) for mu in result.mu.tolist()]
             first = orbit_first_rows(result.mu)
-            tied = sorted(set(tied_rows(result.rates, result.hull_indices)) - set(first))
-            assert len(first) == 11 and len(rows) == 46 and tied
-            assert sorted(calls) == sorted(rows[i] for i in first + tied)
+            tied = tied_rows(result.rates, result.hull_indices)
+            assert len(first) == 11 and len(rows) == 46 and len(tied)
+            assert sorted(calls[: len(first)]) == sorted((rows[i], 24) for i in first)
+            assert sorted(calls[len(first) :]) == sorted((rows[i], None) for i in tied)
 
 
 @pytest.mark.parametrize("name", ["cq", "ce"])
@@ -580,20 +583,37 @@ def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(mo
         (ChannelSpec(2, k=3, log_base=10.0), (16, 33)),
         (ChannelSpec(3, z=0.5, log_base=2.0), (8, 13)),
         (ChannelSpec(3, k=4), (8, 13)),
+        (ChannelSpec(3, z=0.75), (16,)),
+        (ChannelSpec(3, k=40), (13, 16)),
         (ChannelSpec(4, z=0.2), (5, 8)),
         (ChannelSpec(4, k=3), (5, 8)),
         (ChannelSpec(5, z=0.1), (4, 6)),
         (ChannelSpec(5, k=10), (4, 6)),
     ],
-    ids=["d2-z0.5", "d2-k3-base10", "d3-z0.5-base2", "d3-k4", "d4-z0.2", "d4-k3", "d5-z0.1", "d5-k10"],
+    ids=[
+        "d2-z0.5", "d2-k3-base10", "d3-z0.5-base2", "d3-k4", "d3-z0.75", "d3-k40",
+        "d4-z0.2", "d4-k3", "d5-z0.1", "d5-k10",
+    ],
 )
-def test_orbit_curves_match_per_point_evaluation(name, spec, resolutions):
+def test_orbit_curves_match_per_point_evaluation(name, spec, resolutions, monkeypatch):
     # Oracle: every grid row evaluated on its own, then hulled.  The orbit
     # curve flags the same rows, with the same bits on every row that can
     # decide a flag, and every other row within rounding.
     curve, point, sign = {"cq": (cq_curve, cq_point, 1.0), "ce": (ce_curve, ce_point, -1.0)}[name]
+    histogram = kernels.histogram_entropy
+    on_histogram = []
+
+    def spy(*args):
+        on_histogram.append(args[0])
+        return histogram(*args)
+
+    monkeypatch.setattr(kernels, "histogram_entropy", spy)
     for resolution in resolutions:
+        on_histogram.clear()
         result = curve(spec, resolution)
+        # The gate sends orbits at d >= 3 to the histogram kernel; the oracle
+        # below must not pass only because every row ran on the lattice.
+        assert bool(on_histogram) == (spec.d > 2)
         want = np.array([point(regions._evaluated_triple(spec.evaluator, mu)) for mu in result.mu])
         hull = tuple(pareto_hull_indices(want * (1.0, sign)))
         assert result.hull_indices == hull
