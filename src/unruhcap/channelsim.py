@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
+from .combinat import check_block, check_dim
 from .spectra import cloner_spectrum
 
 __all__ = [
@@ -281,8 +282,7 @@ def complementary_kraus_1to2(d: int) -> KrausSet:
     unnormalized (its norm is absorbed by the 4^(d-1) prefactor) and
     sigma_z(n) = sum_j (-1)^(n_j) |j><j|.
     """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    check_dim(d)
     if d > KRAUS_DIM_CAP:
         raise SizeCapError(f"dimension {d} exceeds cap {KRAUS_DIM_CAP} (4^(d-1) operators)")
     ops = []
@@ -377,6 +377,7 @@ def choi_ppt_check(d: int, k: int) -> CheckReport:
     A nonnegative spectrum (within tolerance) is the PPT witness that the
     complementary channel of the 1->k cloner is entanglement breaking.
     """
+    check_block(k)
     dim_e = block_dimension(d, k - 1)
     total = d * dim_e
     if total > MATRIX_DIM_CAP:

@@ -8,6 +8,9 @@ configuration and seed produce byte-identical files.
 Exit codes: 0 all good (and all verifications passed), 1 a verification
 failed, 2 usage error, 3 numeric guard (non-convergent truncation, size cap),
 141 (128 + SIGPIPE) stdout closed early, as by ``| head``, with nothing on stderr.
+Flags are parsed as plain numbers: the library holds every range rule and
+raises ``ValueError`` before it builds anything, which exits 2 as a usage
+error.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, channelsim, kernels, regions
+from . import __version__, channelsim, regions
 from .spectra import ConvergenceError, cloner_spectrum
 
 EXIT_OK = 0
@@ -33,48 +36,6 @@ _GUARD_ERRORS = (ConvergenceError, channelsim.SizeCapError, OverflowError)
 
 def _fmt(x) -> str:
     return format(float(x), ".12g")
-
-
-def _int_at_least(minimum: int, what: str):
-    """argparse type for an integer ``what`` that must be >= ``minimum``."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{what} must be >= {minimum}")
-        return value
-
-    parse.__name__ = what  # argparse names the type in "invalid ... value"
-    return parse
-
-
-_dim = _int_at_least(2, "dimension")
-_block = _int_at_least(1, "k")
-_grid = _int_at_least(1, "grid resolution")
-_samples = _int_at_least(1, "sample count")
-
-
-def _accel(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError("z must satisfy 0 <= z < 1")
-    return value
-
-
-def _eps(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("eps must be positive")
-    return value
-
-
-def _base(text: str) -> float:
-    value = float(text)
-    try:
-        kernels.check_log_base(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
 def _spec(args) -> regions.ChannelSpec:
@@ -101,7 +62,7 @@ def _meta(args, spec: regions.ChannelSpec) -> dict:
         "tail_bound": tail_bound,
     }
     if args.subcommand != "spectrum":  # a spectrum has no ensemble grid
-        meta["grid"] = str(args.grid or regions.default_resolution(spec.d))
+        meta["grid"] = str(regions.sweep_resolution(spec.d, args.grid))
     meta["seed"] = str(args.seed)
     return meta
 
@@ -227,19 +188,19 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser, *, grid: bool = True) -> None:
-    parser.add_argument("--eps", type=_eps, default=1e-8, help="truncation tail bound")
-    parser.add_argument("--base", type=_base, default=None, help="log base (default: d)")
+    parser.add_argument("--eps", type=float, default=1e-8, help="truncation tail bound")
+    parser.add_argument("--base", type=float, default=None, help="log base (default: d)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if grid:
-        parser.add_argument("--grid", type=_grid, default=None, help="simplex lattice resolution")
+        parser.add_argument("--grid", type=int, default=None, help="simplex lattice resolution")
 
 
 def _add_channel_choice(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=_block, help="cloner block index (cloner mode)")
-    group.add_argument("--z", type=_accel, help="acceleration parameter (Unruh mode)")
+    group.add_argument("--k", type=int, help="cloner block index (cloner mode)")
+    group.add_argument("--z", type=float, help="acceleration parameter (Unruh mode)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("spectrum", help="cloner output spectrum table")
-    p.add_argument("--d", type=_dim, required=True)
-    p.add_argument("--k", type=_block, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
     _add_common(p, grid=False)
     p.set_defaults(func=_cmd_spectrum, z=None)
 
@@ -261,26 +222,24 @@ def build_parser() -> argparse.ArgumentParser:
         ("ce-curve", "classical/entanglement Pareto boundary sweep"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--d", type=_dim, required=True)
+        p.add_argument("--d", type=int, required=True)
         _add_channel_choice(p)
         _add_common(p)
         p.set_defaults(func=_cmd_curve)
 
-    p = sub.add_parser("cqe-region", help="CQE bound triples and corner cloud")
-    p.add_argument("--d", type=_dim, required=True)
-    p.add_argument("--z", type=_accel, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_cqe_region, k=None)
-
-    p = sub.add_parser("rps-region", help="public/private/secret-key bound triples")
-    p.add_argument("--d", type=_dim, required=True)
-    p.add_argument("--z", type=_accel, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rps_region, k=None)
+    for name, help_text, func in (
+        ("cqe-region", "CQE bound triples and corner cloud", _cmd_cqe_region),
+        ("rps-region", "public/private/secret-key bound triples", _cmd_rps_region),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--z", type=float, required=True)
+        _add_common(p)
+        p.set_defaults(func=func, k=None)
 
     p = sub.add_parser("dyncap", help="maximize the weighted dynamic capacity objective")
-    p.add_argument("--d", type=_dim, required=True)
-    p.add_argument("--z", type=_accel, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--z", type=float, required=True)
     p.add_argument("--lambda", dest="lambda_w", type=float, required=True)
     p.add_argument("--mu-weight", dest="mu_weight", type=float, required=True)
     _add_common(p)
@@ -290,23 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="check", required=True)
 
     v = vsub.add_parser("hadamard", help="Kraus completeness/action/rank-one report")
-    v.add_argument("--d", type=_dim, required=True)
-    v.add_argument("--samples", type=_samples, default=100)
+    v.add_argument("--d", type=int, required=True)
+    v.add_argument("--samples", type=int, default=100)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", "-o", default="-")
     v.set_defaults(func=_cmd_verify)
 
     v = vsub.add_parser("cloner-equivalence", help="block-vs-cloner spectral report")
-    v.add_argument("--d", type=_dim, required=True)
-    v.add_argument("--k", type=_block, required=True)
-    v.add_argument("--samples", type=_samples, default=20)
+    v.add_argument("--d", type=int, required=True)
+    v.add_argument("--k", type=int, required=True)
+    v.add_argument("--samples", type=int, default=20)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", "-o", default="-")
     v.set_defaults(func=_cmd_verify)
 
     v = vsub.add_parser("ppt", help="complement Choi partial-transpose report")
-    v.add_argument("--d", type=_dim, required=True)
-    v.add_argument("--k", type=_block, required=True)
+    v.add_argument("--d", type=int, required=True)
+    v.add_argument("--k", type=int, required=True)
     v.add_argument("--output", "-o", default="-")
     v.set_defaults(func=_cmd_verify)
 

@@ -24,6 +24,8 @@ __all__ = [
     "composition_table",
     "block_dimension",
     "block_normalizer",
+    "check_block",
+    "check_dim",
     "eigen_multiplicity",
 ]
 
@@ -37,9 +39,16 @@ class SizeCapError(RuntimeError):
 _MAX_WEIGHT = 2**31 - 1
 
 
-def _check_dim(d: int) -> None:
+def check_dim(d: int) -> None:
+    """``ValueError`` unless the qudit dimension ``d`` is an integer >= 2."""
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+
+
+def check_block(k: int) -> None:
+    """``ValueError`` unless the block (cloner) index ``k`` is an integer >= 1."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"block index must be an integer >= 1, got {k!r}")
 
 
 def composition_matrix(d: int, k: int) -> np.ndarray:
@@ -98,7 +107,7 @@ def composition_table(d: int, horizon: int) -> np.ndarray:
 
 def block_dimension(d: int, k: int) -> int:
     """Dimension C(k+d-1, d-1) of the weight-``k`` occupation basis (exact)."""
-    _check_dim(d)
+    check_dim(d)
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"weight must be an integer >= 0, got {k!r}")
     return math.comb(k + d - 1, d - 1)
@@ -109,17 +118,15 @@ def block_normalizer(d: int, k: int) -> int:
 
     Equals ``sum(b * eigen_multiplicity(d, k, b) for b in 1..k)``.
     """
-    _check_dim(d)
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"block index must be an integer >= 1, got {k!r}")
+    check_dim(d)
+    check_block(k)
     return math.comb(k + d - 1, d)
 
 
 def eigen_multiplicity(d: int, k: int, b: int) -> int:
     """Multiplicity m_b = C((k-b)+d-2, d-2) of eigenvalue b/M_k (exact)."""
-    _check_dim(d)
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"block index must be an integer >= 1, got {k!r}")
+    check_dim(d)
+    check_block(k)
     if not isinstance(b, int) or not 1 <= b <= k:
         raise ValueError(f"eigenvalue index must lie in [1, {k}], got {b!r}")
     return math.comb((k - b) + d - 2, d - 2)

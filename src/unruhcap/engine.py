@@ -22,7 +22,9 @@ block.  Two exact kernels do this:
 Every sweep passes the grid denominator ``n``; ``pick_kernel``, the one size
 gate, runs the cheaper kernel within its own cap (without ``n``, as for the
 rows the CQ/CE curves evaluate again near a hull vertex, the lattice
-kernel) and refuses when neither kernel fits.
+kernel) and refuses when neither kernel fits.  ``TradeoffEvaluator.kernel``
+names the kernel an evaluation runs: a row the sweep ran on the lattice
+already has the bits of its own evaluation, and the curves skip it.
 
 A third kernel, ``family_sums``, serves the one-heavy ensembles
 (a, b, ..., b) alone, in about K**2 terms for any d, with no gate.
@@ -36,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .combinat import SizeCapError, block_dimension, block_normalizer, composition_table
+from .combinat import SizeCapError, block_dimension, block_normalizer, check_dim, composition_table
 
 __all__ = [
     "HISTOGRAM_CELL_COST",
@@ -121,8 +123,7 @@ class TradeoffEvaluator:
     """
 
     def __init__(self, d: int, block_weights, base: float):
-        if d < 2:
-            raise ValueError("dimension must be >= 2")
+        check_dim(d)
         kernels.check_log_base(base)
         weights = np.ascontiguousarray(block_weights, dtype=np.float64)
         if weights.ndim != 1 or weights.size < 1:
@@ -159,19 +160,24 @@ class TradeoffEvaluator:
         pairs = np.stack((self._inv_norm[:-1], self._inv_norm[1:]))[:, :, None]
         return table, list(zip(starts[:-1], starts[1:])), b1, pairs
 
+    def kernel(self, mu, n: int | None = None) -> str:
+        """``"histogram"`` or ``"lattice"``: the kernel ``block_entropies(mu, n)``
+        runs (see ``pick_kernel``)."""
+        return pick_kernel(self.d, self.horizon, None if n is None else grid_counts(mu, n)[0])
+
     def block_entropies(self, mu, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Receiver/environment spectrum entropies of every block at ``mu``.
 
         Returns arrays ``(h_bx, h_ex)`` indexed by block ``k-1``, in base
         units, exactly matching the entropies of ``ensemble_spectrum_B/E``.
         With ``n``, ``mu`` must be a grid point ``counts / n`` (see
-        ``grid_counts``); ``pick_kernel`` picks the kernel, or refuses.
+        ``grid_counts``); ``kernel`` picks the kernel, or refuses.
         """
         mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
         if mu_arr.shape != (self.d,):
             raise ValueError(f"ensemble must have {self.d} weights")
-        counts, n = (None, None) if n is None else grid_counts(mu_arr, n)
-        if pick_kernel(self.d, self.horizon, counts) == "histogram":
+        if self.kernel(mu_arr, n) == "histogram":
+            counts, n = grid_counts(mu_arr, n)
             return kernels.histogram_entropy(
                 counts, n, self._inv_norm[1 : self.horizon + 1], self._inv_ln_base
             )

@@ -8,8 +8,9 @@ builds its evaluator once.  Sweeps run over the cyclic-ensemble
 simplex (which suffices for all Pareto-optimal points), evaluate each
 permutation orbit of the grid once, on the cheaper of the engine's two exact
 kernels (the CQ/CE curves then evaluate every row near a hull vertex again
-on its own, on the lattice kernel), are hulled with a monotone chain, and
-the weighted dynamic capacity objective is maximized by a grid sweep plus a
+on its own, on the lattice kernel, unless the sweep ran that row on the
+lattice already), are hulled with a monotone chain, and the weighted
+dynamic capacity objective is maximized by a grid sweep plus a
 coarse-to-fine climb along the one-heavy ensembles (a, b, ..., b), on the
 engine's family kernel.
 
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinat import SizeCapError, block_dimension, composition_matrix
+from .combinat import SizeCapError, block_dimension, check_block, composition_matrix
 from .engine import TradeoffEvaluator, pick_kernel
 from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (
@@ -68,7 +69,7 @@ __all__ = [
     "rps_bounds",
     "pareto_hull_indices",
     "simplex_grid",
-    "default_resolution",
+    "sweep_resolution",
     "cq_curve",
     "ce_curve",
     "region_surface_cqe",
@@ -125,7 +126,8 @@ class CapacityWeights:
 @dataclass(frozen=True)
 class ChannelSpec:
     """Either a single 1->k cloner block (``k``) or the Unruh channel (``z``):
-    the channel argument of every entry point of this module."""
+    the channel argument of every entry point of this module.  Every value
+    is checked here, before the evaluator is built."""
 
     d: int
     k: int | None = None
@@ -136,13 +138,10 @@ class ChannelSpec:
     def __post_init__(self):
         if (self.k is None) == (self.z is None):
             raise ValueError("exactly one of k (cloner) or z (Unruh) must be set")
-        if self.k is not None and (not isinstance(self.k, int) or self.k < 1):
-            raise ValueError("cloner index k must be an integer >= 1")
-        if self.z is not None:
-            # Full range validation is delegated to UnruhConfig.
-            self.unruh_config()
-        elif not isinstance(self.d, int) or self.d < 2:
-            raise ValueError("dimension must be an integer >= 2")
+        if self.k is not None:
+            check_block(self.k)
+        # UnruhConfig checks d, z and the numerics; a cloner block as at z = 0.
+        UnruhConfig(self.d, 0.0 if self.z is None else self.z, self.truncation_eps, self.log_base)
 
     @property
     def base(self) -> float:
@@ -197,8 +196,14 @@ class CurveResult:
         return self.rates[list(self.hull_indices)]
 
 
-def default_resolution(d: int) -> int:
-    return 64 if d <= 3 else 16
+def sweep_resolution(d: int, resolution: int | None = None) -> int:
+    """The grid resolution of a sweep: ``resolution``, which must be >= 1,
+    or by default 64 for d <= 3 and 16 above."""
+    if resolution is None:
+        return 64 if d <= 3 else 16
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    return resolution
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +321,9 @@ class DynamicCapacityProblem:
     """
 
     def __init__(self, spec: ChannelSpec, resolution: int | None = None):
+        self.resolution = sweep_resolution(spec.d, resolution)
         self.evaluator = spec.evaluator
-        self.resolution = resolution or default_resolution(self.evaluator.d)
-        self.grid, self._table = _sweep(self.evaluator, self.resolution)
+        self.grid, self._table, _ = _sweep(self.evaluator, self.resolution)
 
     def grid_objectives(self, weights: CapacityWeights) -> np.ndarray:
         return _objective(weights, self._table)
@@ -374,6 +379,7 @@ def dynamic_capacity(
     grid value.  Weights so large that the objective could overflow are
     refused before the grid is built.
     """
+    resolution = sweep_resolution(spec.d, resolution)
     evaluator = spec.evaluator
     # No entropy exceeds the larger of log dim_K and log d, and the absolute
     # coefficients of the objective sum to 2 lambda + 2 mu + 3.
@@ -426,8 +432,7 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
     compositions of ``resolution`` over d slots, divided through; the uniform
     point is added when the resolution is not a multiple of d.  Rows are
     lexicographically descending."""
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    resolution = sweep_resolution(d, resolution)
     points = math.comb(resolution + d - 1, d - 1)
     if points > MAX_GRID_POINTS:
         raise SizeCapError(
@@ -444,19 +449,21 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
     return mu
 
 
-def _sweep(evaluator: TradeoffEvaluator, resolution: int | None):
-    """The grid ``mu`` and its entropy ``table``, an ``EntropyTriple`` of
-    columns whose entry i is the entropy record of ``mu[i]``'s orbit.
+def _sweep(evaluator: TradeoffEvaluator, resolution: int):
+    """The grid ``mu``, its entropy ``table``, an ``EntropyTriple`` of
+    columns whose entry i is the entropy record of ``mu[i]``'s orbit, and
+    the mask ``own`` of the rows whose entries are their own lattice
+    evaluation's bits: the orbits' first rows that ran on the lattice.
 
     Every entropy of the record is a symmetric function of mu (permuting mu
     only relabels the occupation basis), so each S_d orbit of the grid is
     evaluated once, at its first row, and its entropies are given to every
     member.  The grid is lexicographically descending, so that row is the
     orbit's descending-sorted point.  It is passed as a grid point, and the
-    engine runs it on the cheaper of its two exact kernels.  Each entry was
-    checked finite by ``_evaluated_triple``.
+    engine runs it on the cheaper of its two exact kernels
+    (``TradeoffEvaluator.kernel`` says which).  Each entry was checked finite
+    by ``_evaluated_triple``.
     """
-    resolution = resolution or default_resolution(evaluator.d)
     # Every row, the uniform one included, is counts / (resolution * d).
     n = resolution * evaluator.d
     # Gate before the grid, per orbit at the costliest reduced counts: (r-1, 1) or (1,) * d.
@@ -469,7 +476,9 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int | None):
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first, member_of = np.unique(keys, return_index=True, return_inverse=True)
     evaluated = np.array([_evaluated_triple(evaluator, mu[i], n) for i in first])
-    return mu, EntropyTriple(*(column[member_of] for column in evaluated.T))
+    own = np.zeros(len(mu), dtype=bool)
+    own[first] = [evaluator.kernel(mu[i], n) == "lattice" for i in first]
+    return mu, EntropyTriple(*(column[member_of] for column in evaluated.T)), own
 
 
 def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveResult:
@@ -479,19 +488,21 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
     shared among orbit-mates they differ from a lone lattice evaluation of
     each row in the last bits, and those bits decide which of several tied
     rows the hull flags.  So every row whose rate pair lies within
-    ``HULL_TOL`` (max-norm) of a vertex of the sweep's hull, orbit-firsts
-    included, is evaluated on its own on the lattice kernel, and the hull
-    is taken again on the result.
+    ``HULL_TOL`` (max-norm) of a vertex of the sweep's hull is evaluated on
+    its own on the lattice kernel, unless it already holds those bits (an
+    orbit's first row that the sweep ran on the lattice), and the hull is
+    taken again on the result.
     """
+    resolution = sweep_resolution(spec.d, resolution)
     evaluator = spec.evaluator
     # The rows near hull vertices need the lattice: gate it before the grid.
     pick_kernel(evaluator.d, evaluator.horizon)
-    mu, table = _sweep(evaluator, resolution)
+    mu, table, own = _sweep(evaluator, resolution)
     rates = np.column_stack(rate_pair(table))
     tied = np.zeros(len(mu), dtype=bool)
     for vertex in rates[pareto_hull_indices(rates * sign)]:
         tied |= np.abs(rates - vertex).max(axis=1) <= HULL_TOL
-    for i in np.flatnonzero(tied):
+    for i in np.flatnonzero(tied & ~own):
         rates[i] = rate_pair(_evaluated_triple(evaluator, mu[i]))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * sign)))
 
@@ -501,7 +512,8 @@ def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
 
     One evaluation per orbit, at its first row, on the cheaper exact kernel;
     every row within ``HULL_TOL`` of a hull vertex then carries its own
-    lattice bits (see ``_curve``), so the ``on_hull`` flag lands on the row a
+    lattice bits (see ``_curve``: it evaluates such a row again unless the
+    sweep ran it on the lattice), so the ``on_hull`` flag lands on the row a
     per-point lattice sweep flags, and every other row is within rounding of
     its own evaluation.
     """
@@ -520,13 +532,15 @@ def region_surface_cqe(spec: ChannelSpec, resolution: int | None = None) -> tupl
     Each row's corner (all three halfspaces tight) is ``cqe_corner``; the
     full region is the hull of the corners swept along the PROTOCOL_RAYS.
     """
-    mu, table = _sweep(spec.evaluator, resolution)
+    resolution = sweep_resolution(spec.d, resolution)
+    mu, table, _ = _sweep(spec.evaluator, resolution)
     return mu, np.column_stack(cqe_bounds(table))
 
 
 def rps_region(spec: ChannelSpec, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The grid ``mu`` and its (R+P, P+S, R+P+S) bound triples, row for row;
     R+P is ``_public_bound``, the other two reuse the CQE bounds."""
-    mu, table = _sweep(spec.evaluator, resolution)
+    resolution = sweep_resolution(spec.d, resolution)
+    mu, table, _ = _sweep(spec.evaluator, resolution)
     _, ps, rps = cqe_bounds(table)
     return mu, np.column_stack((np.full_like(ps, _public_bound(spec.evaluator)), ps, rps))

@@ -20,6 +20,8 @@ from .combinat import (
     SizeCapError,
     block_dimension,
     block_normalizer,
+    check_block,
+    check_dim,
     composition_matrix,
     eigen_multiplicity,
 )
@@ -152,7 +154,9 @@ def _as_ensemble(mu, d: int | None = None) -> EnsembleParams:
 
 @dataclass(frozen=True)
 class UnruhConfig:
-    """Channel dimension, acceleration parameter z = tanh^2 r, and numerics."""
+    """Channel dimension, acceleration parameter z = tanh^2 r, and numerics:
+    the one check of the dimension, z, ``truncation_eps`` and ``log_base``
+    rules, which ``regions.ChannelSpec`` applies to a cloner block too."""
 
     d: int
     z: float
@@ -160,8 +164,7 @@ class UnruhConfig:
     log_base: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValueError("dimension must be an integer >= 2")
+        check_dim(self.d)
         if not 0.0 <= self.z < 1.0:
             raise ValueError("acceleration parameter must satisfy 0 <= z < 1")
         if not self.truncation_eps > 0.0:
@@ -188,8 +191,7 @@ def ensemble_spectrum_B(d: int, k: int, mu) -> Spectrum:
     """Receiver spectrum of the cyclic ensemble: one atom alpha(b)/M_k per
     weight-``k`` occupation vector, in composition order, unmerged."""
     params = _as_ensemble(mu, d)
-    if k < 1:
-        raise ValueError("block index must be >= 1")
+    check_block(k)
     comps = composition_matrix(d, k)
     alpha = comps @ params.as_array()
     values = alpha / block_normalizer(d, k)
@@ -200,8 +202,7 @@ def ensemble_spectrum_E(d: int, k: int, mu) -> Spectrum:
     """Environment spectrum of the cyclic ensemble: (1 + alpha(b))/M_k per
     weight-``k-1`` occupation vector."""
     params = _as_ensemble(mu, d)
-    if k < 1:
-        raise ValueError("block index must be >= 1")
+    check_block(k)
     comps = composition_matrix(d, k - 1)
     gamma = comps @ params.as_array() + 1.0
     values = gamma / block_normalizer(d, k)
@@ -210,12 +211,13 @@ def ensemble_spectrum_E(d: int, k: int, mu) -> Spectrum:
 
 def unruh_weight(d: int, z: float, k: int) -> float:
     """Block weight p_k(z) = (1-z)^(d+1) z^(k-1) C(k+d-1, d)."""
-    if not isinstance(d, int) or d < 2:
-        raise ValueError("dimension must be an integer >= 2")
-    if not 0.0 <= z < 1.0:
-        raise ValueError("acceleration parameter must satisfy 0 <= z < 1")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("block index must be an integer >= 1")
+    UnruhConfig(d, z)
+    check_block(k)
+    return _weight(d, z, k)
+
+
+def _weight(d: int, z: float, k: int) -> float:
+    """``unruh_weight`` of a checked (d, z) and k >= 1."""
     if z == 0.0:
         return 1.0 if k == 1 else 0.0
     # Log space: the binomial outgrows float range long before p_k does.
@@ -229,7 +231,7 @@ def unruh_weight(d: int, z: float, k: int) -> float:
 
 def _tail_term(d: int, z: float, k: int, base: float) -> float:
     """Majorant weight p_k * (1 + log_base dim_k) for the truncation bound."""
-    return unruh_weight(d, z, k) * (1.0 + math.log(block_dimension(d, k)) / math.log(base))
+    return _weight(d, z, k) * (1.0 + math.log(block_dimension(d, k)) / math.log(base))
 
 
 def truncation(cfg: UnruhConfig) -> tuple[int, float]:
@@ -269,4 +271,4 @@ def unruh_weights(cfg: UnruhConfig, horizon: int | None = None) -> np.ndarray:
     truncation horizon."""
     if horizon is None:
         horizon = truncation_horizon(cfg)
-    return np.array([unruh_weight(cfg.d, cfg.z, k) for k in range(1, horizon + 1)])
+    return np.array([_weight(cfg.d, cfg.z, k) for k in range(1, horizon + 1)])

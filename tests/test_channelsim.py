@@ -199,6 +199,9 @@ def test_choi_ppt_check():
     assert trivial.details["min_partial_transpose_eigenvalue"] >= -1e-12
     with pytest.raises(SizeCapError, match="Choi dimension 6160 exceeds cap 2000"):
         choi_ppt_check(4, 20)  # d * C(22, 3), refused before the isometry is built
+    # A block index below 1 is refused as such, not as a weight of -1.
+    with pytest.raises(ValueError, match="block index must be an integer >= 1, got 0"):
+        choi_ppt_check(2, 0)
 
 
 def test_unruh_block_output_refuses_blocks_past_the_matrix_cap():

@@ -51,7 +51,7 @@ def test_grid_header_only_for_sweeps(tmp_path):
     assert run_cli(["rps-region", "--d", "3", "--z", "0.5", "--grid", "2", "-o", str(out)]) == 0
     assert read_csv(out)[0]["grid"] == "2"
     assert run_cli(["cqe-region", "--d", "2", "--z", "0.25", "-o", str(out)]) == 0
-    assert read_csv(out)[0]["grid"] == str(regions.default_resolution(2))
+    assert read_csv(out)[0]["grid"] == str(regions.sweep_resolution(2))
 
 
 def test_cq_curve_noiseless_contains_endpoints(tmp_path):
@@ -297,6 +297,68 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         run_cli(["spectrum", "--d", "1", "--k", "2"])
     assert err.value.code == 2
+
+
+DIM = "dimension must be an integer >= 2"
+BLOCK = "block index must be an integer >= 1"
+Z = "0 <= z < 1"
+EPS = "truncation_eps must be positive"
+BASE_LOW, BASE_INF = "log base must exceed 1", "log base must be finite"
+GRID = "resolution must be >= 1"
+SAMPLES = "n_samples must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cq-curve", "--d", "1", "--z", "0.5"], DIM),
+        (["cq-curve", "--d", "1", "--k", "2"], DIM),
+        (["spectrum", "--d", "1", "--k", "2"], DIM),
+        (["cq-curve", "--d", "2", "--k", "0"], BLOCK),
+        (["spectrum", "--d", "2", "--k", "0"], BLOCK),
+        (["cq-curve", "--d", "2", "--z", "1"], Z),
+        (["ce-curve", "--d", "2", "--z", "-0.1"], Z),
+        (["cqe-region", "--d", "2", "--z", "nan"], Z),
+        (["dyncap", "--d", "2", "--z", "inf", "--lambda", "1", "--mu-weight", "0"], Z),
+        (["cq-curve", "--d", "2", "--z", "0.5", "--eps", "0"], EPS),
+        (["cq-curve", "--d", "2", "--k", "2", "--eps", "-1"], EPS),
+        (["spectrum", "--d", "2", "--k", "2", "--eps", "nan"], EPS),
+        (["cq-curve", "--d", "2", "--z", "0.5", "--base", "1"], BASE_LOW),
+        (["rps-region", "--d", "2", "--z", "0.5", "--base", "inf"], BASE_INF),
+        (["spectrum", "--d", "2", "--k", "2", "--base", "1"], BASE_LOW),
+        (["spectrum", "--d", "2", "--k", "2", "--base", "inf"], BASE_INF),
+        (["cq-curve", "--d", "2", "--z", "0.5", "--grid", "0"], GRID),
+        (["ce-curve", "--d", "2", "--k", "2", "--grid", "0"], GRID),
+        (["cqe-region", "--d", "3", "--z", "0.5", "--grid", "-3"], GRID),
+        (["rps-region", "--d", "3", "--z", "0.5", "--grid", "0"], GRID),
+        (["dyncap", "--d", "2", "--z", "0.5", "--lambda", "1", "--mu-weight", "0", "--grid", "0"],
+         GRID),
+        (["verify", "hadamard", "--d", "1"], DIM),
+        (["verify", "cloner-equivalence", "--d", "1", "--k", "2"], DIM),
+        (["verify", "ppt", "--d", "1", "--k", "2"], DIM),
+        (["verify", "cloner-equivalence", "--d", "2", "--k", "0"], BLOCK),
+        (["verify", "ppt", "--d", "2", "--k", "0"], BLOCK),
+        (["verify", "hadamard", "--d", "2", "--samples", "0"], SAMPLES),
+        (["verify", "cloner-equivalence", "--d", "2", "--k", "2", "--samples", "0"], SAMPLES),
+    ],
+)
+def test_bad_values_exit_2_before_anything_is_built(argv, message, capsys, monkeypatch):
+    # The flags parse as plain numbers; the library refuses each bad value
+    # with its own ValueError before it builds an evaluator, a grid or a
+    # matrix, and main turns that into a usage error.
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"built {args[0]!r} past a bad value")
+
+    monkeypatch.setattr(engine.TradeoffEvaluator, "__init__", refuse)
+    for builder in ("Isometry", "KrausSet", "DensityMatrix"):
+        monkeypatch.setattr(channelsim, builder, refuse)
+    monkeypatch.setattr(spectra, "Spectrum", refuse)
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize(

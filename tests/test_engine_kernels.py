@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tradeoff_helpers import orbit_first_rows, tied_rows
+from tradeoff_helpers import orbit_first_rows, reevaluated_rows
 from unruhcap import cli, engine, kernels, regions
 from unruhcap.combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
 from unruhcap.engine import MAX_LATTICE_TERMS, TradeoffEvaluator, grid_counts, pick_kernel
@@ -127,10 +127,11 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     # and len(args[0]) * len(args[2]) terms per kernel call.  A curve
     # evaluates each orbit once at its grid point, on the kernel the gate
     # picks, then every row tied with a hull vertex once more off the grid,
-    # on the lattice.
-    curve = regions.cq_curve(regions.ChannelSpec(3, z=0.5), 4)
+    # on the lattice, but for the orbits' first rows the sweep ran there.
+    spec = regions.ChannelSpec(3, z=0.5)
+    curve = regions.cq_curve(spec, 4)
     first = orbit_first_rows(curve.mu)
-    tied = tied_rows(curve.rates, curve.hull_indices)
+    again = reevaluated_rows(spec, curve, 12)
     evals, horizons = [], []
     kernel, evaluate = kernels.block_family_entropy, TradeoffEvaluator.block_entropies
     weights = regions.unruh_weights
@@ -154,8 +155,9 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     assert cli.main(["cq-curve", "--d", "3", "--z", "0.5", "--grid", "4", "-o", os.devnull]) == 0
     horizon = truncation_horizon(UnruhConfig(3, 0.5))
     assert horizons == [horizon]
-    # One per orbit at its grid point (n = 4 * 3), then one per tied row.
-    assert [n for _, n, _ in evals] == [12] * len(first) + [None] * len(tied)
+    # One per orbit at its grid point (n = 4 * 3), then one per tied row
+    # that does not hold its own lattice bits yet.
+    assert [n for _, n, _ in evals] == [12] * len(first) + [None] * len(again)
     on_lattice = [
         n is None or pick_kernel(3, horizon, grid_counts(mu, n)[0]) == "lattice"
         for mu, n, _ in evals

@@ -5,7 +5,15 @@ import time
 import numpy as np
 import pytest
 
-from tradeoff_helpers import ce_midpoint_gap, cq_midpoint_gap, orbit_first_rows, tied_rows
+from tradeoff_helpers import (
+    ce_midpoint_gap,
+    cq_midpoint_gap,
+    family_midpoint_gap,
+    orbit_first_rows,
+    reevaluated_rows,
+    refined_family,
+    tied_rows,
+)
 from unruhcap import channelsim, kernels, regions
 from unruhcap.engine import TradeoffEvaluator
 from unruhcap.entropy import shannon_entropy
@@ -331,6 +339,64 @@ def test_private_region_beats_time_sharing(d, z, lam, muw, resolution, gap):
     assert got == pytest.approx(gap, abs=1e-3)
 
 
+# Points (a, b, ..., b) of the one-heavy family are real ensembles, with the
+# uniform point (a = 1/d) and the vertex (a = 1) at its two ends, so what the
+# hull of evaluated family points reaches is achievable.  They show the
+# headline claim where the grid route cannot: at d = 5 and 8, z = 0.25,
+# grid 4 the grid hull is only the vertex and the uniform row, and a CQ/CE
+# curve at d = 8, z = 0.75 is over the lattice cap near its hull.
+
+
+@pytest.mark.parametrize(
+    "d, z, cq_gap, ce_gap",
+    [
+        (5, 0.25, 3.517e-3, 2.604e-3),
+        (8, 0.75, 6.061e-3, 2.733e-3),
+        (8, 0.9, 3.132e-3, 2.534e-3),
+        (10, 0.5, 5.740e-3, 1.658e-3),
+        (10, 0.9, 2.912e-3, 1.714e-3),
+        (20, 0.9, 2.366e-3, 5.294e-4),
+    ],
+)
+def test_family_hulls_beat_time_sharing(d, z, cq_gap, ce_gap):
+    # The CQ hull rises above, and the CE hull sags below, the time-sharing
+    # chord at its midpoint abscissa.  For CE it takes the hull, not one
+    # point: at d = 10 and 20, z = 0.9 the family point at that abscissa lies
+    # above the chord.  The points are refined around the two hull vertices
+    # that bracket the midpoint; the gaps are those of 801 equally spaced
+    # values of a, to 1e-3.
+    spec = ChannelSpec(d, z=z)
+    for point, sign, want in ((cq_point, 1.0, cq_gap), (ce_point, -1.0, ce_gap)):
+
+        def bracket(table):
+            return family_midpoint_gap(np.column_stack(point(table)), sign)[1]
+
+        got, _ = family_midpoint_gap(np.column_stack(point(refined_family(spec, bracket))), sign)
+        assert got > 0.0
+        assert got == pytest.approx(want, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "d, lam, muw, gain", [(8, 96, 33, 0.4234), (10, 93, 33, 0.3751), (20, 99, 36, 0.3049)]
+)
+def test_family_dynamic_region_beats_time_sharing(d, lam, muw, gain):
+    # The 3-D quantum dynamic region at z = 0.9 over lambda, mu in {0, 3,
+    # ..., 99}, with time-sharing support the larger of the vertex's and the
+    # uniform point's objectives (see test_dynamic_region_beats_time_sharing),
+    # from family points refined around the best point at the best pair.
+    best = CapacityWeights(float(lam), float(muw))
+    table = refined_family(
+        ChannelSpec(d, z=0.9), lambda t: [int(np.argmax(regions._objective(best, t)))]
+    )
+    gains = {}
+    for pair in itertools.product(range(0, 100, 3), repeat=2):
+        values = regions._objective(CapacityWeights(*map(float, pair)), table)
+        gains[pair] = float(values.max() - max(values[0], values[-1]))
+    assert max(gains, key=gains.get) == (lam, muw)
+    assert gains[lam, muw] > 0.0
+    assert gains[lam, muw] == pytest.approx(gain, abs=1e-4)
+
+
 @pytest.mark.parametrize(
     "d, z, resolution, cq_gap, ce_gap",
     [
@@ -477,6 +543,33 @@ def test_channel_spec_validation():
         ChannelSpec(d=3, k=0)
     with pytest.raises(ValueError):
         ChannelSpec(d=3, z=1.5)
+    # The numerics are checked for a cloner block too, though it reads only the base.
+    for bad in ({"log_base": math.inf}, {"log_base": 1.0}, {"truncation_eps": -1.0}):
+        with pytest.raises(ValueError):
+            ChannelSpec(d=2, k=2, **bad)
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda spec, r: cq_curve(spec, r),
+        lambda spec, r: ce_curve(spec, r),
+        lambda spec, r: region_surface_cqe(spec, r),
+        lambda spec, r: rps_region(spec, r),
+        lambda spec, r: dynamic_capacity(spec, CapacityWeights(1.0, 0.0), r),
+        lambda spec, r: DynamicCapacityProblem(spec, r),
+    ],
+    ids=["cq_curve", "ce_curve", "region_surface_cqe", "rps_region", "dynamic_capacity", "problem"],
+)
+def test_sweeps_refuse_a_resolution_below_1_before_the_evaluator(sweep, resolution, monkeypatch):
+    # Resolution 0 is refused like -3, not read as "the default grid".
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the evaluator past a bad resolution")
+
+    monkeypatch.setattr(TradeoffEvaluator, "__init__", refuse)
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        sweep(ChannelSpec(2, z=0.5), resolution)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -559,20 +652,40 @@ def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
 
 def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(monkeypatch):
     # One evaluation per orbit, at its first row with the grid denominator;
-    # then every row tied with a hull vertex, orbit-firsts included, once
-    # more on its own without it, since its last bits decide which of the
-    # tied rows the hull flags.
+    # then every row tied with a hull vertex once more on its own without
+    # it, since its last bits decide which of the tied rows the hull flags,
+    # except an orbit's first row that the sweep ran on the lattice: it holds
+    # its own bits already.
     calls = count_sums(monkeypatch)
-    for spec in (ChannelSpec(d=3, z=0.5), ChannelSpec(d=3, k=4)):
+    cases = {
+        "d3-z0.5": (ChannelSpec(3, z=0.5), 8),
+        "d3-k4": (ChannelSpec(3, k=4), 8),
+        "d2-z0.5": (ChannelSpec(2, z=0.5), 64),
+    }
+    sizes = {}
+    for name, (spec, resolution) in cases.items():
+        n = resolution * spec.d
         for curve in (cq_curve, ce_curve):
             calls.clear()
-            result = curve(spec, 8)
+            result = curve(spec, resolution)
             rows = [tuple(mu) for mu in result.mu.tolist()]
             first = orbit_first_rows(result.mu)
+            again = reevaluated_rows(spec, result, n)
+            assert sorted(calls[: len(first)]) == sorted((rows[i], n) for i in first)
+            assert sorted(calls[len(first) :]) == sorted((rows[i], None) for i in again)
             tied = tied_rows(result.rates, result.hull_indices)
-            assert len(first) == 11 and len(rows) == 46 and len(tied)
-            assert sorted(calls[: len(first)]) == sorted((rows[i], 24) for i in first)
-            assert sorted(calls[len(first) :]) == sorted((rows[i], None) for i in tied)
+            sizes[name, curve.__name__] = (len(first), len(tied), len(again))
+    # (orbits, tied rows, rows evaluated again).  At d = 3, z = 0.5 every
+    # orbit ran on the histogram; the cloner ran some on the lattice, and
+    # d = 2 ran all: 33 + 30 evaluations for the 65 rows of the CQ curve.
+    assert sizes == {
+        ("d3-z0.5", "cq_curve"): (11, 16, 16),
+        ("d3-z0.5", "ce_curve"): (11, 7, 7),
+        ("d3-k4", "cq_curve"): (11, 22, 17),
+        ("d3-k4", "ce_curve"): (11, 7, 5),
+        ("d2-z0.5", "cq_curve"): (33, 61, 30),
+        ("d2-z0.5", "ce_curve"): (33, 63, 31),
+    }
 
 
 @pytest.mark.parametrize("name", ["cq", "ce"])

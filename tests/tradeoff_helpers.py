@@ -1,9 +1,14 @@
 """Shared helpers for the CQ/CE curve tests: which rows a curve evaluates,
-and the geometry of boundary-vs-time-sharing checks."""
+the geometry of boundary-vs-time-sharing checks, and points of the
+one-heavy ensemble family."""
+
+import functools
 
 import numpy as np
 
 from unruhcap import regions
+from unruhcap.engine import grid_counts, pick_kernel
+from unruhcap.entropy import ensemble_conditional_entropy_A
 from unruhcap.spectra import EnsembleParams
 
 
@@ -23,6 +28,19 @@ def orbit_first_rows(grid) -> list:
     for i, row in enumerate(grid.tolist()):
         first.setdefault(tuple(sorted(row)), i)
     return sorted(first.values())
+
+
+def reevaluated_rows(spec: regions.ChannelSpec, curve: regions.CurveResult, n: int) -> list:
+    """The rows a curve on the grid with denominator ``n`` evaluates again on
+    their own: the rows tied with a hull vertex, less the orbits' first rows
+    that the sweep ran on the lattice, which hold their own bits already."""
+    horizon = spec.evaluator.horizon
+    own = {
+        i
+        for i in orbit_first_rows(curve.mu)
+        if pick_kernel(spec.d, horizon, grid_counts(curve.mu[i], n)[0]) == "lattice"
+    }
+    return [i for i in tied_rows(curve.rates, curve.hull_indices) if i not in own]
 
 
 def boundary_interp(points, x):
@@ -72,3 +90,44 @@ def ce_midpoint_gap(spec: regions.ChannelSpec, resolution: int):
     chord = 0.5
     gap = chord - boundary_interp(boundary, x_mid)
     return gap, gap / chord
+
+
+@functools.lru_cache(maxsize=None)
+def family_row(spec: regions.ChannelSpec, a: float) -> tuple:
+    """The entropy record of the one-heavy ensemble (a, b, ..., b), b =
+    (1-a)/(d-1), on the family kernel."""
+    evaluator = spec.evaluator
+    params = EnsembleParams((a,) + ((1.0 - a) / (spec.d - 1),) * (spec.d - 1))
+    h_a = ensemble_conditional_entropy_A(params, evaluator.base).value
+    return (evaluator.s_b, *evaluator.family_sums(a), h_a)
+
+
+def refined_family(spec: regions.ChannelSpec, active, start: int = 9, levels: int = 6):
+    """The entropy table of one-heavy family points, a ascending from the
+    uniform point a = 1/d to the vertex a = 1, coarse to fine: ``start``
+    equally spaced values of a, then ``levels`` times the midpoints between
+    each row that ``active(table)`` names and its neighbours."""
+    a_values = set(np.linspace(1.0 / spec.d, 1.0, start).tolist())
+    for level in range(levels + 1):
+        grid = sorted(a_values)
+        table = regions.EntropyTriple(*np.array([family_row(spec, a) for a in grid]).T)
+        if level < levels:
+            for i in active(table):
+                neighbours = [j for j in (i - 1, i + 1) if 0 <= j < len(grid)]
+                a_values.update((grid[i] + grid[j]) / 2.0 for j in neighbours)
+    return table
+
+
+def family_midpoint_gap(points, sign: float):
+    """(gap, rows): how far the hull of the (x, y) ``points`` of a
+    family table rises above (``sign`` 1) or sags below (``sign`` -1) the
+    time-sharing chord from the uniform point (first row) to the vertex
+    (last row), at the chord's midpoint abscissa; and the two hull vertices
+    that bracket that abscissa."""
+    hull = sorted(regions.pareto_hull_indices(points * (1.0, sign)), key=lambda i: points[i, 0])
+    xs, ys = points[hull].T
+    x_mid = (points[0, 0] + points[-1, 0]) / 2.0
+    chord = (points[0, 1] + points[-1, 1]) / 2.0
+    k = int(np.searchsorted(xs, x_mid))
+    rows = [hull[max(k - 1, 0)], hull[min(k, len(hull) - 1)]]
+    return sign * (float(np.interp(x_mid, xs, ys)) - chord), rows
