@@ -8,9 +8,10 @@ configuration and seed produce byte-identical files.
 Exit codes: 0 all good (and all verifications passed), 1 a verification
 failed, 2 usage error, 3 numeric guard (non-convergent truncation, size cap),
 141 (128 + SIGPIPE) stdout closed early, as by ``| head``, with nothing on stderr.
-Flags are parsed as plain numbers: the library holds every range rule and
-raises ``ValueError`` before it builds anything, which exits 2 as a usage
-error.
+Only the invoked subcommand's parser is built (``build_parser``).  Flags are
+parsed as plain numbers: the library holds every range rule and raises
+``ValueError`` before it builds anything, which exits 2 as a usage error of
+that subcommand.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, channelsim, regions
+from . import __version__, regions
+from .combinat import SizeCapError
 from .spectra import ConvergenceError, cloner_spectrum
 
 EXIT_OK = 0
@@ -31,7 +33,7 @@ EXIT_FAIL = 1
 EXIT_GUARD = 3
 EXIT_PIPE = 141
 
-_GUARD_ERRORS = (ConvergenceError, channelsim.SizeCapError, OverflowError)
+_GUARD_ERRORS = (ConvergenceError, SizeCapError, OverflowError)
 
 
 def _fmt(x) -> str:
@@ -169,6 +171,8 @@ def _cmd_dyncap(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import channelsim  # the matrix oracle; no sweep needs it
+
     if args.check == "hadamard":
         report = channelsim.verify_kraus(args.d, n_samples=args.samples, seed=args.seed)
     elif args.check == "cloner-equivalence":
@@ -197,84 +201,88 @@ def _add_common(parser: argparse.ArgumentParser, *, grid: bool = True) -> None:
         parser.add_argument("--grid", type=int, default=None, help="simplex lattice resolution")
 
 
-def _add_channel_choice(parser: argparse.ArgumentParser) -> None:
+def _spectrum_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", type=int, required=True)
+    parser.add_argument("--k", type=int, required=True)
+    _add_common(parser, grid=False)
+    parser.set_defaults(z=None)
+
+
+def _curve_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", type=int, required=True)
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="cloner block index (cloner mode)")
     group.add_argument("--z", type=float, help="acceleration parameter (Unruh mode)")
+    _add_common(parser)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _unruh_flags(parser: argparse.ArgumentParser, weights: bool = False) -> None:
+    parser.add_argument("--d", type=int, required=True)
+    parser.add_argument("--z", type=float, required=True)
+    if weights:
+        parser.add_argument("--lambda", dest="lambda_w", type=float, required=True)
+        parser.add_argument("--mu-weight", dest="mu_weight", type=float, required=True)
+    _add_common(parser)
+    parser.set_defaults(k=None)
+
+
+def _verify_flags(parser: argparse.ArgumentParser) -> None:
+    checks = parser.add_subparsers(dest="check", required=True)
+    for name, help_text, ints, samples in (
+        ("hadamard", "Kraus completeness/action/rank-one report", ("--d",), 100),
+        ("cloner-equivalence", "block-vs-cloner spectral report", ("--d", "--k"), 20),
+        ("ppt", "complement Choi partial-transpose report", ("--d", "--k"), None),
+    ):
+        check = checks.add_parser(name, help=help_text)
+        for flag in ints:
+            check.add_argument(flag, type=int, required=True)
+        if samples is not None:
+            check.add_argument("--samples", type=int, default=samples)
+            check.add_argument("--seed", type=int, default=0)
+        check.add_argument("--output", "-o", default="-")
+
+
+# name: (help line, adds the subcommand's flags to its parser, handler)
+_SUBCOMMANDS = {
+    "spectrum": ("cloner output spectrum table", _spectrum_flags, _cmd_spectrum),
+    "cq-curve": ("classical/quantum Pareto boundary sweep", _curve_flags, _cmd_curve),
+    "ce-curve": ("classical/entanglement Pareto boundary sweep", _curve_flags, _cmd_curve),
+    "cqe-region": ("CQE bound triples and corner cloud", _unruh_flags, _cmd_cqe_region),
+    "rps-region": ("public/private/secret-key bound triples", _unruh_flags, _cmd_rps_region),
+    "dyncap": (
+        "maximize the weighted dynamic capacity objective",
+        lambda parser: _unruh_flags(parser, weights=True),
+        _cmd_dyncap,
+    ),
+    "verify": ("matrix-oracle verification checks", _verify_flags, _cmd_verify),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of the subcommand ``argv[0]`` names, alone, with prog
+    ``unruhcap <name>`` (it parses ``argv[1:]``); else the top-level parser:
+    ``-h``, ``--version`` and the list of subcommands, without their flags."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        _, add_flags, func = _SUBCOMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"unruhcap {argv[0]}")
+        add_flags(parser)
+        parser.set_defaults(subcommand=argv[0], func=func)
+        return parser
     parser = argparse.ArgumentParser(
         prog="unruhcap",
         description="Trade-off capacity regions of qudit cloners and the Unruh channel.",
     )
     parser.add_argument("--version", action="version", version=f"unruhcap {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("spectrum", help="cloner output spectrum table")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p, grid=False)
-    p.set_defaults(func=_cmd_spectrum, z=None)
-
-    for name, help_text in (
-        ("cq-curve", "classical/quantum Pareto boundary sweep"),
-        ("ce-curve", "classical/entanglement Pareto boundary sweep"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--d", type=int, required=True)
-        _add_channel_choice(p)
-        _add_common(p)
-        p.set_defaults(func=_cmd_curve)
-
-    for name, help_text, func in (
-        ("cqe-region", "CQE bound triples and corner cloud", _cmd_cqe_region),
-        ("rps-region", "public/private/secret-key bound triples", _cmd_rps_region),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--z", type=float, required=True)
-        _add_common(p)
-        p.set_defaults(func=func, k=None)
-
-    p = sub.add_parser("dyncap", help="maximize the weighted dynamic capacity objective")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--lambda", dest="lambda_w", type=float, required=True)
-    p.add_argument("--mu-weight", dest="mu_weight", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_dyncap, k=None)
-
-    p = sub.add_parser("verify", help="matrix-oracle verification checks")
-    vsub = p.add_subparsers(dest="check", required=True)
-
-    v = vsub.add_parser("hadamard", help="Kraus completeness/action/rank-one report")
-    v.add_argument("--d", type=int, required=True)
-    v.add_argument("--samples", type=int, default=100)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--output", "-o", default="-")
-    v.set_defaults(func=_cmd_verify)
-
-    v = vsub.add_parser("cloner-equivalence", help="block-vs-cloner spectral report")
-    v.add_argument("--d", type=int, required=True)
-    v.add_argument("--k", type=int, required=True)
-    v.add_argument("--samples", type=int, default=20)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--output", "-o", default="-")
-    v.set_defaults(func=_cmd_verify)
-
-    v = vsub.add_parser("ppt", help="complement Choi partial-transpose report")
-    v.add_argument("--d", type=int, required=True)
-    v.add_argument("--k", type=int, required=True)
-    v.add_argument("--output", "-o", default="-")
-    v.set_defaults(func=_cmd_verify)
-
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
+    args = parser.parse_args(argv[1:] if parser.get_default("subcommand") else argv)
     try:
         status = args.func(args)
         sys.stdout.flush()

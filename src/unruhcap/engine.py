@@ -176,8 +176,8 @@ class TradeoffEvaluator:
         mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
         if mu_arr.shape != (self.d,):
             raise ValueError(f"ensemble must have {self.d} weights")
-        if self.kernel(mu_arr, n) == "histogram":
-            counts, n = grid_counts(mu_arr, n)
+        counts, n = (None, None) if n is None else grid_counts(mu_arr, n)
+        if pick_kernel(self.d, self.horizon, counts) == "histogram":
             return kernels.histogram_entropy(
                 counts, n, self._inv_norm[1 : self.horizon + 1], self._inv_ln_base
             )

@@ -452,8 +452,7 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
 def _sweep(evaluator: TradeoffEvaluator, resolution: int):
     """The grid ``mu``, its entropy ``table``, an ``EntropyTriple`` of
     columns whose entry i is the entropy record of ``mu[i]``'s orbit, and
-    the mask ``own`` of the rows whose entries are their own lattice
-    evaluation's bits: the orbits' first rows that ran on the lattice.
+    the indices ``first`` of the orbits' first rows, the rows evaluated.
 
     Every entropy of the record is a symmetric function of mu (permuting mu
     only relabels the occupation basis), so each S_d orbit of the grid is
@@ -476,9 +475,7 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int):
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first, member_of = np.unique(keys, return_index=True, return_inverse=True)
     evaluated = np.array([_evaluated_triple(evaluator, mu[i], n) for i in first])
-    own = np.zeros(len(mu), dtype=bool)
-    own[first] = [evaluator.kernel(mu[i], n) == "lattice" for i in first]
-    return mu, EntropyTriple(*(column[member_of] for column in evaluated.T)), own
+    return mu, EntropyTriple(*(column[member_of] for column in evaluated.T)), first
 
 
 def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveResult:
@@ -497,11 +494,14 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
     evaluator = spec.evaluator
     # The rows near hull vertices need the lattice: gate it before the grid.
     pick_kernel(evaluator.d, evaluator.horizon)
-    mu, table, own = _sweep(evaluator, resolution)
+    mu, table, first = _sweep(evaluator, resolution)
     rates = np.column_stack(rate_pair(table))
     tied = np.zeros(len(mu), dtype=bool)
     for vertex in rates[pareto_hull_indices(rates * sign)]:
         tied |= np.abs(rates - vertex).max(axis=1) <= HULL_TOL
+    own = np.zeros(len(mu), dtype=bool)  # the tied first rows the sweep ran on the lattice
+    n = resolution * evaluator.d
+    own[first] = [tied[i] and evaluator.kernel(mu[i], n) == "lattice" for i in first]
     for i in np.flatnonzero(tied & ~own):
         rates[i] = rate_pair(_evaluated_triple(evaluator, mu[i]))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * sign)))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -294,9 +295,62 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         run_cli(["cq-curve", "--d", "2", "--k", "2", "--z", "0.5"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"]])
+def test_no_or_unknown_subcommand_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as err:
-        run_cli(["spectrum", "--d", "1", "--k", "2"])
+        run_cli(argv)
     assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: unruhcap [-h] [--version]" in captured.err
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out == "unruhcap 0.1.0\n"
+
+
+def test_help_lists_every_subcommand_and_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["-h"])
+    assert err.value.code == 0
+    listed = {tuple(line.split(None, 1)) for line in capsys.readouterr().out.splitlines()}
+    assert {
+        ("spectrum", "cloner output spectrum table"),
+        ("cq-curve", "classical/quantum Pareto boundary sweep"),
+        ("ce-curve", "classical/entanglement Pareto boundary sweep"),
+        ("cqe-region", "CQE bound triples and corner cloud"),
+        ("rps-region", "public/private/secret-key bound triples"),
+        ("dyncap", "maximize the weighted dynamic capacity objective"),
+        ("verify", "matrix-oracle verification checks"),
+    } <= listed
+    with pytest.raises(SystemExit) as err:
+        run_cli(["cq-curve", "-h"])
+    assert err.value.code == 0
+    options = capsys.readouterr().out.split("options:")[1]
+    assert {word.strip(",") for word in options.split() if word.startswith("-")} == {
+        "-h", "--help", "--d", "--k", "--z", "--eps", "--base", "--seed", "--output", "-o",
+        "--format", "--grid",
+    }
+
+
+@pytest.mark.parametrize("command", ["cqe-region", "cq-curve"])
+def test_a_subcommand_builds_its_parser_alone(command, monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = [command, "--d", "2", "--z", "0.5", "--grid", "2", "-o", str(tmp_path / "out.csv")]
+    assert run_cli(argv) == 0
+    assert built == [f"unruhcap {command}"]
 
 
 DIM = "dimension must be an integer >= 2"
@@ -345,7 +399,7 @@ SAMPLES = "n_samples must be >= 1"
 def test_bad_values_exit_2_before_anything_is_built(argv, message, capsys, monkeypatch):
     # The flags parse as plain numbers; the library refuses each bad value
     # with its own ValueError before it builds an evaluator, a grid or a
-    # matrix, and main turns that into a usage error.
+    # matrix, and main turns that into a usage error of the subcommand.
     def refuse(*args, **kwargs):
         raise AssertionError(f"built {args[0]!r} past a bad value")
 
@@ -359,6 +413,8 @@ def test_bad_values_exit_2_before_anything_is_built(argv, message, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert f"usage: unruhcap {argv[0]} " in captured.err
+    assert f"unruhcap {argv[0]}: error: " in captured.err
 
 
 @pytest.mark.parametrize(
@@ -373,6 +429,7 @@ def test_log_base_must_be_finite_and_exceed_1(channel, value, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert "unruhcap cq-curve: error: " in captured.err
 
 
 def test_numeric_guard_exits_3(tmp_path, capsys):
@@ -555,7 +612,9 @@ def test_verify_rejects_vacuous_sample_count(check, count, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", *check, "--samples", count])
     assert err.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_samples must be >= 1" in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
