@@ -11,7 +11,7 @@ failed, 2 usage error, 3 numeric guard (non-convergent truncation, size cap),
 Only the invoked subcommand's parser is built (``build_parser``).  Flags are
 parsed as plain numbers: the library holds every range rule and raises
 ``ValueError`` before it builds anything, which exits 2 as a usage error of
-that subcommand.
+that subcommand (of the check, under ``verify``).
 """
 
 from __future__ import annotations
@@ -240,6 +240,7 @@ def _verify_flags(parser: argparse.ArgumentParser) -> None:
             check.add_argument("--samples", type=int, default=samples)
             check.add_argument("--seed", type=int, default=0)
         check.add_argument("--output", "-o", default="-")
+        check.set_defaults(error=check.error)  # a refused value names the check
 
 
 # name: (help line, adds the subcommand's flags to its parser, handler)
@@ -266,7 +267,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         _, add_flags, func = _SUBCOMMANDS[argv[0]]
         parser = argparse.ArgumentParser(prog=f"unruhcap {argv[0]}")
         add_flags(parser)
-        parser.set_defaults(subcommand=argv[0], func=func)
+        parser.set_defaults(subcommand=argv[0], func=func, error=parser.error)
         return parser
     parser = argparse.ArgumentParser(
         prog="unruhcap",
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True, allow_nan=False) + "\n")
         return EXIT_GUARD
     except ValueError as exc:
-        parser.error(str(exc))  # exits 2
+        args.error(str(exc))  # exits 2
         return 2  # unreachable; keeps type checkers calm
 
 

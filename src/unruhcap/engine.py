@@ -14,10 +14,11 @@ block.  Two exact kernels do this:
   1-D pairwise row sum, accumulated in sub-weight order; that order fixes
   the output bits (see ``kernels``).
 * the histogram kernel (a grid point ``mu = counts / n``) counts, per block,
-  how many basis vectors share each integer atom numerator ``b . counts``,
-  in about d (K+1)(K max(counts) + 2n) cell operations, 16 blocks at a time,
-  then weighs each block with matrix-vector products against v and v log v
-  (one 1-D log per evaluation; see ``kernels.histogram_entropy``).
+  how many basis vectors share each integer atom numerator ``b . counts``:
+  the t modes of the commonest count in closed form, the other d - t in
+  about (d - t)(K+1)(K max(counts) + 2n) cell operations, 16 blocks at a
+  time, then weighs each block with matrix-vector products against v and
+  v log v (one 1-D log per evaluation; see ``kernels.histogram_entropy``).
 
 Every sweep passes the grid denominator ``n``; ``pick_kernel``, the one size
 gate, runs the cheaper kernel within its own cap (without ``n``, as for the
@@ -87,11 +88,13 @@ def pick_kernel(d: int, horizon: int, counts=None) -> str:
     own cap at the grid point with (reduced) ``counts`` (only their max and
     sum are read), or at an off-grid point (``None``); else ``SizeCapError``.
 
-    The lattice scans C(K+d, d) terms.  The histogram makes d passes over its
-    (K+1)-row count array to build it and weighs the atoms with four
-    matrix-vector products; the cost model charges d + 2 passes, at
-    ``HISTOGRAM_CELL_COST`` lattice terms per cell.  It also needs its largest
-    count dim_K = C(K+d-1, d-1) below 2**53, to stay exact.
+    The lattice scans C(K+d, d) terms.  The histogram makes d - t passes
+    over its (K+1)-row count array to build it (t modes share the commonest
+    count) and weighs the atoms with four matrix-vector products; the cost
+    model still charges d + 2 passes, at ``HISTOGRAM_CELL_COST`` lattice terms
+    per cell, on purpose: charging fewer would move orbits between the
+    kernels, and with them the last digits of sweep outputs.  It also needs
+    its largest count dim_K = C(K+d-1, d-1) below 2**53, to stay exact.
     """
     terms = math.comb(horizon + d, d)
     histogram = "needs a grid point"

@@ -87,13 +87,17 @@ def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j):
 def histogram_entropy(counts, n, inv_norm, inv_ln_base):
     """Per-block spectrum entropies at the grid ensemble ``counts / n``.
 
-    ``counts`` are d nonnegative integers summing to ``n``, and ``inv_norm``
-    holds 1/M_k for blocks k = 1..K.  Every atom of block k is an integer
-    ``v`` over ``n * M_k``, so the spectra are fixed by the counts
+    ``counts`` is a tuple of d nonnegative integers summing to ``n``, and
+    ``inv_norm`` holds 1/M_k for blocks k = 1..K.  Every atom of block k is
+    an integer ``v`` over ``n * M_k``, so the spectra are fixed by the counts
     N_k[v] = #{b in comp(d, k) : b . counts = v}, the coefficients of
-    prod_i 1/(1 - y x^counts_i), built one mode at a time.  The receiver
-    atoms of block k are v/(n M_k) with multiplicity N_k[v]; the environment
-    atoms of block k are (v + n)/(n M_k) with multiplicity N_{k-1}[v].
+    prod_i 1/(1 - y x^counts_i).  The t modes that share the commonest count
+    c give the closed form N_k[k c] = C(k+t-1, t-1) on their own, and the
+    other d - t modes are multiplied in one row pass each (none at a uniform
+    point); permuting equal counts only relabels basis vectors, so the order
+    of the modes changes no count.  The receiver atoms of block k are
+    v/(n M_k) with multiplicity N_k[v]; the environment atoms of block k are
+    (v + n)/(n M_k) with multiplicity N_{k-1}[v].
     Returns arrays ``(h_b, h_e)`` indexed by block ``k-1``.
 
     With s = 1/(n M_k), a side's sum_v N[v] p log p is
@@ -101,34 +105,50 @@ def histogram_entropy(counts, n, inv_norm, inv_ln_base):
     over the numerators, then two matrix-vector products per side.  Both
     sides of a block read equal-shaped row views against the same vectors,
     so equal spectra (the two sides of every block at a vertex) give equal
-    bits.  The rows are built ``HISTOGRAM_CHUNK`` blocks at a time; each mode
+    bits.  The rows are built ``HISTOGRAM_CHUNK`` blocks at a time, each
+    chunk starting from the closed-form column; each of the d - t passes
     carries its last row of the previous chunk forward, so memory is
     O((HISTOGRAM_CHUNK + d) * width), not O(K * width).
 
     ``engine.pick_kernel`` keeps every count, at most dim_K = C(K+d-1, d-1),
-    below 2**53, so it is exact.
+    below 2**53, so it is exact, and the closed form is exact from Python
+    integers: the sums read the same rows whatever the mode order, bit for bit.
     """
     horizon = inv_norm.shape[0]
     width = (horizon - 1) * max(counts) + n + 1
     v = np.arange(width, dtype=np.float64)
     vlogv = v * np.log(np.maximum(v, 1.0))  # 0 log 0 = 0
+    # The commonest count c, shared by t modes, and the other modes.
+    c = max(counts, key=counts.count)
+    t = counts.count(c)
+    rest = [b for b in counts if b != c]
+    # Those t modes alone put C(k+t-1, t-1) vectors at atom k c of block k.
+    start = np.array([float(math.comb(k + t - 1, t - 1)) for k in range(horizon + 1)])
     # Row r holds n zeros, then N_{k0+r}: row r-1 read from column 0 is
     # N_{k0+r-1} moved up by n, aligned with row r's atoms.
     hist = np.zeros((HISTOGRAM_CHUNK + 1, n + width))
     nk = hist[:, n:]
-    # carry[i]: row 0 of the chunk, N_{k0}, after mode i (the previous
+    # carry[i]: row 0 of the chunk, N_{k0}, after mode rest[i] (the previous
     # chunk's last row).
-    carry = np.zeros((len(counts), width))
+    carry = np.zeros((len(rest), width))
     carry[:, 0] = 1.0
+    # A pass of count b adds row r-1, moved up by b, into row r; its row
+    # views are made once, since every chunk reuses the same rows.
+    passes = {
+        b: [(nk[r, b:], nk[r - 1, : width - b]) for r in range(1, HISTOGRAM_CHUNK + 1)]
+        for b in set(rest)
+    }
     # [sum N v log v, sum N v] per side and block.
     sums = np.empty((2, 2, horizon))
     for k0 in range(0, horizon, HISTOGRAM_CHUNK):
         m = min(HISTOGRAM_CHUNK, horizon - k0)
-        nk[1:] = 0.0
-        for i, c in enumerate(counts):
+        k = np.arange(k0, k0 + m + 1)
+        nk[: m + 1] = 0.0
+        nk[k - k0, k * c] = start[k]
+        for i, b in enumerate(rest):
             nk[0] = carry[i]
-            for r in range(1, m + 1):
-                nk[r, c:] += nk[r - 1, : width - c]
+            for row, prev in passes[b][:m]:
+                row += prev
             carry[i] = nk[m]
         for side, rows in enumerate((nk[1 : m + 1], hist[:m, :width])):
             np.matmul(rows, vlogv, out=sums[0, side, k0 : k0 + m])

@@ -399,7 +399,8 @@ SAMPLES = "n_samples must be >= 1"
 def test_bad_values_exit_2_before_anything_is_built(argv, message, capsys, monkeypatch):
     # The flags parse as plain numbers; the library refuses each bad value
     # with its own ValueError before it builds an evaluator, a grid or a
-    # matrix, and main turns that into a usage error of the subcommand.
+    # matrix, and main turns that into a usage error of the subcommand, or of
+    # the check under verify.
     def refuse(*args, **kwargs):
         raise AssertionError(f"built {args[0]!r} past a bad value")
 
@@ -413,8 +414,9 @@ def test_bad_values_exit_2_before_anything_is_built(argv, message, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
-    assert f"usage: unruhcap {argv[0]} " in captured.err
-    assert f"unruhcap {argv[0]}: error: " in captured.err
+    prog = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+    assert f"usage: unruhcap {prog} " in captured.err
+    assert f"unruhcap {prog}: error: " in captured.err
 
 
 @pytest.mark.parametrize(
@@ -429,6 +431,7 @@ def test_log_base_must_be_finite_and_exceed_1(channel, value, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert "usage: unruhcap cq-curve " in captured.err
     assert "unruhcap cq-curve: error: " in captured.err
 
 
@@ -615,6 +618,7 @@ def test_verify_rejects_vacuous_sample_count(check, count, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n_samples must be >= 1" in captured.err
+    assert f"usage: unruhcap verify {check[0]} " in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

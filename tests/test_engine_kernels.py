@@ -215,6 +215,25 @@ def random_grid_points(rng, d, count):
         yield np.diff(np.concatenate(([0], cuts, [n]))), n
 
 
+def tied_grid_points(rng, d):
+    """Seeded (counts, n), one for each start of the histogram kernel: all
+    counts equal, zero the commonest count, a nonzero count the commonest,
+    and all counts distinct.  Below d = 3 a count can be the commonest only
+    in a tie."""
+    ties = max(1, min(d - 1, d // 2 + 1))
+    c = int(rng.integers(1, 4))
+    others = rng.integers(1, 6, d - ties)
+    cases = [
+        np.full(d, c),
+        np.concatenate((np.zeros(ties, dtype=np.int64), others)),
+        np.concatenate((np.full(ties, c), np.where(others == c, 0, others))),
+        rng.choice(2 * d, d, replace=False),
+    ]
+    for counts in cases:
+        counts = rng.permutation(counts)
+        yield counts, int(counts.sum())
+
+
 def test_histogram_kernel_matches_spectra_route_and_lattice_per_block():
     rng = np.random.default_rng(31)
     horizon = 5
@@ -246,6 +265,7 @@ def test_histogram_kernel_matches_spectra_route_across_chunks(d, horizon, base):
     inv_norm = np.array([1.0 / block_normalizer(d, k) for k in range(1, horizon + 1)])
     points = list(random_grid_points(rng, d, 3))
     points.append((np.eye(d, dtype=np.int64)[0], 1))  # the vertex: d - 1 zero counts
+    points += tied_grid_points(rng, d)
     for counts, n in points:
         mu = tuple(counts / n)
         want = np.array([
@@ -258,6 +278,52 @@ def test_histogram_kernel_matches_spectra_route_across_chunks(d, horizon, base):
                 tuple(int(c) * scale for c in counts), n * scale, inv_norm, 1.0 / math.log(base)
             )
             assert np.abs(np.array(got) - want).max() <= 1e-12
+
+
+def _per_mode_histogram_entropy(counts, n, inv_norm, inv_ln_base):
+    """The histogram kernel with one count pass per mode, each chunk's rows
+    starting from zero: the closed-form start of the commonest count must
+    reproduce its bits."""
+    horizon = inv_norm.shape[0]
+    width = (horizon - 1) * max(counts) + n + 1
+    v = np.arange(width, dtype=np.float64)
+    vlogv = v * np.log(np.maximum(v, 1.0))
+    hist = np.zeros((kernels.HISTOGRAM_CHUNK + 1, n + width))
+    nk = hist[:, n:]
+    carry = np.zeros((len(counts), width))
+    carry[:, 0] = 1.0
+    sums = np.empty((2, 2, horizon))
+    for k0 in range(0, horizon, kernels.HISTOGRAM_CHUNK):
+        m = min(kernels.HISTOGRAM_CHUNK, horizon - k0)
+        nk[1:] = 0.0
+        for i, c in enumerate(counts):
+            nk[0] = carry[i]
+            for r in range(1, m + 1):
+                nk[r, c:] += nk[r - 1, : width - c]
+            carry[i] = nk[m]
+        for side, rows in enumerate((nk[1 : m + 1], hist[:m, :width])):
+            np.matmul(rows, vlogv, out=sums[0, side, k0 : k0 + m])
+            np.matmul(rows, v, out=sums[1, side, k0 : k0 + m])
+    s = inv_norm / n
+    h = s * (sums[0] + np.log(s) * sums[1])
+    h *= -inv_ln_base
+    return h[0], h[1]
+
+
+@pytest.mark.parametrize(
+    "d, horizon", [(d, k) for d in (2, 3, 4, 5, 6) for k in (15, 16, 17, 33)] + [(5, 327)]
+)
+def test_histogram_kernel_bits_match_the_per_mode_dp(d, horizon):
+    # Bitwise: every count is an exact integer either way, and each matmul
+    # reads the same rows, so the golden outputs keep their last digits.
+    # K = 327 is the horizon of cqe-region --d 5 --z 0.9.
+    rng = np.random.default_rng(1000 * d + horizon)
+    inv_norm = np.array([1.0 / block_normalizer(d, k) for k in range(1, horizon + 1)])
+    for counts, n in tied_grid_points(rng, d):
+        counts = tuple(int(c) for c in counts)
+        got = kernels.histogram_entropy(counts, n, inv_norm, 1.0 / math.log(d))
+        want = _per_mode_histogram_entropy(counts, n, inv_norm, 1.0 / math.log(d))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), counts
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -1,8 +1,10 @@
 """Frozen CLI outputs: small runs whose stdout must not change by one byte.
 
 The files under ``tests/golden/`` were written by the same commands before
-the sweeps were rewritten as arrays; a refactor of the sweep, hull or
-emission code must reproduce them exactly.
+the sweeps were rewritten as arrays, and ``cqe-region-d5-z0.9.csv`` (every
+orbit on the histogram kernel) before its DP started from the closed form of
+the commonest count; a refactor of the kernels, sweep, hull or emission code
+must reproduce them exactly.
 """
 
 from pathlib import Path
@@ -18,6 +20,7 @@ COMMANDS = {
     "cq-curve-unruh.csv": "cq-curve --d 2 --z 0.5 --grid 16",
     "ce-curve.csv": "ce-curve --d 3 --z 0.5 --grid 8",
     "cqe-region.csv": "cqe-region --d 3 --z 0.5 --grid 7",
+    "cqe-region-d5-z0.9.csv": "cqe-region --d 5 --z 0.9 --grid 4",
     "rps-region.csv": "rps-region --d 4 --z 0.25 --grid 5",
     "dyncap.json": "dyncap --d 3 --z 0.5 --lambda 0 --mu-weight 10 --grid 16 --format json",
 }
