@@ -20,12 +20,10 @@ block.  Two exact kernels do this:
   time, then weighs each block with matrix-vector products against v and
   v log v (one 1-D log per evaluation; see ``kernels.histogram_entropy``).
 
-Every sweep passes the grid denominator ``n``; ``pick_kernel``, the one size
-gate, runs the cheaper kernel within its own cap (without ``n``, as for the
-rows the CQ/CE curves evaluate again near a hull vertex, the lattice
-kernel) and refuses when neither kernel fits.  ``TradeoffEvaluator.kernel``
-names the kernel an evaluation runs: a row the sweep ran on the lattice
-already has the bits of its own evaluation, and the curves skip it.
+Every sweep passes each orbit's integer ``counts``; ``pick_kernel``, the one
+size gate, runs the cheaper kernel within its own cap (without counts, as
+for the rows the CQ/CE curves evaluate again near a hull vertex, the lattice
+kernel) and refuses when neither kernel fits.
 
 A third kernel, ``family_sums``, serves the one-heavy ensembles
 (a, b, ..., b) alone, in about K**2 terms for any d, with no gate.
@@ -46,7 +44,6 @@ __all__ = [
     "MAX_HISTOGRAM_CELLS",
     "MAX_LATTICE_TERMS",
     "TradeoffEvaluator",
-    "grid_counts",
     "pick_kernel",
 ]
 
@@ -68,19 +65,6 @@ MAX_HISTOGRAM_CELLS = 4 * 10**6
 # decided by fixed per-call costs rather than by terms.  Another value moves
 # orbits between the kernels, and with them the last digits of sweep outputs.
 HISTOGRAM_CELL_COST = 0.15
-
-
-def grid_counts(mu, n: int) -> tuple[tuple[int, ...], int]:
-    """The integer counts of the grid point ``mu = counts / n``, reduced by
-    their gcd, and the reduced ``n``; ``ValueError`` when ``mu`` is not
-    exactly such a point."""
-    mu_arr = np.asarray(mu, dtype=np.float64)
-    counts = np.rint(mu_arr * n)
-    if counts.sum() != n or not np.array_equal(counts / n, mu_arr):
-        raise ValueError(f"ensemble is not a point of the grid with denominator {n}")
-    counts = counts.astype(np.int64)
-    g = int(np.gcd.reduce(counts))
-    return tuple(int(c) // g for c in counts), n // g
 
 
 def pick_kernel(d: int, horizon: int, counts=None) -> str:
@@ -163,26 +147,21 @@ class TradeoffEvaluator:
         pairs = np.stack((self._inv_norm[:-1], self._inv_norm[1:]))[:, :, None]
         return table, list(zip(starts[:-1], starts[1:])), b1, pairs
 
-    def kernel(self, mu, n: int | None = None) -> str:
-        """``"histogram"`` or ``"lattice"``: the kernel ``block_entropies(mu, n)``
-        runs (see ``pick_kernel``)."""
-        return pick_kernel(self.d, self.horizon, None if n is None else grid_counts(mu, n)[0])
-
-    def block_entropies(self, mu, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def block_entropies(self, mu, counts=None) -> tuple[np.ndarray, np.ndarray]:
         """Receiver/environment spectrum entropies of every block at ``mu``.
 
         Returns arrays ``(h_bx, h_ex)`` indexed by block ``k-1``, in base
         units, exactly matching the entropies of ``ensemble_spectrum_B/E``.
-        With ``n``, ``mu`` must be a grid point ``counts / n`` (see
-        ``grid_counts``); ``kernel`` picks the kernel, or refuses.
+        ``counts``, a tuple of d integers, says that ``mu`` is the grid point
+        ``counts / sum(counts)`` (not checked); ``pick_kernel`` picks the
+        kernel from them, or refuses.
         """
         mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
         if mu_arr.shape != (self.d,):
             raise ValueError(f"ensemble must have {self.d} weights")
-        counts, n = (None, None) if n is None else grid_counts(mu_arr, n)
         if pick_kernel(self.d, self.horizon, counts) == "histogram":
             return kernels.histogram_entropy(
-                counts, n, self._inv_norm[1 : self.horizon + 1], self._inv_ln_base
+                counts, sum(counts), self._inv_norm[1 : self.horizon + 1], self._inv_ln_base
             )
         table, spans, b1, pairs = self._lattice
         a_all = np.zeros(table.shape[1])
@@ -202,9 +181,10 @@ class TradeoffEvaluator:
             )
         return out[0, 1:], out[1, :-1]
 
-    def sums(self, mu, n: int | None = None) -> tuple[float, float]:
-        """Weighted sums (sum_k p_k H_B|X,k, sum_k p_k H_E|X,k) at ``mu``."""
-        h_bx, h_ex = self.block_entropies(mu, n)
+    def sums(self, mu, counts=None) -> tuple[float, float]:
+        """Weighted sums (sum_k p_k H_B|X,k, sum_k p_k H_E|X,k) at ``mu``
+        (the grid point ``counts / sum(counts)`` when ``counts`` is given)."""
+        h_bx, h_ex = self.block_entropies(mu, counts)
         return float(np.dot(self.weights, h_bx)), float(np.dot(self.weights, h_ex))
 
     def family_sums(self, a: float) -> tuple[float, float]:

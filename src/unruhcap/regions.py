@@ -21,7 +21,8 @@ shape (points, d), and each bound formula (``cq_point``, ``ce_point``,
 ``cqe_bounds``, the dynamic objective) applies to that table elementwise,
 exactly as it does to the triple of one ensemble.
 ``rps-region --d 6 --z 0.05 --grid 35`` (658,009 points, 2,173 orbits)
-peaks at about 200 MB RSS, the grid alone at about 120 MB (2-core VM).
+peaks at 138 MB and ``cq-curve --d 6 --k 1 --grid 35`` at 237 MB (VmHWM of
+a fresh process, 2-core VM).
 
 All rates are in dits of the configured log base (default: the dimension d).
 """
@@ -240,12 +241,12 @@ def ce_point(triple: EntropyTriple) -> tuple[float, float]:
 # Unruh entropies and CQE / RPS bounds
 # ---------------------------------------------------------------------------
 
-def _evaluated_triple(evaluator: TradeoffEvaluator, mu, n: int | None = None) -> EntropyTriple:
-    """The entropy record of ``evaluator``'s channel at ensemble ``mu`` (a
-    grid point ``counts / n`` when ``n`` is given; see ``engine.grid_counts``)."""
+def _evaluated_triple(evaluator: TradeoffEvaluator, mu, counts=None) -> EntropyTriple:
+    """The entropy record of ``evaluator``'s channel at ensemble ``mu`` (the
+    grid point ``counts / sum(counts)`` when ``counts`` is given)."""
     params = _as_ensemble(mu, evaluator.d)
     base = evaluator.base
-    s_bx, s_ex = evaluator.sums(params.as_array(), n)
+    s_bx, s_ex = evaluator.sums(params.as_array(), counts)
     return EntropyTriple(
         h_b=EntropyValue(evaluator.s_b, base).value,
         h_b_given_x=EntropyValue(s_bx, base).value,
@@ -452,30 +453,34 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
 def _sweep(evaluator: TradeoffEvaluator, resolution: int):
     """The grid ``mu``, its entropy ``table``, an ``EntropyTriple`` of
     columns whose entry i is the entropy record of ``mu[i]``'s orbit, and
-    the indices ``first`` of the orbits' first rows, the rows evaluated.
+    ``orbits``, a map from each orbit's first row, the row evaluated, to its
+    integer counts reduced by their gcd.
 
     Every entropy of the record is a symmetric function of mu (permuting mu
     only relabels the occupation basis), so each S_d orbit of the grid is
     evaluated once, at its first row, and its entropies are given to every
     member.  The grid is lexicographically descending, so that row is the
-    orbit's descending-sorted point.  It is passed as a grid point, and the
-    engine runs it on the cheaper of its two exact kernels
-    (``TradeoffEvaluator.kernel`` says which).  Each entry was checked finite
-    by ``_evaluated_triple``.
+    orbit's descending-sorted point.  It is passed with its counts, and the
+    engine runs it on the cheaper of its two exact kernels (``pick_kernel``
+    of the counts says which).  Each entry was checked finite by
+    ``_evaluated_triple``.
     """
-    # Every row, the uniform one included, is counts / (resolution * d).
-    n = resolution * evaluator.d
     # Gate before the grid, per orbit at the costliest reduced counts: (r-1, 1) or (1,) * d.
     for counts in ((resolution - 1, 1), (1,) * evaluator.d):
         pick_kernel(evaluator.d, evaluator.horizon, counts)
     mu = simplex_grid(evaluator.d, resolution)
-    # One bytes key per sorted row: the weights are finite and >= +0.0, so
-    # equal bytes mean equal rows, and bytes sort far faster than rows.
-    keys = np.sort(mu, axis=1)
+    # Every row, the uniform one included, is counts / (resolution * d), and
+    # rint recovers those counts exactly.
+    counts = np.rint(mu * (resolution * evaluator.d)).astype(np.int32)
+    # One bytes key per sorted row of counts: equal bytes mean equal rows,
+    # and bytes sort far faster than rows.
+    keys = np.sort(counts, axis=1)
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first, member_of = np.unique(keys, return_index=True, return_inverse=True)
-    evaluated = np.array([_evaluated_triple(evaluator, mu[i], n) for i in first])
-    return mu, EntropyTriple(*(column[member_of] for column in evaluated.T)), first
+    reduced = counts[first] // np.gcd.reduce(counts[first], axis=1)[:, None]
+    orbits = dict(zip(first.tolist(), map(tuple, reduced.tolist())))
+    evaluated = np.array([_evaluated_triple(evaluator, mu[i], c) for i, c in orbits.items()])
+    return mu, EntropyTriple(*(column[member_of] for column in evaluated.T)), orbits
 
 
 def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveResult:
@@ -487,21 +492,21 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
     rows the hull flags.  So every row whose rate pair lies within
     ``HULL_TOL`` (max-norm) of a vertex of the sweep's hull is evaluated on
     its own on the lattice kernel, unless it already holds those bits (an
-    orbit's first row that the sweep ran on the lattice), and the hull is
-    taken again on the result.
+    orbit's first row whose counts ``pick_kernel`` sends to the lattice), and
+    the hull is taken again on the result.
     """
     resolution = sweep_resolution(spec.d, resolution)
     evaluator = spec.evaluator
     # The rows near hull vertices need the lattice: gate it before the grid.
     pick_kernel(evaluator.d, evaluator.horizon)
-    mu, table, first = _sweep(evaluator, resolution)
+    mu, table, orbits = _sweep(evaluator, resolution)
     rates = np.column_stack(rate_pair(table))
     tied = np.zeros(len(mu), dtype=bool)
     for vertex in rates[pareto_hull_indices(rates * sign)]:
         tied |= np.abs(rates - vertex).max(axis=1) <= HULL_TOL
     own = np.zeros(len(mu), dtype=bool)  # the tied first rows the sweep ran on the lattice
-    n = resolution * evaluator.d
-    own[first] = [tied[i] and evaluator.kernel(mu[i], n) == "lattice" for i in first]
+    for i, counts in orbits.items():
+        own[i] = tied[i] and pick_kernel(evaluator.d, evaluator.horizon, counts) == "lattice"
     for i in np.flatnonzero(tied & ~own):
         rates[i] = rate_pair(_evaluated_triple(evaluator, mu[i]))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * sign)))
@@ -510,12 +515,12 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
 def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, Q) points with their Pareto boundary.
 
-    One evaluation per orbit, at its first row, on the cheaper exact kernel;
-    every row within ``HULL_TOL`` of a hull vertex then carries its own
-    lattice bits (see ``_curve``: it evaluates such a row again unless the
-    sweep ran it on the lattice), so the ``on_hull`` flag lands on the row a
-    per-point lattice sweep flags, and every other row is within rounding of
-    its own evaluation.
+    One evaluation per orbit, at its first row with its integer counts, on
+    the cheaper exact kernel; every row within ``HULL_TOL`` of a hull vertex
+    then carries its own lattice bits (see ``_curve``: it evaluates such a
+    row again unless the sweep ran it on the lattice), so the ``on_hull``
+    flag lands on the row a per-point lattice sweep flags, and every other
+    row is within rounding of its own evaluation.
     """
     return _curve(spec, resolution, cq_point, (1.0, 1.0))
 

@@ -4,10 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from tradeoff_helpers import orbit_first_rows, reevaluated_rows
+from tradeoff_helpers import orbit_counts, reevaluated_rows
 from unruhcap import cli, engine, kernels, regions
 from unruhcap.combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
-from unruhcap.engine import MAX_LATTICE_TERMS, TradeoffEvaluator, grid_counts, pick_kernel
+from unruhcap.engine import MAX_LATTICE_TERMS, TradeoffEvaluator, pick_kernel
 from unruhcap.entropy import ensemble_conditional_entropy_A, shannon_entropy
 from unruhcap.spectra import (
     UnruhConfig,
@@ -125,20 +125,20 @@ def test_engine_bits_match_the_per_sub_weight_loop(d, horizon):
 def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     # The benchmark tracer counts one evaluation per block_entropies call
     # and len(args[0]) * len(args[2]) terms per kernel call.  A curve
-    # evaluates each orbit once at its grid point, on the kernel the gate
-    # picks, then every row tied with a hull vertex once more off the grid,
+    # evaluates each orbit once with its counts, on the kernel the gate
+    # picks, then every row tied with a hull vertex once more without them,
     # on the lattice, but for the orbits' first rows the sweep ran there.
     spec = regions.ChannelSpec(3, z=0.5)
     curve = regions.cq_curve(spec, 4)
-    first = orbit_first_rows(curve.mu)
-    again = reevaluated_rows(spec, curve, 12)
+    orbits = orbit_counts(curve.mu, 4)
+    again = reevaluated_rows(spec, curve, 4)
     evals, horizons = [], []
     kernel, evaluate = kernels.block_family_entropy, TradeoffEvaluator.block_entropies
     weights = regions.unruh_weights
 
-    def record_eval(self, mu, n=None):
-        evals.append((np.array(mu), n, []))
-        return evaluate(self, mu, n)
+    def record_eval(self, mu, counts=None):
+        evals.append((np.array(mu), counts, []))
+        return evaluate(self, mu, counts)
 
     def record_kernel(*args):
         evals[-1][2].append((len(args[0]), len(args[2]), args[-1]))
@@ -155,12 +155,12 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     assert cli.main(["cq-curve", "--d", "3", "--z", "0.5", "--grid", "4", "-o", os.devnull]) == 0
     horizon = truncation_horizon(UnruhConfig(3, 0.5))
     assert horizons == [horizon]
-    # One per orbit at its grid point (n = 4 * 3), then one per tied row
-    # that does not hold its own lattice bits yet.
-    assert [n for _, n, _ in evals] == [12] * len(first) + [None] * len(again)
+    # One per orbit with its reduced counts, then one per tied row that
+    # does not hold its own lattice bits yet.
+    assert sorted(counts for _, counts, _ in evals[: len(orbits)]) == sorted(orbits.values())
+    assert [counts for _, counts, _ in evals[len(orbits) :]] == [None] * len(again)
     on_lattice = [
-        n is None or pick_kernel(3, horizon, grid_counts(mu, n)[0]) == "lattice"
-        for mu, n, _ in evals
+        counts is None or pick_kernel(3, horizon, counts) == "lattice" for _, counts, _ in evals
     ]
     assert not all(on_lattice)  # some orbits ran on the histogram
     lattice_calls = [(j + 1, horizon + 1 - j, j) for j in range(horizon + 1)]
@@ -335,7 +335,7 @@ def test_vertex_private_bound_is_exactly_zero(d):
     # the blocks are compared too.
     spec = regions.ChannelSpec(d, z=0.25)
     assert (pick_kernel(d, spec.evaluator.horizon, (1,)) == "histogram") == (d > 2)
-    h_b, h_e = spec.evaluator.block_entropies(np.eye(d)[0], 1)
+    h_b, h_e = spec.evaluator.block_entropies(np.eye(d)[0], (1,) + (0,) * (d - 1))
     assert np.array_equal(h_b, h_e)
     mu, rates = regions.rps_region(spec, 4)
     vertices = np.flatnonzero(mu.max(axis=1) == 1.0)
@@ -346,13 +346,12 @@ def test_vertex_private_bound_is_exactly_zero(d):
 def test_cost_function_picks_each_kernel():
     # A region-d5 orbit: 2.6M lattice terms against a few thousand cells.
     k5 = regions.ChannelSpec(d=5, z=0.5).evaluator.horizon
-    assert pick_kernel(5, k5, grid_counts(np.array([2, 1, 1, 0, 0]) / 4, 4)[0]) == "histogram"
-    # An interior d = 2 point of a long horizon: 142k lattice terms against
-    # a histogram of 533 rows by thousands of values.
+    assert pick_kernel(5, k5, (2, 1, 1, 0, 0)) == "histogram"
+    # An interior d = 2 point of a long horizon, (40, 24) / 64 with reduced
+    # counts (5, 3): 142k lattice terms against a histogram of 533 rows by
+    # thousands of values.
     k2 = regions.ChannelSpec(d=2, z=0.95).evaluator.horizon
-    counts, n = grid_counts(np.array([40, 24]) / 64, 64)
-    assert (counts, n) == ((5, 3), 8)
-    assert pick_kernel(2, k2, counts) == "lattice"
+    assert pick_kernel(2, k2, (5, 3)) == "lattice"
     # An off-grid point has only the lattice kernel.
     assert pick_kernel(5, k5) == "lattice"
     # d = 8, z = 0.75: the lattice is over its cap, and the histogram of the
@@ -383,7 +382,8 @@ def test_histogram_uniform_row_is_flat_at_d9_k300():
     # are log dim_k and log dim_{k-1}.
     assert 9 * block_normalizer(9, 300) > 10**17
     assert pick_kernel(9, 300, (1,) * 9) == "histogram"
-    h_b, h_e = TradeoffEvaluator(9, np.ones(300), 9.0).block_entropies(np.full(9, 1 / 9), 9)
+    evaluator = TradeoffEvaluator(9, np.ones(300), 9.0)
+    h_b, h_e = evaluator.block_entropies(np.full(9, 1 / 9), (1,) * 9)
     log_dims = np.log([math.comb(k + 8, 8) for k in range(301)]) / math.log(9)
     np.testing.assert_allclose(h_b, log_dims[1:], rtol=0, atol=1e-12)
     np.testing.assert_allclose(h_e, log_dims[:-1], rtol=0, atol=1e-12)
@@ -432,17 +432,6 @@ def test_family_kernel_keeps_every_atom_at_d20():
     weights = np.random.default_rng(20).dirichlet(np.ones(horizon))
     got = TradeoffEvaluator(20, weights, 20.0).family_sums(1.0 / 20)
     assert got == pytest.approx((weights @ log_dims[1:], weights @ log_dims[:-1]), abs=1e-12)
-
-
-
-def test_grid_counts_reduce_and_refuse_off_grid_points():
-    assert grid_counts(np.full(3, 1.0 / 3), 21) == ((1, 1, 1), 3)
-    assert grid_counts(np.array([1.0, 0.0]), 128) == ((1, 0), 1)
-    evaluator = TradeoffEvaluator(3, np.array([0.5, 0.5]), 3.0)
-    with pytest.raises(ValueError, match="grid"):
-        evaluator.block_entropies(np.array([0.5, 0.3, 0.2]), 4)
-    with pytest.raises(ValueError, match="grid"):
-        evaluator.sums(np.array([0.6, 0.3, 0.1]), 7)
 
 
 def test_histogram_only_sweep_builds_no_lattice_table(monkeypatch):

@@ -9,7 +9,8 @@ from tradeoff_helpers import (
     ce_midpoint_gap,
     cq_midpoint_gap,
     family_midpoint_gap,
-    orbit_first_rows,
+    orbit_counts,
+    reduced_counts,
     reevaluated_rows,
     refined_family,
     tied_rows,
@@ -18,6 +19,7 @@ from unruhcap import channelsim, kernels, regions
 from unruhcap.engine import TradeoffEvaluator
 from unruhcap.entropy import shannon_entropy
 from unruhcap.regions import (
+    MAX_GRID_POINTS,
     CapacityWeights,
     ChannelSpec,
     DynamicCapacityProblem,
@@ -35,6 +37,7 @@ from unruhcap.regions import (
     rps_bounds,
     rps_region,
     simplex_grid,
+    sweep_resolution,
     unruh_entropy_triple,
 )
 from unruhcap.spectra import EnsembleParams, cloner_spectrum, truncation_horizon, unruh_weights
@@ -599,14 +602,14 @@ def test_bounds_invariant_under_cyclic_relabeling():
 # ---------------------------------------------------------------------------
 
 def count_sums(monkeypatch) -> list:
-    """Record the ensemble and grid denominator of every
+    """Record the ensemble and integer counts of every
     ``TradeoffEvaluator.sums`` call."""
     calls = []
     original = TradeoffEvaluator.sums
 
-    def counted(self, mu, n=None):
-        calls.append((tuple(mu), n))
-        return original(self, mu, n)
+    def counted(self, mu, counts=None):
+        calls.append((tuple(mu), counts))
+        return original(self, mu, counts)
 
     monkeypatch.setattr(TradeoffEvaluator, "sums", counted)
     return calls
@@ -631,14 +634,41 @@ def test_orbit_sweeps_match_per_point_evaluation():
             assert rps_row == pytest.approx(rps_bounds(spec, mu), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_sweep_orbits_are_the_first_rows_with_their_reduced_counts(d):
+    # Every grid row, the uniform one included, is counts / (resolution * d),
+    # and rint recovers those counts exactly.  The sweep keys its orbits on
+    # them and maps each orbit's first row to its counts reduced by their gcd.
+    # A truncating cast in place of rint goes wrong on few grids, so every
+    # resolution up to 12 is covered, and the default.
+    evaluator = ChannelSpec(d, k=1).evaluator
+    for resolution in [*range(1, 13), sweep_resolution(d)]:
+        if math.comb(resolution + d - 1, d - 1) > MAX_GRID_POINTS:
+            continue
+        n = resolution * d
+        grid = simplex_grid(d, resolution)
+        counts = np.rint(grid * n)
+        assert np.all(counts.sum(axis=1) == n), resolution
+        assert np.array_equal(counts / n, grid), resolution
+        mu, _, orbits = regions._sweep(evaluator, resolution)
+        assert np.array_equal(mu, grid)
+        assert orbits == orbit_counts(grid, resolution), resolution
+        (uniform,) = np.flatnonzero(np.all(grid == 1.0 / d, axis=1))
+        assert orbits[uniform] == (1,) * d, resolution
+
+
 def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
     calls = count_sums(monkeypatch)
     _, rates = region_surface_cqe(ChannelSpec(5, z=0.5), 4)
     assert rates.shape == (71, 3)
     # The 5 partitions of 4, plus the uniform point; each evaluated at its
-    # descending-sorted member, the first one the grid meets.
+    # descending-sorted member, the first one the grid meets, with its counts
+    # over 4 * 5 reduced by their gcd.
     assert len(calls) == 6
-    assert all(list(mu) == sorted(mu, reverse=True) and n == 20 for mu, n in calls)
+    assert all(
+        list(mu) == sorted(mu, reverse=True) and counts == reduced_counts(mu, 20)
+        for mu, counts in calls
+    )
 
     calls.clear()
     spec = ChannelSpec(3, z=0.5)
@@ -651,9 +681,9 @@ def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
 
 
 def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(monkeypatch):
-    # One evaluation per orbit, at its first row with the grid denominator;
+    # One evaluation per orbit, at its first row with its reduced counts;
     # then every row tied with a hull vertex once more on its own without
-    # it, since its last bits decide which of the tied rows the hull flags,
+    # them, since its last bits decide which of the tied rows the hull flags,
     # except an orbit's first row that the sweep ran on the lattice: it holds
     # its own bits already.
     calls = count_sums(monkeypatch)
@@ -664,17 +694,16 @@ def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(mo
     }
     sizes = {}
     for name, (spec, resolution) in cases.items():
-        n = resolution * spec.d
         for curve in (cq_curve, ce_curve):
             calls.clear()
             result = curve(spec, resolution)
             rows = [tuple(mu) for mu in result.mu.tolist()]
-            first = orbit_first_rows(result.mu)
-            again = reevaluated_rows(spec, result, n)
-            assert sorted(calls[: len(first)]) == sorted((rows[i], n) for i in first)
-            assert sorted(calls[len(first) :]) == sorted((rows[i], None) for i in again)
+            orbits = orbit_counts(result.mu, resolution)
+            again = reevaluated_rows(spec, result, resolution)
+            assert sorted(calls[: len(orbits)]) == sorted((rows[i], c) for i, c in orbits.items())
+            assert sorted(calls[len(orbits) :]) == sorted((rows[i], None) for i in again)
             tied = tied_rows(result.rates, result.hull_indices)
-            sizes[name, curve.__name__] = (len(first), len(tied), len(again))
+            sizes[name, curve.__name__] = (len(orbits), len(tied), len(again))
     # (orbits, tied rows, rows evaluated again).  At d = 3, z = 0.5 every
     # orbit ran on the histogram; the cloner ran some on the lattice, and
     # d = 2 ran all: 33 + 30 evaluations for the 65 rows of the CQ curve.

@@ -3,11 +3,13 @@ the geometry of boundary-vs-time-sharing checks, and points of the
 one-heavy ensemble family."""
 
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from unruhcap import regions
-from unruhcap.engine import grid_counts, pick_kernel
+from unruhcap.engine import pick_kernel
 from unruhcap.entropy import ensemble_conditional_entropy_A
 from unruhcap.spectra import EnsembleParams
 
@@ -30,15 +32,34 @@ def orbit_first_rows(grid) -> list:
     return sorted(first.values())
 
 
-def reevaluated_rows(spec: regions.ChannelSpec, curve: regions.CurveResult, n: int) -> list:
-    """The rows a curve on the grid with denominator ``n`` evaluates again on
-    their own: the rows tied with a hull vertex, less the orbits' first rows
-    that the sweep ran on the lattice, which hold their own bits already."""
+def reduced_counts(row, n: int) -> tuple:
+    """The integer counts of the grid row ``counts / n``, reduced by their
+    gcd: each weight read as the nearest fraction with denominator <= n."""
+    counts = [Fraction(x).limit_denominator(n) * n for x in row]
+    assert all(c.denominator == 1 for c in counts) and sum(counts) == n
+    g = math.gcd(*(int(c) for c in counts))
+    return tuple(int(c) // g for c in counts)
+
+
+def orbit_counts(grid, resolution: int) -> dict:
+    """The first row of each S_d orbit of the sweep grid of ``resolution``,
+    in grid order, mapped to its reduced counts (every row is counts over
+    resolution * d)."""
+    n = resolution * grid.shape[1]
+    return {i: reduced_counts(grid[i], n) for i in orbit_first_rows(grid)}
+
+
+def reevaluated_rows(
+    spec: regions.ChannelSpec, curve: regions.CurveResult, resolution: int
+) -> list:
+    """The rows a curve of grid ``resolution`` evaluates again on their own:
+    the rows tied with a hull vertex, less the orbits' first rows whose
+    counts the sweep ran on the lattice, which hold their own bits already."""
     horizon = spec.evaluator.horizon
     own = {
         i
-        for i in orbit_first_rows(curve.mu)
-        if pick_kernel(spec.d, horizon, grid_counts(curve.mu[i], n)[0]) == "lattice"
+        for i, counts in orbit_counts(curve.mu, resolution).items()
+        if pick_kernel(spec.d, horizon, counts) == "lattice"
     }
     return [i for i in tied_rows(curve.rates, curve.hull_indices) if i not in own]
 
