@@ -6,12 +6,14 @@ tool version); reals are written with 12 significant digits.  Identical
 configuration and seed produce byte-identical files.
 
 Exit codes: 0 all good (and all verifications passed), 1 a verification
-failed, 2 usage error, 3 numeric guard (non-convergent truncation, size cap),
+failed, 2 usage error (an output path that cannot be written among them),
+3 numeric guard (non-convergent truncation, size cap),
 141 (128 + SIGPIPE) stdout closed early, as by ``| head``, with nothing on stderr.
 Only the invoked subcommand's parser is built (``build_parser``).  Flags are
-parsed as plain numbers: the library holds every range rule and raises
-``ValueError`` before it builds anything, which exits 2 as a usage error of
-that subcommand (of the check, under ``verify``).
+parsed as plain numbers: the library holds every range rule, and the rule
+that exactly one of ``--k`` and ``--z`` is given, and raises ``ValueError``
+before it builds anything, which exits 2 as a usage error of that subcommand
+(of the check, under ``verify``).
 """
 
 from __future__ import annotations
@@ -67,6 +69,23 @@ def _meta(args, spec: regions.ChannelSpec) -> dict:
         meta["grid"] = str(regions.sweep_resolution(spec.d, args.grid))
     meta["seed"] = str(args.seed)
     return meta
+
+
+def _check_output(path: str) -> None:
+    """``ValueError`` unless ``path`` ('-' is stdout) can be opened for
+    writing; nothing is created or truncated."""
+    if path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent!r}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write output {path!r}: {reason}")
 
 
 @contextlib.contextmanager
@@ -210,9 +229,8 @@ def _spectrum_flags(parser: argparse.ArgumentParser) -> None:
 
 def _curve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=int, required=True)
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int, help="cloner block index (cloner mode)")
-    group.add_argument("--z", type=float, help="acceleration parameter (Unruh mode)")
+    parser.add_argument("--k", type=int, help="cloner block index (cloner mode, instead of z)")
+    parser.add_argument("--z", type=float, help="acceleration parameter (Unruh mode, instead of k)")
     _add_common(parser)
 
 
@@ -285,6 +303,7 @@ def main(argv=None) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv[1:] if parser.get_default("subcommand") else argv)
     try:
+        _check_output(args.output)
         status = args.func(args)
         sys.stdout.flush()
         return status
@@ -294,6 +313,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    except OSError as exc:  # the destination, refused past _check_output
+        args.error(f"cannot write output {args.output!r}: {exc.strerror or exc}")
+        return 2  # unreachable; keeps type checkers calm
     except _GUARD_ERRORS as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True, allow_nan=False) + "\n")

@@ -153,16 +153,17 @@ class TradeoffEvaluator:
         Returns arrays ``(h_bx, h_ex)`` indexed by block ``k-1``, in base
         units, exactly matching the entropies of ``ensemble_spectrum_B/E``.
         ``counts``, a tuple of d integers, says that ``mu`` is the grid point
-        ``counts / sum(counts)`` (not checked); ``pick_kernel`` picks the
-        kernel from them, or refuses.
+        ``counts / sum(counts)``, which must equal it exactly (both are
+        correctly rounded quotients of the same integers at a grid row);
+        ``pick_kernel`` picks the kernel from them, or refuses.
         """
         mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
         if mu_arr.shape != (self.d,):
             raise ValueError(f"ensemble must have {self.d} weights")
+        if counts is not None and not np.array_equal(np.divide(counts, sum(counts)), mu_arr):
+            raise ValueError(f"ensemble {mu_arr.tolist()} is not counts {counts} / their sum")
         if pick_kernel(self.d, self.horizon, counts) == "histogram":
-            return kernels.histogram_entropy(
-                counts, sum(counts), self._inv_norm[1 : self.horizon + 1], self._inv_ln_base
-            )
+            return kernels.histogram_entropy(counts, self._inv_norm[1:-1], self._inv_ln_base)
         table, spans, b1, pairs = self._lattice
         a_all = np.zeros(table.shape[1])
         for c in range(self.d - 1):
@@ -189,4 +190,6 @@ class TradeoffEvaluator:
 
     def family_sums(self, a: float) -> tuple[float, float]:
         """``sums`` at (a, b, ..., b), b = (1-a)/(d-1), a in [0, 1], on the family kernel."""
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"family weight a = {a!r} must lie in [0, 1]")
         return kernels.family_sums(a, self.d, self.weights, self._inv_norm, self._inv_ln_base)

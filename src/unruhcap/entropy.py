@@ -57,6 +57,7 @@ def shannon_entropy(spectrum: Spectrum, base: float) -> EntropyValue:
 
 def ensemble_conditional_entropy_A(mu, base: float) -> EntropyValue:
     """Input-side conditional entropy of the cyclic ensemble: H(mu)."""
+    kernels.check_log_base(base)
     params = _as_ensemble(mu)
     value = kernels.spectrum_entropy_terms(
         params.as_array(),

@@ -84,10 +84,10 @@ def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j):
     out[:, j : j + m] -= h
 
 
-def histogram_entropy(counts, n, inv_norm, inv_ln_base):
+def histogram_entropy(counts, inv_norm, inv_ln_base):
     """Per-block spectrum entropies at the grid ensemble ``counts / n``.
 
-    ``counts`` is a tuple of d nonnegative integers summing to ``n``, and
+    ``counts`` is a tuple of d nonnegative integers, n = sum(counts), and
     ``inv_norm`` holds 1/M_k for blocks k = 1..K.  Every atom of block k is
     an integer ``v`` over ``n * M_k``, so the spectra are fixed by the counts
     N_k[v] = #{b in comp(d, k) : b . counts = v}, the coefficients of
@@ -114,7 +114,7 @@ def histogram_entropy(counts, n, inv_norm, inv_ln_base):
     below 2**53, so it is exact, and the closed form is exact from Python
     integers: the sums read the same rows whatever the mode order, bit for bit.
     """
-    horizon = inv_norm.shape[0]
+    horizon, n = inv_norm.shape[0], sum(counts)
     width = (horizon - 1) * max(counts) + n + 1
     v = np.arange(width, dtype=np.float64)
     vlogv = v * np.log(np.maximum(v, 1.0))  # 0 log 0 = 0

@@ -141,19 +141,21 @@ class ChannelSpec:
             raise ValueError("exactly one of k (cloner) or z (Unruh) must be set")
         if self.k is not None:
             check_block(self.k)
-        # UnruhConfig checks d, z and the numerics; a cloner block as at z = 0.
-        UnruhConfig(self.d, 0.0 if self.z is None else self.z, self.truncation_eps, self.log_base)
+        self._config  # built here, where it checks d, z and the numerics
+
+    @cached_property
+    def _config(self) -> UnruhConfig:  # a cloner block's is at z = 0
+        z = 0.0 if self.z is None else self.z
+        return UnruhConfig(self.d, z, self.truncation_eps, self.log_base)
 
     @property
     def base(self) -> float:
-        return float(self.d) if self.log_base is None else float(self.log_base)
+        return self._config.base
 
     def unruh_config(self) -> UnruhConfig:
         if self.z is None:
             raise ValueError("not an Unruh-mode channel spec")
-        return UnruhConfig(
-            d=self.d, z=self.z, truncation_eps=self.truncation_eps, log_base=self.log_base
-        )
+        return self._config
 
     @cached_property
     def horizon_tail(self) -> tuple[int, float]:
@@ -214,7 +216,7 @@ def sweep_resolution(d: int, resolution: int | None = None) -> int:
 def cloner_entropy_triple(d: int, k: int, mu, base: float | None = None) -> EntropyTriple:
     """Entropies of the cyclic ensemble through a single 1->k cloner block."""
     params = _as_ensemble(mu, d)
-    b = float(d) if base is None else float(base)
+    b = UnruhConfig(d, 0.0, log_base=base).base
     return EntropyTriple(
         h_b=EntropyValue(math.log(block_dimension(d, k)) / math.log(b), b).value,
         h_b_given_x=shannon_entropy(ensemble_spectrum_B(d, k, params), b).value,
@@ -305,6 +307,19 @@ def _objective(weights: CapacityWeights, t: EntropyTriple):
     )
 
 
+def _check_overflow(evaluator: TradeoffEvaluator, weights: CapacityWeights) -> None:
+    """``OverflowError`` when ``weights`` are so large that the objective
+    could overflow on ``evaluator``'s channel."""
+    # No entropy exceeds the larger of log dim_K and log d, and the absolute
+    # coefficients of the objective sum to 2 lambda + 2 mu + 3.
+    top = max(float(evaluator.log_dims[-1]), math.log(evaluator.d, evaluator.base))
+    if not math.isfinite(2.0 * (weights.lambda_w + weights.mu_w + 2.0) * top):
+        raise OverflowError(
+            f"capacity weights lambda={weights.lambda_w!r}, mu={weights.mu_w!r}: "
+            "the objective would overflow"
+        )
+
+
 def dynamic_objective(evaluator: TradeoffEvaluator, weights: CapacityWeights, mu) -> float:
     """Weighted dynamic capacity objective at ensemble ``mu``.
 
@@ -335,7 +350,9 @@ class DynamicCapacityProblem:
         grid row with their spacing (d-1)/resolution as the step.  It moves up,
         else down, while a move strictly raises the objective, then halves the
         step.  The reduction to the family is measured, not proven:
-        ``family_gap`` reports it."""
+        ``family_gap`` reports it.  Weights so large that the objective
+        could overflow are refused first (``_check_overflow``)."""
+        _check_overflow(self.evaluator, weights)
         values = self.grid_objectives(weights)
         best_idx = int(np.argmax(values))
         grid_best = float(values[best_idx])
@@ -381,15 +398,7 @@ def dynamic_capacity(
     refused before the grid is built.
     """
     resolution = sweep_resolution(spec.d, resolution)
-    evaluator = spec.evaluator
-    # No entropy exceeds the larger of log dim_K and log d, and the absolute
-    # coefficients of the objective sum to 2 lambda + 2 mu + 3.
-    top = max(float(evaluator.log_dims[-1]), math.log(evaluator.d, evaluator.base))
-    if not math.isfinite(2.0 * (weights.lambda_w + weights.mu_w + 2.0) * top):
-        raise OverflowError(
-            f"capacity weights lambda={weights.lambda_w!r}, mu={weights.mu_w!r}: "
-            "the objective would overflow"
-        )
+    _check_overflow(spec.evaluator, weights)
     return DynamicCapacityProblem(spec, resolution).solve(weights)
 
 

@@ -288,13 +288,61 @@ def test_verify_commands_pass(tmp_path):
     assert payload3["details"]["min_partial_transpose_eigenvalue"] >= -1e-9
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
+    # Neither --k nor --z, then both: ChannelSpec holds the rule, and the
+    # curve exits 2 with its message.
+    for channel in ([], ["--k", "2", "--z", "0.5"]):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["cq-curve", "--d", "2", *channel])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: unruhcap cq-curve " in captured.err
+        assert "error: exactly one of k (cloner) or z (Unruh) must be set" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["missing directory", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cqe-region", "--d", "2", "--z", "0.5", "--grid", "2"],
+        ["spectrum", "--d", "2", "--k", "2"],
+        ["verify", "ppt", "--d", "2", "--k", "2"],
+    ],
+)
+def test_unwritable_output_exits_2_before_the_run(argv, kind, tmp_path, capsys, monkeypatch):
+    # Refused before the subcommand runs, and nothing is created.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past an unwritable output")
+
+    help_text, add_flags, _ = cli._SUBCOMMANDS[argv[0]]
+    monkeypatch.setitem(cli._SUBCOMMANDS, argv[0], (help_text, add_flags, refuse))
+    target = tmp_path / "absent" / "x.csv" if kind == "missing directory" else tmp_path
     with pytest.raises(SystemExit) as err:
-        run_cli(["cq-curve", "--d", "2"])  # neither --k nor --z
+        run_cli(argv + ["-o", str(target)])
     assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prog = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+    assert f"usage: unruhcap {prog} " in captured.err
+    assert str(target) in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing directory", "directory"])
+def test_late_output_error_exits_2(kind, tmp_path, capsys, monkeypatch):
+    # An OSError on the destination after the early check, as when the
+    # directory goes away during the sweep, is the same usage error.
+    monkeypatch.setattr(cli, "_check_output", lambda path: None)
+    target = tmp_path / "absent" / "x.csv" if kind == "missing directory" else tmp_path
     with pytest.raises(SystemExit) as err:
-        run_cli(["cq-curve", "--d", "2", "--k", "2", "--z", "0.5"])
+        run_cli(["cqe-region", "--d", "2", "--z", "0.5", "--grid", "2", "-o", str(target)])
     assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: unruhcap cqe-region " in captured.err
+    assert "cannot write output" in captured.err
 
 
 @pytest.mark.parametrize("argv", [[], ["nope"]])

@@ -207,6 +207,29 @@ def test_evaluator_rejects_bad_inputs():
         evaluator.block_entropies(np.array([0.5, 0.3, 0.2]))
 
 
+def test_grid_counts_must_name_the_ensemble_exactly():
+    # The kernel reads the counts alone, so counts of another ensemble would
+    # return that ensemble's entropies.
+    evaluator = regions.ChannelSpec(3, z=0.5).evaluator
+    for mu, counts in (
+        ([0.5, 0.25, 0.25], (1, 1, 1)),
+        ([0.5, 0.25, 0.25], (2, 1, 1, 0)),
+        ([1 / 3, 1 / 3, 1 / 3 + 1e-16], (1, 1, 1)),
+    ):
+        with pytest.raises(ValueError, match="counts"):
+            evaluator.sums(np.array(mu), counts)
+    # Quotients equal to mu are accepted, reduced or not.
+    want = evaluator.sums(np.array([0.5, 0.25, 0.25]))
+    for counts in ((2, 1, 1), (4, 2, 2)):
+        assert evaluator.sums(np.array([0.5, 0.25, 0.25]), counts) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [-0.25, 1.5, math.nan, math.inf])
+def test_family_sums_refuse_a_outside_the_unit_interval(a):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        TradeoffEvaluator(3, np.array([0.5, 0.5]), 3.0).family_sums(a)
+
+
 def random_grid_points(rng, d, count):
     """Seeded random (counts, n) with counts a composition of n over d slots."""
     for _ in range(count):
@@ -242,7 +265,7 @@ def test_histogram_kernel_matches_spectra_route_and_lattice_per_block():
         inv_norm = np.array([1.0 / block_normalizer(d, k) for k in range(1, horizon + 1)])
         for counts, n in random_grid_points(rng, d, 4):
             mu = counts / n
-            h_b, h_e = kernels.histogram_entropy(tuple(counts), n, inv_norm, 1.0 / np.log(d))
+            h_b, h_e = kernels.histogram_entropy(tuple(counts), inv_norm, 1.0 / np.log(d))
             lat_b, lat_e = evaluator.block_entropies(mu)
             assert np.abs(h_b - lat_b).max() <= 1e-12
             assert np.abs(h_e - lat_e).max() <= 1e-12
@@ -275,7 +298,7 @@ def test_histogram_kernel_matches_spectra_route_across_chunks(d, horizon, base):
         # The counts as given, and times 3 (gcd-reducible): the same atoms.
         for scale in (1, 3):
             got = kernels.histogram_entropy(
-                tuple(int(c) * scale for c in counts), n * scale, inv_norm, 1.0 / math.log(base)
+                tuple(int(c) * scale for c in counts), inv_norm, 1.0 / math.log(base)
             )
             assert np.abs(np.array(got) - want).max() <= 1e-12
 
@@ -321,7 +344,7 @@ def test_histogram_kernel_bits_match_the_per_mode_dp(d, horizon):
     inv_norm = np.array([1.0 / block_normalizer(d, k) for k in range(1, horizon + 1)])
     for counts, n in tied_grid_points(rng, d):
         counts = tuple(int(c) for c in counts)
-        got = kernels.histogram_entropy(counts, n, inv_norm, 1.0 / math.log(d))
+        got = kernels.histogram_entropy(counts, inv_norm, 1.0 / math.log(d))
         want = _per_mode_histogram_entropy(counts, n, inv_norm, 1.0 / math.log(d))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), counts
 

@@ -107,6 +107,14 @@ def test_ensemble_conditional_entropy_examples():
     assert got == pytest.approx(0.8813, abs=5e-5)
 
 
+def test_ensemble_conditional_entropy_refuses_base_1_as_shannon_entropy_does():
+    # Both check the base before they divide by its log, which is 0 here.
+    with pytest.raises(ValueError, match="log base must exceed 1"):
+        ensemble_conditional_entropy_A((0.7, 0.3), 1.0)
+    with pytest.raises(ValueError, match="log base must exceed 1"):
+        shannon_entropy(flat_spectrum(2), 1.0)
+
+
 def test_concavity_spot_check():
     rng = np.random.default_rng(17)
     mults = np.ones(8, dtype=np.int64)

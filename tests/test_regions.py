@@ -423,6 +423,16 @@ def test_unruh_curves_beat_time_sharing(d, z, resolution, cq_gap, ce_gap):
         assert got == pytest.approx(want, rel=1e-3)
 
 
+@pytest.mark.parametrize("weights", [CapacityWeights(1e308, 0.0), CapacityWeights(0.0, 1e308)])
+def test_a_shared_problem_refuses_overflowing_weights(weights):
+    # One grid serves many weight pairs; each pair passes the overflow rule
+    # that dynamic_capacity applies before its grid.
+    problem = DynamicCapacityProblem(ChannelSpec(2, z=0.5), 4)
+    with pytest.raises(OverflowError, match="overflow"):
+        problem.solve(weights)
+    assert math.isfinite(problem.solve(CapacityWeights(1e300, 0.0)).value)
+
+
 def test_capacity_weights_validation():
     with pytest.raises(ValueError):
         CapacityWeights(-0.1, 0.0)
@@ -550,6 +560,27 @@ def test_channel_spec_validation():
     for bad in ({"log_base": math.inf}, {"log_base": 1.0}, {"truncation_eps": -1.0}):
         with pytest.raises(ValueError):
             ChannelSpec(d=2, k=2, **bad)
+
+
+@pytest.mark.parametrize("channel", [{"z": 0.5}, {"z": 0.5, "log_base": 2.0}, {"k": 3}])
+def test_channel_spec_builds_one_config(channel, monkeypatch):
+    # The config that checks the spec also gives its base, its horizon and
+    # its weights.
+    built = []
+
+    class CountedConfig(regions.UnruhConfig):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(regions, "UnruhConfig", CountedConfig)
+    spec = ChannelSpec(3, **channel)
+    assert spec.base == channel.get("log_base", 3.0)
+    if spec.z is not None:
+        assert spec.unruh_config() is spec.unruh_config()
+        assert spec.horizon_tail == regions.truncation(spec.unruh_config())
+    spec.evaluator
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("resolution", [0, -3])
