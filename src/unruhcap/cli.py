@@ -9,11 +9,12 @@ Exit codes: 0 all good (and all verifications passed), 1 a verification
 failed, 2 usage error (an output path that cannot be written among them),
 3 numeric guard (non-convergent truncation, size cap),
 141 (128 + SIGPIPE) stdout closed early, as by ``| head``, with nothing on stderr.
-Only the invoked subcommand's parser is built (``build_parser``).  Flags are
-parsed as plain numbers: the library holds every range rule, and the rule
-that exactly one of ``--k`` and ``--z`` is given, and raises ``ValueError``
-before it builds anything, which exits 2 as a usage error of that subcommand
-(of the check, under ``verify``).
+Only the invoked subcommand's parser is built (``build_parser``), and it
+offers only the flags its run reads.  Flags are parsed as plain numbers: the
+library holds every range rule, the rule that exactly one of ``--k`` and
+``--z`` is given, and the rule that ``--eps`` goes with ``--z`` alone, and
+raises ``ValueError`` before it builds anything, which exits 2 as a usage
+error of that subcommand (of the check, under ``verify``).
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def _spec(args) -> regions.ChannelSpec:
 
 def _meta(args, spec: regions.ChannelSpec) -> dict:
     if spec.z is None:
-        horizon = tail_bound = "none"
+        eps = horizon = tail_bound = "none"
     else:
         k, bound = spec.horizon_tail
-        horizon, tail_bound = str(k), _fmt(bound)
+        eps, horizon, tail_bound = _fmt(spec.unruh_config().truncation_eps), str(k), _fmt(bound)
     meta = {
         "tool": f"unruhcap {__version__}",
         "subcommand": args.subcommand,
@@ -61,7 +62,7 @@ def _meta(args, spec: regions.ChannelSpec) -> dict:
         "k": "none" if spec.k is None else str(spec.k),
         "z": "none" if spec.z is None else _fmt(spec.z),
         "log_base": _fmt(spec.base),
-        "truncation_eps": "none" if spec.z is None else _fmt(spec.truncation_eps),
+        "truncation_eps": eps,
         "K": horizon,
         "tail_bound": tail_bound,
     }
@@ -210,27 +211,34 @@ def _cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, *, grid: bool = True) -> None:
-    parser.add_argument("--eps", type=float, default=1e-8, help="truncation tail bound")
+def _add_common(
+    parser: argparse.ArgumentParser, *, sweep: bool = True, table: bool = True
+) -> None:
+    """``--base``, ``--seed`` and ``--output``; ``--eps`` and ``--grid`` for a
+    sweep (a spectrum has no truncation and no grid); ``--format`` for a
+    table (dyncap writes JSON only)."""
+    if sweep:
+        parser.add_argument("--eps", type=float, help="truncation tail bound (Unruh mode only)")
     parser.add_argument("--base", type=float, default=None, help="log base (default: d)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    if grid:
+    if table:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if sweep:
         parser.add_argument("--grid", type=int, default=None, help="simplex lattice resolution")
 
 
 def _spectrum_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=int, required=True)
     parser.add_argument("--k", type=int, required=True)
-    _add_common(parser, grid=False)
-    parser.set_defaults(z=None)
+    _add_common(parser, sweep=False)
+    parser.set_defaults(z=None, eps=None)
 
 
 def _curve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=int, required=True)
-    parser.add_argument("--k", type=int, help="cloner block index (cloner mode, instead of z)")
-    parser.add_argument("--z", type=float, help="acceleration parameter (Unruh mode, instead of k)")
+    parser.add_argument("--k", type=int, help="cloner block index (cloner mode; no --z, no --eps)")
+    parser.add_argument("--z", type=float, help="acceleration parameter (Unruh mode; no --k)")
     _add_common(parser)
 
 
@@ -240,7 +248,7 @@ def _unruh_flags(parser: argparse.ArgumentParser, weights: bool = False) -> None
     if weights:
         parser.add_argument("--lambda", dest="lambda_w", type=float, required=True)
         parser.add_argument("--mu-weight", dest="mu_weight", type=float, required=True)
-    _add_common(parser)
+    _add_common(parser, table=not weights)
     parser.set_defaults(k=None)
 
 

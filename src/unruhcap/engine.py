@@ -160,8 +160,11 @@ class TradeoffEvaluator:
         mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
         if mu_arr.shape != (self.d,):
             raise ValueError(f"ensemble must have {self.d} weights")
-        if counts is not None and not np.array_equal(np.divide(counts, sum(counts)), mu_arr):
-            raise ValueError(f"ensemble {mu_arr.tolist()} is not counts {counts} / their sum")
+        if counts is not None:
+            if not sum(counts) > 0:
+                raise ValueError(f"grid counts {counts} must have a positive sum")
+            if not np.array_equal(np.divide(counts, sum(counts)), mu_arr):
+                raise ValueError(f"ensemble {mu_arr.tolist()} is not counts {counts} / their sum")
         if pick_kernel(self.d, self.horizon, counts) == "histogram":
             return kernels.histogram_entropy(counts, self._inv_norm[1:-1], self._inv_ln_base)
         table, spans, b1, pairs = self._lattice

@@ -128,17 +128,21 @@ class CapacityWeights:
 class ChannelSpec:
     """Either a single 1->k cloner block (``k``) or the Unruh channel (``z``):
     the channel argument of every entry point of this module.  Every value
-    is checked here, before the evaluator is built."""
+    is checked here, before the evaluator is built.  ``truncation_eps``
+    applies to the Unruh channel alone (``None``: ``UnruhConfig``'s default);
+    a cloner block has no truncation and refuses any value."""
 
     d: int
     k: int | None = None
     z: float | None = None
-    truncation_eps: float = 1e-8
+    truncation_eps: float | None = None
     log_base: float | None = None
 
     def __post_init__(self):
         if (self.k is None) == (self.z is None):
             raise ValueError("exactly one of k (cloner) or z (Unruh) must be set")
+        if self.k is not None and self.truncation_eps is not None:
+            raise ValueError("a cloner block has no truncation: truncation_eps is for z only")
         if self.k is not None:
             check_block(self.k)
         self._config  # built here, where it checks d, z and the numerics
@@ -146,6 +150,8 @@ class ChannelSpec:
     @cached_property
     def _config(self) -> UnruhConfig:  # a cloner block's is at z = 0
         z = 0.0 if self.z is None else self.z
+        if self.truncation_eps is None:  # the default lives in UnruhConfig
+            return UnruhConfig(self.d, z, log_base=self.log_base)
         return UnruhConfig(self.d, z, self.truncation_eps, self.log_base)
 
     @property

@@ -17,6 +17,11 @@ def run_cli(args):
     return cli.main(args)
 
 
+def prog_of(argv):
+    """The words of ``argv`` that name its parser: the check too, under verify."""
+    return argv[:2] if argv[0] == "verify" else argv[:1]
+
+
 def read_csv(path):
     meta, header, rows = {}, None, []
     for line in path.read_text().splitlines():
@@ -323,7 +328,7 @@ def test_unwritable_output_exits_2_before_the_run(argv, kind, tmp_path, capsys, 
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    prog = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+    prog = " ".join(prog_of(argv))
     assert f"usage: unruhcap {prog} " in captured.err
     assert str(target) in captured.err
     assert "Traceback" not in captured.err
@@ -362,6 +367,17 @@ def test_version(capsys):
     assert capsys.readouterr().out == "unruhcap 0.1.0\n"
 
 
+def listed_flags(help_text):
+    """The option strings of a ``-h`` page, read from its first column alone:
+    a help string may name other flags."""
+    flags = set()
+    for line in help_text.split("options:")[1].splitlines():
+        if line.startswith("  -"):
+            invocation = line.strip().split("  ")[0]
+            flags |= {part.split()[0] for part in invocation.split(", ")}
+    return flags
+
+
 def test_help_lists_every_subcommand_and_flag(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["-h"])
@@ -376,14 +392,59 @@ def test_help_lists_every_subcommand_and_flag(capsys):
         ("dyncap", "maximize the weighted dynamic capacity objective"),
         ("verify", "matrix-oracle verification checks"),
     } <= listed
-    with pytest.raises(SystemExit) as err:
-        run_cli(["cq-curve", "-h"])
-    assert err.value.code == 0
-    options = capsys.readouterr().out.split("options:")[1]
-    assert {word.strip(",") for word in options.split() if word.startswith("-")} == {
-        "-h", "--help", "--d", "--k", "--z", "--eps", "--base", "--seed", "--output", "-o",
-        "--format", "--grid",
-    }
+    common = {"-h", "--help", "--base", "--seed", "--output", "-o"}
+    for command, flags in (
+        ("cq-curve", {"--d", "--k", "--z", "--eps", "--format", "--grid"}),
+        ("dyncap", {"--d", "--z", "--lambda", "--mu-weight", "--eps", "--grid"}),
+        ("spectrum", {"--d", "--k", "--format"}),
+    ):
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, "-h"])
+        assert err.value.code == 0
+        assert listed_flags(capsys.readouterr().out) == common | flags
+
+
+# A run of each subcommand, and a value for each flag that differs from the run's.
+FLAG_WALK_RUNS = [
+    ["spectrum", "--d", "2", "--k", "2"],
+    ["cq-curve", "--d", "2", "--k", "2", "--grid", "2"],
+    ["ce-curve", "--d", "2", "--z", "0.5", "--grid", "2"],
+    ["cqe-region", "--d", "2", "--z", "0.5", "--grid", "2"],
+    ["rps-region", "--d", "2", "--z", "0.5", "--grid", "2"],
+    ["dyncap", "--d", "2", "--z", "0.5", "--lambda", "1", "--mu-weight", "0", "--grid", "2"],
+    ["verify", "hadamard", "--d", "2", "--samples", "2"],
+    ["verify", "cloner-equivalence", "--d", "2", "--k", "2", "--samples", "2"],
+    ["verify", "ppt", "--d", "2", "--k", "2"],
+]
+FLAG_WALK_VALUES = {
+    "--d": "3", "--k": "3", "--z": "0.25", "--eps": "1e-3", "--base": "10", "--seed": "1",
+    "--format": "json", "--grid": "3", "--lambda": "2", "--mu-weight": "1", "--samples": "3",
+}
+
+
+def stdout_or_usage_error(argv, capsys):
+    """(exit code, stdout) of ``argv``; a usage error is exit code 2."""
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", FLAG_WALK_RUNS, ids=lambda argv: " ".join(prog_of(argv)))
+def test_every_offered_flag_changes_stdout_or_exits_2(argv, capsys):
+    # Each flag a subcommand's -h offers is read by its run: set to another
+    # value, it changes stdout, or it is refused with a usage error, as
+    # --eps is for a cloner block and --z is beside --k.  -o only moves stdout.
+    with pytest.raises(SystemExit):
+        run_cli([*prog_of(argv), "-h"])
+    flags = listed_flags(capsys.readouterr().out) - {"-h", "--help", "-o", "--output"}
+    assert flags, "no flag to walk"
+    code, base = stdout_or_usage_error(argv, capsys)
+    assert code == 0
+    for flag in sorted(flags):
+        code, out = stdout_or_usage_error(argv + [flag, FLAG_WALK_VALUES[flag]], capsys)
+        assert (code == 2 and out == "") or (code == 0 and out != base), flag
 
 
 @pytest.mark.parametrize("command", ["cqe-region", "cq-curve"])
@@ -408,6 +469,8 @@ EPS = "truncation_eps must be positive"
 BASE_LOW, BASE_INF = "log base must exceed 1", "log base must be finite"
 GRID = "resolution must be >= 1"
 SAMPLES = "n_samples must be >= 1"
+CLONER_EPS = "a cloner block has no truncation"
+UNOFFERED = "unrecognized arguments"
 
 
 @pytest.mark.parametrize(
@@ -423,8 +486,9 @@ SAMPLES = "n_samples must be >= 1"
         (["cqe-region", "--d", "2", "--z", "nan"], Z),
         (["dyncap", "--d", "2", "--z", "inf", "--lambda", "1", "--mu-weight", "0"], Z),
         (["cq-curve", "--d", "2", "--z", "0.5", "--eps", "0"], EPS),
-        (["cq-curve", "--d", "2", "--k", "2", "--eps", "-1"], EPS),
-        (["spectrum", "--d", "2", "--k", "2", "--eps", "nan"], EPS),
+        (["cqe-region", "--d", "2", "--z", "0.5", "--eps", "-1"], EPS),
+        (["dyncap", "--d", "2", "--z", "0.5", "--lambda", "1", "--mu-weight", "0", "--eps", "nan"],
+         EPS),
         (["cq-curve", "--d", "2", "--z", "0.5", "--base", "1"], BASE_LOW),
         (["rps-region", "--d", "2", "--z", "0.5", "--base", "inf"], BASE_INF),
         (["spectrum", "--d", "2", "--k", "2", "--base", "1"], BASE_LOW),
@@ -442,13 +506,26 @@ SAMPLES = "n_samples must be >= 1"
         (["verify", "ppt", "--d", "2", "--k", "0"], BLOCK),
         (["verify", "hadamard", "--d", "2", "--samples", "0"], SAMPLES),
         (["verify", "cloner-equivalence", "--d", "2", "--k", "2", "--samples", "0"], SAMPLES),
+        # An infinite base would print every rate as 0.
+        (["cq-curve", "--d", "2", "--z", "0.5", "--grid", "2", "--base", "inf"], BASE_INF),
+        (["cq-curve", "--d", "2", "--k", "3", "--grid", "2", "--base", "1"], BASE_LOW),
+        (["cq-curve", "--d", "2", "--k", "3", "--grid", "2", "--base", "inf"], BASE_INF),
+        (["verify", "hadamard", "--d", "2", "--samples", "-3"], SAMPLES),
+        (["verify", "cloner-equivalence", "--d", "2", "--k", "3", "--samples", "-3"], SAMPLES),
+        # A cloner block has no truncation, and neither has a spectrum; dyncap
+        # always writes JSON.
+        (["cq-curve", "--d", "3", "--k", "2", "--grid", "8", "--eps", "1e-3"], CLONER_EPS),
+        (["spectrum", "--d", "2", "--k", "2", "--eps", "0.3"], UNOFFERED),
+        (["dyncap", "--d", "2", "--z", "0.5", "--lambda", "1", "--mu-weight", "0", "--format", "csv"],
+         UNOFFERED),
     ],
 )
 def test_bad_values_exit_2_before_anything_is_built(argv, message, capsys, monkeypatch):
     # The flags parse as plain numbers; the library refuses each bad value
     # with its own ValueError before it builds an evaluator, a grid or a
     # matrix, and main turns that into a usage error of the subcommand, or of
-    # the check under verify.
+    # the check under verify.  A flag the subcommand does not offer is
+    # argparse's usage error of that subcommand.
     def refuse(*args, **kwargs):
         raise AssertionError(f"built {args[0]!r} past a bad value")
 
@@ -462,17 +539,16 @@ def test_bad_values_exit_2_before_anything_is_built(argv, message, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
-    prog = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+    prog = " ".join(prog_of(argv))
     assert f"usage: unruhcap {prog} " in captured.err
     assert f"unruhcap {prog}: error: " in captured.err
 
 
-@pytest.mark.parametrize(
-    "value, message", [("inf", "log base must be finite"), ("1", "log base must exceed 1")]
-)
-@pytest.mark.parametrize("channel", [["--z", "0.5"], ["--k", "3"]])
+# The same refusals as the refusal table's rows argv12, argv26 and argv27,
+# kept under their own test IDs; the other cases these two tests had are rows.
+@pytest.mark.parametrize("value, message", [("1", "log base must exceed 1")])
+@pytest.mark.parametrize("channel", [["--z", "0.5"]])
 def test_log_base_must_be_finite_and_exceed_1(channel, value, message, capsys):
-    # An infinite base would print every rate as 0.
     with pytest.raises(SystemExit) as err:
         run_cli(["cq-curve", "--d", "2", *channel, "--grid", "2", "--base", value])
     assert err.value.code == 2
@@ -481,6 +557,20 @@ def test_log_base_must_be_finite_and_exceed_1(channel, value, message, capsys):
     assert message in captured.err
     assert "usage: unruhcap cq-curve " in captured.err
     assert "unruhcap cq-curve: error: " in captured.err
+
+
+@pytest.mark.parametrize("count", ["0"])
+@pytest.mark.parametrize(
+    "check", [["hadamard", "--d", "2"], ["cloner-equivalence", "--d", "2", "--k", "3"]]
+)
+def test_verify_rejects_vacuous_sample_count(check, count, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", *check, "--samples", count])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_samples must be >= 1" in captured.err
+    assert f"usage: unruhcap verify {check[0]} " in captured.err
 
 
 def test_numeric_guard_exits_3(tmp_path, capsys):
@@ -653,20 +743,6 @@ def test_ce_curve_prints_no_negative_zero(tmp_path):
     cells = [cell for row in rows for cell in row.values()]
     assert "-0" not in cells
     assert [r["rate_y"] for r in rows if r["mu_1"] in ("0", "1")] == ["0", "0"]
-
-
-@pytest.mark.parametrize("count", ["0", "-3"])
-@pytest.mark.parametrize(
-    "check", [["hadamard", "--d", "2"], ["cloner-equivalence", "--d", "2", "--k", "3"]]
-)
-def test_verify_rejects_vacuous_sample_count(check, count, capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(["verify", *check, "--samples", count])
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "n_samples must be >= 1" in captured.err
-    assert f"usage: unruhcap verify {check[0]} " in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

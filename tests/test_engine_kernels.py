@@ -209,12 +209,17 @@ def test_evaluator_rejects_bad_inputs():
 
 def test_grid_counts_must_name_the_ensemble_exactly():
     # The kernel reads the counts alone, so counts of another ensemble would
-    # return that ensemble's entropies.
+    # return that ensemble's entropies.  Counts without a positive sum are
+    # refused before the division: (0, 0, 0) has no quotient, and
+    # (-2, -1, -1) divides to the ensemble exactly but is no grid point.
     evaluator = regions.ChannelSpec(3, z=0.5).evaluator
     for mu, counts in (
         ([0.5, 0.25, 0.25], (1, 1, 1)),
         ([0.5, 0.25, 0.25], (2, 1, 1, 0)),
         ([1 / 3, 1 / 3, 1 / 3 + 1e-16], (1, 1, 1)),
+        ([0.5, 0.25, 0.25], (0, 0, 0)),
+        ([0.5, 0.25, 0.25], (1, -1, 0)),
+        ([0.5, 0.25, 0.25], (-2, -1, -1)),
     ):
         with pytest.raises(ValueError, match="counts"):
             evaluator.sums(np.array(mu), counts)

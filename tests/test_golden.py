@@ -22,7 +22,7 @@ COMMANDS = {
     "cqe-region.csv": "cqe-region --d 3 --z 0.5 --grid 7",
     "cqe-region-d5-z0.9.csv": "cqe-region --d 5 --z 0.9 --grid 4",
     "rps-region.csv": "rps-region --d 4 --z 0.25 --grid 5",
-    "dyncap.json": "dyncap --d 3 --z 0.5 --lambda 0 --mu-weight 10 --grid 16 --format json",
+    "dyncap.json": "dyncap --d 3 --z 0.5 --lambda 0 --mu-weight 10 --grid 16",
 }
 
 

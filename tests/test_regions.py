@@ -281,6 +281,27 @@ def test_family_climb_beats_a_grid_twice_as_fine(d, z):
             assert result.value >= float(fine.grid_objectives(weights).max()) - 1e-12
 
 
+def test_solve_falls_back_to_the_grid_best_off_the_family(monkeypatch):
+    # The climb starts at the family's best grid row, so it ends below the
+    # grid's best only when that row is off the family.  One off-family row
+    # is lifted above every row; solve then reports that row and the gap.
+    problem = DynamicCapacityProblem(ChannelSpec(3, z=0.5), 4)
+    grid = problem.grid
+    off = int(np.flatnonzero(grid[:, 1] != grid[:, 2])[0])
+    objectives = problem.grid_objectives
+
+    def lifted(weights):
+        values = objectives(weights).copy()
+        values[off] = values.max() + 1.0
+        return values
+
+    monkeypatch.setattr(problem, "grid_objectives", lifted)
+    result = problem.solve(CapacityWeights(1.0, 0.0))
+    assert result.value == result.grid_best == lifted(CapacityWeights(1.0, 0.0))[off]
+    assert result.argmax.mu == tuple(grid[off])
+    assert result.family_gap > 0.0
+
+
 def time_sharing_rows(grid) -> list:
     """Rows of the vertex (1, 0, ..., 0) and the uniform ensemble in ``grid``;
     both are points of every sweep grid."""
@@ -556,10 +577,17 @@ def test_channel_spec_validation():
         ChannelSpec(d=3, k=0)
     with pytest.raises(ValueError):
         ChannelSpec(d=3, z=1.5)
-    # The numerics are checked for a cloner block too, though it reads only the base.
-    for bad in ({"log_base": math.inf}, {"log_base": 1.0}, {"truncation_eps": -1.0}):
+    # The base is checked for a cloner block too; it has no truncation, so
+    # any truncation_eps, even a valid one, is refused.
+    for bad in ({"log_base": math.inf}, {"log_base": 1.0}, {"truncation_eps": -1.0},
+                {"truncation_eps": 1e-3}):
         with pytest.raises(ValueError):
             ChannelSpec(d=2, k=2, **bad)
+    with pytest.raises(ValueError, match="truncation_eps must be positive"):
+        ChannelSpec(d=2, z=0.5, truncation_eps=0.0)
+    # An Unruh spec without one takes UnruhConfig's default.
+    assert ChannelSpec(d=2, z=0.5).unruh_config() == regions.UnruhConfig(2, 0.5)
+    assert ChannelSpec(d=2, z=0.5, truncation_eps=1e-3).unruh_config().truncation_eps == 1e-3
 
 
 @pytest.mark.parametrize("channel", [{"z": 0.5}, {"z": 0.5, "log_base": 2.0}, {"k": 3}])
