@@ -180,8 +180,8 @@ def _cmd_dyncap(args) -> int:
         "meta": _meta(args, spec),
         "value": result.value,
         "argmax_mu": list(result.argmax.mu),
-        "lambda": args.lambda_w,
-        "mu_weight": args.mu_weight,
+        "lambda": weights.lambda_w,
+        "mu_weight": weights.mu_w,
         "grid_best": result.grid_best,
         "family_gap": result.family_gap,
         "resolution": result.resolution,

@@ -32,6 +32,7 @@ A third kernel, ``family_sums``, serves the one-heavy ensembles
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -124,6 +125,12 @@ class TradeoffEvaluator:
         self.weights = weights
         self.horizon = int(weights.size)
         self._inv_ln_base = 1.0 / math.log(self.base)
+        top = block_normalizer(d, self.horizon)  # M_k grows with k
+        if top > sys.float_info.max:
+            raise SizeCapError(
+                f"d={d}, k={self.horizon}: block normalizer M_k = C({self.horizon + d - 1}, {d}) "
+                f"~ 1e{math.log10(top):.0f} exceeds the float range"
+            )
 
         k_range = range(1, self.horizon + 1)
         self.log_dims = np.array(

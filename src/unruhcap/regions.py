@@ -112,7 +112,8 @@ class EntropyTriple(NamedTuple):
 
 @dataclass(frozen=True)
 class CapacityWeights:
-    """Nonnegative weights of the dynamic capacity objective."""
+    """Nonnegative weights of the dynamic capacity objective; -0.0 is stored
+    as 0.0."""
 
     lambda_w: float = 0.0
     mu_w: float = 0.0
@@ -122,6 +123,8 @@ class CapacityWeights:
             raise ValueError("capacity weights must be finite")
         if self.lambda_w < 0.0 or self.mu_w < 0.0:
             raise ValueError("capacity weights must be nonnegative")
+        object.__setattr__(self, "lambda_w", self.lambda_w + 0.0)  # -0.0 + 0.0 is 0.0
+        object.__setattr__(self, "mu_w", self.mu_w + 0.0)
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,8 @@ class ChannelSpec:
         if self.k is not None:
             check_block(self.k)
         self._config  # built here, where it checks d, z and the numerics
+        if self.z is not None:
+            object.__setattr__(self, "z", self._config.z)  # with -0.0 stored as 0.0
 
     @cached_property
     def _config(self) -> UnruhConfig:  # a cloner block's is at z = 0
@@ -444,32 +449,31 @@ def pareto_hull_indices(points) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def simplex_grid(d: int, resolution: int) -> np.ndarray:
-    """Deterministic ensemble lattice as a read-only (points, d) array:
-    compositions of ``resolution`` over d slots, divided through; the uniform
-    point is added when the resolution is not a multiple of d.  Rows are
-    lexicographically descending."""
+    """Deterministic ensemble lattice as a read-only int32 (points, d) array
+    of counts over ``resolution * d``: the compositions of ``resolution``
+    over d slots, times d, and the uniform row (resolution, ..., resolution)
+    when d does not divide the resolution.  Rows descend lexicographically."""
     resolution = sweep_resolution(d, resolution)
     points = math.comb(resolution + d - 1, d - 1)
     if points > MAX_GRID_POINTS:
         raise SizeCapError(
             f"d={d}, grid {resolution}: {points} ensemble points exceed cap {MAX_GRID_POINTS}"
         )
-    # Rows are distinct and lexicographically descending, and dividing by
-    # the resolution keeps both properties.
-    mu = composition_matrix(d, resolution) / resolution
+    counts = composition_matrix(d, resolution) * d
     if resolution % d:
-        # No row has first weight exactly 1/d, so the first column alone
-        # places the uniform row.
-        mu = np.insert(mu, np.count_nonzero(mu[:, 0] > 1.0 / d), 1.0 / d, axis=0)
-    mu.setflags(write=False)
-    return mu
+        # Every other first count is a multiple of d, so the first column
+        # alone places the uniform row.
+        counts = np.insert(counts, np.count_nonzero(counts[:, 0] > resolution), resolution, axis=0)
+    counts.setflags(write=False)
+    return counts
 
 
 def _sweep(evaluator: TradeoffEvaluator, resolution: int):
-    """The grid ``mu``, its entropy ``table``, an ``EntropyTriple`` of
-    columns whose entry i is the entropy record of ``mu[i]``'s orbit, and
-    ``orbits``, a map from each orbit's first row, the row evaluated, to its
-    integer counts reduced by their gcd.
+    """The read-only grid ``mu`` (``simplex_grid``'s counts over
+    ``resolution * d``, divided through once), its entropy ``table``, an
+    ``EntropyTriple`` of columns whose entry i is the entropy record of
+    ``mu[i]``'s orbit, and ``orbits``, a map from each orbit's first row, the
+    row evaluated, to its counts reduced by their gcd.
 
     Every entropy of the record is a symmetric function of mu (permuting mu
     only relabels the occupation basis), so each S_d orbit of the grid is
@@ -483,10 +487,7 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int):
     # Gate before the grid, per orbit at the costliest reduced counts: (r-1, 1) or (1,) * d.
     for counts in ((resolution - 1, 1), (1,) * evaluator.d):
         pick_kernel(evaluator.d, evaluator.horizon, counts)
-    mu = simplex_grid(evaluator.d, resolution)
-    # Every row, the uniform one included, is counts / (resolution * d), and
-    # rint recovers those counts exactly.
-    counts = np.rint(mu * (resolution * evaluator.d)).astype(np.int32)
+    counts = simplex_grid(evaluator.d, resolution)
     # One bytes key per sorted row of counts: equal bytes mean equal rows,
     # and bytes sort far faster than rows.
     keys = np.sort(counts, axis=1)
@@ -494,6 +495,8 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int):
     _, first, member_of = np.unique(keys, return_index=True, return_inverse=True)
     reduced = counts[first] // np.gcd.reduce(counts[first], axis=1)[:, None]
     orbits = dict(zip(first.tolist(), map(tuple, reduced.tolist())))
+    mu = counts / (resolution * evaluator.d)
+    mu.setflags(write=False)
     evaluated = np.array([_evaluated_triple(evaluator, mu[i], c) for i, c in orbits.items()])
     return mu, EntropyTriple(*(column[member_of] for column in evaluated.T)), orbits
 

@@ -156,7 +156,8 @@ def _as_ensemble(mu, d: int | None = None) -> EnsembleParams:
 class UnruhConfig:
     """Channel dimension, acceleration parameter z = tanh^2 r, and numerics:
     the one check of the dimension, z, ``truncation_eps`` and ``log_base``
-    rules, which ``regions.ChannelSpec`` applies to a cloner block too."""
+    rules, which ``regions.ChannelSpec`` applies to a cloner block too.  A z
+    of -0.0 is stored as 0.0, so both spellings print alike."""
 
     d: int
     z: float
@@ -167,6 +168,7 @@ class UnruhConfig:
         check_dim(self.d)
         if not 0.0 <= self.z < 1.0:
             raise ValueError("acceleration parameter must satisfy 0 <= z < 1")
+        object.__setattr__(self, "z", self.z + 0.0)  # -0.0 + 0.0 is 0.0
         if not self.truncation_eps > 0.0:
             raise ValueError("truncation_eps must be positive")
         if self.log_base is not None:
@@ -229,9 +231,11 @@ def _weight(d: int, z: float, k: int) -> float:
     return math.exp(log_p)
 
 
-def _tail_term(d: int, z: float, k: int, base: float) -> float:
-    """Majorant weight p_k * (1 + log_base dim_k) for the truncation bound."""
-    return _weight(d, z, k) * (1.0 + math.log(block_dimension(d, k)) / math.log(base))
+def _tail_term(d: int, z: float, k: int, base: float) -> tuple[float, float]:
+    """The weight p_k and its majorant p_k * (1 + log_base dim_k) for the
+    truncation bound."""
+    p = _weight(d, z, k)
+    return p, p * (1.0 + math.log(block_dimension(d, k)) / math.log(base))
 
 
 def truncation(cfg: UnruhConfig) -> tuple[int, float]:
@@ -242,18 +246,28 @@ def truncation(cfg: UnruhConfig) -> tuple[int, float]:
     dim_k) to any region quantity.  Those terms eventually decay faster than
     sqrt(z)^k; once that geometric dominance is reached the tail beyond K is
     bounded by t_{K+1} / (1 - sqrt(z)), and the first K whose bound is at
-    most truncation_eps is returned with the bound (0 when z = 0).  Raises
-    :class:`ConvergenceError` past ``HORIZON_CAP``.
+    most truncation_eps is returned with the bound (0 when z = 0).  The
+    bound also covers the discarded weight, so p_1 + ... + p_K plus the
+    bound must reach 1 within ``MASS_TOL``: weights that underflow pass the
+    dominance test vacuously and fail this one.  Raises
+    :class:`ConvergenceError` when it fails, and past ``HORIZON_CAP``.
     """
     if cfg.z == 0.0:
         return 1, 0.0
     base = cfg.base
     sqrt_z = math.sqrt(cfg.z)
-    t_prev = _tail_term(cfg.d, cfg.z, 1, base)
+    p, t_prev = _tail_term(cfg.d, cfg.z, 1, base)
+    mass = 0.0  # p_1 + ... + p_k
     for k in range(1, HORIZON_CAP + 1):
-        t_next = _tail_term(cfg.d, cfg.z, k + 1, base)
+        mass += p
+        p, t_next = _tail_term(cfg.d, cfg.z, k + 1, base)
         tail = t_next / (1.0 - sqrt_z)
         if t_next <= sqrt_z * t_prev and tail <= cfg.truncation_eps:
+            if mass + tail < 1.0 - MASS_TOL:
+                raise ConvergenceError(
+                    f"truncation for d={cfg.d}, z={cfg.z}: the block weights underflow; "
+                    f"retained mass {mass!r} plus tail bound {tail!r} falls short of 1 at K={k}"
+                )
             return k, tail
         t_prev = t_next
     raise ConvergenceError(

@@ -736,6 +736,58 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cqe-region", "--d", "200", "--z", "0.99", "--grid", "1"],  # every weight underflows
+        ["dyncap", "--d", "200", "--z", "0.99", "--lambda", "1", "--mu-weight", "0", "--grid", "1"],
+    ],
+)
+def test_underflowing_weights_exit_3_before_the_evaluator(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the evaluator past the truncation guard")
+
+    monkeypatch.setattr(engine.TradeoffEvaluator, "__init__", refuse)
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = json.loads(captured.err.strip())
+    assert diagnostic["error"] == "ConvergenceError"
+    assert "d=200, z=0.99" in diagnostic["message"]
+
+
+def test_block_normalizer_past_the_float_range_exits_3(capsys):
+    assert run_cli(["cqe-region", "--d", "1000", "--z", "0.5", "--grid", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip()) == {
+        "error": "SizeCapError",
+        "message": "d=1000, k=2416: block normalizer M_k = C(3415, 1000) ~ 1e895 "
+        "exceeds the float range",
+    }
+
+
+@pytest.mark.parametrize(
+    "command, flags, zero_line",
+    [
+        (["cq-curve", "--d", "2", "--grid", "2"], ["--z"], "# z: 0\n"),
+        (
+            ["dyncap", "--d", "2", "--z", "0.5", "--grid", "4"],
+            ["--lambda", "--mu-weight"],
+            '  "lambda": 0.0,\n',
+        ),
+    ],
+    ids=["cq-curve-z", "dyncap-weights"],
+)
+def test_negative_zero_prints_as_zero(command, flags, zero_line, capsys):
+    outputs = []
+    for zero in ("-0.0", "0"):
+        assert run_cli(command + [arg for flag in flags for arg in (flag, zero)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert zero_line in outputs[0]
+
+
 def test_ce_curve_prints_no_negative_zero(tmp_path):
     out = tmp_path / "ce.csv"
     assert run_cli(["ce-curve", "--d", "2", "--z", "0.75", "--grid", "16", "-o", str(out)]) == 0

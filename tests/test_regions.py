@@ -542,30 +542,31 @@ def test_rps_region_sweep_shapes():
 
 def test_simplex_grid_contents():
     grid = simplex_grid(2, 64)
-    assert grid.shape == (65, 2)
+    assert grid.shape == (65, 2) and grid.dtype == np.int32
     assert not grid.flags.writeable
     grid3 = simplex_grid(3, 64)
     assert len(grid3) == math.comb(66, 2) + 1  # uniform appended (64 not divisible by 3)
+    assert np.all(grid3.sum(axis=1) == 64 * 3)  # counts over resolution * d
     tuples = [tuple(row) for row in grid3.tolist()]
     assert tuples == sorted(tuples, reverse=True)
-    assert (1.0, 0.0, 0.0) in tuples
-    assert (1 / 3, 1 / 3, 1 / 3) in tuples
+    assert (192, 0, 0) in tuples
+    assert (64, 64, 64) in tuples
     with pytest.raises(ValueError):
         simplex_grid(3, 0)
 
 
 @pytest.mark.parametrize("d, resolution", [(2, 3), (3, 7), (4, 5), (4, 8), (5, 4), (6, 3)])
 def test_simplex_grid_matches_enumeration(d, resolution):
-    # Every composition divided through, plus the uniform point when d does
-    # not divide the resolution, sorted lexicographically descending.
-    want = {
-        tuple(c / resolution for c in comp)
-        for comp in itertools.product(range(resolution + 1), repeat=d)
-        if sum(comp) == resolution
-    }
-    want.add((1.0 / d,) * d)
+    # Every composition times d, plus the uniform row when d does not divide
+    # the resolution, sorted lexicographically descending.
+    comps = [c for c in itertools.product(range(resolution + 1), repeat=d) if sum(c) == resolution]
+    want = {tuple(x * d for x in comp) for comp in comps} | {(resolution,) * d}
     got = [tuple(row) for row in simplex_grid(d, resolution).tolist()]
     assert got == sorted(want, reverse=True)
+    # The sweep's ensembles are each composition divided through, and 1/d.
+    want_mu = {tuple(x / resolution for x in comp) for comp in comps} | {(1.0 / d,) * d}
+    mu, _, _ = regions._sweep(ChannelSpec(d, k=1).evaluator, resolution)
+    assert [tuple(row) for row in mu.tolist()] == sorted(want_mu, reverse=True)
 
 
 def test_channel_spec_validation():
@@ -680,7 +681,7 @@ def orbit_count(grid) -> int:
 
 def test_orbit_sweeps_match_per_point_evaluation():
     for spec, resolution in ((ChannelSpec(3, z=0.5), 7), (ChannelSpec(4, z=0.25), 5)):
-        grid = simplex_grid(spec.d, resolution)
+        grid = simplex_grid(spec.d, resolution) / (resolution * spec.d)
         # R is not a multiple of d, so the uniform point is added.
         assert (1.0 / spec.d,) * spec.d in [tuple(mu) for mu in grid.tolist()]
         assert orbit_count(grid) < len(grid)
@@ -695,24 +696,18 @@ def test_orbit_sweeps_match_per_point_evaluation():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_sweep_orbits_are_the_first_rows_with_their_reduced_counts(d):
-    # Every grid row, the uniform one included, is counts / (resolution * d),
-    # and rint recovers those counts exactly.  The sweep keys its orbits on
-    # them and maps each orbit's first row to its counts reduced by their gcd.
-    # A truncating cast in place of rint goes wrong on few grids, so every
-    # resolution up to 12 is covered, and the default.
+    # The sweep divides the grid's counts over resolution * d through once,
+    # and maps each orbit's first row to its counts reduced by their gcd;
+    # every resolution up to 12 is covered, and the default.
     evaluator = ChannelSpec(d, k=1).evaluator
     for resolution in [*range(1, 13), sweep_resolution(d)]:
         if math.comb(resolution + d - 1, d - 1) > MAX_GRID_POINTS:
             continue
-        n = resolution * d
-        grid = simplex_grid(d, resolution)
-        counts = np.rint(grid * n)
-        assert np.all(counts.sum(axis=1) == n), resolution
-        assert np.array_equal(counts / n, grid), resolution
         mu, _, orbits = regions._sweep(evaluator, resolution)
-        assert np.array_equal(mu, grid)
-        assert orbits == orbit_counts(grid, resolution), resolution
-        (uniform,) = np.flatnonzero(np.all(grid == 1.0 / d, axis=1))
+        assert np.array_equal(mu, simplex_grid(d, resolution) / (resolution * d))
+        assert not mu.flags.writeable
+        assert orbits == orbit_counts(mu, resolution), resolution
+        (uniform,) = np.flatnonzero(np.all(mu == 1.0 / d, axis=1))
         assert orbits[uniform] == (1,) * d, resolution
 
 

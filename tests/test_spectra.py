@@ -137,6 +137,32 @@ def test_truncation_horizon_hard_cap():
         truncation_horizon(UnruhConfig(2, 0.9999))
 
 
+@pytest.mark.parametrize("d, z", [(200, 0.99), (100, 0.9999), (120, 0.999), (80, 0.99999)])
+def test_truncation_refuses_when_the_block_weights_underflow(d, z):
+    # Every p_k below the mode underflows to 0, so 0 <= sqrt(z) * 0 passes
+    # the dominance test with a tail of 0 that certifies nothing; guarding
+    # only a zero term would stop on subnormal weights instead.
+    with pytest.raises(ConvergenceError, match="falls short of 1"):
+        truncation(UnruhConfig(d, z))
+
+
+def test_truncation_retained_mass_plus_tail_reaches_1():
+    # The tail bound majorizes the discarded weight, so every returned pair
+    # covers the whole mass; a refused configuration returns nothing.
+    returned = 0
+    for d in (2, 3, 5, 8, 13, 21, 34, 50):
+        for z in (0.05, 0.25, 0.5, 0.75, 0.9, 0.99):
+            for eps in (1e-3, 1e-6, 1e-10, 1e-14, math.inf):
+                cfg = UnruhConfig(d, z, truncation_eps=eps)
+                try:
+                    horizon, tail = truncation(cfg)
+                except ConvergenceError:
+                    continue
+                returned += 1
+                assert math.fsum(unruh_weights(cfg, horizon)) + tail >= 1.0 - 1e-12, (d, z, eps)
+    assert returned > 200
+
+
 def test_unruh_weights_mass():
     weights = unruh_weights(UnruhConfig(2, 0.5))
     assert weights.size == truncation_horizon(UnruhConfig(2, 0.5))
