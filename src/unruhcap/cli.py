@@ -39,8 +39,11 @@ EXIT_PIPE = 141
 _GUARD_ERRORS = (ConvergenceError, SizeCapError, OverflowError)
 
 
+_REAL = "%.12g"
+
+
 def _fmt(x) -> str:
-    return format(float(x), ".12g")
+    return _REAL % float(x)
 
 
 def _spec(args) -> regions.ChannelSpec:
@@ -125,7 +128,7 @@ def _sweep_lines(mu, *columns):
     """CSV lines of a sweep, one row at a time: mu_1..mu_{d-1}, then the
     columns, each cell formatted as ``_fmt`` does."""
     table = np.hstack([mu[:, :-1], *columns])
-    template = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    template = ",".join([_REAL] * table.shape[1]) + "\n"
     for row in table:
         yield template % tuple(row.tolist())
 

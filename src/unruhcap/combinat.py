@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "SizeCapError",
+    "rounded_count",
     "composition_matrix",
     "composition_table",
     "block_dimension",
@@ -32,6 +33,20 @@ __all__ = [
 
 class SizeCapError(RuntimeError):
     """Raised when a requested construction exceeds its size cap."""
+
+
+def rounded_count(count: int) -> str:
+    """A positive integer ``count`` rounded up to two significant digits, as
+    ``1.9e308``: a size-cap message's form of a count too long to print whole.
+    Counts below 100 print whole."""
+    if count < 100:
+        return str(count)
+    exp = int(math.log10(count))  # the float log may be one off near a power of 10
+    exp += (10 ** (exp + 1) <= count) - (10**exp > count)
+    lead = -(-count // 10 ** (exp - 1))  # ceil: 10..100
+    if lead == 100:
+        lead, exp = 10, exp + 1
+    return f"{lead // 10}.{lead % 10}e{exp}"
 
 
 # composition_matrix stores entries as int32; weights beyond this never occur

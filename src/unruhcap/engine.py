@@ -32,13 +32,14 @@ A third kernel, ``family_sums``, serves the one-heavy ensembles
 from __future__ import annotations
 
 import math
-import sys
 from functools import cached_property
 
 import numpy as np
 
 from . import kernels
 from .combinat import SizeCapError, block_dimension, block_normalizer, check_dim, composition_table
+from .combinat import rounded_count
+from .spectra import check_log_base, check_normalizer
 
 __all__ = [
     "HISTOGRAM_CELL_COST",
@@ -90,11 +91,14 @@ def pick_kernel(d: int, horizon: int, counts=None) -> str:
         if cells <= MAX_HISTOGRAM_CELLS and dim < 2**53:
             if terms > MAX_LATTICE_TERMS or HISTOGRAM_CELL_COST * (d + 2) * cells < terms:
                 return "histogram"
-        histogram = f"{cells} cells (cap {MAX_HISTOGRAM_CELLS}), dim_K = {dim} (cap 2**53 - 1)"
+        histogram = (
+            f"{rounded_count(cells)} cells (cap {MAX_HISTOGRAM_CELLS}), "
+            f"dim_K = {rounded_count(dim)} (cap 2**53 - 1)"
+        )
     if terms <= MAX_LATTICE_TERMS:
         return "lattice"
     raise SizeCapError(
-        f"d={d}, K={horizon}: {terms} lattice terms per evaluation exceed cap "
+        f"d={d}, K={horizon}: {rounded_count(terms)} lattice terms per evaluation exceed cap "
         f"{MAX_LATTICE_TERMS}; histogram kernel: {histogram}"
     )
 
@@ -112,7 +116,7 @@ class TradeoffEvaluator:
 
     def __init__(self, d: int, block_weights, base: float):
         check_dim(d)
-        kernels.check_log_base(base)
+        check_log_base(base)
         weights = np.ascontiguousarray(block_weights, dtype=np.float64)
         if weights.ndim != 1 or weights.size < 1:
             raise ValueError("block weights must be a nonempty 1-D array")
@@ -125,12 +129,7 @@ class TradeoffEvaluator:
         self.weights = weights
         self.horizon = int(weights.size)
         self._inv_ln_base = 1.0 / math.log(self.base)
-        top = block_normalizer(d, self.horizon)  # M_k grows with k
-        if top > sys.float_info.max:
-            raise SizeCapError(
-                f"d={d}, k={self.horizon}: block normalizer M_k = C({self.horizon + d - 1}, {d}) "
-                f"~ 1e{math.log10(top):.0f} exceeds the float range"
-            )
+        check_normalizer(d, self.horizon)  # M_k grows with k
 
         k_range = range(1, self.horizon + 1)
         self.log_dims = np.array(

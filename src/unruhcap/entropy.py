@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .spectra import Spectrum, _as_ensemble
+from .spectra import Spectrum, _as_ensemble, check_log_base
 
 __all__ = [
     "EntropyValue",
@@ -33,7 +32,7 @@ class EntropyValue:
     base: float
 
     def __post_init__(self):
-        kernels.check_log_base(self.base)
+        check_log_base(self.base)
         if not math.isfinite(self.value):
             raise ValueError("entropy must be finite")
         if self.value < -1e-9:
@@ -42,26 +41,24 @@ class EntropyValue:
         object.__setattr__(self, "value", max(0.0, float(self.value)))
 
 
+def _entropy(values, multiplicities, base: float) -> EntropyValue:
+    """-sum(m * p * log_base p) over the nonzero atoms p."""
+    check_log_base(base)
+    v = np.asarray(values, dtype=np.float64)
+    m = np.asarray(multiplicities, dtype=np.float64)
+    mask = v != 0.0
+    vm = v[mask]
+    return EntropyValue(float(-(m[mask] * vm * np.log(vm)).sum() * (1.0 / math.log(base))), base)
+
+
 def shannon_entropy(spectrum: Spectrum, base: float) -> EntropyValue:
     """Entropy -sum(m * p * log_base p) of a spectrum with unit mass."""
-    kernels.check_log_base(base)
     if abs(spectrum.mass - 1.0) > _SPECTRUM_MASS_TOL:
         raise ValueError(f"spectrum mass {spectrum.mass!r} deviates from 1 beyond 1e-09")
-    value = kernels.spectrum_entropy_terms(
-        np.ascontiguousarray(spectrum.values, dtype=np.float64),
-        np.ascontiguousarray(spectrum.multiplicities, dtype=np.float64),
-        1.0 / math.log(base),
-    )
-    return EntropyValue(value, base)
+    return _entropy(spectrum.values, spectrum.multiplicities, base)
 
 
 def ensemble_conditional_entropy_A(mu, base: float) -> EntropyValue:
     """Input-side conditional entropy of the cyclic ensemble: H(mu)."""
-    kernels.check_log_base(base)
     params = _as_ensemble(mu)
-    value = kernels.spectrum_entropy_terms(
-        params.as_array(),
-        np.ones(params.dimension),
-        1.0 / math.log(base),
-    )
-    return EntropyValue(value, base)
+    return _entropy(params.as_array(), np.ones(params.dimension), base)

@@ -22,8 +22,6 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "HISTOGRAM_CHUNK",
-    "check_log_base",
-    "spectrum_entropy_terms",
     "block_family_entropy",
     "histogram_entropy",
     "family_sums",
@@ -34,24 +32,6 @@ BACKEND = "python"
 
 # Blocks of count rows the histogram kernel builds at a time.
 HISTOGRAM_CHUNK = 16
-
-
-def check_log_base(base: float) -> None:
-    """``ValueError`` unless the entropy log ``base`` is finite and exceeds 1
-    (an infinite base would turn every entropy into 0)."""
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
-    if not math.isfinite(base):
-        raise ValueError("log base must be finite")
-
-
-def spectrum_entropy_terms(values, multiplicities, inv_ln_base):
-    """-sum(m * p * ln p) * inv_ln_base over the nonzero atoms p."""
-    v = np.asarray(values, dtype=np.float64)
-    m = np.asarray(multiplicities, dtype=np.float64)
-    mask = v != 0.0
-    vm = v[mask]
-    return float(-(m[mask] * vm * np.log(vm)).sum() * inv_ln_base)
 
 
 def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j):

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinat import SizeCapError, block_dimension, check_block, composition_matrix
+from .combinat import SizeCapError, block_dimension, check_block, composition_matrix, rounded_count
 from .engine import TradeoffEvaluator, pick_kernel
 from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (
@@ -51,6 +51,7 @@ from .spectra import (
 
 __all__ = [
     "HULL_TOL",
+    "MAX_GRID_ENTRIES",
     "MAX_GRID_POINTS",
     "PROTOCOL_RAYS",
     "EntropyTriple",
@@ -79,9 +80,10 @@ __all__ = [
 
 HULL_TOL = 1e-9
 
-# Ensemble lattice points C(R+d-1, d-1) per sweep; larger grids are refused
-# before the lattice is enumerated.
+# Ensemble lattice points C(R+d-1, d-1) per sweep, and their entries (points
+# times d); larger grids are refused before the lattice is enumerated.
 MAX_GRID_POINTS = 10**6
+MAX_GRID_ENTRIES = 10**7
 
 # The dynamic capacity climb's last step is 1/(resolution * d * 2**REFINE_LEVELS) or less.
 REFINE_LEVELS = 12
@@ -321,10 +323,10 @@ def _objective(weights: CapacityWeights, t: EntropyTriple):
 def _check_overflow(evaluator: TradeoffEvaluator, weights: CapacityWeights) -> None:
     """``OverflowError`` when ``weights`` are so large that the objective
     could overflow on ``evaluator``'s channel."""
-    # No entropy exceeds the larger of log dim_K and log d, and the absolute
-    # coefficients of the objective sum to 2 lambda + 2 mu + 3.
+    # No entropy exceeds the larger of log dim_K and log d: the objective at
+    # those entropies, with the signs of its coefficients, bounds it.
     top = max(float(evaluator.log_dims[-1]), math.log(evaluator.d, evaluator.base))
-    if not math.isfinite(2.0 * (weights.lambda_w + weights.mu_w + 2.0) * top):
+    if not math.isfinite(_objective(weights, EntropyTriple(top, top, -top, top))):
         raise OverflowError(
             f"capacity weights lambda={weights.lambda_w!r}, mu={weights.mu_w!r}: "
             "the objective would overflow"
@@ -455,9 +457,11 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
     when d does not divide the resolution.  Rows descend lexicographically."""
     resolution = sweep_resolution(d, resolution)
     points = math.comb(resolution + d - 1, d - 1)
-    if points > MAX_GRID_POINTS:
+    if points > MAX_GRID_POINTS or points * d > MAX_GRID_ENTRIES:
         raise SizeCapError(
-            f"d={d}, grid {resolution}: {points} ensemble points exceed cap {MAX_GRID_POINTS}"
+            f"d={d}, grid {resolution}: {rounded_count(points)} ensemble points "
+            f"({rounded_count(points * d)} entries) exceed cap {MAX_GRID_POINTS} "
+            f"({MAX_GRID_ENTRIES} entries)"
         )
     counts = composition_matrix(d, resolution) * d
     if resolution % d:

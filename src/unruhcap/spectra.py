@@ -12,6 +12,7 @@ against the matrix oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .combinat import (
     check_dim,
     composition_matrix,
     eigen_multiplicity,
+    rounded_count,
 )
-from .kernels import check_log_base
 
 __all__ = [
     "HORIZON_CAP",
@@ -35,6 +36,8 @@ __all__ = [
     "EnsembleParams",
     "UnruhConfig",
     "ConvergenceError",
+    "check_log_base",
+    "check_normalizer",
     "cloner_spectrum",
     "ensemble_spectrum_B",
     "ensemble_spectrum_E",
@@ -152,6 +155,15 @@ def _as_ensemble(mu, d: int | None = None) -> EnsembleParams:
     return params
 
 
+def check_log_base(base: float) -> None:
+    """``ValueError`` unless the entropy log ``base`` is finite and exceeds 1
+    (an infinite base would turn every entropy into 0)."""
+    if base <= 1.0:
+        raise ValueError("log base must exceed 1")
+    if not math.isfinite(base):
+        raise ValueError("log base must be finite")
+
+
 @dataclass(frozen=True)
 class UnruhConfig:
     """Channel dimension, acceleration parameter z = tanh^2 r, and numerics:
@@ -231,6 +243,17 @@ def _weight(d: int, z: float, k: int) -> float:
     return math.exp(log_p)
 
 
+def check_normalizer(d: int, k: int) -> None:
+    """``SizeCapError`` when the block normalizer M_k = C(k+d-1, d) is past
+    the float range, so that no atom of block k can be formed as a float."""
+    top = block_normalizer(d, k)
+    if top > sys.float_info.max:
+        raise SizeCapError(
+            f"d={d}, k={k}: block normalizer M_k = C({k + d - 1}, {d}) ~ {rounded_count(top)} "
+            "exceeds the float range"
+        )
+
+
 def _tail_term(d: int, z: float, k: int, base: float) -> tuple[float, float]:
     """The weight p_k and its majorant p_k * (1 + log_base dim_k) for the
     truncation bound."""
@@ -250,7 +273,9 @@ def truncation(cfg: UnruhConfig) -> tuple[int, float]:
     bound also covers the discarded weight, so p_1 + ... + p_K plus the
     bound must reach 1 within ``MASS_TOL``: weights that underflow pass the
     dominance test vacuously and fail this one.  Raises
-    :class:`ConvergenceError` when it fails, and past ``HORIZON_CAP``.
+    :class:`ConvergenceError` when it fails, and past ``HORIZON_CAP``, and
+    ``SizeCapError`` at the first block whose normalizer is past the float
+    range (``check_normalizer``).
     """
     if cfg.z == 0.0:
         return 1, 0.0
@@ -259,6 +284,7 @@ def truncation(cfg: UnruhConfig) -> tuple[int, float]:
     p, t_prev = _tail_term(cfg.d, cfg.z, 1, base)
     mass = 0.0  # p_1 + ... + p_k
     for k in range(1, HORIZON_CAP + 1):
+        check_normalizer(cfg.d, k)
         mass += p
         p, t_next = _tail_term(cfg.d, cfg.z, k + 1, base)
         tail = t_next / (1.0 - sqrt_z)

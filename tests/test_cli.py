@@ -274,6 +274,19 @@ def test_cli_import_keeps_blas_single_threaded_unless_chosen(preset, expected):
         assert threads == "1"
 
 
+def test_check_route_imports_no_hot_path_module():
+    # The closed-form spectra and entropies and the matrix oracle check the
+    # sweep engine, so they load neither the engine nor its kernels.
+    env = dict(os.environ, PYTHONPATH=str(Path(regions.__file__).parents[1]))
+    script = (
+        "import sys, unruhcap.spectra, unruhcap.entropy, unruhcap.channelsim; "
+        "print(sorted({'unruhcap.kernels', 'unruhcap.engine'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_verify_commands_pass(tmp_path):
     out = tmp_path / "had.json"
     assert run_cli(["verify", "hadamard", "--d", "2", "--samples", "10", "-o", str(out)]) == 0
@@ -587,23 +600,28 @@ def test_numeric_guard_exits_3(tmp_path, capsys):
         ["cqe-region", "--d", "10", "--z", "0.9", "--grid", "2"],  # dim_K ~1.3e18 >= 2**53
         ["dyncap", "--d", "10", "--z", "0.9", "--lambda", "1", "--mu-weight", "0", "--grid", "2"],
         ["cq-curve", "--d", "12", "--k", "1", "--grid", "64"],  # ~4.9e12 grid points
+        # Wide grids: few rows, but each row holds d counts.
+        ["cq-curve", "--d", "100000", "--k", "1", "--grid", "1"],  # 1e10 grid entries
+        ["cqe-region", "--d", "100000", "--z", "0", "--grid", "1"],
+        ["cq-curve", "--d", "90", "--k", "1", "--grid", "3"],  # 1.1e7 grid entries
     ],
 )
 def test_size_cap_exits_3_before_enumerating(argv, tmp_path, capsys, monkeypatch):
     # The caps are exact binomial counts taken before the lattice tables are
     # built, so only a few small tables may be enumerated before the refusal.
-    rows = []
+    # A table is budgeted by its entries (rows times modes) before it is built.
+    entries = []
 
     def spend(count):
-        rows.append(count)
-        assert sum(rows) <= 10**6, f"enumerated {sum(rows)} lattice rows past the size cap"
+        entries.append(count)
+        assert sum(entries) <= 10**6, f"enumerated {sum(entries)} table entries past the size cap"
 
     def budgeted(d, k):
-        spend(math.comb(k + d - 1, d - 1))
+        spend(math.comb(k + d - 1, d - 1) * d)
         return combinat.composition_matrix(d, k)
 
     def budgeted_table(d, horizon):
-        spend(math.comb(horizon + d, d))
+        spend(math.comb(horizon + d, d) * d)
         return combinat.composition_table(d, horizon)
 
     monkeypatch.setattr(engine, "composition_table", budgeted_table)
@@ -756,15 +774,40 @@ def test_underflowing_weights_exit_3_before_the_evaluator(argv, capsys, monkeypa
     assert "d=200, z=0.99" in diagnostic["message"]
 
 
-def test_block_normalizer_past_the_float_range_exits_3(capsys):
+def test_block_normalizer_past_the_float_range_exits_3(capsys, monkeypatch):
+    # The horizon search refuses at the first block whose normalizer is past
+    # the float range (k = 309 of the K = 2416 it would reach), before any
+    # block weight is computed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed the block weights past the normalizer guard")
+
+    monkeypatch.setattr(regions, "unruh_weights", refuse)
     assert run_cli(["cqe-region", "--d", "1000", "--z", "0.5", "--grid", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.strip()) == {
         "error": "SizeCapError",
-        "message": "d=1000, k=2416: block normalizer M_k = C(3415, 1000) ~ 1e895 "
+        "message": "d=1000, k=309: block normalizer M_k = C(1308, 1000) ~ 3.0e308 "
         "exceeds the float range",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cqe-region", "--d", "300", "--z", "0.5", "--grid", "1"],  # two 268-digit kernel counts
+        ["cq-curve", "--d", "1000", "--k", "1", "--grid", "1000"],  # C(1999, 999) grid points
+        # 6,019 digits: past the 4,300 that str(int) prints, so a whole count exited 2.
+        ["cq-curve", "--d", "10000", "--k", "1", "--grid", "10000"],
+    ],
+)
+def test_size_cap_messages_round_big_counts(argv, capsys):
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err.strip())["message"]
+    assert "exceed cap" in message
+    assert len(message) < 300, message
 
 
 @pytest.mark.parametrize(
@@ -821,6 +864,28 @@ def test_dyncap_refuses_overflowing_weights_before_the_grid(weights, capsys, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.strip())["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize("scale, status", [(0.999, 0), (1.001, 3)])
+def test_dyncap_overflow_guard_boundary(scale, status, capsys, monkeypatch):
+    # The objective is at most (2 lambda + 2 mu + 3) times the largest
+    # entropy, top; at mu = 0 it overflows once lambda passes max / (2 top).
+    evaluator = regions.ChannelSpec(2, z=0.5).evaluator
+    top = max(float(evaluator.log_dims[-1]), 1.0)  # log_2 d = 1
+    lam = scale / (2.0 * top) * sys.float_info.max
+    if status == 3:
+        def refuse(*args, **kwargs):
+            raise AssertionError("swept the grid past the overflow guard")
+
+        monkeypatch.setattr(regions, "_sweep", refuse)
+    argv = ["dyncap", "--d", "2", "--z", "0.5", "--lambda", repr(lam), "--mu-weight", "0"]
+    assert run_cli(argv + ["--grid", "4"]) == status
+    captured = capsys.readouterr()
+    if status == 0:
+        assert math.isfinite(json.loads(captured.out)["value"])
+    else:
+        assert captured.out == ""
+        assert json.loads(captured.err.strip())["error"] == "OverflowError"
 
 
 def test_dyncap_accepts_large_finite_weights(capsys):

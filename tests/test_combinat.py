@@ -118,3 +118,23 @@ def test_composition_table_stacks_every_weight_in_matrix_order():
         combinat.composition_table(0, 3)
     with pytest.raises(ValueError):
         combinat.composition_table(2, -1)
+
+
+@pytest.mark.parametrize(
+    "count, text",
+    [
+        (7, "7"),
+        (99, "99"),
+        (100, "1.0e2"),
+        (101, "1.1e2"),
+        (999, "1.0e3"),  # rounded up past a power of 10
+        (1_000_001, "1.1e6"),
+        (10**22 - 1, "1.0e22"),
+        (10**22, "1.0e22"),
+        (2**1024, "1.8e308"),  # just past the float range, and reads so
+        (10**5000 + 1, "1.1e5000"),  # past the 4,300-digit limit of str(int)
+    ],
+    ids=lambda value: value if isinstance(value, str) else "n",  # not str(value): 5,001 digits
+)
+def test_rounded_count_rounds_up_to_two_digits(count, text):
+    assert combinat.rounded_count(count) == text

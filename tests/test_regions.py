@@ -569,6 +569,16 @@ def test_simplex_grid_matches_enumeration(d, resolution):
     assert [tuple(row) for row in mu.tolist()] == sorted(want_mu, reverse=True)
 
 
+@pytest.mark.parametrize("d, resolution", [(10, 14), (1600, 1), (6, 35)])
+def test_simplex_grid_admits_every_grid_within_both_caps(d, resolution):
+    # The entries cap (points times d) refuses wide grids of few rows (see
+    # test_size_cap_exits_3_before_enumerating) but no grid within the point
+    # cap at d <= 10, nor one row per mode at d = 1600.
+    points = math.comb(resolution + d - 1, d - 1)
+    assert points <= regions.MAX_GRID_POINTS and points * d <= regions.MAX_GRID_ENTRIES
+    assert simplex_grid(d, resolution).shape == (points + (resolution % d > 0), d)
+
+
 def test_channel_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(d=3)
