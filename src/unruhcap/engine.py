@@ -20,10 +20,12 @@ block.  Two exact kernels do this:
   time, then weighs each block with matrix-vector products against v and
   v log v (one 1-D log per evaluation; see ``kernels.histogram_entropy``).
 
-Every sweep passes each orbit's integer ``counts``; ``pick_kernel``, the one
-size gate, runs the cheaper kernel within its own cap (without counts, as
-for the rows the CQ/CE curves evaluate again near a hull vertex, the lattice
-kernel) and refuses when neither kernel fits.
+Every sweep passes each orbit's integer ``counts``.  ``pick_kernel``, the one
+size gate, chooses by structure alone: a grid point at d >= 3 runs on the
+histogram whenever it fits that kernel's conditions, and the lattice takes
+d = 2, off-grid points (such as the rows the CQ/CE curves evaluate again near
+a hull vertex) and orbits past the histogram's conditions, within its caps on
+terms and on table entries; anything else is refused.
 
 A third kernel, ``family_sums``, serves the one-heavy ensembles
 (a, b, ..., b) alone, in about K**2 terms for any d, with no gate.
@@ -42,64 +44,54 @@ from .combinat import rounded_count
 from .spectra import check_log_base, check_normalizer
 
 __all__ = [
-    "HISTOGRAM_CELL_COST",
     "MAX_HISTOGRAM_CELLS",
+    "MAX_LATTICE_ENTRIES",
     "MAX_LATTICE_TERMS",
     "TradeoffEvaluator",
     "pick_kernel",
 ]
 
 # Per-evaluation caps of the two kernels; ``pick_kernel`` runs one within its
-# cap or refuses.  Lattice: the C(K+d, d) terms scanned.  Histogram: the cells
-# of its (K+1)-row count array, swept once per mode (it holds 16 + d rows of
-# them at a time).
+# caps or refuses.  Lattice: the C(K+d, d) terms scanned, and the int32
+# entries of the (d-1)-mode table it builds once.  Histogram: the cells of its
+# (K+1)-row count array, swept once per mode (it holds 16 + d rows of them at
+# a time).
 MAX_LATTICE_TERMS = 10**9
+MAX_LATTICE_ENTRIES = 10**8
 MAX_HISTOGRAM_CELLS = 4 * 10**6
-
-# Cost of one histogram cell operation in lattice terms.  Over 35 sampled
-# sweep orbits (d = 2..5, z = 0.05..0.95, both kernels >= 0.5 ms, 2-core VM,
-# numpy 2.4) the measured ratio had median 0.09 and quartiles 0.02-0.34; for
-# the log-free, chunked kernel three seeded draws of 35 gave medians
-# 0.074-0.094 and quartiles 0.012-0.228 (0.13 for the kernel it replaced,
-# by the same script).
-# 0.15 keeps every d = 2 orbit (histogram work >= 0.6 (K+1)(K+2) against
-# (K+1)(K+2)/2 lattice terms) on the lattice kernel, where small lattices are
-# decided by fixed per-call costs rather than by terms.  Another value moves
-# orbits between the kernels, and with them the last digits of sweep outputs.
-HISTOGRAM_CELL_COST = 0.15
 
 
 def pick_kernel(d: int, horizon: int, counts=None) -> str:
-    """``"histogram"`` or ``"lattice"``: the cheaper exact kernel within its
-    own cap at the grid point with (reduced) ``counts`` (only their max and
-    sum are read), or at an off-grid point (``None``); else ``SizeCapError``.
+    """``"histogram"`` or ``"lattice"`` by the structure of the input, else
+    ``SizeCapError``.
 
-    The lattice scans C(K+d, d) terms.  The histogram makes d - t passes
-    over its (K+1)-row count array to build it (t modes share the commonest
-    count) and weighs the atoms with four matrix-vector products; the cost
-    model still charges d + 2 passes, at ``HISTOGRAM_CELL_COST`` lattice terms
-    per cell, on purpose: charging fewer would move orbits between the
-    kernels, and with them the last digits of sweep outputs.  It also needs
-    its largest count dim_K = C(K+d-1, d-1) below 2**53, to stay exact.
+    A grid point with (reduced) ``counts`` (only their max and sum are read)
+    at d >= 3 runs on the histogram within its two conditions: at most
+    ``MAX_HISTOGRAM_CELLS`` cells, and its largest count dim_K =
+    C(K+d-1, d-1) below 2**53, to stay exact.  The lattice takes the rest:
+    d = 2, where no two basis vectors of a block share an atom numerator
+    b1 c1 + b2 c2 unless c1 = c2, so the histogram has nothing to merge;
+    off-grid points (``None``); and grid points past the histogram's
+    conditions.  It needs its C(K+d, d) terms and the (d-1) dim_K entries of
+    its table within their caps.
     """
-    terms = math.comb(horizon + d, d)
-    histogram = "needs a grid point"
-    if counts is not None:
-        n = sum(counts)
-        cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * n + 1)
-        dim = math.comb(horizon + d - 1, d - 1)
+    dim = math.comb(horizon + d - 1, d - 1)
+    histogram = "needs a grid point at d >= 3"
+    if counts is not None and d > 2:
+        cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * sum(counts) + 1)
         if cells <= MAX_HISTOGRAM_CELLS and dim < 2**53:
-            if terms > MAX_LATTICE_TERMS or HISTOGRAM_CELL_COST * (d + 2) * cells < terms:
-                return "histogram"
+            return "histogram"
         histogram = (
             f"{rounded_count(cells)} cells (cap {MAX_HISTOGRAM_CELLS}), "
             f"dim_K = {rounded_count(dim)} (cap 2**53 - 1)"
         )
-    if terms <= MAX_LATTICE_TERMS:
+    terms = math.comb(horizon + d, d)
+    if terms <= MAX_LATTICE_TERMS and (d - 1) * dim <= MAX_LATTICE_ENTRIES:
         return "lattice"
     raise SizeCapError(
-        f"d={d}, K={horizon}: {rounded_count(terms)} lattice terms per evaluation exceed cap "
-        f"{MAX_LATTICE_TERMS}; histogram kernel: {histogram}"
+        f"d={d}, K={horizon}: lattice kernel: {rounded_count(terms)} terms per evaluation "
+        f"(cap {MAX_LATTICE_TERMS}) and {rounded_count((d - 1) * dim)} table entries "
+        f"(cap {MAX_LATTICE_ENTRIES}), one or both exceed cap; histogram kernel: {histogram}"
     )
 
 

@@ -5,14 +5,14 @@ curves, the full CQE dynamic-region bounds, and the public/private/secret-key
 (RPS) bounds, for either a single 1->k cloner block or the geometric mixture
 of blocks that is the Unruh channel, each named by one ``ChannelSpec``, which
 builds its evaluator once.  Sweeps run over the cyclic-ensemble
-simplex (which suffices for all Pareto-optimal points), evaluate each
-permutation orbit of the grid once, on the cheaper of the engine's two exact
-kernels (the CQ/CE curves then evaluate every row near a hull vertex again
-on its own, on the lattice kernel, unless the sweep ran that row on the
-lattice already), are hulled with a monotone chain, and the weighted
-dynamic capacity objective is maximized by a grid sweep plus a
-coarse-to-fine climb along the one-heavy ensembles (a, b, ..., b), on the
-engine's family kernel.
+simplex (which suffices for all Pareto-optimal points) and evaluate each
+permutation orbit of the grid once, on the kernel ``pick_kernel`` names for
+its structure (the histogram from d = 3 on, where it fits).  The CQ/CE
+curves then evaluate every row near a hull vertex again on its own, on the
+lattice kernel, unless the sweep ran that row on the lattice already, and
+are hulled with a monotone chain.  The weighted dynamic capacity objective
+is maximized by a grid sweep plus a coarse-to-fine climb along the one-heavy
+ensembles (a, b, ..., b), on the engine's family kernel.
 
 Every bound is a linear function of four entropies of the ensemble, H(B),
 H(B|X), H(E|X) and H(A|X).  A sweep produces one entropy table, an
@@ -21,8 +21,8 @@ shape (points, d), and each bound formula (``cq_point``, ``ce_point``,
 ``cqe_bounds``, the dynamic objective) applies to that table elementwise,
 exactly as it does to the triple of one ensemble.
 ``rps-region --d 6 --z 0.05 --grid 35`` (658,009 points, 2,173 orbits)
-peaks at 138 MB and ``cq-curve --d 6 --k 1 --grid 35`` at 237 MB (VmHWM of
-a fresh process, 2-core VM).
+peaks at 173 MB and ``cq-curve --d 6 --k 1 --grid 35`` at 228 MB (peak RSS
+of a fresh process, 2-core VM, numpy 2.4).
 
 All rates are in dits of the configured log base (default: the dimension d).
 """
@@ -483,9 +483,9 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int):
     only relabels the occupation basis), so each S_d orbit of the grid is
     evaluated once, at its first row, and its entropies are given to every
     member.  The grid is lexicographically descending, so that row is the
-    orbit's descending-sorted point.  It is passed with its counts, and the
-    engine runs it on the cheaper of its two exact kernels (``pick_kernel``
-    of the counts says which).  Each entry was checked finite by
+    orbit's descending-sorted point.  It is passed with its counts, and
+    ``pick_kernel`` of the counts names its kernel: the histogram from d = 3
+    on, where it fits, else the lattice.  Each entry was checked finite by
     ``_evaluated_triple``.
     """
     # Gate before the grid, per orbit at the costliest reduced counts: (r-1, 1) or (1,) * d.
@@ -538,11 +538,11 @@ def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:
     """Sweep of (C, Q) points with their Pareto boundary.
 
     One evaluation per orbit, at its first row with its integer counts, on
-    the cheaper exact kernel; every row within ``HULL_TOL`` of a hull vertex
-    then carries its own lattice bits (see ``_curve``: it evaluates such a
-    row again unless the sweep ran it on the lattice), so the ``on_hull``
-    flag lands on the row a per-point lattice sweep flags, and every other
-    row is within rounding of its own evaluation.
+    the kernel ``pick_kernel`` names; every row within ``HULL_TOL`` of a
+    hull vertex then carries its own lattice bits (see ``_curve``: it
+    evaluates such a row again unless the sweep ran it on the lattice), so
+    the ``on_hull`` flag lands on the row a per-point lattice sweep flags,
+    and every other row is within rounding of its own evaluation.
     """
     return _curve(spec, resolution, cq_point, (1.0, 1.0))
 

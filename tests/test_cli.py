@@ -662,6 +662,28 @@ def test_size_gate_refuses_before_the_grid(argv, capsys, monkeypatch):
     assert json.loads(captured.err.strip())["error"] == "SizeCapError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cq-curve", "--d", "10", "--k", "30", "--grid", "1"],  # 1.9e9 table entries
+        ["cq-curve", "--d", "1000", "--k", "2", "--grid", "1"],  # 5.0e8 table entries
+    ],
+)
+def test_lattice_table_past_its_cap_exits_3_before_it_is_built(argv, capsys, monkeypatch):
+    # Both sweeps fit the histogram, but the curve evaluates its tied vertex
+    # rows again on the lattice, whose (d-1)-mode table is over its cap.
+    def refuse(*args):
+        raise AssertionError(f"built lattice table {args}")
+
+    monkeypatch.setattr(engine, "composition_table", refuse)
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = json.loads(captured.err.strip())
+    assert diagnostic["error"] == "SizeCapError"
+    assert "table entries" in diagnostic["message"]
+
+
 def test_cloner_block_past_every_cap_exits_3_before_allocating(capsys):
     # 2**62 block weights can never be allocated: the vertex, the cheapest
     # grid point, fits no kernel, so the block is refused before its weights.

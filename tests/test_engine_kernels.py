@@ -372,12 +372,13 @@ def test_vertex_private_bound_is_exactly_zero(d):
 
 
 def test_cost_function_picks_each_kernel():
-    # A region-d5 orbit: 2.6M lattice terms against a few thousand cells.
+    # A grid point at d >= 3 within the histogram's conditions runs there:
+    # a region-d5 orbit, and the sweep-d3 orbit (31, 1, 0) / 32.
     k5 = regions.ChannelSpec(d=5, z=0.5).evaluator.horizon
     assert pick_kernel(5, k5, (2, 1, 1, 0, 0)) == "histogram"
-    # An interior d = 2 point of a long horizon, (40, 24) / 64 with reduced
-    # counts (5, 3): 142k lattice terms against a histogram of 533 rows by
-    # thousands of values.
+    assert pick_kernel(3, 102, (31, 1, 0)) == "histogram"
+    # d = 2 runs on the lattice, grid point or not: (40, 24) / 64 with
+    # reduced counts (5, 3) has pairwise distinct atom numerators per block.
     k2 = regions.ChannelSpec(d=2, z=0.95).evaluator.horizon
     assert pick_kernel(2, k2, (5, 3)) == "lattice"
     # An off-grid point has only the lattice kernel.
@@ -401,6 +402,67 @@ def test_cost_function_picks_each_kernel():
     # d = 9, K = 300: 95,718 cells and dim_K < 2**53.
     assert math.comb(308, 8) < 2**53
     assert pick_kernel(9, 300, (1,) * 9) == "histogram"
+    # Off the grid, with C(K+d, d) terms within their cap, the lattice's
+    # (d-1)-mode table of (d-1) dim_K int32 entries is over its cap: 1.9e9
+    # (7.6 GB) and 5.0e8 (2.0 GB).  Tier-1's largest, d = 5 and K = 117
+    # (3.4e7 entries), is within it.
+    for d, horizon in ((10, 30), (1000, 2)):
+        assert math.comb(horizon + d, d) <= MAX_LATTICE_TERMS
+        with pytest.raises(SizeCapError, match="table entries"):
+            pick_kernel(d, horizon)
+    assert pick_kernel(5, 117) == "lattice"
+
+
+@pytest.mark.parametrize(
+    "d, z, resolution",
+    [
+        (2, 0.95, 64), (3, 0.75, 32), (3, 0.97, 16), (4, 0.9, 8), (4, 0.97, 8),
+        (5, 0.5, 16), (6, 0.05, 8),
+    ],
+)
+def test_grid_orbits_take_the_histogram_unless_d2_or_past_its_conditions(d, z, resolution):
+    # The kernel depends on structure only: an orbit runs on the lattice iff
+    # d = 2 or the histogram is past its cell cap or its exact-count bound
+    # dim_K < 2**53; past both kernels' caps it is refused.
+    horizon = truncation_horizon(UnruhConfig(d, z))
+    dim = math.comb(horizon + d - 1, d - 1)
+    grid = regions.simplex_grid(d, resolution) / (resolution * d)
+    kinds = set()
+    for counts in orbit_counts(grid, resolution).values():
+        cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * sum(counts) + 1)
+        past = cells > engine.MAX_HISTOGRAM_CELLS or dim >= 2**53
+        try:
+            kind = pick_kernel(d, horizon, counts)
+        except SizeCapError:
+            kind = "refused"
+        if d > 2 and not past:
+            assert kind == "histogram", counts
+        else:
+            lattice_fits = (
+                math.comb(horizon + d, d) <= MAX_LATTICE_TERMS
+                and (d - 1) * dim <= engine.MAX_LATTICE_ENTRIES
+            )
+            assert kind == ("lattice" if lattice_fits else "refused"), counts
+        kinds.add(kind)
+    assert kinds == {
+        (2, 0.95, 64): {"lattice"},
+        (3, 0.97, 16): {"histogram", "lattice"},
+        (4, 0.97, 8): {"histogram", "refused"},
+    }.get((d, z, resolution), {"histogram"})
+
+
+def test_d2_atom_numerators_are_distinct_within_a_block():
+    # The premise of sending d = 2 to the lattice: with c1 != c2 the atom
+    # numerators b1 c1 + b2 c2 of block k (and the environment's, each + 1)
+    # are pairwise distinct, so the histogram would merge no two of them.
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        c1, c2 = (int(c) for c in rng.integers(0, 1000, 2))
+        if c1 == c2:
+            continue
+        for k in range(1, 40):
+            numerators = composition_matrix(2, k) @ np.array([c1, c2], dtype=np.int64)
+            assert len(set(numerators.tolist())) == k + 1, (c1, c2, k)
 
 
 def test_histogram_uniform_row_is_flat_at_d9_k300():

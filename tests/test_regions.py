@@ -768,14 +768,14 @@ def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(mo
             assert sorted(calls[len(orbits) :]) == sorted((rows[i], None) for i in again)
             tied = tied_rows(result.rates, result.hull_indices)
             sizes[name, curve.__name__] = (len(orbits), len(tied), len(again))
-    # (orbits, tied rows, rows evaluated again).  At d = 3, z = 0.5 every
-    # orbit ran on the histogram; the cloner ran some on the lattice, and
-    # d = 2 ran all: 33 + 30 evaluations for the 65 rows of the CQ curve.
+    # (orbits, tied rows, rows evaluated again).  At d = 3 every orbit ran
+    # on the histogram, so every tied row is evaluated again; d = 2 ran all
+    # on the lattice: 33 + 30 evaluations for the 65 rows of the CQ curve.
     assert sizes == {
         ("d3-z0.5", "cq_curve"): (11, 16, 16),
         ("d3-z0.5", "ce_curve"): (11, 7, 7),
-        ("d3-k4", "cq_curve"): (11, 22, 17),
-        ("d3-k4", "ce_curve"): (11, 7, 5),
+        ("d3-k4", "cq_curve"): (11, 22, 22),
+        ("d3-k4", "ce_curve"): (11, 7, 7),
         ("d2-z0.5", "cq_curve"): (33, 61, 30),
         ("d2-z0.5", "ce_curve"): (33, 63, 31),
     }
