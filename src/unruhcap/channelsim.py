@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
-from .combinat import check_block, check_dim
+from .combinat import _readonly, check_block, check_dim
 from .spectra import cloner_spectrum
 
 __all__ = [
@@ -56,11 +56,6 @@ MATRIX_DIM_CAP = 2000
 # Largest dimension of the 1->2 complement Kraus set, which has 4^(d-1)
 # operators.
 KRAUS_DIM_CAP = 8
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -166,15 +161,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "d": self.d,
-            "k": self.k,
-            "seed": self.seed,
-            "deviation": self.deviation,
-            "pass": self.passed,
-            "details": dict(self.details),
-        }
+        return {"pass" if key == "passed" else key: value for key, value in asdict(self).items()}
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -41,17 +41,22 @@ def rounded_count(count: int) -> str:
     Counts below 100 print whole."""
     if count < 100:
         return str(count)
-    exp = int(math.log10(count))  # the float log may be one off near a power of 10
-    exp += (10 ** (exp + 1) <= count) - (10**exp > count)
-    lead = -(-count // 10 ** (exp - 1))  # ceil: 10..100
-    if lead == 100:
-        lead, exp = 10, exp + 1
-    return f"{lead // 10}.{lead % 10}e{exp}"
+    import decimal  # only a refusal loads it
+
+    # MAX_EMAX: a count past 10**999999 rounds too, instead of overflowing.
+    rounded = decimal.Context(prec=2, rounding=decimal.ROUND_CEILING, Emax=decimal.MAX_EMAX)
+    return f"{rounded.create_decimal(count):.1e}".replace("e+", "e")
 
 
 # composition_matrix stores entries as int32; weights beyond this never occur
 # because the truncation horizon is capped at spectra.HORIZON_CAP.
 _MAX_WEIGHT = 2**31 - 1
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr``, flagged read-only."""
+    arr.setflags(write=False)
+    return arr
 
 
 def check_dim(d: int) -> None:
@@ -86,8 +91,7 @@ def composition_matrix(d: int, k: int) -> np.ndarray:
         mat = np.empty((tail.shape[1], d), dtype=np.int32)
         mat[:, 1:] = tail.T
         np.subtract(k, tail.sum(axis=0, dtype=np.int32), out=mat[:, 0])
-    mat.setflags(write=False)
-    return mat
+    return _readonly(mat)
 
 
 def composition_table(d: int, horizon: int) -> np.ndarray:
@@ -116,8 +120,7 @@ def composition_table(d: int, horizon: int) -> np.ndarray:
             grown[1:, start : start + size] = table[:, :size]
             start += size
         table = grown
-    table.setflags(write=False)
-    return table
+    return _readonly(table)
 
 
 def block_dimension(d: int, k: int) -> int:

@@ -75,7 +75,7 @@ def pick_kernel(d: int, horizon: int, counts=None) -> str:
     conditions.  It needs its C(K+d, d) terms and the (d-1) dim_K entries of
     its table within their caps.
     """
-    dim = math.comb(horizon + d - 1, d - 1)
+    dim = block_dimension(d, horizon)
     histogram = "needs a grid point at d >= 3"
     if counts is not None and d > 2:
         cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * sum(counts) + 1)

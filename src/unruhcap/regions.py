@@ -20,9 +20,6 @@ H(B|X), H(E|X) and H(A|X).  A sweep produces one entropy table, an
 shape (points, d), and each bound formula (``cq_point``, ``ce_point``,
 ``cqe_bounds``, the dynamic objective) applies to that table elementwise,
 exactly as it does to the triple of one ensemble.
-``rps-region --d 6 --z 0.05 --grid 35`` (658,009 points, 2,173 orbits)
-peaks at 173 MB and ``cq-curve --d 6 --k 1 --grid 35`` at 228 MB (peak RSS
-of a fresh process, 2-core VM, numpy 2.4).
 
 All rates are in dits of the configured log base (default: the dimension d).
 """
@@ -36,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinat import SizeCapError, block_dimension, check_block, composition_matrix, rounded_count
+from .combinat import SizeCapError, _readonly, block_dimension, check_block, composition_matrix
+from .combinat import rounded_count
 from .engine import TradeoffEvaluator, pick_kernel
 from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (
@@ -256,18 +254,24 @@ def ce_point(triple: EntropyTriple) -> tuple[float, float]:
 # Unruh entropies and CQE / RPS bounds
 # ---------------------------------------------------------------------------
 
-def _evaluated_triple(evaluator: TradeoffEvaluator, mu, counts=None) -> EntropyTriple:
-    """The entropy record of ``evaluator``'s channel at ensemble ``mu`` (the
-    grid point ``counts / sum(counts)`` when ``counts`` is given)."""
-    params = _as_ensemble(mu, evaluator.d)
+def _record(evaluator: TradeoffEvaluator, params: EnsembleParams, sums) -> EntropyTriple:
+    """The checked entropy record of ``evaluator``'s channel at ensemble
+    ``params``, whose weighted block sums (H(B|X), H(E|X)) are ``sums``."""
     base = evaluator.base
-    s_bx, s_ex = evaluator.sums(params.as_array(), counts)
+    s_bx, s_ex = sums
     return EntropyTriple(
         h_b=EntropyValue(evaluator.s_b, base).value,
         h_b_given_x=EntropyValue(s_bx, base).value,
         h_e_given_x=EntropyValue(s_ex, base).value,
         h_a_given_x=ensemble_conditional_entropy_A(params, base).value,
     )
+
+
+def _evaluated_triple(evaluator: TradeoffEvaluator, mu, counts=None) -> EntropyTriple:
+    """The entropy record of ``evaluator``'s channel at ensemble ``mu`` (the
+    grid point ``counts / sum(counts)`` when ``counts`` is given)."""
+    params = _as_ensemble(mu, evaluator.d)
+    return _record(evaluator, params, evaluator.sums(params.as_array(), counts))
 
 
 def unruh_entropy_triple(spec: ChannelSpec, mu) -> EntropyTriple:
@@ -379,8 +383,7 @@ class DynamicCapacityProblem:
                 origin = a
                 while (trial := min(max(a + sign * step, 1.0 / d), 1.0)) != a:
                     params = EnsembleParams((trial,) + ((1.0 - trial) / (d - 1),) * (d - 1))
-                    h_a = ensemble_conditional_entropy_A(params, evaluator.base).value
-                    triple = EntropyTriple(evaluator.s_b, *evaluator.family_sums(trial), h_a)
+                    triple = _record(evaluator, params, evaluator.family_sums(trial))
                     trial_value = _objective(weights, triple)
                     if not trial_value > value:
                         break
@@ -468,8 +471,7 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
         # Every other first count is a multiple of d, so the first column
         # alone places the uniform row.
         counts = np.insert(counts, np.count_nonzero(counts[:, 0] > resolution), resolution, axis=0)
-    counts.setflags(write=False)
-    return counts
+    return _readonly(counts)
 
 
 def _sweep(evaluator: TradeoffEvaluator, resolution: int):
@@ -499,8 +501,7 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int):
     _, first, member_of = np.unique(keys, return_index=True, return_inverse=True)
     reduced = counts[first] // np.gcd.reduce(counts[first], axis=1)[:, None]
     orbits = dict(zip(first.tolist(), map(tuple, reduced.tolist())))
-    mu = counts / (resolution * evaluator.d)
-    mu.setflags(write=False)
+    mu = _readonly(counts / (resolution * evaluator.d))
     evaluated = np.array([_evaluated_triple(evaluator, mu[i], c) for i, c in orbits.items()])
     return mu, EntropyTriple(*(column[member_of] for column in evaluated.T)), orbits
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .combinat import (
     SizeCapError,
+    _readonly,
     block_dimension,
     block_normalizer,
     check_block,
@@ -59,11 +60,6 @@ MAX_SPECTRUM_ROWS = 10**6
 
 class ConvergenceError(RuntimeError):
     """Raised when a series truncation cannot meet its target within the hard cap."""
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

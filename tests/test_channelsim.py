@@ -178,7 +178,16 @@ def test_verify_cloner_equivalence_report():
     report = verify_cloner_equivalence(3, 4, n_samples=10, seed=1)
     assert report.passed and report.deviation < 1e-9
     payload = report.to_json()
-    assert set(payload) == {"check", "d", "k", "seed", "deviation", "pass", "details"}
+    assert list(payload.items()) == [
+        ("check", report.check),
+        ("d", 3),
+        ("k", 4),
+        ("seed", 1),
+        ("deviation", report.deviation),
+        ("pass", True),
+        ("details", report.details),
+    ]
+    assert payload["details"] is not report.details  # the report stays frozen
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])

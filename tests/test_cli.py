@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -190,15 +191,12 @@ def test_dyncap_command(tmp_path):
 @pytest.mark.parametrize(
     "d, lam, muw, resolution", [(5, 1.0, 0.5, 4), (8, 1.0, 0.0, 2)]
 )
-def test_dyncap_past_the_lattice_cap_climbs_on_the_family(d, lam, muw, resolution, monkeypatch, capsys):
+def test_dyncap_past_the_lattice_cap_climbs_on_the_family(d, lam, muw, resolution, forbid, capsys):
     # z = 0.75: the lattice would scan 2.1e8 (d = 5) or 4.2e12 (d = 8) terms
     # per evaluation.  The grid runs on the histogram kernel and the climb on
     # the family kernel, so no lattice table is built.  The optimum is the
     # uniform point, where the spectra are flat over dim_k and dim_{k-1} atoms.
-    def refuse(*args):
-        raise AssertionError(f"built lattice table {args}")
-
-    monkeypatch.setattr(engine, "composition_table", refuse)
+    forbid("built lattice table", engine, "composition_table")
     argv = ["dyncap", "--d", str(d), "--z", "0.75", "--lambda", str(lam),
             "--mu-weight", str(muw), "--grid", str(resolution)]
     assert run_cli(argv) == 0
@@ -275,16 +273,37 @@ def test_cli_import_keeps_blas_single_threaded_unless_chosen(preset, expected):
 
 
 def test_check_route_imports_no_hot_path_module():
-    # The closed-form spectra and entropies and the matrix oracle check the
-    # sweep engine, so they load neither the engine nor its kernels.
     env = dict(os.environ, PYTHONPATH=str(Path(regions.__file__).parents[1]))
-    script = (
-        "import sys, unruhcap.spectra, unruhcap.entropy, unruhcap.channelsim; "
-        "print(sorted({'unruhcap.kernels', 'unruhcap.engine'} & set(sys.modules)))"
-    )
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    cases = [
+        # The closed-form spectra and entropies and the matrix oracle check
+        # the sweep engine, so they load neither the engine nor its kernels.
+        ("import unruhcap.spectra, unruhcap.entropy, unruhcap.channelsim", "unruhcap.kernels unruhcap.engine"),
+        # A sweep loads neither the oracle, which only verify imports, nor
+        # decimal, which only a size-cap message imports.
+        (
+            "from unruhcap import cli; "
+            "assert cli.main(['cqe-region', '--d', '5', '--z', '0.5', '--grid', '4', '-o', os.devnull]) == 0; "
+            "assert cli.main(['cq-curve', '--d', '2', '--z', '0.5', '--grid', '16', '-o', os.devnull]) == 0",
+            "decimal unruhcap.channelsim",
+        ),
+    ]
+    for run, modules in cases:
+        script = f"import os, sys; {run}; print(sorted(set({modules.split()!r}) & set(sys.modules)))"
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n", run
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # Every `unruhcap` command in the README's CLI block runs as written.
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("unruhcap ")]
+    examples = [shlex.split(line, comments=True)[1:] for line in lines]
+    assert len(examples) == 10
+    monkeypatch.chdir(tmp_path)  # for the examples that write a file
+    for argv in examples:
+        assert run_cli(argv) == 0, argv
 
 
 def test_verify_commands_pass(tmp_path):
@@ -328,12 +347,10 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "ppt", "--d", "2", "--k", "2"],
     ],
 )
-def test_unwritable_output_exits_2_before_the_run(argv, kind, tmp_path, capsys, monkeypatch):
+def test_unwritable_output_exits_2_before_the_run(argv, kind, tmp_path, capsys, monkeypatch, forbid):
     # Refused before the subcommand runs, and nothing is created.
-    def refuse(*args, **kwargs):
-        raise AssertionError("ran past an unwritable output")
-
     help_text, add_flags, _ = cli._SUBCOMMANDS[argv[0]]
+    refuse = forbid("ran past an unwritable output")
     monkeypatch.setitem(cli._SUBCOMMANDS, argv[0], (help_text, add_flags, refuse))
     target = tmp_path / "absent" / "x.csv" if kind == "missing directory" else tmp_path
     with pytest.raises(SystemExit) as err:
@@ -533,19 +550,15 @@ UNOFFERED = "unrecognized arguments"
          UNOFFERED),
     ],
 )
-def test_bad_values_exit_2_before_anything_is_built(argv, message, capsys, monkeypatch):
+def test_bad_values_exit_2_before_anything_is_built(argv, message, capsys, forbid):
     # The flags parse as plain numbers; the library refuses each bad value
     # with its own ValueError before it builds an evaluator, a grid or a
     # matrix, and main turns that into a usage error of the subcommand, or of
     # the check under verify.  A flag the subcommand does not offer is
     # argparse's usage error of that subcommand.
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"built {args[0]!r} past a bad value")
-
-    monkeypatch.setattr(engine.TradeoffEvaluator, "__init__", refuse)
-    for builder in ("Isometry", "KrausSet", "DensityMatrix"):
-        monkeypatch.setattr(channelsim, builder, refuse)
-    monkeypatch.setattr(spectra, "Spectrum", refuse)
+    forbid("built past a bad value", engine.TradeoffEvaluator, "__init__")
+    forbid("built past a bad value", channelsim, "Isometry", "KrausSet", "DensityMatrix")
+    forbid("built past a bad value", spectra, "Spectrum")
     with pytest.raises(SystemExit) as err:
         run_cli(argv)
     assert err.value.code == 2
@@ -644,7 +657,7 @@ def test_size_cap_exits_3_before_enumerating(argv, tmp_path, capsys, monkeypatch
         ["ce-curve", "--d", "9", "--z", "0.8", "--grid", "2"],
     ],
 )
-def test_size_gate_refuses_before_the_grid(argv, capsys, monkeypatch):
+def test_size_gate_refuses_before_the_grid(argv, capsys, forbid):
     # The curves evaluate the rows near their hull vertices on the lattice,
     # which is over its cap here, so they gate it first.  A per-orbit sweep,
     # the dyncap grid among them, is gated at its costliest orbits: at
@@ -652,10 +665,7 @@ def test_size_gate_refuses_before_the_grid(argv, capsys, monkeypatch):
     # is over its cap, and dim_K = 1.3e18 >= 2**53 would make the histogram's
     # float counts inexact); at d = 5, grid 64 the histogram of (63, 1) / 64
     # needs 6.8e6 cells.  Each is refused before the ensemble grid is built.
-    def refuse(*args):
-        raise AssertionError(f"built grid {args} past the size gate")
-
-    monkeypatch.setattr(regions, "simplex_grid", refuse)
+    forbid("built the grid past the size gate", regions, "simplex_grid")
     assert run_cli(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -669,13 +679,10 @@ def test_size_gate_refuses_before_the_grid(argv, capsys, monkeypatch):
         ["cq-curve", "--d", "1000", "--k", "2", "--grid", "1"],  # 5.0e8 table entries
     ],
 )
-def test_lattice_table_past_its_cap_exits_3_before_it_is_built(argv, capsys, monkeypatch):
+def test_lattice_table_past_its_cap_exits_3_before_it_is_built(argv, capsys, forbid):
     # Both sweeps fit the histogram, but the curve evaluates its tied vertex
     # rows again on the lattice, whose (d-1)-mode table is over its cap.
-    def refuse(*args):
-        raise AssertionError(f"built lattice table {args}")
-
-    monkeypatch.setattr(engine, "composition_table", refuse)
+    forbid("built lattice table", engine, "composition_table")
     assert run_cli(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -699,14 +706,11 @@ def test_cloner_block_past_every_cap_exits_3_before_allocating(capsys):
     "command, d, z",
     [("cqe-region", 5, 0.9), ("cqe-region", 8, 0.75), ("rps-region", 8, 0.75), ("cqe-region", 9, 0.8)],
 )
-def test_histogram_only_sweeps_match_closed_form_rows(command, d, z, tmp_path, monkeypatch):
+def test_histogram_only_sweeps_match_closed_form_rows(command, d, z, tmp_path, forbid):
     # The lattice would scan 3.3e10 (d = 5), 4.2e12 (d = 8) or 1.0e15 (d = 9)
     # terms per orbit; every orbit runs on the histogram kernel and no table
     # is built.  At d = 9 (K = 188) the least atom, 1/(4 M_K), is 2.6e-16.
-    def refuse(*args):
-        raise AssertionError(f"built lattice table {args}")
-
-    monkeypatch.setattr(engine, "composition_table", refuse)
+    forbid("built lattice table", engine, "composition_table")
     out = tmp_path / "x.csv"
     assert run_cli([command, "--d", str(d), "--z", str(z), "--grid", "4", "-o", str(out)]) == 0
     meta, _, rows = read_csv(out)
@@ -735,14 +739,10 @@ def test_histogram_only_sweeps_match_closed_form_rows(command, d, z, tmp_path, m
 
 
 @pytest.mark.parametrize("d, k", [("4", "60"), ("2", "2000")])  # dim_B = 39,711 and 2,001
-def test_oracle_size_cap_exits_3_before_allocating(d, k, capsys, monkeypatch):
+def test_oracle_size_cap_exits_3_before_allocating(d, k, capsys, forbid):
     # dim_B = C(k+d-1, d-1) is checked before any basis table, spectrum or
     # matrix is built; building one fails the test.
-    def refuse(*args):
-        raise AssertionError(f"built {args} past the oracle cap")
-
-    monkeypatch.setattr(channelsim, "composition_matrix", refuse)
-    monkeypatch.setattr(channelsim, "cloner_spectrum", refuse)
+    forbid("built past the oracle cap", channelsim, "composition_matrix", "cloner_spectrum")
     assert run_cli(["verify", "cloner-equivalence", "--d", d, "--k", k]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -752,14 +752,10 @@ def test_oracle_size_cap_exits_3_before_allocating(d, k, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("k", ["1000001", str(10**9)])
-def test_spectrum_size_cap_exits_3_before_building(k, tmp_path, capsys, monkeypatch):
+def test_spectrum_size_cap_exits_3_before_building(k, tmp_path, capsys, forbid):
     # The table has k rows; k past spectra.MAX_SPECTRUM_ROWS is refused before
     # any atom is computed.
-    def refuse(*args):
-        raise AssertionError(f"built {args} past the spectrum cap")
-
-    monkeypatch.setattr(spectra, "block_normalizer", refuse)
-    monkeypatch.setattr(spectra, "eigen_multiplicity", refuse)
+    forbid("built past the spectrum cap", spectra, "block_normalizer", "eigen_multiplicity")
     out = tmp_path / "x.csv"
     assert run_cli(["spectrum", "--d", "2", "--k", k, "-o", str(out)]) == 3
     diagnostic = json.loads(capsys.readouterr().err.strip())
@@ -783,11 +779,8 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         ["dyncap", "--d", "200", "--z", "0.99", "--lambda", "1", "--mu-weight", "0", "--grid", "1"],
     ],
 )
-def test_underflowing_weights_exit_3_before_the_evaluator(argv, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("built the evaluator past the truncation guard")
-
-    monkeypatch.setattr(engine.TradeoffEvaluator, "__init__", refuse)
+def test_underflowing_weights_exit_3_before_the_evaluator(argv, capsys, forbid):
+    forbid("built the evaluator past the truncation guard", engine.TradeoffEvaluator, "__init__")
     assert run_cli(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -796,14 +789,11 @@ def test_underflowing_weights_exit_3_before_the_evaluator(argv, capsys, monkeypa
     assert "d=200, z=0.99" in diagnostic["message"]
 
 
-def test_block_normalizer_past_the_float_range_exits_3(capsys, monkeypatch):
+def test_block_normalizer_past_the_float_range_exits_3(capsys, forbid):
     # The horizon search refuses at the first block whose normalizer is past
     # the float range (k = 309 of the K = 2416 it would reach), before any
     # block weight is computed.
-    def refuse(*args, **kwargs):
-        raise AssertionError("computed the block weights past the normalizer guard")
-
-    monkeypatch.setattr(regions, "unruh_weights", refuse)
+    forbid("computed the block weights past the normalizer guard", regions, "unruh_weights")
     assert run_cli(["cqe-region", "--d", "1000", "--z", "0.5", "--grid", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -875,13 +865,10 @@ def test_dyncap_rejects_nonfinite_weights(flag, value, capsys):
 @pytest.mark.parametrize(
     "weights", [["--lambda", "1e308", "--mu-weight", "0"], ["--lambda", "1", "--mu-weight", "1e308"]]
 )
-def test_dyncap_refuses_overflowing_weights_before_the_grid(weights, capsys, monkeypatch):
+def test_dyncap_refuses_overflowing_weights_before_the_grid(weights, capsys, forbid):
     # Finite weights whose objective would overflow are a numeric guard, not
     # a usage error, and are refused before the sweep runs.
-    def refuse(*args, **kwargs):
-        raise AssertionError("swept the grid past the overflow guard")
-
-    monkeypatch.setattr(regions, "_sweep", refuse)
+    forbid("swept the grid past the overflow guard", regions, "_sweep")
     assert run_cli(["dyncap", "--d", "2", "--z", "0.5", *weights, "--grid", "4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -889,17 +876,14 @@ def test_dyncap_refuses_overflowing_weights_before_the_grid(weights, capsys, mon
 
 
 @pytest.mark.parametrize("scale, status", [(0.999, 0), (1.001, 3)])
-def test_dyncap_overflow_guard_boundary(scale, status, capsys, monkeypatch):
+def test_dyncap_overflow_guard_boundary(scale, status, capsys, forbid):
     # The objective is at most (2 lambda + 2 mu + 3) times the largest
     # entropy, top; at mu = 0 it overflows once lambda passes max / (2 top).
     evaluator = regions.ChannelSpec(2, z=0.5).evaluator
     top = max(float(evaluator.log_dims[-1]), 1.0)  # log_2 d = 1
     lam = scale / (2.0 * top) * sys.float_info.max
     if status == 3:
-        def refuse(*args, **kwargs):
-            raise AssertionError("swept the grid past the overflow guard")
-
-        monkeypatch.setattr(regions, "_sweep", refuse)
+        forbid("swept the grid past the overflow guard", regions, "_sweep")
     argv = ["dyncap", "--d", "2", "--z", "0.5", "--lambda", repr(lam), "--mu-weight", "0"]
     assert run_cli(argv + ["--grid", "4"]) == status
     captured = capsys.readouterr()

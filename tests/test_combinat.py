@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -138,3 +139,25 @@ def test_composition_table_stacks_every_weight_in_matrix_order():
 )
 def test_rounded_count_rounds_up_to_two_digits(count, text):
     assert combinat.rounded_count(count) == text
+
+
+def digit_rounded_count(count: int) -> str:
+    """``rounded_count`` by integer digit arithmetic: the oracle the decimal
+    rounding is held to."""
+    if count < 100:
+        return str(count)
+    exp = int(math.log10(count))  # the float log may be one off near a power of 10
+    exp += (10 ** (exp + 1) <= count) - (10**exp > count)
+    lead = -(-count // 10 ** (exp - 1))  # ceil: 10..100
+    if lead == 100:
+        lead, exp = 10, exp + 1
+    return f"{lead // 10}.{lead % 10}e{exp}"
+
+
+def test_rounded_count_matches_the_digit_arithmetic():
+    rng = random.Random(26)
+    counts = [n for k in range(2000) for n in (10**k - 1, 10**k, 10**k + 1)]
+    counts += [rng.randrange(10 ** rng.randrange(1, 2000)) + 1 for _ in range(2000)]
+    counts += [rng.randrange(100, 10**6) for _ in range(3000)]
+    for count in counts:
+        assert combinat.rounded_count(count) == digit_rounded_count(count), count

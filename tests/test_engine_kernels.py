@@ -524,13 +524,10 @@ def test_family_kernel_keeps_every_atom_at_d20():
     assert got == pytest.approx((weights @ log_dims[1:], weights @ log_dims[:-1]), abs=1e-12)
 
 
-def test_histogram_only_sweep_builds_no_lattice_table(monkeypatch):
+def test_histogram_only_sweep_builds_no_lattice_table(forbid):
     # cqe-region --d 5 --z 0.75 --grid 4: the lattice would scan 2.1e8 terms
     # per orbit; every orbit goes to the histogram, so no table is built.
-    def refuse(*args):
-        raise AssertionError(f"built lattice table {args}")
-
-    monkeypatch.setattr(engine, "composition_table", refuse)
+    forbid("built lattice table", engine, "composition_table")
     mu, rates = regions.region_surface_cqe(regions.ChannelSpec(5, z=0.75), 4)
     assert rates.shape == (71, 3)
     for row, (b1, _, b3) in zip(mu, rates):

@@ -635,14 +635,37 @@ def test_channel_spec_builds_one_config(channel, monkeypatch):
     ],
     ids=["cq_curve", "ce_curve", "region_surface_cqe", "rps_region", "dynamic_capacity", "problem"],
 )
-def test_sweeps_refuse_a_resolution_below_1_before_the_evaluator(sweep, resolution, monkeypatch):
+def test_sweeps_refuse_a_resolution_below_1_before_the_evaluator(sweep, resolution, forbid):
     # Resolution 0 is refused like -3, not read as "the default grid".
-    def refuse(*args, **kwargs):
-        raise AssertionError("built the evaluator past a bad resolution")
-
-    monkeypatch.setattr(TradeoffEvaluator, "__init__", refuse)
+    forbid("built the evaluator past a bad resolution", TradeoffEvaluator, "__init__")
     with pytest.raises(ValueError, match="resolution must be >= 1"):
         sweep(ChannelSpec(2, z=0.5), resolution)
+
+
+@pytest.mark.parametrize(
+    "d, z, eps",
+    [(2, 0.3, 0.3), (2, 0.9, 1e-3), (2, 0.95, 1e-2), (3, 0.5, 1e-2), (3, 0.75, 0.3),
+     (4, 0.5, 1e-3), (5, 0.3, 1e-2)],
+)
+def test_tail_bound_bounds_every_rate_the_truncation_moves(d, z, eps):
+    # The certificate reported with a run: each CQ, CE, CQE and RPS quantity
+    # at the spec's horizon K is within its tail_bound of the same quantity
+    # with the tail cut at 1e-13, at the vertex, the uniform point and seeded
+    # ensembles.
+    spec, deep = ChannelSpec(d, z=z, truncation_eps=eps), ChannelSpec(d, z=z, truncation_eps=1e-13)
+    tail_bound = spec.horizon_tail[1]
+    assert deep.horizon_tail[0] > spec.horizon_tail[0]
+    rng = np.random.default_rng(d)
+    ensembles = [EnsembleParams.vertex(d), EnsembleParams.uniform(d)]
+    ensembles += [EnsembleParams(tuple(rng.dirichlet(np.ones(d)))) for _ in range(3)]
+
+    def quantities(spec, mu):
+        triple = regions.unruh_entropy_triple(spec, mu)
+        return [*cq_point(triple), *ce_point(triple), *cqe_bounds(triple), *rps_bounds(spec, mu)]
+
+    for mu in ensembles:
+        moved = np.subtract(quantities(spec, mu), quantities(deep, mu))
+        assert np.abs(moved).max() <= tail_bound, (mu, moved, tail_bound)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -652,6 +675,15 @@ def test_sweep_rejects_nonfinite_rates(bad, monkeypatch):
     monkeypatch.setattr(evaluator, "sums", lambda mu, n=None: (bad, 0.0))
     with pytest.raises(ValueError, match="finite"):
         regions._sweep(evaluator, 4)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_climb_rejects_nonfinite_rates(bad, monkeypatch):
+    # The dyncap climb's entropy records pass the same EntropyValue checks.
+    problem = DynamicCapacityProblem(ChannelSpec(d=2, z=0.5), 4)
+    monkeypatch.setattr(problem.evaluator, "family_sums", lambda a: (bad, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        problem.solve(CapacityWeights(1.0, 0.0))
 
 
 def test_bounds_invariant_under_cyclic_relabeling():

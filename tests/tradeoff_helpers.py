@@ -10,7 +10,6 @@ import numpy as np
 
 from unruhcap import regions
 from unruhcap.engine import pick_kernel
-from unruhcap.entropy import ensemble_conditional_entropy_A
 from unruhcap.spectra import EnsembleParams
 
 
@@ -117,10 +116,8 @@ def ce_midpoint_gap(spec: regions.ChannelSpec, resolution: int):
 def family_row(spec: regions.ChannelSpec, a: float) -> tuple:
     """The entropy record of the one-heavy ensemble (a, b, ..., b), b =
     (1-a)/(d-1), on the family kernel."""
-    evaluator = spec.evaluator
     params = EnsembleParams((a,) + ((1.0 - a) / (spec.d - 1),) * (spec.d - 1))
-    h_a = ensemble_conditional_entropy_A(params, evaluator.base).value
-    return (evaluator.s_b, *evaluator.family_sums(a), h_a)
+    return tuple(regions._record(spec.evaluator, params, spec.evaluator.family_sums(a)))
 
 
 def refined_family(spec: regions.ChannelSpec, active, start: int = 9, levels: int = 6):
