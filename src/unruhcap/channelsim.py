@@ -2,9 +2,12 @@
 
 Everything here is built directly from defining sums over occupation-vector
 bases (rows of :func:`unruhcap.combinat.composition_matrix`), independently of
-the closed-form spectra, so the two routes can check each other.  Random
-pure states are drawn from the unitarily invariant measure via normalized
-complex Gaussian vectors with an explicit seed recorded in every report.
+the closed-form spectra, so the two routes can check each other.  The two
+matrix constructions, the cloner isometry and the Unruh block, share only the
+index table of the a_i^dag step (``_raising_steps``); each forms its own
+amplitudes and sums, so either checks the other.  Random pure states are
+drawn from the unitarily invariant measure via normalized complex Gaussian
+vectors with an explicit seed recorded in every report.
 """
 
 from __future__ import annotations
@@ -170,8 +173,15 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _index_map(comps: np.ndarray) -> dict:
-    return {tuple(int(v) for v in row): i for i, row in enumerate(comps)}
+def _raising_steps(d: int, k: int):
+    """The index bookkeeping of a_i^dag |n> = sqrt(n_i + 1) |n + e_i>: yields
+    ``(e, i, b, n_i)`` for every weight-(k-1) occupation vector n (row e of
+    ``composition_matrix(d, k - 1)``, in order) and every mode i, where b is
+    the row of n + e_i in ``composition_matrix(d, k)``."""
+    rows_b = {tuple(row): b for b, row in enumerate(composition_matrix(d, k).tolist())}
+    for e, n in enumerate(composition_matrix(d, k - 1).tolist()):
+        for i, n_i in enumerate(n):
+            yield e, i, rows_b[tuple(n[:i] + [n_i + 1] + n[i + 1 :])], n_i
 
 
 def cloner_isometry(d: int, k: int) -> Isometry:
@@ -184,17 +194,9 @@ def cloner_isometry(d: int, k: int) -> Isometry:
     dim_b = block_dimension(d, k)
     dim_e = block_dimension(d, k - 1)
     m_k = float(block_normalizer(d, k))
-    comps_b = composition_matrix(d, k)
-    comps_e = composition_matrix(d, k - 1)
-    idx_b = _index_map(comps_b)
     mat = np.zeros((dim_b * dim_e, d), dtype=np.complex128)
-    for e_idx, j_vec in enumerate(comps_e):
-        j_tuple = tuple(int(v) for v in j_vec)
-        for i in range(d):
-            target = list(j_tuple)
-            target[i] += 1
-            b_idx = idx_b[tuple(target)]
-            mat[b_idx * dim_e + e_idx, i] = math.sqrt((1.0 + j_tuple[i]) / m_k)
+    for e_idx, i, b_idx, j_i in _raising_steps(d, k):
+        mat[b_idx * dim_e + e_idx, i] = math.sqrt((1.0 + j_i) / m_k)
     return Isometry(mat)
 
 
@@ -245,17 +247,11 @@ def unruh_block_output(d: int, k: int, beta) -> DensityMatrix:
     if abs(np.linalg.norm(b) - 1.0) > HERMITICITY_TOL:
         raise ValueError("input amplitudes must be normalized")
     dim_b = _capped_block_dimension(d, k)
-    comps_b = composition_matrix(d, k)
-    comps_e = composition_matrix(d, k - 1)
-    idx_b = _index_map(comps_b)
     mat = np.zeros((dim_b, dim_b), dtype=np.complex128)
-    for n_vec in comps_e:
-        n_tuple = tuple(int(v) for v in n_vec)
+    for _, n_steps in itertools.groupby(_raising_steps(d, k), key=lambda step: step[0]):
         ket = np.zeros(dim_b, dtype=np.complex128)
-        for i in range(d):
-            target = list(n_tuple)
-            target[i] += 1
-            ket[idx_b[tuple(target)]] += b[i] * math.sqrt(1.0 + n_tuple[i])
+        for _, i, b_idx, n_i in n_steps:
+            ket[b_idx] += b[i] * math.sqrt(1.0 + n_i)
         mat += np.outer(ket, ket.conj())
     return DensityMatrix(mat / float(block_normalizer(d, k)))
 

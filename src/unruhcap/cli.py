@@ -81,7 +81,9 @@ def _check_output(path: str) -> None:
     if path == "-":
         return
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        reason = "the path is empty"
+    elif os.path.isdir(path):
         reason = "it is a directory"
     elif not os.path.isdir(parent):
         reason = f"no directory {parent!r}"

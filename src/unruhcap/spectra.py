@@ -188,9 +188,17 @@ class UnruhConfig:
 
 
 def cloner_spectrum(d: int, k: int) -> Spectrum:
-    """Output spectrum {(b/M_k, m_b)} of a 1->k cloner for any pure input."""
+    """Output spectrum {(b/M_k, m_b)} of a 1->k cloner for any pure input.
+    ``SizeCapError`` past ``MAX_SPECTRUM_ROWS`` atoms, or when a multiplicity
+    is past the int64 range the atoms are stored in."""
     if k > MAX_SPECTRUM_ROWS:
         raise SizeCapError(f"k={k}: {k} spectrum rows exceed cap {MAX_SPECTRUM_ROWS}")
+    top = eigen_multiplicity(d, k, 1)  # the largest multiplicity
+    if top > np.iinfo(np.int64).max:
+        raise SizeCapError(
+            f"d={d}, k={k}: multiplicity m_1 = C({k + d - 3}, {d - 2}) ~ {rounded_count(top)} "
+            "exceeds the int64 range"
+        )
     m_k = block_normalizer(d, k)
     values = np.array([b / m_k for b in range(1, k + 1)], dtype=np.float64)
     mults = np.array([eigen_multiplicity(d, k, b) for b in range(1, k + 1)], dtype=np.int64)
@@ -200,22 +208,24 @@ def cloner_spectrum(d: int, k: int) -> Spectrum:
 def ensemble_spectrum_B(d: int, k: int, mu) -> Spectrum:
     """Receiver spectrum of the cyclic ensemble: one atom alpha(b)/M_k per
     weight-``k`` occupation vector, in composition order, unmerged."""
-    params = _as_ensemble(mu, d)
-    check_block(k)
-    comps = composition_matrix(d, k)
-    alpha = comps @ params.as_array()
-    values = alpha / block_normalizer(d, k)
-    return Spectrum(values, np.ones(values.size, dtype=np.int64))
+    return _ensemble_spectrum(d, k, mu, environment=False)
 
 
 def ensemble_spectrum_E(d: int, k: int, mu) -> Spectrum:
     """Environment spectrum of the cyclic ensemble: (1 + alpha(b))/M_k per
     weight-``k-1`` occupation vector."""
+    return _ensemble_spectrum(d, k, mu, environment=True)
+
+
+def _ensemble_spectrum(d: int, k: int, mu, environment: bool) -> Spectrum:
+    """The receiver or the ``environment`` spectrum.  Only the environment
+    side adds 1: ``alpha + 0.0`` would turn a -0.0 receiver atom into 0.0."""
     params = _as_ensemble(mu, d)
     check_block(k)
-    comps = composition_matrix(d, k - 1)
-    gamma = comps @ params.as_array() + 1.0
-    values = gamma / block_normalizer(d, k)
+    alpha = composition_matrix(d, k - 1 if environment else k) @ params.as_array()
+    if environment:
+        alpha += 1.0
+    values = alpha / block_normalizer(d, k)
     return Spectrum(values, np.ones(values.size, dtype=np.int64))
 
 

@@ -76,15 +76,28 @@ def test_cq_curve_noiseless_contains_endpoints(tmp_path):
     assert hull_points == {(1.0, 0.0), (0.0, 1.0)}
 
 
-def test_curve_json_mirrors_csv_fields(tmp_path):
-    out = tmp_path / "ce.json"
-    assert run_cli(
-        ["ce-curve", "--d", "2", "--k", "2", "--grid", "8", "--format", "json", "-o", str(out)]
-    ) == 0
-    payload = json.loads(out.read_text())
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--d", "3", "--k", "4"],
+        ["cq-curve", "--d", "2", "--z", "0.5", "--grid", "8"],
+        ["ce-curve", "--d", "2", "--k", "2", "--grid", "8"],
+        ["cqe-region", "--d", "3", "--z", "0.5", "--grid", "4"],
+        ["rps-region", "--d", "3", "--z", "0.25", "--grid", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_table_json_mirrors_csv(argv, tmp_path):
+    # The JSON meta is the CSV's "# key: value" header, and each sample is
+    # one CSV row, cell for cell, keyed by the CSV's column names.
+    csv_out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
+    assert run_cli(argv + ["-o", str(csv_out)]) == 0
+    assert run_cli(argv + ["--format", "json", "-o", str(json_out)]) == 0
+    meta, _, rows = read_csv(csv_out)
+    payload = json.loads(json_out.read_text())
     assert set(payload) == {"meta", "samples"}
-    assert len(payload["samples"]) == 9
-    assert set(payload["samples"][0]) == {"mu_1", "rate_x", "rate_y", "on_hull"}
+    assert payload["meta"] == meta
+    assert rows and payload["samples"] == rows
 
 
 def test_unruh_curve_header_carries_horizon(tmp_path):
@@ -338,7 +351,7 @@ def test_usage_errors_exit_2(capsys):
         assert "error: exactly one of k (cloner) or z (Unruh) must be set" in captured.err
 
 
-@pytest.mark.parametrize("kind", ["missing directory", "directory"])
+@pytest.mark.parametrize("kind", ["missing directory", "directory", "empty path"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -352,15 +365,19 @@ def test_unwritable_output_exits_2_before_the_run(argv, kind, tmp_path, capsys, 
     help_text, add_flags, _ = cli._SUBCOMMANDS[argv[0]]
     refuse = forbid("ran past an unwritable output")
     monkeypatch.setitem(cli._SUBCOMMANDS, argv[0], (help_text, add_flags, refuse))
-    target = tmp_path / "absent" / "x.csv" if kind == "missing directory" else tmp_path
+    target = {
+        "missing directory": str(tmp_path / "absent" / "x.csv"),
+        "directory": str(tmp_path),
+        "empty path": "",
+    }[kind]
     with pytest.raises(SystemExit) as err:
-        run_cli(argv + ["-o", str(target)])
+        run_cli(argv + ["-o", target])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     prog = " ".join(prog_of(argv))
     assert f"usage: unruhcap {prog} " in captured.err
-    assert str(target) in captured.err
+    assert f"cannot write output {target!r}: " in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "absent").exists()
 
@@ -762,6 +779,30 @@ def test_spectrum_size_cap_exits_3_before_building(k, tmp_path, capsys, forbid):
     assert diagnostic["error"] == "SizeCapError"
     assert "exceed cap 1000000" in diagnostic["message"]
     assert not out.exists()
+
+
+def test_spectrum_prints_every_multiplicity_within_int64(tmp_path):
+    # m_1 = C(67, 28) = 7.7e18 is the largest multiplicity, below 2**63.
+    out = tmp_path / "x.csv"
+    assert run_cli(["spectrum", "--d", "30", "--k", "40", "-o", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 40
+    assert int(rows[0]["multiplicity"]) == math.comb(67, 28)
+
+
+@pytest.mark.parametrize("d, k", [(30, 41), (10, 881)])
+def test_spectrum_multiplicity_past_int64_exits_3_before_building(d, k, capsys, forbid):
+    # The largest multiplicity, m_1 = C(k+d-3, d-2), is past 2**63 - 1: a
+    # size cap, refused before any atom is formed, not numpy's OverflowError.
+    forbid("built an atom past the multiplicity cap", spectra, "block_normalizer")
+    assert run_cli(["spectrum", "--d", str(d), "--k", str(k)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    diagnostic = json.loads(captured.err.strip())
+    assert diagnostic["error"] == "SizeCapError"
+    top = combinat.rounded_count(math.comb(k + d - 3, d - 2))
+    assert f"m_1 = C({k + d - 3}, {d - 2}) ~ {top} exceeds the int64 range" in diagnostic["message"]
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

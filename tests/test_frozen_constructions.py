@@ -1,0 +1,107 @@
+"""The check routes' constructions against frozen copies of their earlier,
+separately written bodies: the cloner isometry and the Unruh block each built
+with their own composition-row lookup, and the receiver and environment
+spectra each built by their own function.  Every entry must keep its bits,
+the signs of zeros included for the spectra."""
+
+import math
+
+import numpy as np
+import pytest
+
+from unruhcap.channelsim import (
+    MATRIX_DIM_CAP,
+    cloner_isometry,
+    random_pure_state,
+    unruh_block_output,
+)
+from unruhcap.combinat import block_dimension, block_normalizer, composition_matrix
+from unruhcap.spectra import EnsembleParams, ensemble_spectrum_B, ensemble_spectrum_E
+
+BLOCKS = [
+    (d, k) for d in range(2, 6) for k in range(1, 6) if block_dimension(d, k) <= MATRIX_DIM_CAP
+]
+
+
+def _index_map(comps):
+    return {tuple(int(v) for v in row): i for i, row in enumerate(comps)}
+
+
+def _frozen_isometry(d, k):
+    dim_b = block_dimension(d, k)
+    dim_e = block_dimension(d, k - 1)
+    m_k = float(block_normalizer(d, k))
+    idx_b = _index_map(composition_matrix(d, k))
+    mat = np.zeros((dim_b * dim_e, d), dtype=np.complex128)
+    for e_idx, j_vec in enumerate(composition_matrix(d, k - 1)):
+        j_tuple = tuple(int(v) for v in j_vec)
+        for i in range(d):
+            target = list(j_tuple)
+            target[i] += 1
+            b_idx = idx_b[tuple(target)]
+            mat[b_idx * dim_e + e_idx, i] = math.sqrt((1.0 + j_tuple[i]) / m_k)
+    return mat
+
+
+def _frozen_block(d, k, beta):
+    dim_b = block_dimension(d, k)
+    idx_b = _index_map(composition_matrix(d, k))
+    mat = np.zeros((dim_b, dim_b), dtype=np.complex128)
+    for n_vec in composition_matrix(d, k - 1):
+        n_tuple = tuple(int(v) for v in n_vec)
+        ket = np.zeros(dim_b, dtype=np.complex128)
+        for i in range(d):
+            target = list(n_tuple)
+            target[i] += 1
+            ket[idx_b[tuple(target)]] += beta[i] * math.sqrt(1.0 + n_tuple[i])
+        mat += np.outer(ket, ket.conj())
+    return mat / float(block_normalizer(d, k))
+
+
+def _frozen_spectrum_B(d, k, params):
+    alpha = composition_matrix(d, k) @ params.as_array()
+    return alpha / block_normalizer(d, k)
+
+
+def _frozen_spectrum_E(d, k, params):
+    gamma = composition_matrix(d, k - 1) @ params.as_array() + 1.0
+    return gamma / block_normalizer(d, k)
+
+
+def _ensembles(d, rng):
+    negative_zeros = [-0.0] * d
+    negative_zeros[d - 1] = 1.0
+    return [
+        EnsembleParams.vertex(d),
+        EnsembleParams(tuple(negative_zeros)),
+        EnsembleParams.uniform(d),
+        *(EnsembleParams(tuple(rng.dirichlet(np.ones(d)))) for _ in range(3)),
+    ]
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # The real and imaginary parts, each with its sign bit.
+    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+@pytest.mark.parametrize("d, k", BLOCKS)
+def test_isometry_and_block_keep_the_bits_of_their_separate_constructions(d, k):
+    _assert_same_bits(cloner_isometry(d, k).matrix, _frozen_isometry(d, k))
+    rng = np.random.default_rng(1000 * d + k)
+    for _ in range(3):
+        beta = random_pure_state(d, rng)
+        _assert_same_bits(unruh_block_output(d, k, beta).matrix, _frozen_block(d, k, beta))
+
+
+@pytest.mark.parametrize("d, k", BLOCKS)
+def test_ensemble_spectra_keep_the_bits_of_their_separate_constructions(d, k):
+    for params in _ensembles(d, np.random.default_rng(1000 * d + k)):
+        for built, frozen in (
+            (ensemble_spectrum_B, _frozen_spectrum_B),
+            (ensemble_spectrum_E, _frozen_spectrum_E),
+        ):
+            spectrum = built(d, k, params)
+            _assert_same_bits(spectrum.values, frozen(d, k, params))
+            assert np.array_equal(spectrum.multiplicities, np.ones(spectrum.values.size))

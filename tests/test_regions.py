@@ -19,6 +19,7 @@ from unruhcap import channelsim, kernels, regions
 from unruhcap.engine import TradeoffEvaluator
 from unruhcap.entropy import shannon_entropy
 from unruhcap.regions import (
+    MAX_GRID_ENTRIES,
     MAX_GRID_POINTS,
     CapacityWeights,
     ChannelSpec,
@@ -751,6 +752,39 @@ def test_sweep_orbits_are_the_first_rows_with_their_reduced_counts(d):
         assert orbits == orbit_counts(mu, resolution), resolution
         (uniform,) = np.flatnonzero(np.all(mu == 1.0 / d, axis=1))
         assert orbits[uniform] == (1,) * d, resolution
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_sweep_gate_dominates_every_orbit(d, monkeypatch):
+    # pick_kernel reads only max(counts) and sum(counts), and its cost rises
+    # with both, so a sweep runs every orbit or refuses before the first only
+    # if each orbit's reduced counts have max and sum at most those of one of
+    # the counts it gates before the grid is built.
+    class GridReached(Exception):
+        pass
+
+    def reach_grid(*args):
+        raise GridReached
+
+    grid = regions.simplex_grid
+    evaluator = ChannelSpec(d, k=1).evaluator
+    for resolution in range(1, 41):
+        points = math.comb(resolution + d - 1, d - 1)
+        if points > MAX_GRID_POINTS or points * d > MAX_GRID_ENTRIES:
+            continue
+        probes = []
+        monkeypatch.setattr(regions, "pick_kernel", lambda d, horizon, counts: probes.append(counts))
+        monkeypatch.setattr(regions, "simplex_grid", reach_grid)
+        with pytest.raises(GridReached):
+            regions._sweep(evaluator, resolution)
+        # Each orbit's reduced counts are any of its rows over their gcd.
+        counts = grid(d, resolution)
+        gcd = np.gcd.reduce(counts, axis=1)[:, None]
+        sizes = np.column_stack([counts.max(axis=1), counts.sum(axis=1)]) // gcd
+        dominated = np.zeros(len(sizes), dtype=bool)
+        for probe in probes:
+            dominated |= np.all(sizes <= (max(probe), sum(probe)), axis=1)
+        assert dominated.all(), (resolution, counts[~dominated][0].tolist(), probes)
 
 
 def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):
