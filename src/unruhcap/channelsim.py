@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
-from .combinat import _readonly, check_block, check_dim
+from .combinat import _readonly, capped_comb, check_block, check_dim, count_text
 from .spectra import cloner_spectrum
 
 __all__ = [
@@ -228,9 +228,12 @@ def _block_index(isometry: Isometry, d: int) -> int:
 
 
 def _capped_block_dimension(d: int, k: int) -> int:
-    dim_b = block_dimension(d, k)
+    check_dim(d)
+    check_block(k)
+    dim_b = capped_comb(k + d - 1, d - 1, MATRIX_DIM_CAP)
     if dim_b > MATRIX_DIM_CAP:
-        raise SizeCapError(f"d={d}, k={k}: block dimension {dim_b} exceeds cap {MATRIX_DIM_CAP}")
+        shown = dim_b if dim_b < math.inf else count_text(k + d - 1, d - 1, dim_b)
+        raise SizeCapError(f"d={d}, k={k}: block dimension {shown} exceeds cap {MATRIX_DIM_CAP}")
     return dim_b
 
 
@@ -361,10 +364,12 @@ def choi_ppt_check(d: int, k: int) -> CheckReport:
     complementary channel of the 1->k cloner is entanglement breaking.
     """
     check_block(k)
-    dim_e = block_dimension(d, k - 1)
+    check_dim(d)
+    dim_e = capped_comb(k + d - 2, d - 1, MATRIX_DIM_CAP)
     total = d * dim_e
     if total > MATRIX_DIM_CAP:
-        raise SizeCapError(f"Choi dimension {total} exceeds cap {MATRIX_DIM_CAP}")
+        shown = total if total < math.inf else count_text(k + d - 2, d - 1, dim_e, d)
+        raise SizeCapError(f"Choi dimension {shown} exceeds cap {MATRIX_DIM_CAP}")
     isometry = cloner_isometry(d, k)
     dim_b = block_dimension(d, k)
     v3 = isometry.matrix.reshape(dim_b, dim_e, d)

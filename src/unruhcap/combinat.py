@@ -20,6 +20,8 @@ import numpy as np
 
 __all__ = [
     "SizeCapError",
+    "capped_comb",
+    "count_text",
     "rounded_count",
     "composition_matrix",
     "composition_table",
@@ -46,6 +48,27 @@ def rounded_count(count: int) -> str:
     # MAX_EMAX: a count past 10**999999 rounds too, instead of overflowing.
     rounded = decimal.Context(prec=2, rounding=decimal.ROUND_CEILING, Emax=decimal.MAX_EMAX)
     return f"{rounded.create_decimal(count):.1e}".replace("e+", "e")
+
+
+def capped_comb(n: int, k: int, cap: int) -> int | float:
+    """C(n, k) as a size gate with cap ``cap`` reads it: the count, or
+    ``math.inf`` in its place when C(n, k) >= 2**m, m = min(k, n - k),
+    already puts it over ``cap`` (m at least the cap's bit length).  No gate
+    builds a count this refuses."""
+    if min(k, n - k) >= cap.bit_length():
+        return math.inf
+    return math.comb(n, k)
+
+
+def count_text(n: int, k: int, count: int | float, times: int = 1) -> str:
+    """``times * C(n, k)`` in a size-cap message, where ``count`` is
+    ``capped_comb(n, k, cap)``: rounded up by ``rounded_count``, or the
+    bound ``C(n, k) >= 2**m`` (``times * C(n, k) >= 2**m`` for a ``times``
+    above 1) when ``capped_comb`` did not build it."""
+    if count < math.inf:
+        return rounded_count(times * count)
+    factor = f"{times} * " if times > 1 else ""
+    return f"{factor}C({n}, {k}) >= 2**{min(k, n - k)}"
 
 
 # composition_matrix stores entries as int32; weights beyond this never occur

@@ -21,7 +21,7 @@ block.  Two exact kernels do this:
   v log v (one 1-D log per evaluation; see ``kernels.histogram_entropy``).
 
 Every sweep passes each orbit's integer ``counts``.  ``pick_kernel``, the one
-size gate, chooses by structure alone: a grid point at d >= 3 runs on the
+kernel gate, chooses by structure alone: a grid point at d >= 3 runs on the
 histogram whenever it fits that kernel's conditions, and the lattice takes
 d = 2, off-grid points (such as the rows the CQ/CE curves evaluate again near
 a hull vertex) and orbits past the histogram's conditions, within its caps on
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .combinat import SizeCapError, block_dimension, block_normalizer, check_dim, composition_table
-from .combinat import rounded_count
+from .combinat import capped_comb, count_text, rounded_count
 from .spectra import check_log_base, check_normalizer
 
 __all__ = [
@@ -73,9 +73,11 @@ def pick_kernel(d: int, horizon: int, counts=None) -> str:
     b1 c1 + b2 c2 unless c1 = c2, so the histogram has nothing to merge;
     off-grid points (``None``); and grid points past the histogram's
     conditions.  It needs its C(K+d, d) terms and the (d-1) dim_K entries of
-    its table within their caps.
+    its table within their caps.  Both caps on dim_K are below 2**53, so a
+    dim_K that ``capped_comb`` does not build at that cap fits neither.
     """
-    dim = block_dimension(d, horizon)
+    check_dim(d)
+    dim = capped_comb(horizon + d - 1, d - 1, 2**53 - 1)
     histogram = "needs a grid point at d >= 3"
     if counts is not None and d > 2:
         cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * sum(counts) + 1)
@@ -83,14 +85,15 @@ def pick_kernel(d: int, horizon: int, counts=None) -> str:
             return "histogram"
         histogram = (
             f"{rounded_count(cells)} cells (cap {MAX_HISTOGRAM_CELLS}), "
-            f"dim_K = {rounded_count(dim)} (cap 2**53 - 1)"
+            f"dim_K = {count_text(horizon + d - 1, d - 1, dim)} (cap 2**53 - 1)"
         )
-    terms = math.comb(horizon + d, d)
+    terms = capped_comb(horizon + d, d, MAX_LATTICE_TERMS)
     if terms <= MAX_LATTICE_TERMS and (d - 1) * dim <= MAX_LATTICE_ENTRIES:
         return "lattice"
     raise SizeCapError(
-        f"d={d}, K={horizon}: lattice kernel: {rounded_count(terms)} terms per evaluation "
-        f"(cap {MAX_LATTICE_TERMS}) and {rounded_count((d - 1) * dim)} table entries "
+        f"d={d}, K={horizon}: lattice kernel: {count_text(horizon + d, d, terms)} terms per "
+        f"evaluation (cap {MAX_LATTICE_TERMS}) and "
+        f"{count_text(horizon + d - 1, d - 1, dim, d - 1)} table entries "
         f"(cap {MAX_LATTICE_ENTRIES}), one or both exceed cap; histogram kernel: {histogram}"
     )
 

@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinat import SizeCapError, _readonly, block_dimension, check_block, composition_matrix
-from .combinat import rounded_count
+from .combinat import SizeCapError, _readonly, check_block, composition_matrix
+from .combinat import capped_comb, count_text
 from .engine import TradeoffEvaluator, pick_kernel
 from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (
@@ -79,7 +79,7 @@ __all__ = [
 HULL_TOL = 1e-9
 
 # Ensemble lattice points C(R+d-1, d-1) per sweep, and their entries (points
-# times d); larger grids are refused before the lattice is enumerated.
+# times d); ``sweep_resolution`` refuses larger grids before the channel.
 MAX_GRID_POINTS = 10**6
 MAX_GRID_ENTRIES = 10**7
 
@@ -212,11 +212,22 @@ class CurveResult:
 
 def sweep_resolution(d: int, resolution: int | None = None) -> int:
     """The grid resolution of a sweep: ``resolution``, which must be >= 1,
-    or by default 64 for d <= 3 and 16 above."""
+    or by default 64 for d <= 3 and 16 above.  ``SizeCapError`` when its
+    ensemble grid, C(resolution+d-1, d-1) points of d entries each, is over
+    ``MAX_GRID_POINTS`` or ``MAX_GRID_ENTRIES``.  Every sweep asks this
+    first, before its channel's truncation, block weights or evaluator."""
     if resolution is None:
-        return 64 if d <= 3 else 16
-    if resolution < 1:
+        resolution = 64 if d <= 3 else 16
+    elif resolution < 1:
         raise ValueError("resolution must be >= 1")
+    n = resolution + d - 1
+    points = capped_comb(n, d - 1, MAX_GRID_POINTS)
+    if points > MAX_GRID_POINTS or points * d > MAX_GRID_ENTRIES:
+        raise SizeCapError(
+            f"d={d}, grid {resolution}: {count_text(n, d - 1, points)} ensemble points "
+            f"({count_text(n, d - 1, points, d)} entries) exceed cap {MAX_GRID_POINTS} "
+            f"({MAX_GRID_ENTRIES} entries)"
+        )
     return resolution
 
 
@@ -225,12 +236,14 @@ def sweep_resolution(d: int, resolution: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 def cloner_entropy_triple(d: int, k: int, mu, base: float | None = None) -> EntropyTriple:
-    """Entropies of the cyclic ensemble through a single 1->k cloner block."""
+    """Entropies of the cyclic ensemble through a single 1->k cloner block.
+    H(B) is the log of the block dimension, the receiver spectrum's atom count."""
     params = _as_ensemble(mu, d)
     b = UnruhConfig(d, 0.0, log_base=base).base
+    spectrum_b = ensemble_spectrum_B(d, k, params)
     return EntropyTriple(
-        h_b=EntropyValue(math.log(block_dimension(d, k)) / math.log(b), b).value,
-        h_b_given_x=shannon_entropy(ensemble_spectrum_B(d, k, params), b).value,
+        h_b=EntropyValue(math.log(spectrum_b.values.size) / math.log(b), b).value,
+        h_b_given_x=shannon_entropy(spectrum_b, b).value,
         h_e_given_x=shannon_entropy(ensemble_spectrum_E(d, k, params), b).value,
         h_a_given_x=ensemble_conditional_entropy_A(params, b).value,
     )
@@ -457,15 +470,10 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
     """Deterministic ensemble lattice as a read-only int32 (points, d) array
     of counts over ``resolution * d``: the compositions of ``resolution``
     over d slots, times d, and the uniform row (resolution, ..., resolution)
-    when d does not divide the resolution.  Rows descend lexicographically."""
+    when d does not divide the resolution.  Rows descend lexicographically.
+    ``sweep_resolution`` checks the resolution and refuses a grid over its
+    caps."""
     resolution = sweep_resolution(d, resolution)
-    points = math.comb(resolution + d - 1, d - 1)
-    if points > MAX_GRID_POINTS or points * d > MAX_GRID_ENTRIES:
-        raise SizeCapError(
-            f"d={d}, grid {resolution}: {rounded_count(points)} ensemble points "
-            f"({rounded_count(points * d)} entries) exceed cap {MAX_GRID_POINTS} "
-            f"({MAX_GRID_ENTRIES} entries)"
-        )
     counts = composition_matrix(d, resolution) * d
     if resolution % d:
         # Every other first count is a multiple of d, so the first column

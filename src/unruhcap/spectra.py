@@ -22,9 +22,11 @@ from .combinat import (
     _readonly,
     block_dimension,
     block_normalizer,
+    capped_comb,
     check_block,
     check_dim,
     composition_matrix,
+    count_text,
     eigen_multiplicity,
     rounded_count,
 )
@@ -53,7 +55,8 @@ MASS_TOL = 1e-12
 # Largest truncation horizon K that truncation_horizon will search.
 HORIZON_CAP = 10_000
 
-# Atoms (one per b = 1..k) of the largest cloner spectrum built; larger k is
+# Atoms of the largest spectrum built: one per b = 1..k of a cloner spectrum,
+# one per occupation vector of an ensemble spectrum.  A larger spectrum is
 # refused before any atom is computed.
 MAX_SPECTRUM_ROWS = 10**6
 
@@ -193,10 +196,12 @@ def cloner_spectrum(d: int, k: int) -> Spectrum:
     is past the int64 range the atoms are stored in."""
     if k > MAX_SPECTRUM_ROWS:
         raise SizeCapError(f"k={k}: {k} spectrum rows exceed cap {MAX_SPECTRUM_ROWS}")
-    top = eigen_multiplicity(d, k, 1)  # the largest multiplicity
+    check_dim(d)
+    check_block(k)
+    top = capped_comb(k + d - 3, d - 2, np.iinfo(np.int64).max)  # m_1, the largest multiplicity
     if top > np.iinfo(np.int64).max:
         raise SizeCapError(
-            f"d={d}, k={k}: multiplicity m_1 = C({k + d - 3}, {d - 2}) ~ {rounded_count(top)} "
+            f"d={d}, k={k}: multiplicity m_1 = {_binomial_text(k + d - 3, d - 2, top)} "
             "exceeds the int64 range"
         )
     m_k = block_normalizer(d, k)
@@ -222,7 +227,14 @@ def _ensemble_spectrum(d: int, k: int, mu, environment: bool) -> Spectrum:
     side adds 1: ``alpha + 0.0`` would turn a -0.0 receiver atom into 0.0."""
     params = _as_ensemble(mu, d)
     check_block(k)
-    alpha = composition_matrix(d, k - 1 if environment else k) @ params.as_array()
+    weight = k - 1 if environment else k
+    atoms = capped_comb(weight + d - 1, d - 1, MAX_SPECTRUM_ROWS)
+    if atoms > MAX_SPECTRUM_ROWS:
+        raise SizeCapError(
+            f"d={d}, k={k}: {count_text(weight + d - 1, d - 1, atoms)} spectrum rows "
+            f"exceed cap {MAX_SPECTRUM_ROWS}"
+        )
+    alpha = composition_matrix(d, weight) @ params.as_array()
     if environment:
         alpha += 1.0
     values = alpha / block_normalizer(d, k)
@@ -252,12 +264,22 @@ def _weight(d: int, z: float, k: int) -> float:
 def check_normalizer(d: int, k: int) -> None:
     """``SizeCapError`` when the block normalizer M_k = C(k+d-1, d) is past
     the float range, so that no atom of block k can be formed as a float."""
-    top = block_normalizer(d, k)
+    check_dim(d)
+    check_block(k)
+    top = capped_comb(k + d - 1, d, int(sys.float_info.max))
     if top > sys.float_info.max:
         raise SizeCapError(
-            f"d={d}, k={k}: block normalizer M_k = C({k + d - 1}, {d}) ~ {rounded_count(top)} "
+            f"d={d}, k={k}: block normalizer M_k = {_binomial_text(k + d - 1, d, top)} "
             "exceeds the float range"
         )
+
+
+def _binomial_text(n: int, k: int, count: int | float) -> str:
+    """C(n, k), of which ``capped_comb`` returned ``count``, in a size-cap
+    message: ``C(n, k) ~ 3.0e308``, or the bound of ``count_text``."""
+    if count < math.inf:
+        return f"C({n}, {k}) ~ {rounded_count(count)}"
+    return count_text(n, k, count)
 
 
 def _tail_term(d: int, z: float, k: int, base: float) -> tuple[float, float]:

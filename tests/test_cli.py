@@ -864,6 +864,30 @@ def test_size_cap_messages_round_big_counts(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, count",
+    [
+        # 9.0e10 grid entries, refused with the grid's resolution, before the
+        # cloner block's vertex gate would build dim_K = C(599999, 299999).
+        (["cq-curve", "--d", "300000", "--k", "300000", "--grid", "1"], "3.0e5 ensemble points"),
+        (
+            ["cq-curve", "--d", "300000", "--k", "1", "--grid", "300000"],
+            "C(599999, 299999) >= 2**299999 ensemble points",
+        ),
+        (["spectrum", "--d", "300000", "--k", "300000"], "m_1 = C(599997, 299998) >= 2**299998 "),
+    ],
+)
+def test_size_caps_refuse_a_huge_count_without_building_it(argv, count, capsys):
+    # A count that C(n, k) >= 2**min(k, n - k) puts over its cap is refused
+    # unbuilt and printed as that bound; the grid is refused first.
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = json.loads(captured.err.strip())
+    assert diagnostic["error"] == "SizeCapError"
+    assert count in diagnostic["message"]
+
+
+@pytest.mark.parametrize(
     "command, flags, zero_line",
     [
         (["cq-curve", "--d", "2", "--grid", "2"], ["--z"], "# z: 0\n"),

@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 
-from unruhcap import combinat
+from unruhcap import channelsim, combinat, engine, regions, spectra
 from unruhcap.combinat import block_dimension, block_normalizer, composition_matrix, eigen_multiplicity
 
 
@@ -161,3 +163,70 @@ def test_rounded_count_matches_the_digit_arithmetic():
     counts += [rng.randrange(100, 10**6) for _ in range(3000)]
     for count in counts:
         assert combinat.rounded_count(count) == digit_rounded_count(count), count
+
+
+# Every cap a binomial gate asks ``capped_comb`` with.
+GATE_CAPS = {
+    "grid points": regions.MAX_GRID_POINTS,
+    "histogram dim_K": 2**53 - 1,
+    "lattice terms": engine.MAX_LATTICE_TERMS,
+    "spectrum rows": spectra.MAX_SPECTRUM_ROWS,
+    "block normalizer": int(sys.float_info.max),
+    "multiplicity": int(np.iinfo(np.int64).max),
+    "matrix dimension": channelsim.MATRIX_DIM_CAP,
+}
+
+
+def test_capped_comb_agrees_with_the_exact_count():
+    # Over its cap exactly when the count is, and the count itself whenever
+    # it is built.
+    for n in range(301):
+        for k in range(n + 1):
+            count = math.comb(n, k)
+            for cap in GATE_CAPS.values():
+                got = combinat.capped_comb(n, k, cap)
+                assert (got > cap) == (count > cap), (n, k, cap)
+                assert got == count or got == math.inf, (n, k, cap)
+
+
+def test_capped_comb_refuses_a_huge_count_unbuilt(forbid):
+    # m_1 of `spectrum --d 300000 --k 300000`: C(599997, 299998) has 180,615
+    # digits, and the bound alone refuses it.
+    forbid("built a count the bound refuses", combinat.math, "comb")
+    for cap in GATE_CAPS.values():
+        assert combinat.capped_comb(599997, 299998, cap) == math.inf
+    assert combinat.count_text(599997, 299998, math.inf) == "C(599997, 299998) >= 2**299998"
+    assert combinat.count_text(9, 2, math.inf, 3) == "3 * C(9, 2) >= 2**2"
+    assert combinat.count_text(9, 2, 36, 3) == "1.1e2"
+
+
+GATES_PAST_THE_BOUND = {
+    "grid": (lambda: regions.sweep_resolution(300000, 300000), "C(599999, 299999) >= 2**299999"),
+    "kernels": (lambda: engine.pick_kernel(300000, 300000), "C(600000, 300000) >= 2**300000"),
+    "normalizer": (lambda: spectra.check_normalizer(300000, 300000), "C(599999, 300000) >= 2**299999"),
+    "multiplicity": (lambda: spectra.cloner_spectrum(300000, 300000), "C(599997, 299998) >= 2**299998"),
+    "ensemble-spectrum": (
+        lambda: spectra.ensemble_spectrum_B(300000, 300000, spectra.EnsembleParams.uniform(300000)),
+        "C(599999, 299999) >= 2**299999",
+    ),
+    "check-route-triple": (
+        lambda: regions.cloner_entropy_triple(300000, 300000, spectra.EnsembleParams.vertex(300000)),
+        "C(599999, 299999) >= 2**299999",
+    ),
+    "block-dimension": (
+        lambda: channelsim.verify_cloner_equivalence(300000, 300000),
+        "C(599999, 299999) >= 2**299999",
+    ),
+    "choi-dimension": (
+        lambda: channelsim.choi_ppt_check(300000, 300000),
+        "300000 * C(599998, 299999) >= 2**299999",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, bound", GATES_PAST_THE_BOUND.values(), ids=GATES_PAST_THE_BOUND.keys())
+def test_every_binomial_gate_refuses_past_the_bound_unbuilt(call, bound, forbid):
+    forbid("built a count the bound refuses", combinat.math, "comb")
+    with pytest.raises(combinat.SizeCapError) as excinfo:
+        call()
+    assert bound in str(excinfo.value)

@@ -15,7 +15,8 @@ from tradeoff_helpers import (
     refined_family,
     tied_rows,
 )
-from unruhcap import channelsim, kernels, regions
+from unruhcap import channelsim, kernels, regions, spectra
+from unruhcap.combinat import SizeCapError
 from unruhcap.engine import TradeoffEvaluator
 from unruhcap.entropy import shannon_entropy
 from unruhcap.regions import (
@@ -623,8 +624,8 @@ def test_channel_spec_builds_one_config(channel, monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("resolution", [0, -3])
-@pytest.mark.parametrize(
+# Every sweep entry point, called with a channel spec and a resolution.
+EVERY_SWEEP = pytest.mark.parametrize(
     "sweep",
     [
         lambda spec, r: cq_curve(spec, r),
@@ -636,11 +637,32 @@ def test_channel_spec_builds_one_config(channel, monkeypatch):
     ],
     ids=["cq_curve", "ce_curve", "region_surface_cqe", "rps_region", "dynamic_capacity", "problem"],
 )
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+@EVERY_SWEEP
 def test_sweeps_refuse_a_resolution_below_1_before_the_evaluator(sweep, resolution, forbid):
     # Resolution 0 is refused like -3, not read as "the default grid".
     forbid("built the evaluator past a bad resolution", TradeoffEvaluator, "__init__")
     with pytest.raises(ValueError, match="resolution must be >= 1"):
         sweep(ChannelSpec(2, z=0.5), resolution)
+
+
+@pytest.mark.parametrize(
+    "d, resolution",
+    [(12, 64), (90, 3), (300000, 300000)],  # 4.9e12 points, 1.1e7 entries, the bound
+    ids=["points", "entries", "bound"],
+)
+@EVERY_SWEEP
+def test_sweeps_refuse_an_over_cap_grid_before_the_channel(sweep, d, resolution, forbid):
+    # The grid's caps are asked with the resolution, before the truncation,
+    # the block weights and the evaluator.
+    message = "built the channel past the grid caps"
+    forbid(message, spectra, "truncation")
+    forbid(message, regions, "truncation", "unruh_weights")
+    forbid(message, TradeoffEvaluator, "__init__")
+    with pytest.raises(SizeCapError, match="ensemble points .* exceed cap"):
+        sweep(ChannelSpec(d, z=0.5), resolution)
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from unruhcap.combinat import block_normalizer, eigen_multiplicity
+from unruhcap import spectra
+from unruhcap.combinat import SizeCapError, block_normalizer, eigen_multiplicity
 from unruhcap.spectra import (
+    MAX_SPECTRUM_ROWS,
     ConvergenceError,
     EnsembleParams,
     Spectrum,
@@ -60,6 +62,25 @@ def test_ensemble_spectrum_E_examples():
 
     flat = ensemble_spectrum_E(2, 2, (0.5, 0.5))
     assert flat.values == pytest.approx([0.5, 0.5], abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "spectrum, d, k",
+    [
+        (ensemble_spectrum_B, 2, MAX_SPECTRUM_ROWS),  # C(k+1, 1) = cap + 1 atoms
+        (ensemble_spectrum_E, 2, MAX_SPECTRUM_ROWS + 1),  # of weight k - 1
+        (ensemble_spectrum_B, 6, 400),  # 8.9e10 atoms, past any memory
+    ],
+)
+def test_ensemble_spectrum_past_its_row_cap_is_refused_unbuilt(spectrum, d, k, forbid):
+    forbid("built the atoms past the spectrum cap", spectra, "composition_matrix")
+    with pytest.raises(SizeCapError, match=f"spectrum rows exceed cap {MAX_SPECTRUM_ROWS}"):
+        spectrum(d, k, EnsembleParams.uniform(d))
+
+
+def test_ensemble_spectrum_at_its_row_cap_is_built():
+    assert ensemble_spectrum_B(2, MAX_SPECTRUM_ROWS - 1, (0.5, 0.5)).values.size == MAX_SPECTRUM_ROWS
+    assert ensemble_spectrum_E(2, MAX_SPECTRUM_ROWS, (0.5, 0.5)).values.size == MAX_SPECTRUM_ROWS
 
 
 def test_ensemble_mass_identities_random():
