@@ -3,11 +3,15 @@
 Everything here is built directly from defining sums over occupation-vector
 bases (rows of :func:`unruhcap.combinat.composition_matrix`), independently of
 the closed-form spectra, so the two routes can check each other.  The two
-matrix constructions, the cloner isometry and the Unruh block, share only the
-index table of the a_i^dag step (``_raising_steps``); each forms its own
-amplitudes and sums, so either checks the other.  Random pure states are
-drawn from the unitarily invariant measure via normalized complex Gaussian
-vectors with an explicit seed recorded in every report.
+amplitude tables, the cloner isometry and the Unruh block's kets, share only
+the index table of the a_i^dag step (``_raising_steps``); each forms its own
+amplitudes, so either checks the other.  Each dense matrix is one Gram
+product of such a table, ``A.T @ A.conj()``: the Unruh block sums the outer
+products of its kets, and the complement's Choi matrix those of the
+isometry's amplitudes.  A density matrix is diagonalized once, when it is
+validated.  Random pure states are drawn from the unitarily invariant
+measure via normalized complex Gaussian vectors with an explicit seed
+recorded in every report.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix (tolerance 1e-10 on each property)."""
 
     matrix: np.ndarray
+    # The ascending, read-only spectrum the positivity check computes.
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _readonly(np.array(self.matrix, dtype=np.complex128))
@@ -76,8 +82,10 @@ class DensityMatrix:
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(mat).real - 1.0) > HERMITICITY_TOL:
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(mat).min() < -HERMITICITY_TOL:
+        spectrum = _readonly(np.linalg.eigvalsh(mat))
+        if spectrum[0] < -HERMITICITY_TOL:
             raise ValueError("density matrix must be positive semidefinite")
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @classmethod
     def pure(cls, vec) -> "DensityMatrix":
@@ -92,7 +100,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        return self._spectrum
 
 
 @dataclass(frozen=True)
@@ -227,36 +235,43 @@ def _block_index(isometry: Isometry, d: int) -> int:
     return k
 
 
-def _capped_block_dimension(d: int, k: int) -> int:
+def _capped_dimension(d: int, k: int, what: str, weight: int, times: int = 1) -> int:
+    """The dimension ``times * C(weight + d - 1, d - 1)`` of the ``what``
+    matrix at (d, k), ``times`` copies of the weight-``weight`` block.  Past
+    ``MATRIX_DIM_CAP`` it is refused, with the input named, before anything
+    is built."""
     check_dim(d)
     check_block(k)
-    dim_b = capped_comb(k + d - 1, d - 1, MATRIX_DIM_CAP)
-    if dim_b > MATRIX_DIM_CAP:
-        shown = dim_b if dim_b < math.inf else count_text(k + d - 1, d - 1, dim_b)
-        raise SizeCapError(f"d={d}, k={k}: block dimension {shown} exceeds cap {MATRIX_DIM_CAP}")
-    return dim_b
+    count = capped_comb(weight + d - 1, d - 1, MATRIX_DIM_CAP)
+    dim = times * count
+    if dim > MATRIX_DIM_CAP:
+        shown = dim if dim < math.inf else count_text(weight + d - 1, d - 1, count, times)
+        raise SizeCapError(f"d={d}, k={k}: {what} dimension {shown} exceeds cap {MATRIX_DIM_CAP}")
+    return dim
 
 
 def unruh_block_output(d: int, k: int, beta) -> DensityMatrix:
     """Weight-``k`` Unruh output block for the pure input sum(beta_i a_i^dag)|vac>.
 
-    Built directly from the defining sum: for every weight-(k-1) occupation
-    vector n, the (unnormalized) ket sum_i beta_i sqrt(1 + n_i) |n + e_i>
-    contributes one rank-one term; the block is normalized by M_k.
+    Built directly from the defining sum: row e of the ket table is the
+    (unnormalized) ket sum_i beta_i sqrt(1 + n_i) |n + e_i> of the e-th
+    weight-(k-1) occupation vector n.  The block is the sum of their outer
+    products, formed as one Gram product ``kets.T @ kets.conj()``, and
+    normalized by M_k.
     """
     b = np.asarray(beta, dtype=np.complex128)
     if b.shape != (d,):
         raise ValueError(f"input amplitudes must have length {d}")
     if abs(np.linalg.norm(b) - 1.0) > HERMITICITY_TOL:
         raise ValueError("input amplitudes must be normalized")
-    dim_b = _capped_block_dimension(d, k)
-    mat = np.zeros((dim_b, dim_b), dtype=np.complex128)
-    for _, n_steps in itertools.groupby(_raising_steps(d, k), key=lambda step: step[0]):
-        ket = np.zeros(dim_b, dtype=np.complex128)
-        for _, i, b_idx, n_i in n_steps:
-            ket[b_idx] += b[i] * math.sqrt(1.0 + n_i)
-        mat += np.outer(ket, ket.conj())
-    return DensityMatrix(mat / float(block_normalizer(d, k)))
+    dim_b = _capped_dimension(d, k, "block", k)
+    kets = np.zeros((block_dimension(d, k - 1), dim_b), dtype=np.complex128)
+    for e_idx, i, b_idx, n_i in _raising_steps(d, k):
+        kets[e_idx, b_idx] = b[i] * math.sqrt(1.0 + n_i)
+    block = kets.T @ kets.conj()
+    del kets  # freed before DensityMatrix copies and diagonalizes the block
+    block /= float(block_normalizer(d, k))
+    return DensityMatrix(block)
 
 
 def complementary_kraus_1to2(d: int) -> KrausSet:
@@ -338,7 +353,7 @@ def verify_cloner_equivalence(d: int, k: int, n_samples: int = 20, seed: int = 0
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    dim_b = _capped_block_dimension(d, k)
+    dim_b = _capped_dimension(d, k, "block", k)
     expected = cloner_spectrum(d, k).eigenvalues(pad_to=dim_b)
     rng = np.random.default_rng(seed)
     dev = 0.0
@@ -361,24 +376,19 @@ def choi_ppt_check(d: int, k: int) -> CheckReport:
     """Minimum partial-transpose eigenvalue of the complement's Choi matrix.
 
     A nonnegative spectrum (within tolerance) is the PPT witness that the
-    complementary channel of the 1->k cloner is entanglement breaking.
+    complementary channel of the 1->k cloner is entanglement breaking.  The
+    isometry's amplitudes, reshaped to (dim_B, d * dim_E) with the columns in
+    (i, e) order, give the Choi matrix as one Gram product,
+    ``amps.T @ amps.conj()``, with rows and columns in (i, e) order.
     """
-    check_block(k)
-    check_dim(d)
-    dim_e = capped_comb(k + d - 2, d - 1, MATRIX_DIM_CAP)
-    total = d * dim_e
-    if total > MATRIX_DIM_CAP:
-        shown = total if total < math.inf else count_text(k + d - 2, d - 1, dim_e, d)
-        raise SizeCapError(f"Choi dimension {shown} exceeds cap {MATRIX_DIM_CAP}")
-    isometry = cloner_isometry(d, k)
-    dim_b = block_dimension(d, k)
-    v3 = isometry.matrix.reshape(dim_b, dim_e, d)
-    choi = np.einsum("bei,bfj->iejf", v3, v3.conj()).reshape(total, total)
-    pt = (
-        choi.reshape(d, dim_e, d, dim_e)
-        .transpose(2, 1, 0, 3)
-        .reshape(total, total)
-    )
+    total = _capped_dimension(d, k, "Choi", k - 1, d)
+    dim_b, dim_e = block_dimension(d, k), total // d
+    # Reshaping the (i, e) view copies it, which frees the isometry before the product.
+    amps = cloner_isometry(d, k).matrix.reshape(dim_b, dim_e, d).transpose(0, 2, 1)
+    amps = amps.reshape(dim_b, total)
+    choi = amps.T @ amps.conj()
+    del amps  # freed before the eigensolver runs
+    pt = choi.reshape(d, dim_e, d, dim_e).transpose(2, 1, 0, 3).reshape(total, total)
     min_eig = float(np.linalg.eigvalsh(pt).min())
     return CheckReport(
         check="complement-choi-ppt",

@@ -208,6 +208,9 @@ def test_choi_ppt_check():
     assert trivial.details["min_partial_transpose_eigenvalue"] >= -1e-12
     with pytest.raises(SizeCapError, match="Choi dimension 6160 exceeds cap 2000"):
         choi_ppt_check(4, 20)  # d * C(22, 3), refused before the isometry is built
+    with pytest.raises(SizeCapError) as excinfo:
+        choi_ppt_check(2, 1001)
+    assert str(excinfo.value) == "d=2, k=1001: Choi dimension 2002 exceeds cap 2000"
     # A block index below 1 is refused as such, not as a weight of -1.
     with pytest.raises(ValueError, match="block index must be an integer >= 1, got 0"):
         choi_ppt_check(2, 0)
@@ -216,10 +219,28 @@ def test_choi_ppt_check():
 def test_unruh_block_output_refuses_blocks_past_the_matrix_cap():
     # dim_B = C(k+1, 1) = k + 1 at d = 2: k = 1999 is the largest block built.
     beta = np.array([1.0, 0.0])
-    with pytest.raises(SizeCapError, match="exceeds cap 2000"):
+    with pytest.raises(SizeCapError, match="exceeds cap 2000") as excinfo:
         unruh_block_output(2, 2000, beta)
+    assert str(excinfo.value) == "d=2, k=2000: block dimension 2001 exceeds cap 2000"
     with pytest.raises(SizeCapError):
         verify_cloner_equivalence(4, 60)  # dim_B = 39,711
+
+
+def test_each_density_matrix_is_diagonalized_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(mat) or eigvalsh(mat))
+    assert verify_cloner_equivalence(3, 4, n_samples=3).passed
+    assert len(calls) == 3  # one block per sample
+
+
+def test_density_matrix_eigenvalues_are_its_readonly_spectrum():
+    rho = unruh_block_output(3, 4, random_pure_state(3, np.random.default_rng(5)))
+    eigs = rho.eigenvalues()
+    assert not eigs.flags.writeable
+    assert eigs.dtype == np.float64
+    assert np.array_equal(eigs, np.linalg.eigvalsh(rho.matrix))
+    assert rho.eigenvalues() is eigs
 
 
 def test_density_matrix_validation():

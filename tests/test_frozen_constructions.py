@@ -1,8 +1,11 @@
 """The check routes' constructions against frozen copies of their earlier,
 separately written bodies: the cloner isometry and the Unruh block each built
-with their own composition-row lookup, and the receiver and environment
-spectra each built by their own function.  Every entry must keep its bits,
-the signs of zeros included for the spectra."""
+with their own composition-row lookup, the complement's Choi matrix by a
+5-index einsum, and the receiver and environment spectra each built by their
+own function.  The isometry and the spectra must keep every bit, the signs of
+zeros included for the spectra.  The block, now one Gram product in place of
+a sum of outer products, must keep each entry within 1e-15, and the Choi
+check its minimum partial-transpose eigenvalue within 1e-12."""
 
 import math
 
@@ -11,6 +14,7 @@ import pytest
 
 from unruhcap.channelsim import (
     MATRIX_DIM_CAP,
+    choi_ppt_check,
     cloner_isometry,
     random_pure_state,
     unruh_block_output,
@@ -21,6 +25,8 @@ from unruhcap.spectra import EnsembleParams, ensemble_spectrum_B, ensemble_spect
 BLOCKS = [
     (d, k) for d in range(2, 6) for k in range(1, 6) if block_dimension(d, k) <= MATRIX_DIM_CAP
 ]
+# Blocks of a few hundred rows, past the sizes at which BLAS blocks a product.
+LARGE_BLOCKS = [(2, 300), (3, 20)]
 
 
 def _index_map(comps):
@@ -58,6 +64,15 @@ def _frozen_block(d, k, beta):
     return mat / float(block_normalizer(d, k))
 
 
+def _frozen_choi_min_eig(d, k):
+    dim_e = block_dimension(d, k - 1)
+    total = d * dim_e
+    v3 = _frozen_isometry(d, k).reshape(block_dimension(d, k), dim_e, d)
+    choi = np.einsum("bei,bfj->iejf", v3, v3.conj()).reshape(total, total)
+    pt = choi.reshape(d, dim_e, d, dim_e).transpose(2, 1, 0, 3).reshape(total, total)
+    return float(np.linalg.eigvalsh(pt).min())
+
+
 def _frozen_spectrum_B(d, k, params):
     alpha = composition_matrix(d, k) @ params.as_array()
     return alpha / block_normalizer(d, k)
@@ -86,13 +101,23 @@ def _assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
 
 
-@pytest.mark.parametrize("d, k", BLOCKS)
-def test_isometry_and_block_keep_the_bits_of_their_separate_constructions(d, k):
+@pytest.mark.parametrize("d, k", BLOCKS + LARGE_BLOCKS)
+def test_isometry_keeps_the_bits_of_its_separate_construction(d, k):
     _assert_same_bits(cloner_isometry(d, k).matrix, _frozen_isometry(d, k))
+
+
+@pytest.mark.parametrize("d, k", BLOCKS + LARGE_BLOCKS)
+def test_block_and_choi_match_their_separate_constructions(d, k):
+    # Block entries lie in [-1, 1]; the two summation orders differ in the
+    # last bits only.
     rng = np.random.default_rng(1000 * d + k)
     for _ in range(3):
         beta = random_pure_state(d, rng)
-        _assert_same_bits(unruh_block_output(d, k, beta).matrix, _frozen_block(d, k, beta))
+        block = unruh_block_output(d, k, beta).matrix
+        assert np.max(np.abs(block - _frozen_block(d, k, beta))) <= 1e-15
+    if d * block_dimension(d, k - 1) <= MATRIX_DIM_CAP:
+        min_eig = choi_ppt_check(d, k).details["min_partial_transpose_eigenvalue"]
+        assert abs(min_eig - _frozen_choi_min_eig(d, k)) <= 1e-12
 
 
 @pytest.mark.parametrize("d, k", BLOCKS)
