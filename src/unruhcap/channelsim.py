@@ -8,7 +8,10 @@ the index table of the a_i^dag step (``_raising_steps``); each forms its own
 amplitudes, so either checks the other.  Each dense matrix is one Gram
 product of such a table, ``A.T @ A.conj()``: the Unruh block sums the outer
 products of its kets, and the complement's Choi matrix those of the
-isometry's amplitudes.  A density matrix is diagonalized once, when it is
+isometry's amplitudes.  A Kraus set is one ``(n, out, in)`` stack of its
+operators, and its channel the superoperator formed once from it, as the
+Gram product of the flattened stack; the set's action and completeness both
+read that superoperator.  A density matrix is diagonalized once, when it is
 validated.  Random pure states are drawn from the unitarily invariant
 measure via normalized complex Gaussian vectors with an explicit seed
 recorded in every report.
@@ -60,7 +63,7 @@ RANK_TOL = 1e-10
 # refused before any table or matrix is allocated.
 MATRIX_DIM_CAP = 2000
 
-# Largest dimension of the 1->2 complement Kraus set, which has 4^(d-1)
+# Largest dimension of the 1->2 complement Kraus set, which has d + 4^(d-1)
 # operators.
 KRAUS_DIM_CAP = 8
 
@@ -129,34 +132,45 @@ class Isometry:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators of one channel; completeness enforced at 1e-10."""
+    """Kraus operators A_a of one channel, stacked as one read-only
+    ``(n, out, in)`` array; completeness enforced at 1e-10.
 
-    operators: tuple
+    The channel is formed once, as the superoperator
+    ``S[i, j, l, k] = sum_a A_a[i, j] conj(A_a[l, k])``: one Gram product of
+    the stack flattened to ``(n, out * in)``.  Its action and its
+    completeness both read S.
+    """
+
+    operators: np.ndarray
+    # S, with (A rho A^dagger summed over a)[i, l] = sum_jk S[i, j, l, k] rho[j, k].
+    _superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(_readonly(np.array(op, dtype=np.complex128)) for op in self.operators)
-        object.__setattr__(self, "operators", ops)
-        if not ops:
+        # Checked before stacking, so numpy's own ragged-array error never escapes.
+        shapes = {np.shape(op) for op in self.operators}
+        if not shapes:
             raise ValueError("Kraus set must be nonempty")
-        shape = ops[0].shape
-        if any(op.shape != shape for op in ops):
+        if len(shapes) > 1:
             raise ValueError("Kraus operators must share a common shape")
+        stack = np.asarray(self.operators, dtype=np.complex128)
+        flat = stack.reshape(len(stack), -1)
+        superop = (flat.T @ flat.conj()).reshape(stack.shape[1:] * 2)
+        object.__setattr__(self, "_superop", _readonly(superop))
+        # The own copy is made after the product's conj() temporary is freed.
+        object.__setattr__(self, "operators", _readonly(np.array(stack)))
         if self.completeness_deviation() > HERMITICITY_TOL:
             raise ValueError("Kraus set violates completeness")
 
     def completeness_deviation(self) -> float:
-        dim = self.operators[0].shape[1]
-        acc = sum(op.conj().T @ op for op in self.operators)
-        return float(np.max(np.abs(acc - np.eye(dim))))
+        # The partial trace over the output is conj(sum_a A_a^dagger A_a).
+        acc = np.einsum("ijik->jk", self._superop).conj()
+        return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
 
     def second_singular_values(self) -> np.ndarray:
-        return np.array(
-            [np.linalg.svd(op, compute_uv=False)[1] for op in self.operators]
-        )
+        return np.linalg.svd(self.operators, compute_uv=False)[:, 1]
 
     def apply(self, rho: DensityMatrix) -> np.ndarray:
-        mat = rho.matrix
-        return sum(op @ mat @ op.conj().T for op in self.operators)
+        return np.einsum("ijlk,jk->il", self._superop, rho.matrix)
 
 
 @dataclass(frozen=True)
@@ -281,24 +295,23 @@ def complementary_kraus_1to2(d: int) -> KrausSet:
     |psi(n)><psi(n)| sigma_z(n) / sqrt(4^(d-1) (d+1)) over phase words n with
     n_1 = 0 and n_j in {0,1,2,3}, where |psi(n)> = sum_j i^(n_j) |j> is used
     unnormalized (its norm is absorbed by the 4^(d-1) prefactor) and
-    sigma_z(n) = sum_j (-1)^(n_j) |j><j|.
+    sigma_z(n) = sum_j (-1)^(n_j) |j><j|.  All are filled into one stack, the
+    words in ``itertools.product`` order after the projectors.
     """
     check_dim(d)
     if d > KRAUS_DIM_CAP:
-        raise SizeCapError(f"dimension {d} exceeds cap {KRAUS_DIM_CAP} (4^(d-1) operators)")
-    ops = []
-    proj_scale = 1.0 / math.sqrt(d + 1.0)
-    for j in range(d):
-        op = np.zeros((d, d), dtype=np.complex128)
-        op[j, j] = proj_scale
-        ops.append(op)
-    word_scale = 1.0 / math.sqrt(4.0 ** (d - 1) * (d + 1.0))
-    for word in itertools.product(range(4), repeat=d - 1):
-        n = np.array((0,) + word)
-        psi = (1j) ** n
-        signs = (-1.0) ** n
-        ops.append(word_scale * np.outer(psi, psi.conj()) * signs[None, :])
-    return KrausSet(tuple(ops))
+        raise SizeCapError(
+            f"d={d}: dimension exceeds cap {KRAUS_DIM_CAP} ({d} + 4^{d - 1} Kraus operators)"
+        )
+    ops = np.zeros((d + 4 ** (d - 1), d, d), dtype=np.complex128)
+    diag = np.arange(d)
+    ops[diag, diag, diag] = 1.0 / math.sqrt(d + 1.0)
+    words = np.array([(0, *word) for word in itertools.product(range(4), repeat=d - 1)])
+    psi = (1j) ** words  # one |psi(n)> per row
+    # <psi(n)| sigma_z(n) = psi(n)^T, since conj(i^m) (-1)^m = i^m.
+    row = psi * (1.0 / math.sqrt(4.0 ** (d - 1) * (d + 1.0)))
+    np.multiply(psi[:, :, None], row[:, None, :], out=ops[d:])
+    return KrausSet(ops)
 
 
 def verify_kraus(

@@ -21,8 +21,6 @@ __all__ = [
     "ensemble_conditional_entropy_A",
 ]
 
-_SPECTRUM_MASS_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class EntropyValue:
@@ -52,9 +50,12 @@ def _entropy(values, multiplicities, base: float) -> EntropyValue:
 
 
 def shannon_entropy(spectrum: Spectrum, base: float) -> EntropyValue:
-    """Entropy -sum(m * p * log_base p) of a spectrum with unit mass."""
-    if abs(spectrum.mass - 1.0) > _SPECTRUM_MASS_TOL:
-        raise ValueError(f"spectrum mass {spectrum.mass!r} deviates from 1 beyond 1e-09")
+    """Entropy -sum(m * p * log_base p) of a spectrum with unit mass.
+
+    ``Spectrum`` checks the mass when it is built; any other record of
+    ``values`` and ``multiplicities`` is built into one first."""
+    if not isinstance(spectrum, Spectrum):
+        spectrum = Spectrum(spectrum.values, spectrum.multiplicities)
     return _entropy(spectrum.values, spectrum.multiplicities, base)
 
 

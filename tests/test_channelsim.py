@@ -126,8 +126,30 @@ def test_pure_input_marginal_entropies_match_spectra_route():
 def test_kraus_set_counts():
     assert len(complementary_kraus_1to2(2).operators) == 6
     assert len(complementary_kraus_1to2(3).operators) == 19
+    assert complementary_kraus_1to2(8).operators.shape == (16392, 8, 8)
     with pytest.raises(SizeCapError):
         complementary_kraus_1to2(9)
+
+
+def test_kraus_cap_refusal_names_its_input():
+    # The count is stated, not built: the refusal is as quick at d = 10**9.
+    with pytest.raises(SizeCapError) as excinfo:
+        complementary_kraus_1to2(9)
+    assert str(excinfo.value) == "d=9: dimension exceeds cap 8 (9 + 4^8 Kraus operators)"
+    with pytest.raises(SizeCapError, match=r"^d=1000000000: dimension exceeds cap 8 \("):
+        complementary_kraus_1to2(10**9)
+
+
+def test_kraus_set_keeps_a_readonly_copy_of_its_stack():
+    stack = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=np.complex128) / math.sqrt(2.0)
+    kept = stack.copy()
+    kset = KrausSet(stack)
+    assert stack.flags.writeable
+    assert not kset.operators.flags.writeable
+    assert not np.shares_memory(kset.operators, stack)
+    stack[0] = 0.0  # the caller's array is its own
+    assert np.array_equal(kset.operators, kept)
+    assert kset.completeness_deviation() <= 1e-15
 
 
 def test_kraus_operators_rank_one():

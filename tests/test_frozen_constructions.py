@@ -1,21 +1,31 @@
 """The check routes' constructions against frozen copies of their earlier,
 separately written bodies: the cloner isometry and the Unruh block each built
 with their own composition-row lookup, the complement's Choi matrix by a
-5-index einsum, and the receiver and environment spectra each built by their
-own function.  The isometry and the spectra must keep every bit, the signs of
-zeros included for the spectra.  The block, now one Gram product in place of
-a sum of outer products, must keep each entry within 1e-15, and the Choi
-check its minimum partial-transpose eigenvalue within 1e-12."""
+5-index einsum, the receiver and environment spectra each built by their
+own function, and the complement's Kraus set as a tuple of ``np.outer``
+operators, with its action, completeness and singular values each a sum or
+loop over the operators.  The isometry and the spectra must keep every bit,
+the signs of zeros included for the spectra.  The block, now one Gram
+product in place of a sum of outer products, must keep each entry within
+1e-15, and the Choi check its minimum partial-transpose eigenvalue within
+1e-12.  The Kraus stack must keep each entry within 1e-15, its action (now
+read from the superoperator, one Gram product of the stack) each entry
+within 1e-14, its completeness deviation 1e-12, and its second singular
+values every bit."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from unruhcap.channelsim import (
+    KRAUS_DIM_CAP,
     MATRIX_DIM_CAP,
+    DensityMatrix,
     choi_ppt_check,
     cloner_isometry,
+    complementary_kraus_1to2,
     random_pure_state,
     unruh_block_output,
 )
@@ -71,6 +81,35 @@ def _frozen_choi_min_eig(d, k):
     choi = np.einsum("bei,bfj->iejf", v3, v3.conj()).reshape(total, total)
     pt = choi.reshape(d, dim_e, d, dim_e).transpose(2, 1, 0, 3).reshape(total, total)
     return float(np.linalg.eigvalsh(pt).min())
+
+
+def _frozen_kraus_operators(d):
+    ops = []
+    proj_scale = 1.0 / math.sqrt(d + 1.0)
+    for j in range(d):
+        op = np.zeros((d, d), dtype=np.complex128)
+        op[j, j] = proj_scale
+        ops.append(op)
+    word_scale = 1.0 / math.sqrt(4.0 ** (d - 1) * (d + 1.0))
+    for word in itertools.product(range(4), repeat=d - 1):
+        n = np.array((0,) + word)
+        psi = (1j) ** n
+        signs = (-1.0) ** n
+        ops.append(word_scale * np.outer(psi, psi.conj()) * signs[None, :])
+    return tuple(ops)
+
+
+def _frozen_kraus_apply(ops, mat):
+    return sum(op @ mat @ op.conj().T for op in ops)
+
+
+def _frozen_completeness_deviation(ops):
+    acc = sum(op.conj().T @ op for op in ops)
+    return float(np.max(np.abs(acc - np.eye(ops[0].shape[1]))))
+
+
+def _frozen_second_singular_values(ops):
+    return np.array([np.linalg.svd(op, compute_uv=False)[1] for op in ops])
 
 
 def _frozen_spectrum_B(d, k, params):
@@ -130,3 +169,18 @@ def test_ensemble_spectra_keep_the_bits_of_their_separate_constructions(d, k):
             spectrum = built(d, k, params)
             _assert_same_bits(spectrum.values, frozen(d, k, params))
             assert np.array_equal(spectrum.multiplicities, np.ones(spectrum.values.size))
+
+
+@pytest.mark.parametrize("d", range(2, KRAUS_DIM_CAP + 1))
+def test_kraus_set_matches_its_separate_construction(d):
+    kset = complementary_kraus_1to2(d)
+    frozen = _frozen_kraus_operators(d)
+    assert kset.operators.shape == (len(frozen), d, d)
+    assert np.max(np.abs(kset.operators - np.array(frozen))) <= 1e-15
+    rng = np.random.default_rng(7000 + d)
+    for _ in range(5):
+        rho = DensityMatrix.pure(random_pure_state(d, rng))
+        assert np.max(np.abs(kset.apply(rho) - _frozen_kraus_apply(frozen, rho.matrix))) <= 1e-14
+    assert kset.completeness_deviation() <= 1e-12
+    assert _frozen_completeness_deviation(frozen) <= 1e-12
+    _assert_same_bits(kset.second_singular_values(), _frozen_second_singular_values(frozen))
