@@ -152,6 +152,8 @@ class KrausSet:
             raise ValueError("Kraus set must be nonempty")
         if len(shapes) > 1:
             raise ValueError("Kraus operators must share a common shape")
+        if len(next(iter(shapes))) != 2:
+            raise ValueError("Kraus operators must be matrices")
         stack = np.asarray(self.operators, dtype=np.complex128)
         flat = stack.reshape(len(stack), -1)
         superop = (flat.T @ flat.conj()).reshape(stack.shape[1:] * 2)

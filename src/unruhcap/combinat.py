@@ -25,6 +25,7 @@ __all__ = [
     "rounded_count",
     "composition_matrix",
     "composition_table",
+    "partitions",
     "block_dimension",
     "block_normalizer",
     "check_block",
@@ -144,6 +145,31 @@ def composition_table(d: int, horizon: int) -> np.ndarray:
             start += size
         table = grown
     return _readonly(table)
+
+
+def partitions(n: int, parts: int):
+    """The partitions of ``n`` into at most ``parts`` positive parts, as
+    descending tuples in lexicographically descending order: the sorted
+    members, less their zeros, of the permutation orbits of the compositions
+    of ``n`` over ``parts`` slots, one per orbit."""
+    if n and not parts:
+        return
+    head, rest = [], n
+    while True:
+        while rest:  # the largest parts that fit: the next partition
+            head.append(min(rest, head[-1]) if head else rest)
+            rest -= head[-1]
+        yield tuple(head)
+        # Lower the last part that leaves room for the rest in the free slots.
+        while head:
+            part = head.pop()
+            rest += part
+            if (part - 1) * (parts - len(head)) >= rest:
+                head.append(part - 1)
+                rest -= part - 1
+                break
+        else:
+            return
 
 
 def block_dimension(d: int, k: int) -> int:

@@ -21,11 +21,18 @@ block.  Two exact kernels do this:
   v log v (one 1-D log per evaluation; see ``kernels.histogram_entropy``).
 
 Every sweep passes each orbit's integer ``counts``.  ``pick_kernel``, the one
-kernel gate, chooses by structure alone: a grid point at d >= 3 runs on the
-histogram whenever it fits that kernel's conditions, and the lattice takes
-d = 2, off-grid points (such as the rows the CQ/CE curves evaluate again near
-a hull vertex) and orbits past the histogram's conditions, within its caps on
-terms and on table entries; anything else is refused.
+kernel gate, picks one kernel per input by structure alone, with no
+fallback: a grid point at d >= 3 runs on the histogram, and the lattice takes
+d = 2 and off-grid points (such as the rows the CQ/CE curves evaluate again
+near a hull vertex).  Either is refused only past one memory cap,
+``MAX_KERNEL_BYTES`` = 4e8 bytes (the lattice's int32 table, the histogram's
+chunk buffers), and the histogram also when its counts would not be exact
+floats.  It returns the kernel with its work in one unit, lattice terms, a
+histogram cell priced at ``CELL_PRICE`` = 2.5/14 terms (2.5 ns a cell
+against 14 ns a term, measured on ``cq-curve --d 3 --z 0.75 --grid 32``).
+``run_work`` holds a run, every orbit of a sweep or one lone evaluation, to
+one budget before anything is built: ``MAX_RUN_WORK`` = 1e9 terms, about
+14 s.
 
 A third kernel, ``family_sums``, serves the one-heavy ensembles
 (a, b, ..., b) alone, in about K**2 terms for any d, with no gate.
@@ -44,58 +51,82 @@ from .combinat import capped_comb, count_text, rounded_count
 from .spectra import check_log_base, check_normalizer
 
 __all__ = [
-    "MAX_HISTOGRAM_CELLS",
-    "MAX_LATTICE_ENTRIES",
-    "MAX_LATTICE_TERMS",
+    "CELL_PRICE",
+    "MAX_KERNEL_BYTES",
+    "MAX_RUN_WORK",
     "TradeoffEvaluator",
     "pick_kernel",
+    "run_work",
 ]
 
-# Per-evaluation caps of the two kernels; ``pick_kernel`` runs one within its
-# caps or refuses.  Lattice: the C(K+d, d) terms scanned, and the int32
-# entries of the (d-1)-mode table it builds once.  Histogram: the cells of its
-# (K+1)-row count array, swept once per mode (it holds 16 + d rows of them at
-# a time).
-MAX_LATTICE_TERMS = 10**9
-MAX_LATTICE_ENTRIES = 10**8
-MAX_HISTOGRAM_CELLS = 4 * 10**6
+# The work of a run, in lattice terms (about 14 s of them), the memory of one
+# evaluation on either kernel, in bytes, and the price of a histogram cell in
+# lattice terms: sweep-d3's 1.78e7 cells took 0.044 s, 2.5 ns each, and its
+# lattice evaluations of 1.9e5 terms 2.7 ms each, 14 ns a term.
+MAX_RUN_WORK = 10**9
+MAX_KERNEL_BYTES = 4 * 10**8
+CELL_PRICE = 2.5 / 14
 
 
-def pick_kernel(d: int, horizon: int, counts=None) -> str:
-    """``"histogram"`` or ``"lattice"`` by the structure of the input, else
-    ``SizeCapError``.
+def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
+    """The kernel of one evaluation, ``"histogram"`` or ``"lattice"``, by the
+    structure of the input, and its work in lattice terms; ``SizeCapError``
+    past ``MAX_KERNEL_BYTES``.
 
     A grid point with (reduced) ``counts`` (only their max and sum are read)
-    at d >= 3 runs on the histogram within its two conditions: at most
-    ``MAX_HISTOGRAM_CELLS`` cells, and its largest count dim_K =
-    C(K+d-1, d-1) below 2**53, to stay exact.  The lattice takes the rest:
-    d = 2, where no two basis vectors of a block share an atom numerator
-    b1 c1 + b2 c2 unless c1 = c2, so the histogram has nothing to merge;
-    off-grid points (``None``); and grid points past the histogram's
-    conditions.  It needs its C(K+d, d) terms and the (d-1) dim_K entries of
-    its table within their caps.  Both caps on dim_K are below 2**53, so a
-    dim_K that ``capped_comb`` does not build at that cap fits neither.
+    at d >= 3 runs on the histogram: (K+1) rows of w = (K-1) max(counts) +
+    2 sum(counts) + 1 cells, each priced at ``CELL_PRICE`` terms, of which it
+    holds (``kernels.HISTOGRAM_CHUNK`` + 1 + d) float64 rows at a time.  It is
+    refused past the byte cap, and when its largest count dim_K =
+    C(K+d-1, d-1) is 2**53 or more, which its floats would not hold exactly.
+    Everything else runs on the lattice: d = 2, where no two basis vectors of
+    a block share an atom numerator b1 c1 + b2 c2 unless c1 = c2, so the
+    histogram has nothing to merge, and off-grid points (``None``).  Its work
+    is C(K+d, d) terms, and its memory the (d-1) dim_K int32 entries of its
+    table; that cap keeps dim_K far below 2**53, so a dim_K that
+    ``capped_comb`` does not build is refused on either kernel.
     """
     check_dim(d)
     dim = capped_comb(horizon + d - 1, d - 1, 2**53 - 1)
-    histogram = "needs a grid point at d >= 3"
     if counts is not None and d > 2:
-        cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * sum(counts) + 1)
-        if cells <= MAX_HISTOGRAM_CELLS and dim < 2**53:
-            return "histogram"
-        histogram = (
-            f"{rounded_count(cells)} cells (cap {MAX_HISTOGRAM_CELLS}), "
-            f"dim_K = {count_text(horizon + d - 1, d - 1, dim)} (cap 2**53 - 1)"
+        row = (horizon - 1) * max(counts) + 2 * sum(counts) + 1
+        size = 8 * (kernels.HISTOGRAM_CHUNK + 1 + d) * row
+        if size <= MAX_KERNEL_BYTES and dim < 2**53:
+            return "histogram", (horizon + 1) * row * CELL_PRICE
+        raise SizeCapError(
+            f"d={d}, K={horizon}: histogram kernel: {rounded_count(size)} bytes "
+            f"(cap {MAX_KERNEL_BYTES}) and dim_K = {count_text(horizon + d - 1, d - 1, dim)} "
+            "(cap 2**53 - 1), one or both exceed cap"
         )
-    terms = capped_comb(horizon + d, d, MAX_LATTICE_TERMS)
-    if terms <= MAX_LATTICE_TERMS and (d - 1) * dim <= MAX_LATTICE_ENTRIES:
-        return "lattice"
+    if 4 * (d - 1) * dim <= MAX_KERNEL_BYTES:
+        return "lattice", dim * (horizon + d) // d  # C(K+d, d)
     raise SizeCapError(
-        f"d={d}, K={horizon}: lattice kernel: {count_text(horizon + d, d, terms)} terms per "
-        f"evaluation (cap {MAX_LATTICE_TERMS}) and "
-        f"{count_text(horizon + d - 1, d - 1, dim, d - 1)} table entries "
-        f"(cap {MAX_LATTICE_ENTRIES}), one or both exceed cap; histogram kernel: {histogram}"
+        f"d={d}, K={horizon}: lattice kernel: "
+        f"{count_text(horizon + d - 1, d - 1, dim, d - 1)} int32 table entries "
+        f"({count_text(horizon + d - 1, d - 1, dim, 4 * (d - 1))} bytes) exceed cap "
+        f"{MAX_KERNEL_BYTES} bytes"
     )
+
+
+def run_work(d: int, horizon: int, orbits) -> float:
+    """The summed work, in lattice terms, of one evaluation at each of
+    ``orbits`` (reduced counts, or ``None`` off the grid) on the kernel
+    ``pick_kernel`` names; ``SizeCapError`` when it refuses one, or when the
+    sum is past ``MAX_RUN_WORK``.  A lone evaluation is a run of one."""
+    work = [pick_kernel(d, horizon, counts)[1] for counts in orbits]
+    total = math.fsum(work)
+    if total > MAX_RUN_WORK:
+        costliest = max(range(len(work)), key=work.__getitem__)
+        counts = orbits[costliest]
+        where = "off the grid" if counts is None else f"at counts {tuple(c for c in counts if c)}"
+        raise SizeCapError(
+            f"d={d}, K={horizon}: {len(orbits)} evaluations of "
+            f"{rounded_count(math.ceil(total))} lattice terms of work "
+            f"(a histogram cell priced at {CELL_PRICE:.3g}) exceed cap {MAX_RUN_WORK}, "
+            f"the run budget; the costliest, {where}, takes "
+            f"{rounded_count(math.ceil(work[costliest]))}"
+        )
+    return total
 
 
 class TradeoffEvaluator:
@@ -156,7 +187,9 @@ class TradeoffEvaluator:
         ``counts``, a tuple of d integers, says that ``mu`` is the grid point
         ``counts / sum(counts)``, which must equal it exactly (both are
         correctly rounded quotients of the same integers at a grid row);
-        ``pick_kernel`` picks the kernel from them, or refuses.
+        ``pick_kernel`` picks the kernel from them.  The evaluation is
+        refused past ``run_work``'s budget as a run of one (a sweep has
+        priced all its orbits together before it builds the grid).
         """
         mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
         if mu_arr.shape != (self.d,):
@@ -166,7 +199,8 @@ class TradeoffEvaluator:
                 raise ValueError(f"grid counts {counts} must have a positive sum")
             if not np.array_equal(np.divide(counts, sum(counts)), mu_arr):
                 raise ValueError(f"ensemble {mu_arr.tolist()} is not counts {counts} / their sum")
-        if pick_kernel(self.d, self.horizon, counts) == "histogram":
+        run_work(self.d, self.horizon, [counts])
+        if pick_kernel(self.d, self.horizon, counts)[0] == "histogram":
             return kernels.histogram_entropy(counts, self._inv_norm[1:-1], self._inv_ln_base)
         table, spans, b1, pairs = self._lattice
         a_all = np.zeros(table.shape[1])

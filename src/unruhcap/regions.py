@@ -7,7 +7,9 @@ of blocks that is the Unruh channel, each named by one ``ChannelSpec``, which
 builds its evaluator once.  Sweeps run over the cyclic-ensemble
 simplex (which suffices for all Pareto-optimal points) and evaluate each
 permutation orbit of the grid once, on the kernel ``pick_kernel`` names for
-its structure (the histogram from d = 3 on, where it fits).  The CQ/CE
+its structure (the histogram from d = 3 on, the lattice at d = 2), after
+``run_work`` has priced every orbit against one budget, before the grid is
+built, so a sweep runs all its orbits or none.  The CQ/CE
 curves then evaluate every row near a hull vertex again on its own, on the
 lattice kernel, unless the sweep ran that row on the lattice already, and
 are hulled with a monotone chain.  The weighted dynamic capacity objective
@@ -34,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinat import SizeCapError, _readonly, check_block, composition_matrix
-from .combinat import capped_comb, count_text
-from .engine import TradeoffEvaluator, pick_kernel
+from .combinat import capped_comb, count_text, partitions
+from .engine import TradeoffEvaluator, pick_kernel, run_work
 from .entropy import EntropyValue, ensemble_conditional_entropy_A, shannon_entropy
 from .spectra import (
     EnsembleParams,
@@ -179,7 +181,7 @@ class ChannelSpec:
         """The channel's evaluator, built on first use: one-hot weights for a
         cloner block, the truncated geometric weights for the Unruh channel."""
         if self.k is not None:
-            pick_kernel(self.d, self.k, (1,))  # at the vertex, before allocating k weights
+            run_work(self.d, self.k, [(1,)])  # at the vertex, before allocating k weights
             weights = np.zeros(self.k)
             weights[self.k - 1] = 1.0
         else:
@@ -482,6 +484,21 @@ def simplex_grid(d: int, resolution: int) -> np.ndarray:
     return _readonly(counts)
 
 
+def _orbit_counts(d: int, resolution: int) -> list:
+    """The reduced counts of every S_d orbit of ``simplex_grid(d,
+    resolution)``, enumerated without the grid: each partition of the
+    resolution into at most d parts (a composition times d, over
+    ``resolution * d``) over its gcd, padded with zeros, and the uniform row
+    (1,)*d when d does not divide the resolution."""
+    orbits = []
+    for parts in partitions(resolution, d):
+        gcd = math.gcd(*parts)
+        orbits.append(tuple(c // gcd for c in parts) + (0,) * (d - len(parts)))
+    if resolution % d:
+        orbits.append((1,) * d)
+    return orbits
+
+
 def _sweep(evaluator: TradeoffEvaluator, resolution: int):
     """The read-only grid ``mu`` (``simplex_grid``'s counts over
     ``resolution * d``, divided through once), its entropy ``table``, an
@@ -495,12 +512,12 @@ def _sweep(evaluator: TradeoffEvaluator, resolution: int):
     member.  The grid is lexicographically descending, so that row is the
     orbit's descending-sorted point.  It is passed with its counts, and
     ``pick_kernel`` of the counts names its kernel: the histogram from d = 3
-    on, where it fits, else the lattice.  Each entry was checked finite by
+    on, the lattice at d = 2.  Before the grid is built, ``run_work`` prices
+    every orbit (``_orbit_counts``) and refuses a run over its budget, so a
+    sweep runs every orbit or none.  Each entry was checked finite by
     ``_evaluated_triple``.
     """
-    # Gate before the grid, per orbit at the costliest reduced counts: (r-1, 1) or (1,) * d.
-    for counts in ((resolution - 1, 1), (1,) * evaluator.d):
-        pick_kernel(evaluator.d, evaluator.horizon, counts)
+    run_work(evaluator.d, evaluator.horizon, _orbit_counts(evaluator.d, resolution))
     counts = simplex_grid(evaluator.d, resolution)
     # One bytes key per sorted row of counts: equal bytes mean equal rows,
     # and bytes sort far faster than rows.
@@ -528,8 +545,8 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
     """
     resolution = sweep_resolution(spec.d, resolution)
     evaluator = spec.evaluator
-    # The rows near hull vertices need the lattice: gate it before the grid.
-    pick_kernel(evaluator.d, evaluator.horizon)
+    # Each row near a hull vertex is a lone lattice evaluation: gate it before the grid.
+    run_work(evaluator.d, evaluator.horizon, [None])
     mu, table, orbits = _sweep(evaluator, resolution)
     rates = np.column_stack(rate_pair(table))
     tied = np.zeros(len(mu), dtype=bool)
@@ -537,7 +554,7 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
         tied |= np.abs(rates - vertex).max(axis=1) <= HULL_TOL
     own = np.zeros(len(mu), dtype=bool)  # the tied first rows the sweep ran on the lattice
     for i, counts in orbits.items():
-        own[i] = tied[i] and pick_kernel(evaluator.d, evaluator.horizon, counts) == "lattice"
+        own[i] = tied[i] and pick_kernel(evaluator.d, evaluator.horizon, counts)[0] == "lattice"
     for i in np.flatnonzero(tied & ~own):
         rates[i] = rate_pair(_evaluated_triple(evaluator, mu[i]))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * sign)))

@@ -190,6 +190,14 @@ def test_kraus_set_refuses_an_incomplete_set():
         KrausSet((0.5 * np.eye(2),))
 
 
+@pytest.mark.parametrize("operator", [np.array(1.0), np.array([1.0]), np.ones((1, 1, 1))])
+def test_kraus_set_refuses_a_non_matrix_operator(operator):
+    # 0-d, 1-d and 3-d operators get the set's own rule, not numpy's
+    # einsum error from the stack.
+    with pytest.raises(ValueError, match="^Kraus operators must be matrices$"):
+        KrausSet([operator])
+
+
 def test_kraus_action_deviation_near_machine_epsilon():
     for d in (2, 3, 4, 5):
         report = verify_kraus(d, n_samples=25, seed=3)

@@ -626,7 +626,7 @@ def test_numeric_guard_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cq-curve", "--d", "8", "--z", "0.75", "--grid", "2"],  # ~4e12 terms near the hull
+        ["cq-curve", "--d", "8", "--z", "0.75", "--grid", "2"],  # 6.5e12-byte lattice table near the hull
         ["cqe-region", "--d", "10", "--z", "0.9", "--grid", "2"],  # dim_K ~1.3e18 >= 2**53
         ["dyncap", "--d", "10", "--z", "0.9", "--lambda", "1", "--mu-weight", "0", "--grid", "2"],
         ["cq-curve", "--d", "12", "--k", "1", "--grid", "64"],  # ~4.9e12 grid points
@@ -676,12 +676,13 @@ def test_size_cap_exits_3_before_enumerating(argv, tmp_path, capsys, monkeypatch
 )
 def test_size_gate_refuses_before_the_grid(argv, capsys, forbid):
     # The curves evaluate the rows near their hull vertices on the lattice,
-    # which is over its cap here, so they gate it first.  A per-orbit sweep,
-    # the dyncap grid among them, is gated at its costliest orbits: at
-    # d = 10, z = 0.9 no kernel fits even the vertex (the lattice
-    # is over its cap, and dim_K = 1.3e18 >= 2**53 would make the histogram's
-    # float counts inexact); at d = 5, grid 64 the histogram of (63, 1) / 64
-    # needs 6.8e6 cells.  Each is refused before the ensemble grid is built.
+    # whose table is over the byte cap here, so they gate it first.  A
+    # per-orbit sweep, the dyncap grid among them, prices every orbit before
+    # the grid: at d = 10, z = 0.9 the histogram refuses even the vertex
+    # (dim_K = 1.3e18 >= 2**53 would make its float counts inexact, and
+    # there is no fallback); at d = 5, grid 64 its 9,028 orbits need 5.0e9
+    # lattice terms of work, past the run budget.  Each is refused before
+    # the ensemble grid is built.
     forbid("built the grid past the size gate", regions, "simplex_grid")
     assert run_cli(argv) == 3
     captured = capsys.readouterr()

@@ -169,7 +169,6 @@ def test_rounded_count_matches_the_digit_arithmetic():
 GATE_CAPS = {
     "grid points": regions.MAX_GRID_POINTS,
     "histogram dim_K": 2**53 - 1,
-    "lattice terms": engine.MAX_LATTICE_TERMS,
     "spectrum rows": spectra.MAX_SPECTRUM_ROWS,
     "block normalizer": int(sys.float_info.max),
     "multiplicity": int(np.iinfo(np.int64).max),
@@ -202,7 +201,7 @@ def test_capped_comb_refuses_a_huge_count_unbuilt(forbid):
 
 GATES_PAST_THE_BOUND = {
     "grid": (lambda: regions.sweep_resolution(300000, 300000), "C(599999, 299999) >= 2**299999"),
-    "kernels": (lambda: engine.pick_kernel(300000, 300000), "C(600000, 300000) >= 2**300000"),
+    "kernels": (lambda: engine.pick_kernel(300000, 300000), "299999 * C(599999, 299999) >= 2**299999"),
     "normalizer": (lambda: spectra.check_normalizer(300000, 300000), "C(599999, 300000) >= 2**299999"),
     "multiplicity": (lambda: spectra.cloner_spectrum(300000, 300000), "C(599997, 299998) >= 2**299998"),
     "ensemble-spectrum": (

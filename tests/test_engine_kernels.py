@@ -7,7 +7,7 @@ import pytest
 from tradeoff_helpers import orbit_counts, reevaluated_rows
 from unruhcap import cli, engine, kernels, regions
 from unruhcap.combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
-from unruhcap.engine import MAX_LATTICE_TERMS, TradeoffEvaluator, pick_kernel
+from unruhcap.engine import CELL_PRICE, MAX_KERNEL_BYTES, TradeoffEvaluator, pick_kernel
 from unruhcap.entropy import ensemble_conditional_entropy_A, shannon_entropy
 from unruhcap.spectra import (
     UnruhConfig,
@@ -160,7 +160,7 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     assert sorted(counts for _, counts, _ in evals[: len(orbits)]) == sorted(orbits.values())
     assert [counts for _, counts, _ in evals[len(orbits) :]] == [None] * len(again)
     on_lattice = [
-        counts is None or pick_kernel(3, horizon, counts) == "lattice" for _, counts, _ in evals
+        counts is None or pick_kernel(3, horizon, counts)[0] == "lattice" for _, counts, _ in evals
     ]
     assert not all(on_lattice)  # some orbits ran on the histogram
     lattice_calls = [(j + 1, horizon + 1 - j, j) for j in range(horizon + 1)]
@@ -362,7 +362,7 @@ def test_vertex_private_bound_is_exactly_zero(d):
     # kernel.  The weighted sums can hide a last-bit split of one block, so
     # the blocks are compared too.
     spec = regions.ChannelSpec(d, z=0.25)
-    assert (pick_kernel(d, spec.evaluator.horizon, (1,)) == "histogram") == (d > 2)
+    assert (pick_kernel(d, spec.evaluator.horizon, (1,))[0] == "histogram") == (d > 2)
     h_b, h_e = spec.evaluator.block_entropies(np.eye(d)[0], (1,) + (0,) * (d - 1))
     assert np.array_equal(h_b, h_e)
     mu, rates = regions.rps_region(spec, 4)
@@ -372,45 +372,72 @@ def test_vertex_private_bound_is_exactly_zero(d):
 
 
 def test_cost_function_picks_each_kernel():
-    # A grid point at d >= 3 within the histogram's conditions runs there:
-    # a region-d5 orbit, and the sweep-d3 orbit (31, 1, 0) / 32.
+    # A grid point at d >= 3 runs on the histogram, priced at CELL_PRICE
+    # lattice terms a cell: a region-d5 orbit, and the sweep-d3 orbit
+    # (31, 1, 0) / 32, of (K+1) rows of (K-1) max + 2 sum + 1 cells.
     k5 = regions.ChannelSpec(d=5, z=0.5).evaluator.horizon
-    assert pick_kernel(5, k5, (2, 1, 1, 0, 0)) == "histogram"
-    assert pick_kernel(3, 102, (31, 1, 0)) == "histogram"
+    assert pick_kernel(5, k5, (2, 1, 1, 0, 0))[0] == "histogram"
+    assert pick_kernel(3, 102, (31, 1, 0)) == ("histogram", 103 * (101 * 31 + 65) * CELL_PRICE)
     # d = 2 runs on the lattice, grid point or not: (40, 24) / 64 with
     # reduced counts (5, 3) has pairwise distinct atom numerators per block.
+    # Its work is C(K+d, d) terms.
     k2 = regions.ChannelSpec(d=2, z=0.95).evaluator.horizon
-    assert pick_kernel(2, k2, (5, 3)) == "lattice"
+    assert pick_kernel(2, k2, (5, 3)) == ("lattice", math.comb(k2 + 2, 2))
     # An off-grid point has only the lattice kernel.
-    assert pick_kernel(5, k5) == "lattice"
-    # d = 8, z = 0.75: the lattice is over its cap, and the histogram of the
-    # uniform point (counts (1,) * 8) has 21,406 cells.
+    assert pick_kernel(5, k5) == ("lattice", math.comb(k5 + 5, 5))
+    # d = 8, z = 0.75: the lattice table, 7 dim_K int32 entries, is 6.5e12
+    # bytes, over the byte cap, so off the grid is refused; the histogram
+    # runs the uniform point and (1000, 1), 19.3e6 cells, which the old cell
+    # cap refused.  Its rows are held 25 at a time, so at (20000, 1) they
+    # are past the byte cap too.
     k8 = truncation_horizon(UnruhConfig(8, 0.75))
-    assert math.comb(k8 + 8, 8) > MAX_LATTICE_TERMS
-    assert pick_kernel(8, k8, (1,) * 8) == "histogram"
-    # Both over their caps: off the grid, or a histogram of 1.9e7 cells.
-    with pytest.raises(SizeCapError, match="needs a grid point"):
+    assert 4 * 7 * math.comb(k8 + 7, 7) > MAX_KERNEL_BYTES
+    assert pick_kernel(8, k8, (1,) * 8)[0] == "histogram"
+    assert pick_kernel(8, k8, (1000, 1))[0] == "histogram"
+    with pytest.raises(SizeCapError, match="table entries"):
         pick_kernel(8, k8)
-    with pytest.raises(SizeCapError, match="cells"):
-        pick_kernel(8, k8, (1000, 1))
-    # d = 10, z = 0.9: the vertex histogram has 180,200 cells, within its
-    # cap, but dim_K = 1.3e18 >= 2**53 would make its float counts inexact.
+    assert 8 * 25 * ((k8 - 1) * 20000 + 40003) > MAX_KERNEL_BYTES
+    with pytest.raises(SizeCapError, match="histogram kernel: .* bytes"):
+        pick_kernel(8, k8, (20000, 1))
+    # d = 10, z = 0.9: the vertex histogram is well within the byte cap, but
+    # dim_K = 1.3e18 >= 2**53 would make its float counts inexact, and there
+    # is no fallback.
     k10 = truncation_horizon(UnruhConfig(10, 0.9))
     assert math.comb(k10 + 9, 9) >= 2**53
     with pytest.raises(SizeCapError, match=r"2\*\*53"):
         pick_kernel(10, k10, (1,))
     # d = 9, K = 300: 95,718 cells and dim_K < 2**53.
     assert math.comb(308, 8) < 2**53
-    assert pick_kernel(9, 300, (1,) * 9) == "histogram"
-    # Off the grid, with C(K+d, d) terms within their cap, the lattice's
-    # (d-1)-mode table of (d-1) dim_K int32 entries is over its cap: 1.9e9
-    # (7.6 GB) and 5.0e8 (2.0 GB).  Tier-1's largest, d = 5 and K = 117
-    # (3.4e7 entries), is within it.
+    assert pick_kernel(9, 300, (1,) * 9)[0] == "histogram"
+    # Off the grid, the lattice's (d-1)-mode table of (d-1) dim_K int32
+    # entries is over the byte cap: 1.9e9 entries (7.6 GB) and 5.0e8
+    # (2.0 GB).  Tier-1's largest, d = 5 and K = 117 (3.4e7 entries), is
+    # within it.
     for d, horizon in ((10, 30), (1000, 2)):
-        assert math.comb(horizon + d, d) <= MAX_LATTICE_TERMS
         with pytest.raises(SizeCapError, match="table entries"):
             pick_kernel(d, horizon)
-    assert pick_kernel(5, 117) == "lattice"
+    assert pick_kernel(5, 117)[0] == "lattice"
+
+
+def test_run_work_sums_each_orbit_against_one_budget():
+    # A run's work is the exact sum of its orbits' prices; past the budget
+    # the refusal names the orbit count, the total, the budget and the
+    # costliest orbit.
+    orbits = [(1, 0, 0), (31, 1, 0), (1, 1, 1)]
+    prices = [pick_kernel(3, 102, counts)[1] for counts in orbits]
+    assert engine.run_work(3, 102, orbits) == math.fsum(prices)
+    assert engine.run_work(2, 10, [None]) == math.comb(12, 2)
+    with pytest.raises(SizeCapError) as excinfo:
+        engine.run_work(3, 987, [(1, 0, 0), (63, 1, 0)] * 100)
+    message = str(excinfo.value)
+    assert "200 evaluations of 1.2e9 lattice terms" in message
+    assert f"exceed cap {engine.MAX_RUN_WORK}, the run budget" in message
+    assert "the costliest, at counts (63, 1), takes 1.1e7" in message
+    # A lone evaluation is a run of one: at d = 2, K = 44,721 the lattice
+    # table is 179 KB, but its C(K+2, 2) terms are past the budget.
+    assert math.comb(44721 + 2, 2) > engine.MAX_RUN_WORK
+    with pytest.raises(SizeCapError, match="1 evaluations .* off the grid"):
+        TradeoffEvaluator(2, np.ones(44721), 2.0).block_entropies(np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize(
@@ -420,35 +447,31 @@ def test_cost_function_picks_each_kernel():
         (5, 0.5, 16), (6, 0.05, 8),
     ],
 )
-def test_grid_orbits_take_the_histogram_unless_d2_or_past_its_conditions(d, z, resolution):
-    # The kernel depends on structure only: an orbit runs on the lattice iff
-    # d = 2 or the histogram is past its cell cap or its exact-count bound
-    # dim_K < 2**53; past both kernels' caps it is refused.
+def test_grid_orbits_take_the_histogram_unless_d2(d, z, resolution):
+    # The kernel depends on structure only, with no fallback: an orbit runs
+    # on the lattice iff d = 2, and from d = 3 on it runs on the histogram
+    # or is refused, past the byte cap or the exact-count bound dim_K < 2**53.
     horizon = truncation_horizon(UnruhConfig(d, z))
     dim = math.comb(horizon + d - 1, d - 1)
     grid = regions.simplex_grid(d, resolution) / (resolution * d)
     kinds = set()
     for counts in orbit_counts(grid, resolution).values():
-        cells = (horizon + 1) * ((horizon - 1) * max(counts) + 2 * sum(counts) + 1)
-        past = cells > engine.MAX_HISTOGRAM_CELLS or dim >= 2**53
-        try:
-            kind = pick_kernel(d, horizon, counts)
-        except SizeCapError:
-            kind = "refused"
-        if d > 2 and not past:
-            assert kind == "histogram", counts
+        row = (horizon - 1) * max(counts) + 2 * sum(counts) + 1
+        if d == 2:
+            want = "lattice" if 4 * dim <= MAX_KERNEL_BYTES else None
+        elif 8 * (kernels.HISTOGRAM_CHUNK + 1 + d) * row <= MAX_KERNEL_BYTES and dim < 2**53:
+            want = "histogram"
         else:
-            lattice_fits = (
-                math.comb(horizon + d, d) <= MAX_LATTICE_TERMS
-                and (d - 1) * dim <= engine.MAX_LATTICE_ENTRIES
-            )
-            assert kind == ("lattice" if lattice_fits else "refused"), counts
-        kinds.add(kind)
-    assert kinds == {
-        (2, 0.95, 64): {"lattice"},
-        (3, 0.97, 16): {"histogram", "lattice"},
-        (4, 0.97, 8): {"histogram", "refused"},
-    }.get((d, z, resolution), {"histogram"})
+            want = None
+        if want is None:
+            with pytest.raises(SizeCapError):
+                pick_kernel(d, horizon, counts)
+        else:
+            assert pick_kernel(d, horizon, counts)[0] == want, counts
+        kinds.add(want)
+    # None is refused: at (3, 0.97, 16) and (4, 0.97, 8) too, every orbit
+    # runs on the histogram.
+    assert kinds == {"lattice" if d == 2 else "histogram"}
 
 
 def test_d2_atom_numerators_are_distinct_within_a_block():
@@ -471,7 +494,7 @@ def test_histogram_uniform_row_is_flat_at_d9_k300():
     # where n M_K = 5.5e17.  Each atom counts, however small, so the entropies
     # are log dim_k and log dim_{k-1}.
     assert 9 * block_normalizer(9, 300) > 10**17
-    assert pick_kernel(9, 300, (1,) * 9) == "histogram"
+    assert pick_kernel(9, 300, (1,) * 9)[0] == "histogram"
     evaluator = TradeoffEvaluator(9, np.ones(300), 9.0)
     h_b, h_e = evaluator.block_entropies(np.full(9, 1 / 9), (1,) * 9)
     log_dims = np.log([math.comb(k + 8, 8) for k in range(301)]) / math.log(9)

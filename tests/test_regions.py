@@ -777,36 +777,20 @@ def test_sweep_orbits_are_the_first_rows_with_their_reduced_counts(d):
 
 
 @pytest.mark.parametrize("d", range(2, 9))
-def test_sweep_gate_dominates_every_orbit(d, monkeypatch):
-    # pick_kernel reads only max(counts) and sum(counts), and its cost rises
-    # with both, so a sweep runs every orbit or refuses before the first only
-    # if each orbit's reduced counts have max and sum at most those of one of
-    # the counts it gates before the grid is built.
-    class GridReached(Exception):
-        pass
-
-    def reach_grid(*args):
-        raise GridReached
-
-    grid = regions.simplex_grid
-    evaluator = ChannelSpec(d, k=1).evaluator
+def test_orbit_enumeration_matches_the_grid(d):
+    # The sweep prices its orbits before the grid is built, from the
+    # partitions of the resolution: they must be the grid's orbits, each
+    # once, with the counts the sweep evaluates (descending, over their gcd).
     for resolution in range(1, 41):
         points = math.comb(resolution + d - 1, d - 1)
         if points > MAX_GRID_POINTS or points * d > MAX_GRID_ENTRIES:
             continue
-        probes = []
-        monkeypatch.setattr(regions, "pick_kernel", lambda d, horizon, counts: probes.append(counts))
-        monkeypatch.setattr(regions, "simplex_grid", reach_grid)
-        with pytest.raises(GridReached):
-            regions._sweep(evaluator, resolution)
-        # Each orbit's reduced counts are any of its rows over their gcd.
-        counts = grid(d, resolution)
-        gcd = np.gcd.reduce(counts, axis=1)[:, None]
-        sizes = np.column_stack([counts.max(axis=1), counts.sum(axis=1)]) // gcd
-        dominated = np.zeros(len(sizes), dtype=bool)
-        for probe in probes:
-            dominated |= np.all(sizes <= (max(probe), sum(probe)), axis=1)
-        assert dominated.all(), (resolution, counts[~dominated][0].tolist(), probes)
+        rows = np.sort(simplex_grid(d, resolution), axis=1)[:, ::-1]
+        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * d))).ravel()
+        rows = rows[np.unique(keys, return_index=True)[1]]
+        want = rows // np.gcd.reduce(rows, axis=1)[:, None]
+        got = regions._orbit_counts(d, resolution)
+        assert sorted(got) == sorted(map(tuple, want.tolist())), resolution
 
 
 def test_region_sweeps_evaluate_each_orbit_once(monkeypatch):

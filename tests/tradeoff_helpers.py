@@ -58,7 +58,7 @@ def reevaluated_rows(
     own = {
         i
         for i, counts in orbit_counts(curve.mu, resolution).items()
-        if pick_kernel(spec.d, horizon, counts) == "lattice"
+        if pick_kernel(spec.d, horizon, counts)[0] == "lattice"
     }
     return [i for i in tied_rows(curve.rates, curve.hull_indices) if i not in own]
 
