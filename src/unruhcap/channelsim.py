@@ -11,10 +11,14 @@ products of its kets, and the complement's Choi matrix those of the
 isometry's amplitudes.  A Kraus set is one ``(n, out, in)`` stack of its
 operators, and its channel the superoperator formed once from it, as the
 Gram product of the flattened stack; the set's action and completeness both
-read that superoperator.  A density matrix is diagonalized once, when it is
-validated.  Random pure states are drawn from the unitarily invariant
-measure via normalized complex Gaussian vectors with an explicit seed
-recorded in every report.
+read that superoperator.  The cloner isometry records its (dim_B, dim_E)
+output split, and a channel output reduces to B or E as one product of the
+split amplitudes.  One size rule bounds every array: none has more than
+``MATRIX_DIM_CAP``**2 complex entries, and each builder asks
+``_capped_entries`` before it allocates anything.  A density matrix is
+diagonalized once, when it is validated.  Random pure states are drawn from
+the unitarily invariant measure via normalized complex Gaussian vectors with
+an explicit seed recorded in every report.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .combinat import SizeCapError, block_dimension, block_normalizer, composition_matrix
-from .combinat import _readonly, capped_comb, check_block, check_dim, count_text
+from .combinat import _readonly, capped_comb, check_block, check_dim, count_text, rounded_count
 from .spectra import cloner_spectrum
 
 __all__ = [
@@ -34,7 +38,6 @@ __all__ = [
     "CHECK_TOL",
     "RANK_TOL",
     "MATRIX_DIM_CAP",
-    "KRAUS_DIM_CAP",
     "SizeCapError",
     "DensityMatrix",
     "Isometry",
@@ -59,13 +62,10 @@ HERMITICITY_TOL = 1e-10
 CHECK_TOL = 1e-9
 RANK_TOL = 1e-10
 
-# Largest dense matrix dimension the oracle builds; larger requests are
+# Largest dense matrix dimension the oracle builds: no array it builds has
+# more than MATRIX_DIM_CAP**2 complex entries, and a larger request is
 # refused before any table or matrix is allocated.
 MATRIX_DIM_CAP = 2000
-
-# Largest dimension of the 1->2 complement Kraus set, which has d + 4^(d-1)
-# operators.
-KRAUS_DIM_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,20 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Isometry:
-    """Matrix with orthonormal columns (V^dagger V = I within 1e-10)."""
+    """Matrix with orthonormal columns (V^dagger V = I within 1e-10), and the
+    ``(dim_B, dim_E)`` split of its rows into B tensor E, B index major, when
+    it has one (``cloner_isometry`` records it)."""
 
     matrix: np.ndarray
+    split: tuple[int, int] | None = None
 
     def __post_init__(self):
         mat = _readonly(np.array(self.matrix, dtype=np.complex128))
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] < mat.shape[1]:
             raise ValueError("isometry must have at least as many rows as columns")
+        if self.split is not None and math.prod(self.split) != mat.shape[0]:
+            raise ValueError(f"isometry split {self.split} does not match its {mat.shape[0]} rows")
         gram = mat.conj().T @ mat
         if np.max(np.abs(gram - np.eye(mat.shape[1]))) > HERMITICITY_TOL:
             raise ValueError("isometry columns must be orthonormal")
@@ -124,10 +129,6 @@ class Isometry:
     @property
     def in_dim(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -208,62 +209,73 @@ def _raising_steps(d: int, k: int):
             yield e, i, rows_b[tuple(n[:i] + [n_i + 1] + n[i + 1 :])], n_i
 
 
+def _side(d: int, k: int, weight: int, times: int = 1) -> tuple:
+    """``times * C(weight + d - 1, d - 1)``, ``times`` copies of the
+    weight-``weight`` basis, as a side of an array at (d, k): a (count, text)
+    pair for ``_capped_entries``, the count ``math.inf`` and the text its
+    bound where ``capped_comb`` does not build it."""
+    check_dim(d)
+    check_block(k)
+    n = weight + d - 1
+    count = times * capped_comb(n, d - 1, MATRIX_DIM_CAP**2)
+    return count, str(count) if count < math.inf else f"({count_text(n, d - 1, count, times)})"
+
+
+def _capped_entries(where: str, what: str, *sides) -> list:
+    """The side counts of the ``what`` array at the input ``where``, given
+    as ``_side``'s (count, text) pairs.  The one size rule of the oracle:
+    past ``MATRIX_DIM_CAP``**2 complex entries the array is refused, with the
+    input and its shape named, before anything is built."""
+    counts, cap = [count for count, _ in sides], MATRIX_DIM_CAP**2
+    entries = math.prod(counts)
+    if entries > cap:
+        shape = " x ".join(text for _, text in sides)
+        shown = f" = {rounded_count(entries)}" if entries < math.inf else ""
+        raise SizeCapError(f"{where}: {what} of {shape}{shown} complex entries exceeds cap {cap}")
+    return counts
+
+
+def _block_side(d: int, k: int) -> int:
+    """dim_B = C(k+d-1, d-1), the side of the weight-``k`` block at (d, k),
+    refused past the size rule."""
+    side = _side(d, k, k)
+    return _capped_entries(f"d={d}, k={k}", "block", side, side)[0]
+
+
 def cloner_isometry(d: int, k: int) -> Isometry:
     """Isometric extension of the 1->k cloner on the single-excitation sector.
 
     Columns are indexed by the input basis |i>; the output lives in B (weight
-    k) tensor E (weight k-1) with the B index major.  The coefficient of
-    |j + e_i>_B |j>_E in column i is sqrt((1 + j_i) / M_k).
+    k) tensor E (weight k-1) with the B index major, the split the isometry
+    records.  The coefficient of |j + e_i>_B |j>_E in column i is
+    sqrt((1 + j_i) / M_k).
     """
-    dim_b = block_dimension(d, k)
-    dim_e = block_dimension(d, k - 1)
+    sides = _side(d, k, k), _side(d, k, k - 1), (d, str(d))
+    dim_b, dim_e, _ = _capped_entries(f"d={d}, k={k}", "isometry", *sides)
     m_k = float(block_normalizer(d, k))
     mat = np.zeros((dim_b * dim_e, d), dtype=np.complex128)
     for e_idx, i, b_idx, j_i in _raising_steps(d, k):
         mat[b_idx * dim_e + e_idx, i] = math.sqrt((1.0 + j_i) / m_k)
-    return Isometry(mat)
+    return Isometry(mat, (dim_b, dim_e))
 
 
 def apply_channel(isometry: Isometry, rho: DensityMatrix, keep: str = "B") -> DensityMatrix:
-    """V rho V^dagger partial-traced to the kept factor ("B" or "E")."""
+    """V rho V^dagger partial-traced to the kept factor ("B" or "E") of the
+    isometry's split, as one product of the split amplitudes: with
+    A[x, y, i] the amplitude of column i at kept index x and traced index y,
+    the result is (A rho) flattened to (x, (y, j)) times conj(A) flattened
+    alike, transposed, so V rho V^dagger itself is never formed."""
     if keep not in ("B", "E"):
         raise ValueError('keep must be "B" or "E"')
     if rho.dim != isometry.in_dim:
-        raise ValueError(
-            f"input dimension mismatch: state {rho.dim}, isometry {isometry.in_dim}"
-        )
-    d = isometry.in_dim
-    dim_e = block_dimension(d, _block_index(isometry, d) - 1)
-    dim_b = isometry.out_dim // dim_e
-    out = isometry.matrix @ rho.matrix @ isometry.matrix.conj().T
-    four = out.reshape(dim_b, dim_e, dim_b, dim_e)
-    reduced = np.einsum("ijkj->ik", four) if keep == "B" else np.einsum("ijik->jk", four)
+        raise ValueError(f"input dimension mismatch: state {rho.dim}, isometry {isometry.in_dim}")
+    if isometry.split is None:
+        raise ValueError("isometry has no (dim_B, dim_E) split")
+    amps = isometry.matrix.reshape(*isometry.split, rho.dim)
+    amps = amps if keep == "B" else amps.transpose(1, 0, 2)
+    flat = amps.reshape(len(amps), -1)
+    reduced = (amps @ rho.matrix).reshape(flat.shape) @ flat.conj().T
     return DensityMatrix((reduced + reduced.conj().T) / 2.0)
-
-
-def _block_index(isometry: Isometry, d: int) -> int:
-    """Recover k from the output dimension dim_B(k) * dim_B(k-1)."""
-    k = 1
-    while block_dimension(d, k) * block_dimension(d, k - 1) < isometry.out_dim:
-        k += 1
-    if block_dimension(d, k) * block_dimension(d, k - 1) != isometry.out_dim:
-        raise ValueError("isometry shape does not match any cloner block")
-    return k
-
-
-def _capped_dimension(d: int, k: int, what: str, weight: int, times: int = 1) -> int:
-    """The dimension ``times * C(weight + d - 1, d - 1)`` of the ``what``
-    matrix at (d, k), ``times`` copies of the weight-``weight`` block.  Past
-    ``MATRIX_DIM_CAP`` it is refused, with the input named, before anything
-    is built."""
-    check_dim(d)
-    check_block(k)
-    count = capped_comb(weight + d - 1, d - 1, MATRIX_DIM_CAP)
-    dim = times * count
-    if dim > MATRIX_DIM_CAP:
-        shown = dim if dim < math.inf else count_text(weight + d - 1, d - 1, count, times)
-        raise SizeCapError(f"d={d}, k={k}: {what} dimension {shown} exceeds cap {MATRIX_DIM_CAP}")
-    return dim
 
 
 def unruh_block_output(d: int, k: int, beta) -> DensityMatrix:
@@ -280,7 +292,7 @@ def unruh_block_output(d: int, k: int, beta) -> DensityMatrix:
         raise ValueError(f"input amplitudes must have length {d}")
     if abs(np.linalg.norm(b) - 1.0) > HERMITICITY_TOL:
         raise ValueError("input amplitudes must be normalized")
-    dim_b = _capped_dimension(d, k, "block", k)
+    dim_b = _block_side(d, k)
     kets = np.zeros((block_dimension(d, k - 1), dim_b), dtype=np.complex128)
     for e_idx, i, b_idx, n_i in _raising_steps(d, k):
         kets[e_idx, b_idx] = b[i] * math.sqrt(1.0 + n_i)
@@ -301,11 +313,11 @@ def complementary_kraus_1to2(d: int) -> KrausSet:
     words in ``itertools.product`` order after the projectors.
     """
     check_dim(d)
-    if d > KRAUS_DIM_CAP:
-        raise SizeCapError(
-            f"d={d}: dimension exceeds cap {KRAUS_DIM_CAP} ({d} + 4^{d - 1} Kraus operators)"
-        )
-    ops = np.zeros((d + 4 ** (d - 1), d, d), dtype=np.complex128)
+    # 4^(d-1) is not built where its 2(d-1) bits alone put it past the cap.
+    n_words = 4 ** (d - 1) if 2 * (d - 1) < (MATRIX_DIM_CAP**2).bit_length() else math.inf
+    operators, side = (d + n_words, f"({d} + 4^{d - 1})"), (d, str(d))
+    n_ops = _capped_entries(f"d={d}", "Kraus set", operators, side, side)[0]
+    ops = np.zeros((n_ops, d, d), dtype=np.complex128)
     diag = np.arange(d)
     ops[diag, diag, diag] = 1.0 / math.sqrt(d + 1.0)
     words = np.array([(0, *word) for word in itertools.product(range(4), repeat=d - 1)])
@@ -368,7 +380,7 @@ def verify_cloner_equivalence(d: int, k: int, n_samples: int = 20, seed: int = 0
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    dim_b = _capped_dimension(d, k, "block", k)
+    dim_b = _block_side(d, k)
     expected = cloner_spectrum(d, k).eigenvalues(pad_to=dim_b)
     rng = np.random.default_rng(seed)
     dev = 0.0
@@ -396,11 +408,13 @@ def choi_ppt_check(d: int, k: int) -> CheckReport:
     (i, e) order, give the Choi matrix as one Gram product,
     ``amps.T @ amps.conj()``, with rows and columns in (i, e) order.
     """
-    total = _capped_dimension(d, k, "Choi", k - 1, d)
-    dim_b, dim_e = block_dimension(d, k), total // d
-    # Reshaping the (i, e) view copies it, which frees the isometry before the product.
-    amps = cloner_isometry(d, k).matrix.reshape(dim_b, dim_e, d).transpose(0, 2, 1)
-    amps = amps.reshape(dim_b, total)
+    side = _side(d, k, k - 1, d)
+    total = _capped_entries(f"d={d}, k={k}", "Choi matrix", side, side)[0]
+    isometry = cloner_isometry(d, k)
+    dim_b, dim_e = isometry.split
+    # Reshaping the (i, e) view copies it, so the isometry is freed before the product.
+    amps = isometry.matrix.reshape(dim_b, dim_e, d).transpose(0, 2, 1).reshape(dim_b, total)
+    del isometry
     choi = amps.T @ amps.conj()
     del amps  # freed before the eigensolver runs
     pt = choi.reshape(d, dim_e, d, dim_e).transpose(2, 1, 0, 3).reshape(total, total)

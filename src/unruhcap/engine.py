@@ -25,12 +25,14 @@ kernel gate, picks one kernel per input by structure alone, with no
 fallback: a grid point at d >= 3 runs on the histogram, and the lattice takes
 d = 2 and off-grid points (such as the rows the CQ/CE curves evaluate again
 near a hull vertex).  Either is refused only past one memory cap,
-``MAX_KERNEL_BYTES`` = 4e8 bytes (the lattice's int32 table, the histogram's
-chunk buffers), and the histogram also when its counts would not be exact
-floats.  It returns the kernel with its work in one unit, lattice terms, a
-histogram cell priced at ``CELL_PRICE`` = 2.5/14 terms (2.5 ns a cell
-against 14 ns a term, measured on ``cq-curve --d 3 --z 0.75 --grid 32``).
-``run_work`` holds a run, every orbit of a sweep or one lone evaluation, to
+``MAX_KERNEL_BYTES`` = 4e8 bytes (what one lattice evaluation holds: its
+int32 table, the float64 dot products and the largest sub-weight's terms;
+the histogram's chunk buffers), and the histogram also when its counts
+would not be exact floats.  It returns the kernel with its work in one unit,
+lattice terms, a histogram cell priced at ``CELL_PRICE`` = 0.18 terms (the
+largest per-orbit median of ``kernels.histogram_entropy``, about 2.6 ns a
+cell, against 14 ns a lattice term).  ``run_work`` holds a run, every orbit
+of a sweep, the rows a curve evaluates again, or one lone evaluation, to
 one budget before anything is built: ``MAX_RUN_WORK`` = 1e9 terms, about
 14 s.
 
@@ -61,11 +63,16 @@ __all__ = [
 
 # The work of a run, in lattice terms (about 14 s of them), the memory of one
 # evaluation on either kernel, in bytes, and the price of a histogram cell in
-# lattice terms: sweep-d3's 1.78e7 cells took 0.044 s, 2.5 ns each, and its
-# lattice evaluations of 1.9e5 terms 2.7 ms each, 14 ns a term.
+# lattice terms.  Timed per call, in one process: the median time per cell of
+# a histogram orbit is 2.0-2.6 ns on the sweeps whose time is cell traffic
+# (sweep-d3 and cqe-region at d = 3, 6, 7, z = 0.97), the largest on
+# sweep-d3, whose lattice evaluations take 14.3 ns a term; the price covers
+# 2.56 / 14.26 = 0.1795, rounded up.  Region-d5's orbits of 3,700 cells take
+# about 30 ns a cell, fixed per-call work that a per-cell price cannot model
+# and that no run near the budget is made of.
 MAX_RUN_WORK = 10**9
 MAX_KERNEL_BYTES = 4 * 10**8
-CELL_PRICE = 2.5 / 14
+CELL_PRICE = 0.18
 
 
 def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
@@ -82,8 +89,12 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
     Everything else runs on the lattice: d = 2, where no two basis vectors of
     a block share an atom numerator b1 c1 + b2 c2 unless c1 = c2, so the
     histogram has nothing to merge, and off-grid points (``None``).  Its work
-    is C(K+d, d) terms, and its memory the (d-1) dim_K int32 entries of its
-    table; that cap keeps dim_K far below 2**53, so a dim_K that
+    is C(K+d, d) terms, and its memory what one evaluation holds: the (d-1)
+    dim_K int32 entries of its table, the float64 dot products of its dim_K
+    columns, and the largest sub-weight's (2, m, L) float64 terms, their
+    p log p and their bool zero mask, 34 m L bytes.  That sub-weight, m L =
+    (K+1-j) C(j+d-2, d-2), is the first j >= ((d-2) K - 1) / (d-1), in
+    closed form.  The cap keeps dim_K far below 2**53, so a dim_K that
     ``capped_comb`` does not build is refused on either kernel.
     """
     check_dim(d)
@@ -98,13 +109,18 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
             f"(cap {MAX_KERNEL_BYTES}) and dim_K = {count_text(horizon + d - 1, d - 1, dim)} "
             "(cap 2**53 - 1), one or both exceed cap"
         )
-    if 4 * (d - 1) * dim <= MAX_KERNEL_BYTES:
-        return "lattice", dim * (horizon + d) // d  # C(K+d, d)
+    size = (4 * d + 4) * dim  # the int32 table and the float64 dot products
+    if size < math.inf:
+        j = max(0, -(-((d - 2) * horizon - 1) // (d - 1)))  # the largest sub-weight
+        size += 34 * (horizon + 1 - j) * math.comb(j + d - 2, d - 2)
+        if size <= MAX_KERNEL_BYTES:
+            return "lattice", dim * (horizon + d) // d  # C(K+d, d)
+    n = horizon + d - 1
+    shown = rounded_count(size) if size < math.inf else count_text(n, d - 1, dim, 4 * d + 4)
     raise SizeCapError(
-        f"d={d}, K={horizon}: lattice kernel: "
-        f"{count_text(horizon + d - 1, d - 1, dim, d - 1)} int32 table entries "
-        f"({count_text(horizon + d - 1, d - 1, dim, 4 * (d - 1))} bytes) exceed cap "
-        f"{MAX_KERNEL_BYTES} bytes"
+        f"d={d}, K={horizon}: lattice kernel: {count_text(n, d - 1, dim, d - 1)} int32 table "
+        f"entries and {shown} bytes in all (the table, its float64 dot products and the "
+        f"largest sub-weight's terms) exceed cap {MAX_KERNEL_BYTES} bytes"
     )
 
 

@@ -11,8 +11,9 @@ its structure (the histogram from d = 3 on, the lattice at d = 2), after
 ``run_work`` has priced every orbit against one budget, before the grid is
 built, so a sweep runs all its orbits or none.  The CQ/CE
 curves then evaluate every row near a hull vertex again on its own, on the
-lattice kernel, unless the sweep ran that row on the lattice already, and
-are hulled with a monotone chain.  The weighted dynamic capacity objective
+lattice kernel, unless the sweep ran that row on the lattice already (all
+of those evaluations priced as one run before the first), and are hulled
+with a monotone chain.  The weighted dynamic capacity objective
 is maximized by a grid sweep plus a coarse-to-fine climb along the one-heavy
 ensembles (a, b, ..., b), on the engine's family kernel.
 
@@ -541,7 +542,10 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
     ``HULL_TOL`` (max-norm) of a vertex of the sweep's hull is evaluated on
     its own on the lattice kernel, unless it already holds those bits (an
     orbit's first row whose counts ``pick_kernel`` sends to the lattice), and
-    the hull is taken again on the result.
+    the hull is taken again on the result.  Those re-evaluations are one run:
+    ``run_work`` prices them together after the sweep, before the first of
+    them, so a curve whose ties would take past the budget is refused before
+    any lattice kernel call.
     """
     resolution = sweep_resolution(spec.d, resolution)
     evaluator = spec.evaluator
@@ -555,7 +559,9 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
     own = np.zeros(len(mu), dtype=bool)  # the tied first rows the sweep ran on the lattice
     for i, counts in orbits.items():
         own[i] = tied[i] and pick_kernel(evaluator.d, evaluator.horizon, counts)[0] == "lattice"
-    for i in np.flatnonzero(tied & ~own):
+    again = np.flatnonzero(tied & ~own)
+    run_work(evaluator.d, evaluator.horizon, [None] * len(again))
+    for i in again:
         rates[i] = rate_pair(_evaluated_triple(evaluator, mu[i]))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * sign)))
 

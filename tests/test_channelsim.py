@@ -63,6 +63,18 @@ def test_apply_channel_keep_e_example_d3():
     assert np.allclose(out.matrix, np.diag([2.0, 1.0, 1.0]) / 4.0, atol=1e-12)
 
 
+def test_apply_channel_is_the_partial_trace_of_v_rho_v_dagger():
+    # A complex isometry with a (3, 4) split, against V rho V^dagger formed
+    # whole and traced over the other factor.
+    rng = np.random.default_rng(17)
+    v, _ = np.linalg.qr(rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2)))
+    rho = DensityMatrix.pure(random_pure_state(2, rng))
+    whole = (v @ rho.matrix @ v.conj().T).reshape(3, 4, 3, 4)
+    for keep, traced in (("B", np.einsum("ijkj->ik", whole)), ("E", np.einsum("ijik->jk", whole))):
+        reduced = apply_channel(Isometry(v, (3, 4)), rho, keep).matrix
+        assert np.max(np.abs(reduced - traced)) <= 1e-14
+
+
 def test_apply_channel_rejects_shape_mismatch():
     rho = DensityMatrix.pure([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
@@ -131,13 +143,21 @@ def test_kraus_set_counts():
         complementary_kraus_1to2(9)
 
 
-def test_kraus_cap_refusal_names_its_input():
-    # The count is stated, not built: the refusal is as quick at d = 10**9.
+def test_kraus_cap_refusal_names_its_input(forbid):
+    # The count is stated, not built: 4^(10**9 - 1) is never formed, and
+    # neither is any array.
+    forbid("allocated past the cap", channelsim.np, "zeros", "array")
     with pytest.raises(SizeCapError) as excinfo:
         complementary_kraus_1to2(9)
-    assert str(excinfo.value) == "d=9: dimension exceeds cap 8 (9 + 4^8 Kraus operators)"
-    with pytest.raises(SizeCapError, match=r"^d=1000000000: dimension exceeds cap 8 \("):
+    assert str(excinfo.value) == (
+        "d=9: Kraus set of (9 + 4^8) x 9 x 9 = 5.4e6 complex entries exceeds cap 4000000"
+    )
+    with pytest.raises(SizeCapError) as excinfo:
         complementary_kraus_1to2(10**9)
+    assert str(excinfo.value) == (
+        "d=1000000000: Kraus set of (1000000000 + 4^999999999) x 1000000000 x 1000000000 "
+        "complex entries exceeds cap 4000000"
+    )
 
 
 def test_kraus_set_keeps_a_readonly_copy_of_its_stack():
@@ -236,24 +256,86 @@ def test_choi_ppt_check():
     trivial = choi_ppt_check(2, 1)
     assert trivial.passed
     assert trivial.details["min_partial_transpose_eigenvalue"] >= -1e-12
-    with pytest.raises(SizeCapError, match="Choi dimension 6160 exceeds cap 2000"):
+    with pytest.raises(SizeCapError, match="Choi matrix of 6160 x 6160 = 3.8e7 complex entries"):
         choi_ppt_check(4, 20)  # d * C(22, 3), refused before the isometry is built
-    with pytest.raises(SizeCapError) as excinfo:
-        choi_ppt_check(2, 1001)
-    assert str(excinfo.value) == "d=2, k=1001: Choi dimension 2002 exceeds cap 2000"
     # A block index below 1 is refused as such, not as a weight of -1.
     with pytest.raises(ValueError, match="block index must be an integer >= 1, got 0"):
         choi_ppt_check(2, 0)
 
 
-def test_unruh_block_output_refuses_blocks_past_the_matrix_cap():
-    # dim_B = C(k+1, 1) = k + 1 at d = 2: k = 1999 is the largest block built.
-    beta = np.array([1.0, 0.0])
-    with pytest.raises(SizeCapError, match="exceeds cap 2000") as excinfo:
-        unruh_block_output(2, 2000, beta)
-    assert str(excinfo.value) == "d=2, k=2000: block dimension 2001 exceeds cap 2000"
-    with pytest.raises(SizeCapError):
-        verify_cloner_equivalence(4, 60)  # dim_B = 39,711
+def test_verify_cloner_equivalence_refuses_blocks_past_the_matrix_cap(forbid):
+    forbid("built past the cap", channelsim, "cloner_spectrum", "composition_matrix")
+    with pytest.raises(SizeCapError, match=r"^d=4, k=60: block of 39711 x 39711 = 1\.6e9 "):
+        verify_cloner_equivalence(4, 60)
+
+
+class Allocated(Exception):
+    """Raised by the allocation spy at a builder's first array."""
+
+
+# Each builder at its boundary, with the shape of its first array, and one
+# step past it, with the refusal.  At d = 2, dim_B = k + 1 and dim_E = k: the
+# block is (k + 1)**2 entries, the Choi matrix (2 k)**2, the isometry
+# 2 k (k + 1), and the Kraus set (d + 4^(d-1)) d**2.
+BOUNDARIES = {
+    "block": (
+        lambda: unruh_block_output(2, 1999, [1.0, 0.0]),
+        (1999, 2000),  # the kets of the 2000 x 2000 block
+        lambda: unruh_block_output(2, 2000, [1.0, 0.0]),
+        "d=2, k=2000: block of 2001 x 2001 = 4.1e6 complex entries exceeds cap 4000000",
+    ),
+    "choi": (
+        lambda: choi_ppt_check(2, 1000),
+        (1001 * 1000, 2),  # the isometry of the 2000 x 2000 Choi matrix
+        lambda: choi_ppt_check(2, 1001),
+        "d=2, k=1001: Choi matrix of 2002 x 2002 = 4.1e6 complex entries exceeds cap 4000000",
+    ),
+    "isometry": (
+        lambda: cloner_isometry(2, 1413),
+        (1414 * 1413, 2),
+        lambda: cloner_isometry(2, 1414),
+        "d=2, k=1414: isometry of 1415 x 1414 x 2 = 4.1e6 complex entries exceeds cap 4000000",
+    ),
+    "kraus": (
+        lambda: complementary_kraus_1to2(8),
+        (16392, 8, 8),  # 1,049,088 entries
+        lambda: complementary_kraus_1to2(9),
+        "d=9: Kraus set of (9 + 4^8) x 9 x 9 = 5.4e6 complex entries exceeds cap 4000000",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "admitted, shape, refused, message", BOUNDARIES.values(), ids=BOUNDARIES.keys()
+)
+def test_each_builder_is_admitted_at_its_boundary_and_refused_past_it_unbuilt(
+    admitted, shape, refused, message, monkeypatch
+):
+    def spy(size, dtype=float):
+        raise Allocated(size)
+
+    monkeypatch.setattr(channelsim.np, "zeros", spy)
+    with pytest.raises(Allocated) as excinfo:
+        admitted()
+    assert excinfo.value.args == (shape,)
+    with pytest.raises(SizeCapError) as excinfo:
+        refused()  # the spy fails the test if anything is allocated
+    assert str(excinfo.value) == message
+
+
+def test_apply_channel_at_the_choi_boundary_matches_the_block():
+    # dim_B x dim_E = 1001 x 1000: the reduced state is one product of the
+    # split amplitudes, and V rho V^dagger (2.0e6 squared entries) is never formed.
+    beta = random_pure_state(2, np.random.default_rng(21))
+    isometry = cloner_isometry(2, 1000)
+    assert isometry.split == (1001, 1000)
+    routed = apply_channel(isometry, DensityMatrix.pure(beta), "B").matrix
+    assert np.max(np.abs(routed - unruh_block_output(2, 1000, beta).matrix)) <= 1e-12
+
+
+def test_isometry_split_must_match_its_rows():
+    with pytest.raises(ValueError, match=r"^isometry split \(2, 2\) does not match its 3 rows$"):
+        Isometry(np.eye(3)[:, :2], (2, 2))
 
 
 def test_each_density_matrix_is_diagonalized_once(monkeypatch):

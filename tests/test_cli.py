@@ -758,15 +758,15 @@ def test_histogram_only_sweeps_match_closed_form_rows(command, d, z, tmp_path, f
 
 @pytest.mark.parametrize("d, k", [("4", "60"), ("2", "2000")])  # dim_B = 39,711 and 2,001
 def test_oracle_size_cap_exits_3_before_allocating(d, k, capsys, forbid):
-    # dim_B = C(k+d-1, d-1) is checked before any basis table, spectrum or
-    # matrix is built; building one fails the test.
+    # The block's dim_B**2 entries, dim_B = C(k+d-1, d-1), are checked before
+    # any basis table, spectrum or matrix is built; building one fails the test.
     forbid("built past the oracle cap", channelsim, "composition_matrix", "cloner_spectrum")
     assert run_cli(["verify", "cloner-equivalence", "--d", d, "--k", k]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     diagnostic = json.loads(captured.err.strip())
     assert diagnostic["error"] == "SizeCapError"
-    assert "exceeds cap 2000" in diagnostic["message"]
+    assert "complex entries exceeds cap 4000000" in diagnostic["message"]
 
 
 @pytest.mark.parametrize("k", ["1000001", str(10**9)])

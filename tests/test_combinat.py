@@ -172,7 +172,7 @@ GATE_CAPS = {
     "spectrum rows": spectra.MAX_SPECTRUM_ROWS,
     "block normalizer": int(sys.float_info.max),
     "multiplicity": int(np.iinfo(np.int64).max),
-    "matrix dimension": channelsim.MATRIX_DIM_CAP,
+    "matrix entries": channelsim.MATRIX_DIM_CAP**2,
 }
 
 

@@ -419,6 +419,34 @@ def test_cost_function_picks_each_kernel():
     assert pick_kernel(5, 117)[0] == "lattice"
 
 
+def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(monkeypatch):
+    # The int32 table and the float64 dot products of its dim_K columns, and
+    # the (2, m, L) float64 terms, p log p and bool mask of the largest
+    # sub-weight, found here by trying every one.  pick_kernel admits the
+    # lattice at exactly those bytes, and a lone evaluation on a fresh
+    # evaluator, which builds its table, peaks within them.
+    import tracemalloc
+
+    spec = regions.ChannelSpec(4, z=0.5)
+    evaluator, d, horizon = spec.evaluator, 4, spec.evaluator.horizon
+    dim = math.comb(horizon + d - 1, d - 1)
+    largest = max((horizon + 1 - j) * math.comb(j + d - 2, d - 2) for j in range(horizon + 1))
+    priced = 4 * (d - 1) * dim + 8 * dim + 34 * largest
+    monkeypatch.setattr(engine, "MAX_KERNEL_BYTES", priced)
+    assert pick_kernel(d, horizon)[0] == "lattice"
+    monkeypatch.setattr(engine, "MAX_KERNEL_BYTES", priced - 1)
+    with pytest.raises(SizeCapError, match="table entries and 5.8e5 bytes in all"):
+        pick_kernel(d, horizon)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        evaluator.block_entropies(np.array([0.4, 0.3, 0.2, 0.1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert priced / 2 <= peak <= priced
+
+
 def test_run_work_sums_each_orbit_against_one_budget():
     # A run's work is the exact sum of its orbits' prices; past the budget
     # the refusal names the orbit count, the total, the budget and the
@@ -432,7 +460,7 @@ def test_run_work_sums_each_orbit_against_one_budget():
     message = str(excinfo.value)
     assert "200 evaluations of 1.2e9 lattice terms" in message
     assert f"exceed cap {engine.MAX_RUN_WORK}, the run budget" in message
-    assert "the costliest, at counts (63, 1), takes 1.1e7" in message
+    assert "the costliest, at counts (63, 1), takes 1.2e7" in message
     # A lone evaluation is a run of one: at d = 2, K = 44,721 the lattice
     # table is 179 KB, but its C(K+2, 2) terms are past the budget.
     assert math.comb(44721 + 2, 2) > engine.MAX_RUN_WORK

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from unruhcap.channelsim import (
-    KRAUS_DIM_CAP,
     MATRIX_DIM_CAP,
     DensityMatrix,
     choi_ppt_check,
@@ -171,7 +170,7 @@ def test_ensemble_spectra_keep_the_bits_of_their_separate_constructions(d, k):
             assert np.array_equal(spectrum.multiplicities, np.ones(spectrum.values.size))
 
 
-@pytest.mark.parametrize("d", range(2, KRAUS_DIM_CAP + 1))
+@pytest.mark.parametrize("d", range(2, 9))  # d = 8 is the largest set within the cap
 def test_kraus_set_matches_its_separate_construction(d):
     kset = complementary_kraus_1to2(d)
     frozen = _frozen_kraus_operators(d)

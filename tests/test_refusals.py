@@ -19,7 +19,7 @@ def unwritable_output():
 
 
 def mismatched_isometry():
-    # Output dimension 3 is no dim_B(k) * dim_B(k-1) at d = 2 (2, 6, 12, ...).
+    # An isometry built without a (dim_B, dim_E) split has no B or E to keep.
     isometry = channelsim.Isometry(np.eye(3)[:, :2])
     channelsim.apply_channel(isometry, channelsim.DensityMatrix.pure([1.0, 0.0]))
 
@@ -83,7 +83,7 @@ REFUSALS = {
     ),
     "isometry-of-no-cloner-block": (
         mismatched_isometry,
-        "isometry shape does not match any cloner block",
+        "isometry has no (dim_B, dim_E) split",
     ),
     "block-output-amplitude-count": (
         lambda: channelsim.unruh_block_output(2, 1, [1.0, 0.0, 0.0]),

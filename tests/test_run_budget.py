@@ -126,7 +126,7 @@ def test_near_cap_runs_pass_the_gate_or_exit_3_before_any_kernel_call(monkeypatc
         captured = capsys.readouterr()
         assert captured.out == ""
         outcomes[" ".join(argv)] = json.loads(captured.err.strip())["error"]
-    # Both sides of the budget are reached: 2.9e8 and 9.1e8 terms admitted,
+    # Both sides of the budget are reached: 2.9e8 and 9.2e8 terms admitted,
     # 2.2e9 and 1.6e9 refused; at d = 7, z = 0.99 the histogram's counts
     # would not be exact (dim_K = 5.1e18), and d = 7, grid 32 is past the
     # grid's caps.
@@ -167,3 +167,23 @@ def test_a_cloner_block_is_a_run_of_one_at_its_vertex_before_its_weights():
     with pytest.raises(SizeCapError, match=r"1 evaluations .* at counts \(1,\)"):
         regions.ChannelSpec(2, k=44720).evaluator
     assert engine.run_work(2, 44719, [(1,)]) == math.comb(44721, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, again",
+    [("cq-curve --d 5 --z 0.75 --grid 4", 56), ("cq-curve --d 4 --z 0.9 --grid 8", 33)],
+)
+def test_a_curves_re_evaluations_are_one_run(argv, again, capsys, forbid, monkeypatch):
+    # The sweep runs on the histogram; the rows tied to a hull vertex, each
+    # a lone lattice evaluation within the budget, are then priced together
+    # and refused before the first of them.
+    forbid("ran the lattice past the run budget", kernels, "block_family_entropy")
+    histogram, calls = kernels.histogram_entropy, []
+    monkeypatch.setattr(kernels, "histogram_entropy", lambda *a: calls.append(a) or histogram(*a))
+    assert cli.main(argv.split()) == 3
+    assert calls  # refused after the sweep
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err.strip())["message"]
+    assert f"{again} evaluations of " in message
+    assert f"exceed cap {MAX_RUN_WORK}, the run budget; the costliest, off the grid" in message
