@@ -68,7 +68,7 @@ RANK_TOL = 1e-10
 MATRIX_DIM_CAP = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix (tolerance 1e-10 on each property)."""
 
@@ -106,7 +106,7 @@ class DensityMatrix:
         return self._spectrum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
     """Matrix with orthonormal columns (V^dagger V = I within 1e-10), and the
     ``(dim_B, dim_E)`` split of its rows into B tensor E, B index major, when
@@ -131,7 +131,7 @@ class Isometry:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Kraus operators A_a of one channel, stacked as one read-only
     ``(n, out, in)`` array; completeness enforced at 1e-10.

@@ -12,7 +12,12 @@ block.  Two exact kernels do this:
   (d-1)-mode table, then makes one kernel call per sub-weight, C(K+d, d)
   terms in all.  Each block's terms from one sub-weight are one contiguous
   1-D pairwise row sum, accumulated in sub-weight order; that order fixes
-  the output bits (see ``kernels``).
+  the output bits (see ``kernels``).  A swap pair evaluates ``mu`` and its
+  swap mate (mu0, mu2, mu1, mu3, ...) from one set of terms: each dot
+  product is built from zeros one trailing mode at a time and fl(x + y) =
+  fl(y + x), so the mate's terms are ``mu``'s at the columns of the
+  compositions with their first two entries exchanged, and its rows are
+  summed in that order, as a lone evaluation of the mate sums them.
 * the histogram kernel (a grid point ``mu = counts / n``) counts, per block,
   how many basis vectors share each integer atom numerator ``b . counts``:
   the t modes of the commonest count in closed form, the other d - t in
@@ -26,8 +31,9 @@ fallback: a grid point at d >= 3 runs on the histogram, and the lattice takes
 d = 2 and off-grid points (such as the rows the CQ/CE curves evaluate again
 near a hull vertex).  Either is refused only past one memory cap,
 ``MAX_KERNEL_BYTES`` = 4e8 bytes (what one lattice evaluation holds: its
-int32 table, the float64 dot products and the largest sub-weight's terms;
-the histogram's chunk buffers), and the histogram also when its counts
+int32 table, the float64 dot products, from d = 3 on a swap pair's intp
+swap order, and the largest sub-weight's terms; the histogram's chunk
+buffers), and the histogram also when its counts
 would not be exact floats.  It returns the kernel with its work in one unit,
 lattice terms, a histogram cell priced at ``CELL_PRICE`` = 0.18 terms (the
 largest per-orbit median of ``kernels.histogram_entropy``, about 2.6 ns a
@@ -91,11 +97,14 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
     histogram has nothing to merge, and off-grid points (``None``).  Its work
     is C(K+d, d) terms, and its memory what one evaluation holds: the (d-1)
     dim_K int32 entries of its table, the float64 dot products of its dim_K
-    columns, and the largest sub-weight's (2, m, L) float64 terms, their
-    p log p and their bool zero mask, 34 m L bytes.  That sub-weight, m L =
-    (K+1-j) C(j+d-2, d-2), is the first j >= ((d-2) K - 1) / (d-1), in
-    closed form.  The cap keeps dim_K far below 2**53, so a dim_K that
-    ``capped_comb`` does not build is refused on either kernel.
+    columns, from d = 3 on the intp swap order of its columns that a swap
+    pair builds once and the evaluator keeps, and the largest sub-weight's
+    (2, m, L) float64 terms, their p log p and their bool zero mask, 34 m L
+    bytes (a pair gathers its mate's terms into the buffer of the atoms).
+    That sub-weight, m L = (K+1-j) C(j+d-2, d-2), is the first j >=
+    ((d-2) K - 1) / (d-1), in closed form.  The cap keeps dim_K far below
+    2**53, so a dim_K that ``capped_comb`` does not build is refused on
+    either kernel.
     """
     check_dim(d)
     dim = capped_comb(horizon + d - 1, d - 1, 2**53 - 1)
@@ -109,18 +118,20 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
             f"(cap {MAX_KERNEL_BYTES}) and dim_K = {count_text(horizon + d - 1, d - 1, dim)} "
             "(cap 2**53 - 1), one or both exceed cap"
         )
-    size = (4 * d + 4) * dim  # the int32 table and the float64 dot products
+    held = 4 * d + 4 + (8 if d > 2 else 0)  # bytes a column: table, dot product, swap order
+    size = held * dim
     if size < math.inf:
         j = max(0, -(-((d - 2) * horizon - 1) // (d - 1)))  # the largest sub-weight
         size += 34 * (horizon + 1 - j) * math.comb(j + d - 2, d - 2)
         if size <= MAX_KERNEL_BYTES:
             return "lattice", dim * (horizon + d) // d  # C(K+d, d)
     n = horizon + d - 1
-    shown = rounded_count(size) if size < math.inf else count_text(n, d - 1, dim, 4 * d + 4)
+    shown = rounded_count(size) if size < math.inf else count_text(n, d - 1, dim, held)
     raise SizeCapError(
         f"d={d}, K={horizon}: lattice kernel: {count_text(n, d - 1, dim, d - 1)} int32 table "
-        f"entries and {shown} bytes in all (the table, its float64 dot products and the "
-        f"largest sub-weight's terms) exceed cap {MAX_KERNEL_BYTES} bytes"
+        f"entries and {shown} bytes in all (the table, its float64 dot products, the swap "
+        f"order from d = 3 on and the largest sub-weight's terms) exceed cap "
+        f"{MAX_KERNEL_BYTES} bytes"
     )
 
 
@@ -195,6 +206,31 @@ class TradeoffEvaluator:
         pairs = np.stack((self._inv_norm[:-1], self._inv_norm[1:]))[:, :, None]
         return table, list(zip(starts[:-1], starts[1:])), b1, pairs
 
+    @cached_property
+    def _swap_order(self) -> np.ndarray:
+        """The swap order, built on the first pair: per sub-weight j, the
+        column (within j's span) of each composition with its first two
+        entries exchanged.  The table's weight-j columns descend
+        lexicographically over n = d-1 modes, so the column of (t0, t1, rest)
+        is C(j - t0 + n - 2, n - 1), the count of compositions with a larger
+        first entry, plus a rank that depends on ``rest`` alone; exchanging
+        t0 and t1 moves the first term only.  At d = 3 it reverses each
+        span."""
+        table, spans, _, _ = self._lattice
+        n = self.d - 1
+        before = np.array([math.comb(u + n - 2, n - 1) for u in range(self.horizon + 1)])
+        order = np.empty(table.shape[1], dtype=np.intp)
+        for j, (start, stop) in enumerate(spans):
+            shift = before[j - table[1, start:stop]] - before[j - table[0, start:stop]]
+            np.add(np.arange(stop - start), shift, out=order[start:stop])
+        return order
+
+    def _ensemble_array(self, mu) -> np.ndarray:
+        mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
+        if mu_arr.shape != (self.d,):
+            raise ValueError(f"ensemble must have {self.d} weights")
+        return mu_arr
+
     def block_entropies(self, mu, counts=None) -> tuple[np.ndarray, np.ndarray]:
         """Receiver/environment spectrum entropies of every block at ``mu``.
 
@@ -207,9 +243,7 @@ class TradeoffEvaluator:
         refused past ``run_work``'s budget as a run of one (a sweep has
         priced all its orbits together before it builds the grid).
         """
-        mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
-        if mu_arr.shape != (self.d,):
-            raise ValueError(f"ensemble must have {self.d} weights")
+        mu_arr = self._ensemble_array(mu)
         if counts is not None:
             if not sum(counts) > 0:
                 raise ValueError(f"grid counts {counts} must have a positive sum")
@@ -218,6 +252,28 @@ class TradeoffEvaluator:
         run_work(self.d, self.horizon, [counts])
         if pick_kernel(self.d, self.horizon, counts)[0] == "histogram":
             return kernels.histogram_entropy(counts, self._inv_norm[1:-1], self._inv_ln_base)
+        return self._lattice_entropies(mu_arr)[0]
+
+    def swap_pair_entropies(self, mu) -> tuple[tuple, tuple]:
+        """``block_entropies`` at ``mu`` and at its swap mate (mu0, mu2, mu1,
+        mu3, ...), d >= 3, bit for bit, from one set of lattice terms.
+
+        The dot products start from zeros and add one trailing mode at a
+        time, and fl(x + y) = fl(y + x), so the mate's dot product at each
+        column is this ensemble's at the column ``_swap_order`` names; the
+        mate's terms are this ensemble's gathered in that order, and each of
+        its block rows is summed as a lone evaluation of the mate sums it.
+        The pair is priced as a run of two lone evaluations.
+        """
+        if self.d < 3:
+            raise ValueError("a swap mate needs d >= 3: two trailing weights")
+        mu_arr = self._ensemble_array(mu)
+        run_work(self.d, self.horizon, [None, None])
+        return self._lattice_entropies(mu_arr, self._swap_order)
+
+    def _lattice_entropies(self, mu_arr, order=None) -> tuple:
+        """``block_entropies`` at ``mu_arr`` on the lattice kernel, and at its
+        swap mate too when ``order`` is the swap order."""
         table, spans, b1, pairs = self._lattice
         a_all = np.zeros(table.shape[1])
         for c in range(self.d - 1):
@@ -225,6 +281,7 @@ class TradeoffEvaluator:
         mu_b1 = mu_arr[0] * b1
         # Row 0: receiver block k at column k; row 1: environment block k+1.
         out = np.zeros((2, self.horizon + 1))
+        mate = None if order is None else np.zeros_like(out)
         for j, (start, stop) in enumerate(spans):
             kernels.block_family_entropy(
                 a_all[start:stop],
@@ -233,13 +290,19 @@ class TradeoffEvaluator:
                 self._inv_ln_base,
                 out,
                 j,
+                None if order is None else order[start:stop],
+                mate,
             )
-        return out[0, 1:], out[1, :-1]
+        return tuple((h[0, 1:], h[1, :-1]) for h in (out, mate) if h is not None)
 
     def sums(self, mu, counts=None) -> tuple[float, float]:
         """Weighted sums (sum_k p_k H_B|X,k, sum_k p_k H_E|X,k) at ``mu``
         (the grid point ``counts / sum(counts)`` when ``counts`` is given)."""
-        h_bx, h_ex = self.block_entropies(mu, counts)
+        return self.weighted_sums(self.block_entropies(mu, counts))
+
+    def weighted_sums(self, entropies) -> tuple[float, float]:
+        """The weighted sums of block entropies ``(h_bx, h_ex)``."""
+        h_bx, h_ex = entropies
         return float(np.dot(self.weights, h_bx)), float(np.dot(self.weights, h_ex))
 
     def family_sums(self, a: float) -> tuple[float, float]:

@@ -10,9 +10,14 @@ composition order, and those contributions are accumulated in sub-weight
 order.  The CQ and CE curves evaluate every row within ``HULL_TOL`` of a
 hull vertex once more on its own, on this kernel; the last bits of those
 evaluations decide which of several tied rows the hull flags, so a change in
-how the terms are grouped or ordered can move an ``on_hull`` flag.  The
-histogram kernel has no such contract: rows evaluated on it are exact to
-rounding only.
+how the terms are grouped or ordered can move an ``on_hull`` flag.  Two
+such rows that differ by a swap of weights 1 and 2 share one set of terms:
+the second row's terms are the first's at swapped columns, bit for bit
+(see ``engine.TradeoffEvaluator.swap_pair_entropies``), so gathering them
+in that column order into a ``(2, m, L)`` array shaped as a lone
+evaluation's, and summing its rows the same way, gives that evaluation's
+bits.  The histogram kernel has no such contract: rows evaluated on it are
+exact to rounding only.
 """
 
 import math
@@ -34,7 +39,7 @@ BACKEND = "python"
 HISTOGRAM_CHUNK = 16
 
 
-def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j):
+def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j, order=None, mate=None):
     """Accumulate per-block spectrum entropies for one sub-composition family.
 
     ``a_sub`` holds the dot products of every (d-1)-mode composition of
@@ -50,6 +55,11 @@ def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j):
     ``out[1, j + b1]`` (environment block k + 1).  Both sides share one
     ``(2, m, L)`` array, so row ``[side, b1]`` holds the terms of one block
     and is summed on its own.
+
+    With ``order``, a permutation of the columns of ``a_sub``, the same
+    ``p log p`` terms are also gathered in that column order, into ``p``'s
+    buffer (free by then), and reduced into ``mate`` as into ``out``: the
+    contribution of an ensemble whose dot products are ``a_sub[order]``.
     """
     m = mu_b1.shape[0]
     p = np.empty((2, m, a_sub.shape[0]))
@@ -62,6 +72,11 @@ def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j):
     h = np.add.reduce(plogp, axis=2)
     h *= inv_ln_base
     out[:, j : j + m] -= h
+    if order is not None:
+        plogp.take(order, axis=2, out=p, mode="clip")  # "clip" writes out unbuffered
+        h = np.add.reduce(p, axis=2)
+        h *= inv_ln_base
+        mate[:, j : j + m] -= h
 
 
 def histogram_entropy(counts, inv_norm, inv_ln_base):

@@ -65,7 +65,7 @@ class ConvergenceError(RuntimeError):
     """Raised when a series truncation cannot meet its target within the hard cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Finite probability distribution as (value, multiplicity) atoms."""
 

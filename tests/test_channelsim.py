@@ -371,3 +371,21 @@ def test_isometry_and_kraus_validation():
         Isometry(np.ones((3, 2)))
     with pytest.raises(ValueError):
         KrausSet((np.eye(2) * 0.9,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DensityMatrix.pure([1.0, 0.0]),
+        lambda: cloner_isometry(2, 2),
+        lambda: complementary_kraus_1to2(2),
+    ],
+    ids=["density-matrix", "isometry", "kraus-set"],
+)
+def test_array_records_compare_by_identity(build):
+    # Equal arrays inside a generated tuple __eq__ would raise on their
+    # ambiguous truth value: the records compare as objects, not values.
+    first, second = build(), build()
+    assert first is not second and first != second
+    assert first == first
+    assert hash(first) == hash(first) and hash(first) != hash(second)

@@ -122,26 +122,69 @@ def test_engine_bits_match_the_per_sub_weight_loop(d, horizon):
         assert np.array_equal(got_b, want_b) and np.array_equal(got_e, want_e)
 
 
+def swap_mate(mu) -> np.ndarray:
+    """``mu`` with its weights 1 and 2 exchanged."""
+    return np.asarray(mu)[[0, 2, 1, *range(3, len(mu))]]
+
+
+@pytest.mark.parametrize("d, horizon", [(3, 100), (4, 24), (5, 12), (6, 7)])
+def test_swap_pair_bits_match_two_lone_evaluations(d, horizon):
+    # Bitwise: a swap pair's two results are those of block_entropies at mu
+    # and at its swap mate, whose terms it gathers in the swap order and sums
+    # row by row.  The mate's terms are the same multiset as mu's, so only
+    # the order of the sums can split a last bit.  Seeded random points,
+    # grid edges and vertices with zeros, tied weights 1 and 2 (the mate is
+    # mu itself) and an off-grid point.
+    rng = np.random.default_rng(2000 + d)
+    evaluator = TradeoffEvaluator(d, rng.uniform(0.0, 1.0, horizon), float(d))
+    points = [np.eye(d)[i] for i in range(d)] + [np.full(d, 1.0 / d)]
+    points.append(np.linspace(1.0, 2.0, d) / np.linspace(1.0, 2.0, d).sum())
+    points.append(np.array([math.pi, math.e, math.sqrt(2.0)] + [math.log(3.0)] * (d - 3)))
+    for _ in range(6):
+        counts = rng.integers(0, 9, d)
+        counts[rng.integers(d)] += 1
+        points.append(counts / counts.sum())  # zeros on the grid's edges
+        points.append(rng.dirichlet(np.ones(d)))
+    for mu in points:
+        mu = mu / mu.sum()
+        got = evaluator.swap_pair_entropies(mu)
+        want = (evaluator.block_entropies(mu), evaluator.block_entropies(swap_mate(mu)))
+        for got_h, want_h in zip(got, want):
+            assert all(np.array_equal(g, w) for g, w in zip(got_h, want_h)), mu
+
+
+def test_swap_pair_needs_two_trailing_weights():
+    evaluator = TradeoffEvaluator(2, np.ones(4), 2.0)
+    with pytest.raises(ValueError, match="d >= 3"):
+        evaluator.swap_pair_entropies(np.array([0.5, 0.5]))
+
+
 def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     # The benchmark tracer counts one evaluation per block_entropies call
     # and len(args[0]) * len(args[2]) terms per kernel call.  A curve
     # evaluates each orbit once with its counts, on the kernel the gate
     # picks, then every row tied with a hull vertex once more without them,
-    # on the lattice, but for the orbits' first rows the sweep ran there.
+    # on the lattice, but for the orbits' first rows the sweep ran there; two
+    # such rows that differ by a swap of weights 1 and 2 are one swap pair,
+    # whose kernel calls have a lone evaluation's shapes.
     spec = regions.ChannelSpec(3, z=0.5)
     curve = regions.cq_curve(spec, 4)
     orbits = orbit_counts(curve.mu, 4)
     again = reevaluated_rows(spec, curve, 4)
     evals, horizons = [], []
-    kernel, evaluate = kernels.block_family_entropy, TradeoffEvaluator.block_entropies
-    weights = regions.unruh_weights
+    kernel, weights = kernels.block_family_entropy, regions.unruh_weights
+    evaluate, pair = TradeoffEvaluator.block_entropies, TradeoffEvaluator.swap_pair_entropies
 
     def record_eval(self, mu, counts=None):
-        evals.append((np.array(mu), counts, []))
+        evals.append(([tuple(mu)], counts, []))
         return evaluate(self, mu, counts)
 
+    def record_pair(self, mu):
+        evals.append(([tuple(mu), (mu[0], mu[2], mu[1])], "pair", []))
+        return pair(self, mu)
+
     def record_kernel(*args):
-        evals[-1][2].append((len(args[0]), len(args[2]), args[-1]))
+        evals[-1][2].append((len(args[0]), len(args[2]), args[5]))
         return kernel(*args)
 
     def record_weights(*args):
@@ -151,21 +194,25 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
 
     monkeypatch.setattr(kernels, "block_family_entropy", record_kernel)
     monkeypatch.setattr(TradeoffEvaluator, "block_entropies", record_eval)
+    monkeypatch.setattr(TradeoffEvaluator, "swap_pair_entropies", record_pair)
     monkeypatch.setattr(regions, "unruh_weights", record_weights)
     assert cli.main(["cq-curve", "--d", "3", "--z", "0.5", "--grid", "4", "-o", os.devnull]) == 0
     horizon = truncation_horizon(UnruhConfig(3, 0.5))
     assert horizons == [horizon]
-    # One per orbit with its reduced counts, then one per tied row that
-    # does not hold its own lattice bits yet.
+    # One per orbit with its reduced counts, then one per tied row, or per
+    # swap pair of tied rows, that does not hold its own lattice bits yet.
     assert sorted(counts for _, counts, _ in evals[: len(orbits)]) == sorted(orbits.values())
-    assert [counts for _, counts, _ in evals[len(orbits) :]] == [None] * len(again)
+    rest = evals[len(orbits) :]
+    assert {counts for _, counts, _ in rest} == {None, "pair"}
+    rows = sorted(row for mus, _, _ in rest for row in mus)
+    assert rows == sorted(tuple(curve.mu[i]) for i in again)
     on_lattice = [
-        counts is None or pick_kernel(3, horizon, counts)[0] == "lattice" for _, counts, _ in evals
+        counts in (None, "pair") or pick_kernel(3, horizon, counts)[0] == "lattice"
+        for _, counts, _ in evals
     ]
     assert not all(on_lattice)  # some orbits ran on the histogram
     lattice_calls = [(j + 1, horizon + 1 - j, j) for j in range(horizon + 1)]
-    for (mu, _, calls), lattice in zip(evals, on_lattice):
-        assert mu.shape == (3,)
+    for (_, _, calls), lattice in zip(evals, on_lattice):
         assert calls == (lattice_calls if lattice else [])
 
 
@@ -420,31 +467,36 @@ def test_cost_function_picks_each_kernel():
 
 
 def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(monkeypatch):
-    # The int32 table and the float64 dot products of its dim_K columns, and
-    # the (2, m, L) float64 terms, p log p and bool mask of the largest
-    # sub-weight, found here by trying every one.  pick_kernel admits the
-    # lattice at exactly those bytes, and a lone evaluation on a fresh
-    # evaluator, which builds its table, peaks within them.
+    # The int32 table, the float64 dot products of its dim_K columns and,
+    # from d = 3 on, the intp swap order of a swap pair, and the (2, m, L)
+    # float64 terms, p log p and bool mask of the largest sub-weight, found
+    # here by trying every one.  pick_kernel admits the lattice at exactly
+    # those bytes, and a lone evaluation and a swap pair, each on a fresh
+    # evaluator, which builds its table (and the pair its swap order), peak
+    # within them.
     import tracemalloc
 
-    spec = regions.ChannelSpec(4, z=0.5)
-    evaluator, d, horizon = spec.evaluator, 4, spec.evaluator.horizon
+    d = 4
+    horizon = regions.ChannelSpec(d, z=0.5).evaluator.horizon
     dim = math.comb(horizon + d - 1, d - 1)
     largest = max((horizon + 1 - j) * math.comb(j + d - 2, d - 2) for j in range(horizon + 1))
-    priced = 4 * (d - 1) * dim + 8 * dim + 34 * largest
+    priced = 4 * (d - 1) * dim + 8 * dim + 8 * dim + 34 * largest
     monkeypatch.setattr(engine, "MAX_KERNEL_BYTES", priced)
     assert pick_kernel(d, horizon)[0] == "lattice"
     monkeypatch.setattr(engine, "MAX_KERNEL_BYTES", priced - 1)
-    with pytest.raises(SizeCapError, match="table entries and 5.8e5 bytes in all"):
+    with pytest.raises(SizeCapError, match="table entries and 7.1e5 bytes in all"):
         pick_kernel(d, horizon)
     monkeypatch.undo()
-    tracemalloc.start()
-    try:
-        evaluator.block_entropies(np.array([0.4, 0.3, 0.2, 0.1]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert priced / 2 <= peak <= priced
+    mu = np.array([0.4, 0.3, 0.2, 0.1])
+    for evaluate in (TradeoffEvaluator.block_entropies, TradeoffEvaluator.swap_pair_entropies):
+        evaluator = regions.ChannelSpec(d, z=0.5).evaluator
+        tracemalloc.start()
+        try:
+            evaluate(evaluator, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert priced / 2 <= peak <= priced, evaluate.__name__
 
 
 def test_run_work_sums_each_orbit_against_one_budget():

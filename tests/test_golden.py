@@ -4,7 +4,9 @@ The files under ``tests/golden/`` were written by the same commands before
 the sweeps were rewritten as arrays, and ``cqe-region-d5-z0.9.csv`` (every
 orbit on the histogram kernel) before its DP started from the closed form of
 the commonest count; a refactor of the kernels, sweep, hull or emission code
-must reproduce them exactly.
+must reproduce them exactly.  ``cq-curve-d4.csv`` was written before a
+curve's swap-mate rows shared one set of lattice terms: at d = 4 their
+swap order is a general column permutation, not the d = 3 reversal.
 """
 
 from pathlib import Path
@@ -18,6 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "cq-curve-cloner.csv": "cq-curve --d 3 --k 2 --grid 8",
     "cq-curve-unruh.csv": "cq-curve --d 2 --z 0.5 --grid 16",
+    "cq-curve-d4.csv": "cq-curve --d 4 --z 0.5 --grid 8",
     "ce-curve.csv": "ce-curve --d 3 --z 0.5 --grid 8",
     "cqe-region.csv": "cqe-region --d 3 --z 0.5 --grid 7",
     "cqe-region-d5-z0.9.csv": "cqe-region --d 5 --z 0.9 --grid 4",

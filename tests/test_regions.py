@@ -740,6 +740,20 @@ def count_sums(monkeypatch) -> list:
     return calls
 
 
+def count_pairs(monkeypatch) -> list:
+    """Record the ensemble of every ``TradeoffEvaluator.swap_pair_entropies``
+    call with its swap mate, weights 1 and 2 exchanged."""
+    calls = []
+    original = TradeoffEvaluator.swap_pair_entropies
+
+    def counted(self, mu):
+        calls.append((tuple(mu), (mu[0], mu[2], mu[1], *mu[3:])))
+        return original(self, mu)
+
+    monkeypatch.setattr(TradeoffEvaluator, "swap_pair_entropies", counted)
+    return calls
+
+
 def orbit_count(grid) -> int:
     return len({tuple(sorted(mu)) for mu in grid.tolist()})
 
@@ -821,35 +835,45 @@ def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(mo
     # then every row tied with a hull vertex once more on its own without
     # them, since its last bits decide which of the tied rows the hull flags,
     # except an orbit's first row that the sweep ran on the lattice: it holds
-    # its own bits already.
+    # its own bits already.  Two such rows that differ by a swap of weights 1
+    # and 2 are evaluated as one swap pair; the single rows and both rows of
+    # every pair are the rows evaluated again, each once.
     calls = count_sums(monkeypatch)
+    pairs = count_pairs(monkeypatch)
     cases = {
         "d3-z0.5": (ChannelSpec(3, z=0.5), 8),
         "d3-k4": (ChannelSpec(3, k=4), 8),
         "d2-z0.5": (ChannelSpec(2, z=0.5), 64),
+        "d4-z0.5": (ChannelSpec(4, z=0.5), 8),
     }
     sizes = {}
     for name, (spec, resolution) in cases.items():
         for curve in (cq_curve, ce_curve):
             calls.clear()
+            pairs.clear()
             result = curve(spec, resolution)
             rows = [tuple(mu) for mu in result.mu.tolist()]
             orbits = orbit_counts(result.mu, resolution)
             again = reevaluated_rows(spec, result, resolution)
             assert sorted(calls[: len(orbits)]) == sorted((rows[i], c) for i, c in orbits.items())
-            assert sorted(calls[len(orbits) :]) == sorted((rows[i], None) for i in again)
+            assert all(mu != mate for mu, mate in pairs)
+            paired = [(row, None) for pair in pairs for row in pair]
+            assert sorted(calls[len(orbits) :] + paired) == sorted((rows[i], None) for i in again)
             tied = tied_rows(result.rates, result.hull_indices)
-            sizes[name, curve.__name__] = (len(orbits), len(tied), len(again))
-    # (orbits, tied rows, rows evaluated again).  At d = 3 every orbit ran
-    # on the histogram, so every tied row is evaluated again; d = 2 ran all
-    # on the lattice: 33 + 30 evaluations for the 65 rows of the CQ curve.
+            sizes[name, curve.__name__] = (len(orbits), len(tied), len(again), len(pairs))
+    # (orbits, tied rows, rows evaluated again, swap pairs among them).  At
+    # d = 3 and 4 every orbit ran on the histogram, so every tied row is
+    # evaluated again; d = 2 ran all on the lattice (33 + 30 evaluations for
+    # the 65 rows of the CQ curve), and has no pairs.
     assert sizes == {
-        ("d3-z0.5", "cq_curve"): (11, 16, 16),
-        ("d3-z0.5", "ce_curve"): (11, 7, 7),
-        ("d3-k4", "cq_curve"): (11, 22, 22),
-        ("d3-k4", "ce_curve"): (11, 7, 7),
-        ("d2-z0.5", "cq_curve"): (33, 61, 30),
-        ("d2-z0.5", "ce_curve"): (33, 63, 31),
+        ("d3-z0.5", "cq_curve"): (11, 16, 16, 6),
+        ("d3-z0.5", "ce_curve"): (11, 7, 7, 2),
+        ("d3-k4", "cq_curve"): (11, 22, 22, 9),
+        ("d3-k4", "ce_curve"): (11, 7, 7, 2),
+        ("d2-z0.5", "cq_curve"): (33, 61, 30, 0),
+        ("d2-z0.5", "ce_curve"): (33, 63, 31, 0),
+        ("d4-z0.5", "cq_curve"): (15, 33, 33, 12),
+        ("d4-z0.5", "ce_curve"): (15, 9, 9, 2),
     }
 
 

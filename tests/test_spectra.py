@@ -229,3 +229,13 @@ def test_unruh_config_validation():
         UnruhConfig(2, 0.5, log_base=1.0)
     assert UnruhConfig(3, 0.5).base == 3.0
     assert UnruhConfig(3, 0.5, log_base=2.0).base == 2.0
+
+
+def test_spectrum_compares_by_identity():
+    # Equal arrays inside a generated tuple __eq__ would raise on their
+    # ambiguous truth value: a spectrum compares as an object, not by value.
+    values, mults = [0.25, 0.5], [2, 1]
+    first, second = Spectrum(values, mults), Spectrum(values, mults)
+    assert first != second
+    assert first == first
+    assert hash(first) == hash(first) and hash(first) != hash(second)
