@@ -31,9 +31,8 @@ fallback: a grid point at d >= 3 runs on the histogram, and the lattice takes
 d = 2 and off-grid points (such as the rows the CQ/CE curves evaluate again
 near a hull vertex).  Either is refused only past one memory cap,
 ``MAX_KERNEL_BYTES`` = 4e8 bytes (what one lattice evaluation holds: its
-int32 table, the float64 dot products, from d = 3 on a swap pair's intp
-swap order, and the largest sub-weight's terms; the histogram's chunk
-buffers), and the histogram also when its counts
+int32 table, the float64 dot products and the largest sub-weight's terms;
+the histogram's chunk buffers), and the histogram also when its counts
 would not be exact floats.  It returns the kernel with its work in one unit,
 lattice terms, a histogram cell priced at ``CELL_PRICE`` = 0.18 terms (the
 largest per-orbit median of ``kernels.histogram_entropy``, about 2.6 ns a
@@ -97,12 +96,12 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
     histogram has nothing to merge, and off-grid points (``None``).  Its work
     is C(K+d, d) terms, and its memory what one evaluation holds: the (d-1)
     dim_K int32 entries of its table, the float64 dot products of its dim_K
-    columns, from d = 3 on the intp swap order of its columns that a swap
-    pair builds once and the evaluator keeps, and the largest sub-weight's
-    (2, m, L) float64 terms, their p log p and their bool zero mask, 34 m L
-    bytes (a pair gathers its mate's terms into the buffer of the atoms).
-    That sub-weight, m L = (K+1-j) C(j+d-2, d-2), is the first j >=
-    ((d-2) K - 1) / (d-1), in closed form.  The cap keeps dim_K far below
+    columns, and the largest sub-weight's (2, m, L) float64 terms, their
+    p log p and their bool zero mask, 34 m L bytes.  That sub-weight, m L =
+    (K+1-j) C(j+d-2, d-2), is the first j >= ((d-2) K - 1) / (d-1), in
+    closed form.  A swap pair holds no more: its kernel call keeps a
+    sub-weight's L-entry swap order within that sub-weight's 34 m L bytes
+    (see ``kernels.block_family_entropy``).  The cap keeps dim_K far below
     2**53, so a dim_K that ``capped_comb`` does not build is refused on
     either kernel.
     """
@@ -118,20 +117,18 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
             f"(cap {MAX_KERNEL_BYTES}) and dim_K = {count_text(horizon + d - 1, d - 1, dim)} "
             "(cap 2**53 - 1), one or both exceed cap"
         )
-    held = 4 * d + 4 + (8 if d > 2 else 0)  # bytes a column: table, dot product, swap order
-    size = held * dim
+    size = (4 * d + 4) * dim  # the int32 table and the float64 dot products
     if size < math.inf:
         j = max(0, -(-((d - 2) * horizon - 1) // (d - 1)))  # the largest sub-weight
         size += 34 * (horizon + 1 - j) * math.comb(j + d - 2, d - 2)
         if size <= MAX_KERNEL_BYTES:
             return "lattice", dim * (horizon + d) // d  # C(K+d, d)
     n = horizon + d - 1
-    shown = rounded_count(size) if size < math.inf else count_text(n, d - 1, dim, held)
+    shown = rounded_count(size) if size < math.inf else count_text(n, d - 1, dim, 4 * d + 4)
     raise SizeCapError(
         f"d={d}, K={horizon}: lattice kernel: {count_text(n, d - 1, dim, d - 1)} int32 table "
-        f"entries and {shown} bytes in all (the table, its float64 dot products, the swap "
-        f"order from d = 3 on and the largest sub-weight's terms) exceed cap "
-        f"{MAX_KERNEL_BYTES} bytes"
+        f"entries and {shown} bytes in all (the table, its float64 dot products and the "
+        f"largest sub-weight's terms) exceed cap {MAX_KERNEL_BYTES} bytes"
     )
 
 
@@ -206,24 +203,29 @@ class TradeoffEvaluator:
         pairs = np.stack((self._inv_norm[:-1], self._inv_norm[1:]))[:, :, None]
         return table, list(zip(starts[:-1], starts[1:])), b1, pairs
 
-    @cached_property
-    def _swap_order(self) -> np.ndarray:
-        """The swap order, built on the first pair: per sub-weight j, the
-        column (within j's span) of each composition with its first two
-        entries exchanged.  The table's weight-j columns descend
-        lexicographically over n = d-1 modes, so the column of (t0, t1, rest)
-        is C(j - t0 + n - 2, n - 1), the count of compositions with a larger
-        first entry, plus a rank that depends on ``rest`` alone; exchanging
-        t0 and t1 moves the first term only.  At d = 3 it reverses each
+    def _swap_orders(self):
+        """The swap order of each sub-weight j's span, built as the pair's
+        lattice loop reaches it: the column, within the span, of each
+        composition with its first two entries exchanged.  The table's
+        weight-j columns descend lexicographically over n = d-1 modes, so the
+        column of (t0, t1, rest) is C(j - t0 + n - 2, n - 1), the count of
+        compositions with a larger first entry, plus a rank that depends on
+        ``rest`` alone; exchanging t0 and t1 moves the first term only.  At
+        d = 3, (t0, j - t0) sits at column j - t0, so the swap reverses the
         span."""
+        if self.d == 3:
+            reverse = np.arange(self.horizon, -1, -1)
+            for j in range(self.horizon + 1):
+                yield reverse[self.horizon - j :]
+            return
         table, spans, _, _ = self._lattice
         n = self.d - 1
         before = np.array([math.comb(u + n - 2, n - 1) for u in range(self.horizon + 1)])
-        order = np.empty(table.shape[1], dtype=np.intp)
         for j, (start, stop) in enumerate(spans):
-            shift = before[j - table[1, start:stop]] - before[j - table[0, start:stop]]
-            np.add(np.arange(stop - start), shift, out=order[start:stop])
-        return order
+            order = before[j - table[1, start:stop]]
+            order -= before[j - table[0, start:stop]]
+            order += np.arange(stop - start)
+            yield order
 
     def _ensemble_array(self, mu) -> np.ndarray:
         mu_arr = np.ascontiguousarray(mu, dtype=np.float64)
@@ -260,7 +262,7 @@ class TradeoffEvaluator:
 
         The dot products start from zeros and add one trailing mode at a
         time, and fl(x + y) = fl(y + x), so the mate's dot product at each
-        column is this ensemble's at the column ``_swap_order`` names; the
+        column is this ensemble's at the column ``_swap_orders`` names; the
         mate's terms are this ensemble's gathered in that order, and each of
         its block rows is summed as a lone evaluation of the mate sums it.
         The pair is priced as a run of two lone evaluations.
@@ -269,11 +271,11 @@ class TradeoffEvaluator:
             raise ValueError("a swap mate needs d >= 3: two trailing weights")
         mu_arr = self._ensemble_array(mu)
         run_work(self.d, self.horizon, [None, None])
-        return self._lattice_entropies(mu_arr, self._swap_order)
+        return self._lattice_entropies(mu_arr, pair=True)
 
-    def _lattice_entropies(self, mu_arr, order=None) -> tuple:
+    def _lattice_entropies(self, mu_arr, pair=False) -> tuple:
         """``block_entropies`` at ``mu_arr`` on the lattice kernel, and at its
-        swap mate too when ``order`` is the swap order."""
+        swap mate too when ``pair``."""
         table, spans, b1, pairs = self._lattice
         a_all = np.zeros(table.shape[1])
         for c in range(self.d - 1):
@@ -281,7 +283,8 @@ class TradeoffEvaluator:
         mu_b1 = mu_arr[0] * b1
         # Row 0: receiver block k at column k; row 1: environment block k+1.
         out = np.zeros((2, self.horizon + 1))
-        mate = None if order is None else np.zeros_like(out)
+        mate = np.zeros_like(out) if pair else None
+        orders = self._swap_orders() if pair else None
         for j, (start, stop) in enumerate(spans):
             kernels.block_family_entropy(
                 a_all[start:stop],
@@ -290,7 +293,7 @@ class TradeoffEvaluator:
                 self._inv_ln_base,
                 out,
                 j,
-                None if order is None else order[start:stop],
+                None if orders is None else next(orders),
                 mate,
             )
         return tuple((h[0, 1:], h[1, :-1]) for h in (out, mate) if h is not None)

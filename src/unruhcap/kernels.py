@@ -14,9 +14,9 @@ how the terms are grouped or ordered can move an ``on_hull`` flag.  Two
 such rows that differ by a swap of weights 1 and 2 share one set of terms:
 the second row's terms are the first's at swapped columns, bit for bit
 (see ``engine.TradeoffEvaluator.swap_pair_entropies``), so gathering them
-in that column order into a ``(2, m, L)`` array shaped as a lone
-evaluation's, and summing its rows the same way, gives that evaluation's
-bits.  The histogram kernel has no such contract: rows evaluated on it are
+in that column order and summing each block row as one contiguous pairwise
+row sum, as a lone evaluation of the second row sums it, gives that
+evaluation's bits.  The histogram kernel has no such contract: rows evaluated on it are
 exact to rounding only.
 """
 
@@ -57,9 +57,14 @@ def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j, order=None
     and is summed on its own.
 
     With ``order``, a permutation of the columns of ``a_sub``, the same
-    ``p log p`` terms are also gathered in that column order, into ``p``'s
-    buffer (free by then), and reduced into ``mate`` as into ``out``: the
-    contribution of an ensemble whose dot products are ``a_sub[order]``.
+    ``p log p`` terms are also gathered in that column order, into the
+    buffer the logs took, and each row is reduced into ``mate`` as into
+    ``out``: the contribution of an ensemble whose dot products are
+    ``a_sub[order]``.  A lone call holds the 32 m L bytes of ``p`` and its
+    logs, within the 34 m L that ``engine.pick_kernel`` prices with the zero
+    mask.  ``order``'s 8 L bytes fit in those 2 m L when m >= 4; below that
+    the call takes one side's logs, then one side's gathered terms, at a
+    time, and holds 24 m L + 8 L <= 32 m L bytes.
     """
     m = mu_b1.shape[0]
     p = np.empty((2, m, a_sub.shape[0]))
@@ -67,14 +72,17 @@ def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j, order=None
     np.add(p[0], 1.0, out=p[1])
     p *= inv_norm
     np.putmask(p, p == 0.0, 1.0)
-    plogp = np.log(p)
-    plogp *= p
-    h = np.add.reduce(plogp, axis=2)
+    split = order is not None and m < 4
+    buf = np.empty(p.shape[1:] if split else p.shape)
+    for side in p if split else (p,):
+        side *= np.log(side, out=buf)  # p log p
+    h = np.add.reduce(p, axis=2)
     h *= inv_ln_base
     out[:, j : j + m] -= h
     if order is not None:
-        plogp.take(order, axis=2, out=p, mode="clip")  # "clip" writes out unbuffered
-        h = np.add.reduce(p, axis=2)
+        for side, h_side in zip(p, h) if split else ((p, h),):
+            side.take(order, axis=-1, out=buf, mode="clip")  # "clip" writes out unbuffered
+            np.add.reduce(buf, axis=-1, out=h_side)
         h *= inv_ln_base
         mate[:, j : j + m] -= h
 

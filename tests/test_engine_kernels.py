@@ -212,6 +212,7 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     ]
     assert not all(on_lattice)  # some orbits ran on the histogram
     lattice_calls = [(j + 1, horizon + 1 - j, j) for j in range(horizon + 1)]
+    assert all(len(row) == 3 for mus, _, _ in evals for row in mus)
     for (_, _, calls), lattice in zip(evals, on_lattice):
         assert calls == (lattice_calls if lattice else [])
 
@@ -467,24 +468,22 @@ def test_cost_function_picks_each_kernel():
 
 
 def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(monkeypatch):
-    # The int32 table, the float64 dot products of its dim_K columns and,
-    # from d = 3 on, the intp swap order of a swap pair, and the (2, m, L)
-    # float64 terms, p log p and bool mask of the largest sub-weight, found
-    # here by trying every one.  pick_kernel admits the lattice at exactly
-    # those bytes, and a lone evaluation and a swap pair, each on a fresh
-    # evaluator, which builds its table (and the pair its swap order), peak
-    # within them.
+    # The int32 table and the float64 dot products of its dim_K columns, and
+    # the (2, m, L) float64 terms, p log p and bool mask of the largest
+    # sub-weight, found here by trying every one.  pick_kernel admits the
+    # lattice at exactly those bytes, and a lone evaluation and a swap pair,
+    # each on a fresh evaluator, which builds its table, peak within them.
     import tracemalloc
 
     d = 4
     horizon = regions.ChannelSpec(d, z=0.5).evaluator.horizon
     dim = math.comb(horizon + d - 1, d - 1)
     largest = max((horizon + 1 - j) * math.comb(j + d - 2, d - 2) for j in range(horizon + 1))
-    priced = 4 * (d - 1) * dim + 8 * dim + 8 * dim + 34 * largest
+    priced = 4 * (d - 1) * dim + 8 * dim + 34 * largest
     monkeypatch.setattr(engine, "MAX_KERNEL_BYTES", priced)
     assert pick_kernel(d, horizon)[0] == "lattice"
     monkeypatch.setattr(engine, "MAX_KERNEL_BYTES", priced - 1)
-    with pytest.raises(SizeCapError, match="table entries and 7.1e5 bytes in all"):
+    with pytest.raises(SizeCapError, match="table entries and 5.8e5 bytes in all"):
         pick_kernel(d, horizon)
     monkeypatch.undo()
     mu = np.array([0.4, 0.3, 0.2, 0.1])
@@ -497,6 +496,33 @@ def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(monkeypatch):
         finally:
             tracemalloc.stop()
         assert priced / 2 <= peak <= priced, evaluate.__name__
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_a_pair_kernel_call_holds_no_more_than_the_priced_terms(m):
+    # pick_kernel prices a sub-weight at 34 m L bytes: (2, m, L) terms, their
+    # logs and a bool mask.  A pair's call also holds its L-entry swap order,
+    # which fits in the mask's share from m = 4 on; below that the call takes
+    # one side at a time.  The bytes traced here include the order's.
+    import tracemalloc
+
+    width = 2**16
+    rng = np.random.default_rng(m)
+    a_sub = rng.uniform(0.0, 1.0, width)
+    inv_norm = rng.uniform(0.5, 1.0, (2, m, 1))
+    mu_b1 = 0.3 * np.arange(m, dtype=np.float64)[:, None]
+    out, mate = np.zeros((2, m)), np.zeros((2, m))
+    tracemalloc.start()
+    try:
+        order = np.arange(width)[::-1].copy()
+        kernels.block_family_entropy(a_sub, inv_norm, mu_b1, 1.0, out, 0, order, mate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 24 * m * width <= peak <= 34 * m * width + 4096
+    lone = np.zeros((2, m))
+    kernels.block_family_entropy(a_sub[::-1].copy(), inv_norm, mu_b1, 1.0, lone, 0)
+    assert np.array_equal(mate, lone)
 
 
 def test_run_work_sums_each_orbit_against_one_budget():
