@@ -12,12 +12,15 @@ block.  Two exact kernels do this:
   (d-1)-mode table, then makes one kernel call per sub-weight, C(K+d, d)
   terms in all.  Each block's terms from one sub-weight are one contiguous
   1-D pairwise row sum, accumulated in sub-weight order; that order fixes
-  the output bits (see ``kernels``).  A swap pair evaluates ``mu`` and its
-  swap mate (mu0, mu2, mu1, mu3, ...) from one set of terms: each dot
-  product is built from zeros one trailing mode at a time and fl(x + y) =
-  fl(y + x), so the mate's terms are ``mu``'s at the columns of the
-  compositions with their first two entries exchanged, and its rows are
-  summed in that order, as a lone evaluation of the mate sums them.
+  the output bits (see ``kernels``).  A stack of ensembles shares the table
+  and makes one kernel call per sub-weight for all its rows, each row
+  keeping its lone evaluation's bits; ``stack_rows`` sizes it.  A swap
+  pair evaluates ``mu`` and its swap mate (mu0, mu2, mu1, mu3, ...) from
+  one set of terms: each dot product is built from zeros one trailing mode
+  at a time and fl(x + y) = fl(y + x), so the mate's terms are ``mu``'s at
+  the columns of the compositions with their first two entries exchanged,
+  and its rows are summed in that order, as a lone evaluation of the mate
+  sums them.
 * the histogram kernel (a grid point ``mu = counts / n``) counts, per block,
   how many basis vectors share each integer atom numerator ``b . counts``:
   the t modes of the commonest count in closed form, the other d - t in
@@ -31,8 +34,9 @@ fallback: a grid point at d >= 3 runs on the histogram, and the lattice takes
 d = 2 and off-grid points (such as the rows the CQ/CE curves evaluate again
 near a hull vertex).  Either is refused only past one memory cap,
 ``MAX_KERNEL_BYTES`` = 4e8 bytes (what one lattice evaluation holds: its
-int32 table, the float64 dot products and the largest sub-weight's terms;
-the histogram's chunk buffers), and the histogram also when its counts
+int32 table, a swap order, the float64 dot products, the largest
+sub-weight's terms and the bookkeeping; the histogram's chunk buffers),
+and the histogram also when its counts
 would not be exact floats.  It returns the kernel with its work in one unit,
 lattice terms, a histogram cell priced at ``CELL_PRICE`` = 0.18 terms (the
 largest per-orbit median of ``kernels.histogram_entropy``, about 2.6 ns a
@@ -61,9 +65,11 @@ __all__ = [
     "CELL_PRICE",
     "MAX_KERNEL_BYTES",
     "MAX_RUN_WORK",
+    "STACK_BYTES",
     "TradeoffEvaluator",
     "pick_kernel",
     "run_work",
+    "stack_rows",
 ]
 
 # The work of a run, in lattice terms (about 14 s of them), the memory of one
@@ -78,6 +84,17 @@ __all__ = [
 MAX_RUN_WORK = 10**9
 MAX_KERNEL_BYTES = 4 * 10**8
 CELL_PRICE = 0.18
+
+# The float64 terms of one stack of lattice evaluations at its largest
+# sub-weight: 2**19 bytes gives stacks of 12 rows at d = 3, z = 0.75 (K =
+# 102), 4 at d = 4, z = 0.5 and 1 at d = 5, z = 0.5.  And the lattice's
+# bookkeeping, in bytes, rounded up from tracemalloc's counts: a sub-weight
+# shared (its span of two Python ints, b1 entry and normalizer pair) and a
+# row (its mu1 b1 entry and two accumulator columns), and the Python and
+# numpy objects of a stack and of a row (array headers, result views).
+STACK_BYTES = 2**19
+LATTICE_SHARED, LATTICE_ROW = 160, 48
+OBJECTS_SHARED, OBJECTS_ROW = 8192, 1024
 
 
 def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
@@ -94,16 +111,16 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
     Everything else runs on the lattice: d = 2, where no two basis vectors of
     a block share an atom numerator b1 c1 + b2 c2 unless c1 = c2, so the
     histogram has nothing to merge, and off-grid points (``None``).  Its work
-    is C(K+d, d) terms, and its memory what one evaluation holds: the (d-1)
-    dim_K int32 entries of its table, the float64 dot products of its dim_K
-    columns, and the largest sub-weight's (2, m, L) float64 terms, their
-    p log p and their bool zero mask, 34 m L bytes.  That sub-weight, m L =
-    (K+1-j) C(j+d-2, d-2), is the first j >= ((d-2) K - 1) / (d-1), in
-    closed form.  A swap pair holds no more: its kernel call keeps a
-    sub-weight's L-entry swap order within that sub-weight's 34 m L bytes
-    (see ``kernels.block_family_entropy``).  The cap keeps dim_K far below
-    2**53, so a dim_K that ``capped_comb`` does not build is refused on
-    either kernel.
+    is C(K+d, d) terms, and its memory what a stack of one holds
+    (``_lattice_bytes``): the (d-1) dim_K int32 entries of its table, one
+    swap order, the float64 dot products of its dim_K columns, the largest
+    sub-weight's (2, m, L) float64 terms, their p log p and their bool zero
+    mask, 34 m L bytes, and the O(K) bookkeeping.  A swap pair holds no
+    more: its kernel calls keep every other sub-weight's L-entry swap order
+    within that sub-weight's 34 m L bytes (see
+    ``kernels.block_family_entropy``).  The cap keeps dim_K far below 2**53,
+    so a dim_K that ``capped_comb`` does not build is refused on either
+    kernel.
     """
     check_dim(d)
     dim = capped_comb(horizon + d - 1, d - 1, 2**53 - 1)
@@ -117,19 +134,54 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
             f"(cap {MAX_KERNEL_BYTES}) and dim_K = {count_text(horizon + d - 1, d - 1, dim)} "
             "(cap 2**53 - 1), one or both exceed cap"
         )
-    size = (4 * d + 4) * dim  # the int32 table and the float64 dot products
-    if size < math.inf:
-        j = max(0, -(-((d - 2) * horizon - 1) // (d - 1)))  # the largest sub-weight
-        size += 34 * (horizon + 1 - j) * math.comb(j + d - 2, d - 2)
+    size = math.inf
+    if dim < math.inf:
+        size = sum(_lattice_bytes(d, horizon, dim))  # a stack of one
         if size <= MAX_KERNEL_BYTES:
             return "lattice", dim * (horizon + d) // d  # C(K+d, d)
     n = horizon + d - 1
     shown = rounded_count(size) if size < math.inf else count_text(n, d - 1, dim, 4 * d + 4)
     raise SizeCapError(
         f"d={d}, K={horizon}: lattice kernel: {count_text(n, d - 1, dim, d - 1)} int32 table "
-        f"entries and {shown} bytes in all (the table, its float64 dot products and the "
-        f"largest sub-weight's terms) exceed cap {MAX_KERNEL_BYTES} bytes"
+        f"entries and {shown} bytes in all (the table, its float64 dot products, the "
+        f"largest sub-weight's terms and the bookkeeping) exceed cap {MAX_KERNEL_BYTES} bytes"
     )
+
+
+def _largest_sub_weight(d: int, horizon: int) -> tuple[int, int]:
+    """(m, L) of the lattice's largest sub-weight, the one with the most
+    terms m L = (K+1-j) C(j+d-2, d-2): the first j >= ((d-2) K - 1) / (d-1),
+    in closed form."""
+    j = max(0, -(-((d - 2) * horizon - 1) // (d - 1)))
+    return horizon + 1 - j, math.comb(j + d - 2, d - 2)
+
+
+def _lattice_bytes(d: int, horizon: int, dim: int) -> tuple[int, int]:
+    """The bytes a stack of E lattice evaluations holds, as (shared, per
+    row): E rows and the shared part make ``shared + E * row`` bytes.
+
+    Shared: the (d-1) dim_K int32 entries of the table, one swap order of
+    the largest sub-weight's L int64 columns, ``LATTICE_SHARED`` bytes a
+    sub-weight and ``OBJECTS_SHARED``.  A row: the float64 dot products of
+    the dim_K columns, the largest sub-weight's (2, m, L) float64 terms,
+    their p log p and their bool zero mask (34 m L bytes), ``LATTICE_ROW``
+    bytes a sub-weight and ``OBJECTS_ROW``.  The dot products are formed one
+    mode at a time with a temporary of their size, before any term is held,
+    and 8 dim_K <= 34 m L wherever the cap admits the lattice.
+    """
+    m, length = _largest_sub_weight(d, horizon)
+    shared = 4 * (d - 1) * dim + 8 * length + LATTICE_SHARED * (horizon + 1) + OBJECTS_SHARED
+    return shared, 8 * dim + 34 * m * length + LATTICE_ROW * (horizon + 1) + OBJECTS_ROW
+
+
+def stack_rows(d: int, horizon: int) -> int:
+    """The rows of one stack of lattice evaluations: as many as keep the
+    largest sub-weight's float64 (2, m, L) terms, 16 m L bytes a row, within
+    ``STACK_BYTES``, and the stack within ``MAX_KERNEL_BYTES``; at least one,
+    which ``pick_kernel`` prices as a lone evaluation."""
+    m, length = _largest_sub_weight(d, horizon)
+    shared, row = _lattice_bytes(d, horizon, math.comb(horizon + d - 1, d - 1))
+    return max(1, min(STACK_BYTES // (16 * m * length), (MAX_KERNEL_BYTES - shared) // row))
 
 
 def run_work(d: int, horizon: int, orbits) -> float:
@@ -212,11 +264,9 @@ class TradeoffEvaluator:
         compositions with a larger first entry, plus a rank that depends on
         ``rest`` alone; exchanging t0 and t1 moves the first term only.  At
         d = 3, (t0, j - t0) sits at column j - t0, so the swap reverses the
-        span."""
-        if self.d == 3:
-            reverse = np.arange(self.horizon, -1, -1)
-            for j in range(self.horizon + 1):
-                yield reverse[self.horizon - j :]
+        span: its order is the slice ``::-1``."""
+        if self.d == 3:  # a reversed view, which the kernel sums without a copy
+            yield from (slice(None, None, -1),) * (self.horizon + 1)
             return
         table, spans, _, _ = self._lattice
         n = self.d - 1
@@ -254,49 +304,62 @@ class TradeoffEvaluator:
         run_work(self.d, self.horizon, [counts])
         if pick_kernel(self.d, self.horizon, counts)[0] == "histogram":
             return kernels.histogram_entropy(counts, self._inv_norm[1:-1], self._inv_ln_base)
-        return self._lattice_entropies(mu_arr)[0]
+        return self._lattice_entropies(mu_arr[None])[0]
 
-    def swap_pair_entropies(self, mu) -> tuple[tuple, tuple]:
-        """``block_entropies`` at ``mu`` and at its swap mate (mu0, mu2, mu1,
-        mu3, ...), d >= 3, bit for bit, from one set of lattice terms.
+    def stack_entropies(self, mus, swap=False) -> list:
+        """``block_entropies`` at each row of ``mus``, an (n, d) array, on the
+        lattice kernel, bit for bit: each row's ``(h_bx, h_ex)``, or with
+        ``swap`` (d >= 3) the pair of it and that of its swap mate (mu0, mu2,
+        mu1, mu3, ...), from one set of lattice terms.
 
-        The dot products start from zeros and add one trailing mode at a
-        time, and fl(x + y) = fl(y + x), so the mate's dot product at each
-        column is this ensemble's at the column ``_swap_orders`` names; the
-        mate's terms are this ensemble's gathered in that order, and each of
-        its block rows is summed as a lone evaluation of the mate sums it.
-        The pair is priced as a run of two lone evaluations.
+        The rows run ``stack_rows`` at a time, one kernel call per sub-weight
+        for the whole stack.  The dot products start from zeros and add one
+        trailing mode at a time, and fl(x + y) = fl(y + x), so a mate's dot
+        product at each column is its row's at the column ``_swap_orders``
+        names; the mate's terms are its row's gathered in that order, and
+        each of its block rows is summed as a lone evaluation of the mate
+        sums it.  The rows are priced as a run of lone evaluations, two a
+        row with ``swap``.
         """
-        if self.d < 3:
+        mus = np.ascontiguousarray(mus, dtype=np.float64)
+        if mus.ndim != 2 or mus.shape[1] != self.d:
+            raise ValueError(f"ensembles must be rows of {self.d} weights")
+        if swap and self.d < 3:
             raise ValueError("a swap mate needs d >= 3: two trailing weights")
-        mu_arr = self._ensemble_array(mu)
-        run_work(self.d, self.horizon, [None, None])
-        return self._lattice_entropies(mu_arr, pair=True)
+        run_work(self.d, self.horizon, [None] * (len(mus) * (2 if swap else 1)))
+        rows = stack_rows(self.d, self.horizon)
+        return [
+            h for start in range(0, len(mus), rows)
+            for h in self._lattice_entropies(mus[start : start + rows], swap)
+        ]
 
-    def _lattice_entropies(self, mu_arr, pair=False) -> tuple:
-        """``block_entropies`` at ``mu_arr`` on the lattice kernel, and at its
-        swap mate too when ``pair``."""
+    def _lattice_entropies(self, mus, swap=False) -> list:
+        """``block_entropies`` at each row of the (E, d) stack ``mus`` on the
+        lattice kernel, paired with that of its swap mate when ``swap``.  A
+        stack of one passes the kernel a lone evaluation's shapes."""
         table, spans, b1, pairs = self._lattice
-        a_all = np.zeros(table.shape[1])
+        a_all = np.zeros((len(mus), table.shape[1]))
         for c in range(self.d - 1):
-            a_all += table[c] * mu_arr[c + 1]
-        mu_b1 = mu_arr[0] * b1
+            a_all += table[c] * mus[:, c + 1, None]
+        mu_b1 = mus[:, 0, None, None] * b1
         # Row 0: receiver block k at column k; row 1: environment block k+1.
-        out = np.zeros((2, self.horizon + 1))
-        mate = np.zeros_like(out) if pair else None
-        orders = self._swap_orders() if pair else None
+        out = np.zeros((len(mus), 2, self.horizon + 1))
+        mate = np.zeros_like(out) if swap else None
+        orders = self._swap_orders() if swap else None
+        at = 0 if len(mus) == 1 else slice(None)
         for j, (start, stop) in enumerate(spans):
             kernels.block_family_entropy(
-                a_all[start:stop],
+                a_all[at, start:stop],
                 pairs[:, j:],
-                mu_b1[: self.horizon + 1 - j],
+                mu_b1[at, : self.horizon + 1 - j],
                 self._inv_ln_base,
-                out,
+                out[at],
                 j,
                 None if orders is None else next(orders),
-                mate,
+                None if mate is None else mate[at],
             )
-        return tuple((h[0, 1:], h[1, :-1]) for h in (out, mate) if h is not None)
+        heads = [(h[0, 1:], h[1, :-1]) for h in out]
+        return list(zip(heads, [(h[0, 1:], h[1, :-1]) for h in mate])) if swap else heads
 
     def sums(self, mu, counts=None) -> tuple[float, float]:
         """Weighted sums (sum_k p_k H_B|X,k, sum_k p_k H_E|X,k) at ``mu``

@@ -10,14 +10,18 @@ composition order, and those contributions are accumulated in sub-weight
 order.  The CQ and CE curves evaluate every row within ``HULL_TOL`` of a
 hull vertex once more on its own, on this kernel; the last bits of those
 evaluations decide which of several tied rows the hull flags, so a change in
-how the terms are grouped or ordered can move an ``on_hull`` flag.  Two
-such rows that differ by a swap of weights 1 and 2 share one set of terms:
-the second row's terms are the first's at swapped columns, bit for bit
-(see ``engine.TradeoffEvaluator.swap_pair_entropies``), so gathering them
-in that column order and summing each block row as one contiguous pairwise
-row sum, as a lone evaluation of the second row sums it, gives that
-evaluation's bits.  The histogram kernel has no such contract: rows evaluated on it are
-exact to rounding only.
+how the terms are grouped or ordered can move an ``on_hull`` flag.  From
+d = 3 on those rows run in stacks, one call per sub-weight for several
+ensembles: each ensemble's block rows are still row sums of their own, so
+each gets its lone evaluation's bits.  Two such rows that differ by a swap
+of weights 1 and 2 share one set of terms: the second row's terms are the
+first's at swapped columns, bit for bit (see
+``engine.TradeoffEvaluator.stack_entropies``), so gathering them in that
+column order (or reading them through a reversed view, whose pairwise sum
+runs in the view's order) and summing each block row as one pairwise row
+sum, as a lone evaluation of the second row sums it, gives that
+evaluation's bits.  The histogram kernel has no such contract: rows
+evaluated on it are exact to rounding only.
 """
 
 import math
@@ -56,35 +60,47 @@ def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j, order=None
     ``(2, m, L)`` array, so row ``[side, b1]`` holds the terms of one block
     and is summed on its own.
 
-    With ``order``, a permutation of the columns of ``a_sub``, the same
-    ``p log p`` terms are also gathered in that column order, into the
-    buffer the logs took, and each row is reduced into ``mate`` as into
-    ``out``: the contribution of an ensemble whose dot products are
-    ``a_sub[order]``.  A lone call holds the 32 m L bytes of ``p`` and its
-    logs, within the 34 m L that ``engine.pick_kernel`` prices with the zero
-    mask.  ``order``'s 8 L bytes fit in those 2 m L when m >= 4; below that
-    the call takes one side's logs, then one side's gathered terms, at a
-    time, and holds 24 m L + 8 L <= 32 m L bytes.
+    A stack of E ensembles passes ``a_sub`` as (E, L), ``mu_b1`` as
+    (E, m, 1) and ``out`` (and ``mate``) as (E, 2, K+1), against one shared
+    ``inv_norm``; its terms are one (2, E, m, L) array, and each of its
+    block rows is still one contiguous row sum, so every ensemble of a stack
+    gets the bits of its own lone call.  The sides lead, so each is one
+    contiguous block, as in a lone call: numpy copies an input that it
+    cannot prove apart from its output, as it cannot two interleaved sides.
+
+    With ``order``, a permutation of the columns of ``a_sub`` (an index
+    array, or a slice such as the reversal ``::-1``), the same ``p log p``
+    terms are also gathered in that column order, into the buffer the logs
+    took (a slice is read as a view), and each row is reduced into ``mate``
+    as into ``out``: the contribution of the ensembles whose dot products
+    are ``a_sub[..., order]``.  A call holds the 32 E m L bytes of ``p`` and
+    its logs, within the 34 m L a row that ``engine.pick_kernel`` prices
+    with the zero mask.  ``order``'s 8 L bytes fit in those 2 E m L when
+    E m >= 4; below that the call takes one side's logs, then one side's
+    gathered terms, at a time, and holds 24 E m L + 8 L <= 32 E m L bytes.
     """
-    m = mu_b1.shape[0]
-    p = np.empty((2, m, a_sub.shape[0]))
-    np.add(mu_b1, a_sub, out=p[0])
+    m, stack = mu_b1.shape[-2], a_sub.shape[:-1]
+    p = np.empty((2, *stack, m, a_sub.shape[-1]))
+    np.add(mu_b1, a_sub[..., None, :], out=p[0])
     np.add(p[0], 1.0, out=p[1])
-    p *= inv_norm
+    p *= inv_norm.reshape(2, *(1,) * len(stack), m, 1)
     np.putmask(p, p == 0.0, 1.0)
-    split = order is not None and m < 4
+    split = order is not None and p[0].size < 4 * a_sub.shape[-1]  # E m < 4
     buf = np.empty(p.shape[1:] if split else p.shape)
     for side in p if split else (p,):
         side *= np.log(side, out=buf)  # p log p
-    h = np.add.reduce(p, axis=2)
+    h = np.add.reduce(p, axis=-1)
     h *= inv_ln_base
-    out[:, j : j + m] -= h
+    out[..., j : j + m] -= h.swapaxes(0, -2)
     if order is not None:
         for side, h_side in zip(p, h) if split else ((p, h),):
-            side.take(order, axis=-1, out=buf, mode="clip")  # "clip" writes out unbuffered
-            np.add.reduce(buf, axis=-1, out=h_side)
+            if isinstance(order, slice):  # a view, read in that order
+                np.add.reduce(side[..., order], axis=-1, out=h_side)
+            else:
+                side.take(order, axis=-1, out=buf, mode="clip")  # "clip" writes out unbuffered
+                np.add.reduce(buf, axis=-1, out=h_side)
         h *= inv_ln_base
-        mate[:, j : j + m] -= h
+        mate[..., j : j + m] -= h.swapaxes(0, -2)
 
 
 def histogram_entropy(counts, inv_norm, inv_ln_base):

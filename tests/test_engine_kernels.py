@@ -127,27 +127,33 @@ def swap_mate(mu) -> np.ndarray:
     return np.asarray(mu)[[0, 2, 1, *range(3, len(mu))]]
 
 
-@pytest.mark.parametrize("d, horizon", [(3, 100), (4, 24), (5, 12), (6, 7)])
-def test_swap_pair_bits_match_two_lone_evaluations(d, horizon):
-    # Bitwise: a swap pair's two results are those of block_entropies at mu
-    # and at its swap mate, whose terms it gathers in the swap order and sums
-    # row by row.  The mate's terms are the same multiset as mu's, so only
-    # the order of the sums can split a last bit.  Seeded random points,
-    # grid edges and vertices with zeros, tied weights 1 and 2 (the mate is
-    # mu itself) and an off-grid point.
-    rng = np.random.default_rng(2000 + d)
-    evaluator = TradeoffEvaluator(d, rng.uniform(0.0, 1.0, horizon), float(d))
+def oracle_points(rng, d) -> list:
+    """Vertices, the uniform point, tied weights 1 and 2 (a row that is its
+    own swap mate), an off-grid point, grid edges with zeros and seeded
+    random points, each normalized."""
     points = [np.eye(d)[i] for i in range(d)] + [np.full(d, 1.0 / d)]
-    points.append(np.linspace(1.0, 2.0, d) / np.linspace(1.0, 2.0, d).sum())
+    points.append(np.linspace(1.0, 2.0, d))
+    points.append(np.array([3.0, 1.0, 1.0] + [0.5] * (d - 3)))
     points.append(np.array([math.pi, math.e, math.sqrt(2.0)] + [math.log(3.0)] * (d - 3)))
     for _ in range(6):
         counts = rng.integers(0, 9, d)
         counts[rng.integers(d)] += 1
         points.append(counts / counts.sum())  # zeros on the grid's edges
         points.append(rng.dirichlet(np.ones(d)))
-    for mu in points:
-        mu = mu / mu.sum()
-        got = evaluator.swap_pair_entropies(mu)
+    return [mu / mu.sum() for mu in points]
+
+
+@pytest.mark.parametrize("d, horizon", [(3, 100), (4, 24), (5, 12), (6, 7)])
+def test_swap_pair_bits_match_two_lone_evaluations(d, horizon):
+    # Bitwise: a swap pair's two results are those of block_entropies at mu
+    # and at its swap mate, whose terms it gathers in the swap order and sums
+    # row by row.  The mate's terms are the same multiset as mu's, so only
+    # the order of the sums can split a last bit.  Each pair is a stack of
+    # one, whose kernel calls have a lone evaluation's shapes.
+    rng = np.random.default_rng(2000 + d)
+    evaluator = TradeoffEvaluator(d, rng.uniform(0.0, 1.0, horizon), float(d))
+    for mu in oracle_points(rng, d):
+        (got,) = evaluator.stack_entropies(mu[None], swap=True)
         want = (evaluator.block_entropies(mu), evaluator.block_entropies(swap_mate(mu)))
         for got_h, want_h in zip(got, want):
             assert all(np.array_equal(g, w) for g, w in zip(got_h, want_h)), mu
@@ -156,7 +162,34 @@ def test_swap_pair_bits_match_two_lone_evaluations(d, horizon):
 def test_swap_pair_needs_two_trailing_weights():
     evaluator = TradeoffEvaluator(2, np.ones(4), 2.0)
     with pytest.raises(ValueError, match="d >= 3"):
-        evaluator.swap_pair_entropies(np.array([0.5, 0.5]))
+        evaluator.stack_entropies(np.array([[0.5, 0.5]]), swap=True)
+    with pytest.raises(ValueError, match="rows of 2 weights"):
+        evaluator.stack_entropies(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("d, horizon", [(3, 100), (4, 24), (5, 12), (6, 7)])
+def test_stacked_rows_match_lone_evaluations(d, horizon, monkeypatch):
+    # Bitwise: every row of a stack, and every swap mate of a pair stack, is
+    # its own lone evaluation, whatever the stack's size: one row, two rows
+    # and the byte budget's size, over 2 * budget + 1 points, so the last
+    # stack of two and of the budget's size holds one row.
+    rng = np.random.default_rng(3000 + d)
+    evaluator = TradeoffEvaluator(d, rng.uniform(0.0, 1.0, horizon), float(d))
+    budget = engine.stack_rows(d, horizon)
+    assert budget > 2
+    points = oracle_points(rng, d)
+    points += list(rng.dirichlet(np.ones(d), 2 * budget + 1 - len(points)))
+    points = np.array(points)
+    lone = [evaluator.block_entropies(mu) for mu in points]
+    mates = [evaluator.block_entropies(swap_mate(mu)) for mu in points]
+    for size in (1, 2, budget):
+        monkeypatch.setattr(engine, "stack_rows", lambda d, horizon: size)
+        singles = evaluator.stack_entropies(points)
+        pairs = evaluator.stack_entropies(points, swap=True)
+        assert len(singles) == len(pairs) == len(points)
+        for mu, got, (head, mate), want, want_mate in zip(points, singles, pairs, lone, mates):
+            for got_h, want_h in ((got, want), (head, want), (mate, want_mate)):
+                assert all(np.array_equal(g, w) for g, w in zip(got_h, want_h)), (size, mu)
 
 
 def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
@@ -164,27 +197,32 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     # and len(args[0]) * len(args[2]) terms per kernel call.  A curve
     # evaluates each orbit once with its counts, on the kernel the gate
     # picks, then every row tied with a hull vertex once more without them,
-    # on the lattice, but for the orbits' first rows the sweep ran there; two
-    # such rows that differ by a swap of weights 1 and 2 are one swap pair,
-    # whose kernel calls have a lone evaluation's shapes.
+    # on the lattice, but for the orbits' first rows the sweep ran there.  At
+    # d = 3 those rows run in stacks: one stack_entropies call for the heads
+    # of the swap pairs and one for the single rows, each kernel call taking
+    # (E, L) dot products and an (E, m, 1) column for a stack of E rows, and
+    # a lone evaluation's shapes for a stack of one.
     spec = regions.ChannelSpec(3, z=0.5)
     curve = regions.cq_curve(spec, 4)
     orbits = orbit_counts(curve.mu, 4)
     again = reevaluated_rows(spec, curve, 4)
     evals, horizons = [], []
     kernel, weights = kernels.block_family_entropy, regions.unruh_weights
-    evaluate, pair = TradeoffEvaluator.block_entropies, TradeoffEvaluator.swap_pair_entropies
+    evaluate, stack = TradeoffEvaluator.block_entropies, TradeoffEvaluator.stack_entropies
 
     def record_eval(self, mu, counts=None):
         evals.append(([tuple(mu)], counts, []))
         return evaluate(self, mu, counts)
 
-    def record_pair(self, mu):
-        evals.append(([tuple(mu), (mu[0], mu[2], mu[1])], "pair", []))
-        return pair(self, mu)
+    def record_stack(self, mus, swap=False):
+        rows = [tuple(mu) for mu in mus]
+        if swap:
+            rows += [(mu[0], mu[2], mu[1]) for mu in rows]
+        evals.append((rows, ("stack", len(mus), swap), []))
+        return stack(self, mus, swap)
 
     def record_kernel(*args):
-        evals[-1][2].append((len(args[0]), len(args[2]), args[5]))
+        evals[-1][2].append((args[0].shape, args[2].shape, args[4].shape, args[5]))
         return kernel(*args)
 
     def record_weights(*args):
@@ -194,27 +232,55 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
 
     monkeypatch.setattr(kernels, "block_family_entropy", record_kernel)
     monkeypatch.setattr(TradeoffEvaluator, "block_entropies", record_eval)
-    monkeypatch.setattr(TradeoffEvaluator, "swap_pair_entropies", record_pair)
+    monkeypatch.setattr(TradeoffEvaluator, "stack_entropies", record_stack)
     monkeypatch.setattr(regions, "unruh_weights", record_weights)
     assert cli.main(["cq-curve", "--d", "3", "--z", "0.5", "--grid", "4", "-o", os.devnull]) == 0
     horizon = truncation_horizon(UnruhConfig(3, 0.5))
     assert horizons == [horizon]
-    # One per orbit with its reduced counts, then one per tied row, or per
-    # swap pair of tied rows, that does not hold its own lattice bits yet.
+    # One per orbit with its reduced counts, all on the histogram at d = 3,
+    # then one stack of the pair heads and one of the single rows.
     assert sorted(counts for _, counts, _ in evals[: len(orbits)]) == sorted(orbits.values())
-    rest = evals[len(orbits) :]
-    assert {counts for _, counts, _ in rest} == {None, "pair"}
-    rows = sorted(row for mus, _, _ in rest for row in mus)
+    assert all(pick_kernel(3, horizon, counts)[0] == "histogram" for counts in orbits.values())
+    assert all(calls == [] for _, _, calls in evals[: len(orbits)])
+    stacks = evals[len(orbits) :]
+    assert [counts[2] for _, counts, _ in stacks] == [True, False]
+    rows = sorted(row for mus, _, _ in stacks for row in mus)
     assert rows == sorted(tuple(curve.mu[i]) for i in again)
-    on_lattice = [
-        counts in (None, "pair") or pick_kernel(3, horizon, counts)[0] == "lattice"
-        for _, counts, _ in evals
-    ]
-    assert not all(on_lattice)  # some orbits ran on the histogram
-    lattice_calls = [(j + 1, horizon + 1 - j, j) for j in range(horizon + 1)]
-    assert all(len(row) == 3 for mus, _, _ in evals for row in mus)
-    for (_, _, calls), lattice in zip(evals, on_lattice):
-        assert calls == (lattice_calls if lattice else [])
+    assert all(len(row) == 3 for row in rows)
+    rows_per_stack = engine.stack_rows(3, horizon)
+    for _, (_, count, _), calls in stacks:
+        assert 0 < count <= rows_per_stack
+        lead = () if count == 1 else (count,)
+        assert calls == [
+            (lead + (j + 1,), lead + (horizon + 1 - j, 1), lead + (2, horizon + 1), j)
+            for j in range(horizon + 1)
+        ]
+
+
+def test_a_d2_curve_makes_one_kernel_call_per_sub_weight(monkeypatch, forbid):
+    # At d = 2 no rows are stacked: cq-curve --d 2 --z 0.5 --grid 8 runs its
+    # orbits and its rows tied with a hull vertex as lone evaluations, each
+    # of K + 1 kernel calls with 1-D dot products.  The benchmark's tracer
+    # counts lattice calls as evaluations times (K + 1) on its d = 2 argvs.
+    evals, a_subs = [], []
+    kernel, evaluate = kernels.block_family_entropy, TradeoffEvaluator.block_entropies
+
+    def record_eval(self, mu, counts=None):
+        evals.append(counts)
+        return evaluate(self, mu, counts)
+
+    def record_kernel(*args):
+        a_subs.append(args[0].ndim)
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "block_family_entropy", record_kernel)
+    monkeypatch.setattr(TradeoffEvaluator, "block_entropies", record_eval)
+    forbid("stacked a d = 2 row", TradeoffEvaluator, "stack_entropies")
+    assert cli.main(["cq-curve", "--d", "2", "--z", "0.5", "--grid", "8", "-o", os.devnull]) == 0
+    horizon = truncation_horizon(UnruhConfig(2, 0.5))
+    assert None in evals and len(evals) > evals.count(None)  # orbits, then tied rows
+    assert len(a_subs) == len(evals) * (horizon + 1)
+    assert set(a_subs) == {1}
 
 
 def test_engine_matches_spectra_route_per_block():
@@ -467,62 +533,127 @@ def test_cost_function_picks_each_kernel():
     assert pick_kernel(5, 117)[0] == "lattice"
 
 
-def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(monkeypatch):
-    # The int32 table and the float64 dot products of its dim_K columns, and
-    # the (2, m, L) float64 terms, p log p and bool mask of the largest
-    # sub-weight, found here by trying every one.  pick_kernel admits the
-    # lattice at exactly those bytes, and a lone evaluation and a swap pair,
-    # each on a fresh evaluator, which builds its table, peak within them.
+def lattice_price(d, horizon, rows) -> int:
+    """What a stack of ``rows`` lattice evaluations holds, priced here from
+    its parts.  Shared: the int32 table of (d-1) dim_K entries, one int64
+    swap order of the largest sub-weight's L columns, and the bookkeeping
+    (a span, a b1 entry and a normalizer pair a sub-weight, and the stack's
+    Python objects).  A row: the float64 dot products of the dim_K columns,
+    the (2, m, L) float64 terms, p log p and bool mask of the largest
+    sub-weight, found here by trying every one, and its bookkeeping (a mu1 b1
+    entry and two accumulator columns a sub-weight, and its result
+    objects)."""
+    dim = math.comb(horizon + d - 1, d - 1)
+    sizes = [(horizon + 1 - j, math.comb(j + d - 2, d - 2)) for j in range(horizon + 1)]
+    m, length = max(sizes, key=lambda size: size[0] * size[1])
+    shared = 4 * (d - 1) * dim + 8 * length
+    shared += engine.LATTICE_SHARED * (horizon + 1) + engine.OBJECTS_SHARED
+    row = 8 * dim + 34 * m * length + engine.LATTICE_ROW * (horizon + 1) + engine.OBJECTS_ROW
+    return shared + rows * row
+
+
+@pytest.mark.parametrize("d, z, shown, rows", [(3, 0.75, "2.1e5", 12), (4, 0.5, "6.0e5", 4)])
+def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(d, z, shown, rows, monkeypatch):
+    # pick_kernel admits the lattice at exactly the price of a stack of one.
+    # A lone evaluation, and stacks of one, two and the byte budget's rows,
+    # of single rows and of swap pairs, each on a fresh evaluator, which
+    # builds its table, peak within the price of their rows.  The budget
+    # holds the largest sub-weight's float64 (2, m, L) terms of its rows
+    # within STACK_BYTES.
     import tracemalloc
 
-    d = 4
-    horizon = regions.ChannelSpec(d, z=0.5).evaluator.horizon
-    dim = math.comb(horizon + d - 1, d - 1)
-    largest = max((horizon + 1 - j) * math.comb(j + d - 2, d - 2) for j in range(horizon + 1))
-    priced = 4 * (d - 1) * dim + 8 * dim + 34 * largest
+    horizon = regions.ChannelSpec(d, z=z).evaluator.horizon
+    priced = lattice_price(d, horizon, 1)
     monkeypatch.setattr(engine, "MAX_KERNEL_BYTES", priced)
     assert pick_kernel(d, horizon)[0] == "lattice"
+    assert engine.stack_rows(d, horizon) == 1  # the cap admits no second row
     monkeypatch.setattr(engine, "MAX_KERNEL_BYTES", priced - 1)
-    with pytest.raises(SizeCapError, match="table entries and 5.8e5 bytes in all"):
+    with pytest.raises(SizeCapError, match=f"table entries and {shown} bytes in all"):
         pick_kernel(d, horizon)
     monkeypatch.undo()
-    mu = np.array([0.4, 0.3, 0.2, 0.1])
-    for evaluate in (TradeoffEvaluator.block_entropies, TradeoffEvaluator.swap_pair_entropies):
-        evaluator = regions.ChannelSpec(d, z=0.5).evaluator
+    assert engine.stack_rows(d, horizon) == rows
+    largest = max((horizon + 1 - j) * math.comb(j + d - 2, d - 2) for j in range(horizon + 1))
+    assert rows * 16 * largest <= engine.STACK_BYTES < (rows + 1) * 16 * largest
+    rng = np.random.default_rng(d)
+    cases = [(1, None)] + [(count, swap) for count in (1, 2, rows) for swap in (False, True)]
+    for count, swap in cases:
+        mus = rng.dirichlet(np.ones(d), count)
+        evaluator = regions.ChannelSpec(d, z=z).evaluator
         tracemalloc.start()
         try:
-            evaluate(evaluator, mu)
+            if swap is None:
+                evaluator.block_entropies(mus[0])
+            else:
+                evaluator.stack_entropies(mus, swap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert priced / 2 <= peak <= priced, evaluate.__name__
+        price = lattice_price(d, horizon, count)
+        assert price / 2 <= peak <= price, (count, swap, peak, price)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
-def test_a_pair_kernel_call_holds_no_more_than_the_priced_terms(m):
-    # pick_kernel prices a sub-weight at 34 m L bytes: (2, m, L) terms, their
-    # logs and a bool mask.  A pair's call also holds its L-entry swap order,
-    # which fits in the mask's share from m = 4 on; below that the call takes
-    # one side at a time.  The bytes traced here include the order's.
+def test_pricing_the_bookkeeping_moves_no_refusal():
+    # The largest K that pick_kernel admits on the lattice at d = 4..12 is
+    # what it was before the bookkeeping and the swap order were priced: the
+    # slack below the byte cap was 1.93 MB at d = 4, K = 406 and 1.37 MB at
+    # d = 5, K = 123.  At d = 3 the byte boundary moved from K = 4,921 to
+    # 4,915, and at d = 2 it lies far past K = 44,721, but there the run
+    # budget refuses every lattice evaluation past K = 1,815 (d = 3) and
+    # 44,719 (d = 2) first, so no run is admitted or refused that was not.
+    boundaries = {4: 406, 5: 123, 6: 61, 7: 39, 8: 28, 9: 22, 10: 18, 11: 16, 12: 14}
+    for d, horizon in boundaries.items():
+        assert pick_kernel(d, horizon)[0] == "lattice"
+        with pytest.raises(SizeCapError, match="bytes in all"):
+            pick_kernel(d, horizon + 1)
+    assert pick_kernel(3, 4915)[0] == "lattice"
+    with pytest.raises(SizeCapError, match="bytes in all"):
+        pick_kernel(3, 4916)
+    for d, horizon in ((3, 1815), (2, 44719)):
+        assert math.comb(horizon + d, d) <= engine.MAX_RUN_WORK < math.comb(horizon + 1 + d, d)
+        engine.run_work(d, horizon, [None])
+        with pytest.raises(SizeCapError, match="the run budget"):
+            engine.run_work(d, horizon + 1, [None])
+    assert pick_kernel(2, 44720)[0] == "lattice"
+    # The dot products' temporary, held before any term, fits in the terms'
+    # price wherever a run can reach the lattice.
+    for d, last in {2: 44719, 3: 1815, **boundaries}.items():
+        for horizon in [*range(1, last, 1 + last // 40), last]:
+            sizes = [(horizon + 1 - j) * math.comb(j + d - 2, d - 2) for j in range(horizon + 1)]
+            assert 8 * math.comb(horizon + d - 1, d - 1) <= 34 * max(sizes), (d, horizon)
+
+
+@pytest.mark.parametrize(
+    "rows, m", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 8), (2, 1), (3, 1), (2, 2), (4, 1)]
+)
+def test_a_pair_kernel_call_holds_no_more_than_the_priced_terms(rows, m):
+    # The lattice price holds 34 m L bytes a row for a sub-weight: (2, m, L)
+    # terms, their logs and a bool mask.  A pair stack's call also holds its
+    # L-entry swap order, which fits in the mask's share from E m = 4 on;
+    # below that the call takes one side at a time.  The bytes traced here
+    # include the order's.  Each mate is the lone call on its reversed row.
     import tracemalloc
 
     width = 2**16
-    rng = np.random.default_rng(m)
-    a_sub = rng.uniform(0.0, 1.0, width)
+    rng = np.random.default_rng(10 * rows + m)
+    a_sub = rng.uniform(0.0, 1.0, (rows, width))
     inv_norm = rng.uniform(0.5, 1.0, (2, m, 1))
-    mu_b1 = 0.3 * np.arange(m, dtype=np.float64)[:, None]
-    out, mate = np.zeros((2, m)), np.zeros((2, m))
+    mu_b1 = rng.uniform(0.0, 1.0, (rows, 1, 1)) * np.arange(m, dtype=np.float64)[:, None]
+    out, mate = np.zeros((rows, 2, m)), np.zeros((rows, 2, m))
+    lead = 0 if rows == 1 else slice(None)  # a stack of one has lone shapes
     tracemalloc.start()
     try:
         order = np.arange(width)[::-1].copy()
-        kernels.block_family_entropy(a_sub, inv_norm, mu_b1, 1.0, out, 0, order, mate)
+        kernels.block_family_entropy(
+            a_sub[lead], inv_norm, mu_b1[lead], 1.0, out[lead], 0, order, mate[lead]
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 24 * m * width <= peak <= 34 * m * width + 4096
-    lone = np.zeros((2, m))
-    kernels.block_family_entropy(a_sub[::-1].copy(), inv_norm, mu_b1, 1.0, lone, 0)
-    assert np.array_equal(mate, lone)
+    assert 24 * rows * m * width <= peak <= 34 * rows * m * width + 4096
+    for row in range(rows):
+        lone = np.zeros((2, m))
+        kernels.block_family_entropy(a_sub[row, ::-1].copy(), inv_norm, mu_b1[row], 1.0, lone, 0)
+        assert np.array_equal(mate[row], lone)
 
 
 def test_run_work_sums_each_orbit_against_one_budget():

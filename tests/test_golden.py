@@ -7,6 +7,9 @@ the commonest count; a refactor of the kernels, sweep, hull or emission code
 must reproduce them exactly.  ``cq-curve-d4.csv`` was written before a
 curve's swap-mate rows shared one set of lattice terms: at d = 4 their
 swap order is a general column permutation, not the d = 3 reversal.
+``cq-curve-d5.csv`` was written before those rows ran in stacks of several
+rows a kernel call: at d = 5, z = 0.25 its 2 swap pairs and 7 single rows
+run in stacks of 4 rows, so its single rows take a stack of 4 and one of 3.
 """
 
 from pathlib import Path
@@ -21,6 +24,7 @@ COMMANDS = {
     "cq-curve-cloner.csv": "cq-curve --d 3 --k 2 --grid 8",
     "cq-curve-unruh.csv": "cq-curve --d 2 --z 0.5 --grid 16",
     "cq-curve-d4.csv": "cq-curve --d 4 --z 0.5 --grid 8",
+    "cq-curve-d5.csv": "cq-curve --d 5 --z 0.25 --grid 6",
     "ce-curve.csv": "ce-curve --d 3 --z 0.5 --grid 8",
     "cqe-region.csv": "cqe-region --d 3 --z 0.5 --grid 7",
     "cqe-region-d5-z0.9.csv": "cqe-region --d 5 --z 0.9 --grid 4",

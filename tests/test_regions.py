@@ -15,7 +15,7 @@ from tradeoff_helpers import (
     refined_family,
     tied_rows,
 )
-from unruhcap import channelsim, kernels, regions, spectra
+from unruhcap import channelsim, engine, kernels, regions, spectra
 from unruhcap.combinat import SizeCapError
 from unruhcap.engine import TradeoffEvaluator
 from unruhcap.entropy import shannon_entropy
@@ -740,17 +740,17 @@ def count_sums(monkeypatch) -> list:
     return calls
 
 
-def count_pairs(monkeypatch) -> list:
-    """Record the ensemble of every ``TradeoffEvaluator.swap_pair_entropies``
-    call with its swap mate, weights 1 and 2 exchanged."""
+def count_stacks(monkeypatch) -> list:
+    """Record the ensembles and ``swap`` flag of every
+    ``TradeoffEvaluator.stack_entropies`` call."""
     calls = []
-    original = TradeoffEvaluator.swap_pair_entropies
+    original = TradeoffEvaluator.stack_entropies
 
-    def counted(self, mu):
-        calls.append((tuple(mu), (mu[0], mu[2], mu[1], *mu[3:])))
-        return original(self, mu)
+    def counted(self, mus, swap=False):
+        calls.append(([tuple(mu) for mu in mus.tolist()], swap))
+        return original(self, mus, swap)
 
-    monkeypatch.setattr(TradeoffEvaluator, "swap_pair_entropies", counted)
+    monkeypatch.setattr(TradeoffEvaluator, "stack_entropies", counted)
     return calls
 
 
@@ -835,36 +835,50 @@ def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(mo
     # then every row tied with a hull vertex once more on its own without
     # them, since its last bits decide which of the tied rows the hull flags,
     # except an orbit's first row that the sweep ran on the lattice: it holds
-    # its own bits already.  Two such rows that differ by a swap of weights 1
-    # and 2 are evaluated as one swap pair; the single rows and both rows of
-    # every pair are the rows evaluated again, each once.
+    # its own bits already.  At d = 2 each such row is a lone evaluation.
+    # From d = 3 on they run in two stacks: the heads of the swap pairs (two
+    # rows that differ by a swap of weights 1 and 2), then the single rows;
+    # the single rows and both rows of every pair are the rows evaluated
+    # again, each once.
     calls = count_sums(monkeypatch)
-    pairs = count_pairs(monkeypatch)
+    stacks = count_stacks(monkeypatch)
     cases = {
         "d3-z0.5": (ChannelSpec(3, z=0.5), 8),
         "d3-k4": (ChannelSpec(3, k=4), 8),
         "d2-z0.5": (ChannelSpec(2, z=0.5), 64),
         "d4-z0.5": (ChannelSpec(4, z=0.5), 8),
+        "d5-z0.25": (ChannelSpec(5, z=0.25), 6),
     }
     sizes = {}
     for name, (spec, resolution) in cases.items():
         for curve in (cq_curve, ce_curve):
             calls.clear()
-            pairs.clear()
+            stacks.clear()
             result = curve(spec, resolution)
             rows = [tuple(mu) for mu in result.mu.tolist()]
             orbits = orbit_counts(result.mu, resolution)
             again = reevaluated_rows(spec, result, resolution)
             assert sorted(calls[: len(orbits)]) == sorted((rows[i], c) for i, c in orbits.items())
-            assert all(mu != mate for mu, mate in pairs)
-            paired = [(row, None) for pair in pairs for row in pair]
-            assert sorted(calls[len(orbits) :] + paired) == sorted((rows[i], None) for i in again)
+            lone = [mu for mu, _ in calls[len(orbits) :]]
             tied = tied_rows(result.rates, result.hull_indices)
-            sizes[name, curve.__name__] = (len(orbits), len(tied), len(again), len(pairs))
+            if spec.d == 2:
+                assert stacks == [] and sorted(lone) == sorted(rows[i] for i in again)
+                sizes[name, curve.__name__] = (len(orbits), len(tied), len(again), 0)
+                continue
+            assert lone == [] and [swap for _, swap in stacks] == [True, False]
+            (heads, _), (singles, _) = stacks
+            mates = [(mu[0], mu[2], mu[1], *mu[3:]) for mu in heads]
+            assert all(mu != mate for mu, mate in zip(heads, mates))
+            # A single row's swap mate is itself, or not evaluated again.
+            swapped = [(mu[0], mu[2], mu[1], *mu[3:]) for mu in singles]
+            assert all(mate == mu or mate not in singles for mu, mate in zip(singles, swapped))
+            assert sorted(heads + mates + singles) == sorted(rows[i] for i in again)
+            sizes[name, curve.__name__] = (len(orbits), len(tied), len(again), len(heads))
     # (orbits, tied rows, rows evaluated again, swap pairs among them).  At
-    # d = 3 and 4 every orbit ran on the histogram, so every tied row is
+    # d >= 3 every orbit ran on the histogram, so every tied row is
     # evaluated again; d = 2 ran all on the lattice (33 + 30 evaluations for
-    # the 65 rows of the CQ curve), and has no pairs.
+    # the 65 rows of the CQ curve), and has no pairs.  At d = 5, z = 0.25 the
+    # CQ curve has 2 pairs and 7 single rows, stacks of 4 rows.
     assert sizes == {
         ("d3-z0.5", "cq_curve"): (11, 16, 16, 6),
         ("d3-z0.5", "ce_curve"): (11, 7, 7, 2),
@@ -874,7 +888,10 @@ def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(mo
         ("d2-z0.5", "ce_curve"): (33, 63, 31, 0),
         ("d4-z0.5", "cq_curve"): (15, 33, 33, 12),
         ("d4-z0.5", "ce_curve"): (15, 9, 9, 2),
+        ("d5-z0.25", "cq_curve"): (11, 11, 11, 2),
+        ("d5-z0.25", "ce_curve"): (11, 6, 6, 1),
     }
+    assert engine.stack_rows(5, ChannelSpec(5, z=0.25).evaluator.horizon) == 4
 
 
 @pytest.mark.parametrize("name", ["cq", "ce"])
