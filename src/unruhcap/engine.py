@@ -12,15 +12,13 @@ block.  Two exact kernels do this:
   (d-1)-mode table, then makes one kernel call per sub-weight, C(K+d, d)
   terms in all.  Each block's terms from one sub-weight are one contiguous
   1-D pairwise row sum, accumulated in sub-weight order; that order fixes
-  the output bits (see ``kernels``).  A stack of ensembles shares the table
-  and makes one kernel call per sub-weight for all its rows, each row
-  keeping its lone evaluation's bits; ``stack_rows`` sizes it.  A swap
-  pair evaluates ``mu`` and its swap mate (mu0, mu2, mu1, mu3, ...) from
-  one set of terms: each dot product is built from zeros one trailing mode
-  at a time and fl(x + y) = fl(y + x), so the mate's terms are ``mu``'s at
-  the columns of the compositions with their first two entries exchanged,
-  and its rows are summed in that order, as a lone evaluation of the mate
-  sums them.
+  the output bits (see ``kernels``).  ``lattice_entropies`` evaluates
+  several off-grid rows with each row's lone bits: from d = 3 on it pairs
+  each row with its swap mate (mu0, mu2, mu1, mu3, ...), whose terms are the
+  row's at the columns of the compositions with their first two entries
+  exchanged (each dot product is built from zeros one trailing mode at a
+  time, and fl(x + y) = fl(y + x)), and runs the rows in stacks that share
+  the table, one kernel call per sub-weight for a whole stack.
 * the histogram kernel (a grid point ``mu = counts / n``) counts, per block,
   how many basis vectors share each integer atom numerator ``b . counts``:
   the t modes of the commonest count in closed form, the other d - t in
@@ -87,14 +85,15 @@ CELL_PRICE = 0.18
 
 # The float64 terms of one stack of lattice evaluations at its largest
 # sub-weight: 2**19 bytes gives stacks of 12 rows at d = 3, z = 0.75 (K =
-# 102), 4 at d = 4, z = 0.5 and 1 at d = 5, z = 0.5.  And the lattice's
-# bookkeeping, in bytes, rounded up from tracemalloc's counts: a sub-weight
-# shared (its span of two Python ints, b1 entry and normalizer pair) and a
-# row (its mu1 b1 entry and two accumulator columns), and the Python and
-# numpy objects of a stack and of a row (array headers, result views).
+# 102), 4 at d = 4, z = 0.5 and 1 at d = 5, z = 0.5.  And the bookkeeping of
+# one lattice evaluation, in bytes, rounded up from tracemalloc's counts: a
+# sub-weight's span of two Python ints, b1 entry and normalizer pair (160)
+# and its mu1 b1 entry and two accumulator columns (48), and the Python and
+# numpy objects of the evaluation (8192) and of its row (1024: array
+# headers, result views).
 STACK_BYTES = 2**19
-LATTICE_SHARED, LATTICE_ROW = 160, 48
-OBJECTS_SHARED, OBJECTS_ROW = 8192, 1024
+LATTICE_SUB_WEIGHT = 160 + 48
+LATTICE_OBJECTS = 8192 + 1024
 
 
 def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
@@ -111,7 +110,7 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
     Everything else runs on the lattice: d = 2, where no two basis vectors of
     a block share an atom numerator b1 c1 + b2 c2 unless c1 = c2, so the
     histogram has nothing to merge, and off-grid points (``None``).  Its work
-    is C(K+d, d) terms, and its memory what a stack of one holds
+    is C(K+d, d) terms, and its memory what one evaluation holds
     (``_lattice_bytes``): the (d-1) dim_K int32 entries of its table, one
     swap order, the float64 dot products of its dim_K columns, the largest
     sub-weight's (2, m, L) float64 terms, their p log p and their bool zero
@@ -136,7 +135,7 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
         )
     size = math.inf
     if dim < math.inf:
-        size = sum(_lattice_bytes(d, horizon, dim))  # a stack of one
+        size = _lattice_bytes(d, horizon, dim)
         if size <= MAX_KERNEL_BYTES:
             return "lattice", dim * (horizon + d) // d  # C(K+d, d)
     n = horizon + d - 1
@@ -156,32 +155,30 @@ def _largest_sub_weight(d: int, horizon: int) -> tuple[int, int]:
     return horizon + 1 - j, math.comb(j + d - 2, d - 2)
 
 
-def _lattice_bytes(d: int, horizon: int, dim: int) -> tuple[int, int]:
-    """The bytes a stack of E lattice evaluations holds, as (shared, per
-    row): E rows and the shared part make ``shared + E * row`` bytes.
-
-    Shared: the (d-1) dim_K int32 entries of the table, one swap order of
-    the largest sub-weight's L int64 columns, ``LATTICE_SHARED`` bytes a
-    sub-weight and ``OBJECTS_SHARED``.  A row: the float64 dot products of
-    the dim_K columns, the largest sub-weight's (2, m, L) float64 terms,
-    their p log p and their bool zero mask (34 m L bytes), ``LATTICE_ROW``
-    bytes a sub-weight and ``OBJECTS_ROW``.  The dot products are formed one
-    mode at a time with a temporary of their size, before any term is held,
-    and 8 dim_K <= 34 m L wherever the cap admits the lattice.
+def _lattice_bytes(d: int, horizon: int, dim: int) -> int:
+    """The bytes one lattice evaluation holds: the (d-1) dim_K int32 entries
+    of the table, one swap order of the largest sub-weight's L int64
+    columns, the float64 dot products of the dim_K columns, the largest
+    sub-weight's (2, m, L) float64 terms, their p log p and their bool zero
+    mask (34 m L bytes), ``LATTICE_SUB_WEIGHT`` bytes a sub-weight and
+    ``LATTICE_OBJECTS``.  The dot products are formed one mode at a time with
+    a temporary of their size, before any term is held, and 8 dim_K <= 34 m
+    L wherever the cap admits the lattice.
     """
     m, length = _largest_sub_weight(d, horizon)
-    shared = 4 * (d - 1) * dim + 8 * length + LATTICE_SHARED * (horizon + 1) + OBJECTS_SHARED
-    return shared, 8 * dim + 34 * m * length + LATTICE_ROW * (horizon + 1) + OBJECTS_ROW
+    held = 4 * (d - 1) * dim + 8 * length + 8 * dim + 34 * m * length
+    return held + LATTICE_SUB_WEIGHT * (horizon + 1) + LATTICE_OBJECTS
 
 
 def stack_rows(d: int, horizon: int) -> int:
     """The rows of one stack of lattice evaluations: as many as keep the
     largest sub-weight's float64 (2, m, L) terms, 16 m L bytes a row, within
-    ``STACK_BYTES``, and the stack within ``MAX_KERNEL_BYTES``; at least one,
-    which ``pick_kernel`` prices as a lone evaluation."""
+    ``STACK_BYTES``, and as many lone evaluations within ``MAX_KERNEL_BYTES``
+    (an upper bound: a stack shares its table and swap order); at least
+    one, which ``pick_kernel`` prices as a lone evaluation."""
     m, length = _largest_sub_weight(d, horizon)
-    shared, row = _lattice_bytes(d, horizon, math.comb(horizon + d - 1, d - 1))
-    return max(1, min(STACK_BYTES // (16 * m * length), (MAX_KERNEL_BYTES - shared) // row))
+    lone = _lattice_bytes(d, horizon, math.comb(horizon + d - 1, d - 1))
+    return max(1, min(STACK_BYTES // (16 * m * length), MAX_KERNEL_BYTES // lone))
 
 
 def run_work(d: int, horizon: int, orbits) -> float:
@@ -304,39 +301,58 @@ class TradeoffEvaluator:
         run_work(self.d, self.horizon, [counts])
         if pick_kernel(self.d, self.horizon, counts)[0] == "histogram":
             return kernels.histogram_entropy(counts, self._inv_norm[1:-1], self._inv_ln_base)
-        return self._lattice_entropies(mu_arr[None])[0]
+        return self._lattice_entropies(mu_arr[None])[0][0]
 
-    def stack_entropies(self, mus, swap=False) -> list:
+    def lattice_entropies(self, mus) -> list:
         """``block_entropies`` at each row of ``mus``, an (n, d) array, on the
-        lattice kernel, bit for bit: each row's ``(h_bx, h_ex)``, or with
-        ``swap`` (d >= 3) the pair of it and that of its swap mate (mu0, mu2,
-        mu1, mu3, ...), from one set of lattice terms.
+        lattice kernel: each row's ``(h_bx, h_ex)``, in input order, bit for
+        bit those of a lone evaluation.
 
-        The rows run ``stack_rows`` at a time, one kernel call per sub-weight
-        for the whole stack.  The dot products start from zeros and add one
-        trailing mode at a time, and fl(x + y) = fl(y + x), so a mate's dot
-        product at each column is its row's at the column ``_swap_orders``
-        names; the mate's terms are its row's gathered in that order, and
-        each of its block rows is summed as a lone evaluation of the mate
-        sums it.  The rows are priced as a run of lone evaluations, two a
-        row with ``swap``.
+        The n rows are priced as one run of lone evaluations before the first
+        kernel call.  At d = 2 each row is a lone ``block_entropies`` call,
+        one kernel call per sub-weight.  From d = 3 on, two rows that differ
+        by a swap of weights 1 and 2 (mu0, mu2, mu1, mu3, ...), found by exact
+        lookup, are one swap pair, evaluated from one set of lattice terms:
+        the dot products start from zeros and add one trailing mode at a
+        time, and fl(x + y) = fl(y + x), so the mate's dot product at each
+        column is its head's at the column ``_swap_orders`` names; the mate's
+        terms are the head's gathered in that order, and each of its block
+        rows is summed as a lone evaluation of the mate sums it.  The pairs,
+        then the single rows, run ``stack_rows`` at a time, one kernel call
+        per sub-weight for the whole stack.
         """
         mus = np.ascontiguousarray(mus, dtype=np.float64)
         if mus.ndim != 2 or mus.shape[1] != self.d:
             raise ValueError(f"ensembles must be rows of {self.d} weights")
-        if swap and self.d < 3:
-            raise ValueError("a swap mate needs d >= 3: two trailing weights")
-        run_work(self.d, self.horizon, [None] * (len(mus) * (2 if swap else 1)))
+        run_work(self.d, self.horizon, [None] * len(mus))
+        if self.d == 2:
+            return [self.block_entropies(mu) for mu in mus]
+        swapped = mus[:, [0, 2, 1, *range(3, self.d)]]
+        at = {mu.tobytes(): i for i, mu in enumerate(mus)}
+        pairs, singles, mates = [], [], set()
+        for i in range(len(mus)):
+            if i not in mates:  # not paired with an earlier row
+                mate = at.get(swapped[i].tobytes(), i)
+                if mate == i:
+                    singles.append((i,))
+                else:
+                    pairs.append((i, mate))
+                    mates.add(mate)
+        entropies = {}
         rows = stack_rows(self.d, self.horizon)
-        return [
-            h for start in range(0, len(mus), rows)
-            for h in self._lattice_entropies(mus[start : start + rows], swap)
-        ]
+        for group, swap in ((pairs, True), (singles, False)):
+            for start in range(0, len(group), rows):
+                stack = group[start : start + rows]
+                heads = mus[[indices[0] for indices in stack]]
+                for indices, results in zip(stack, self._lattice_entropies(heads, swap)):
+                    entropies.update(zip(indices, results))
+        return [entropies[i] for i in range(len(mus))]
 
     def _lattice_entropies(self, mus, swap=False) -> list:
-        """``block_entropies`` at each row of the (E, d) stack ``mus`` on the
-        lattice kernel, paired with that of its swap mate when ``swap``.  A
-        stack of one passes the kernel a lone evaluation's shapes."""
+        """A tuple for each row of the (E, d) stack ``mus``: its
+        ``block_entropies`` on the lattice kernel, then with ``swap`` that of
+        its swap mate.  A stack of one passes the kernel a lone evaluation's
+        shapes."""
         table, spans, b1, pairs = self._lattice
         a_all = np.zeros((len(mus), table.shape[1]))
         for c in range(self.d - 1):
@@ -358,8 +374,8 @@ class TradeoffEvaluator:
                 None if orders is None else next(orders),
                 None if mate is None else mate[at],
             )
-        heads = [(h[0, 1:], h[1, :-1]) for h in out]
-        return list(zip(heads, [(h[0, 1:], h[1, :-1]) for h in mate])) if swap else heads
+        accumulators = (out,) if mate is None else (out, mate)
+        return [tuple((h[0, 1:], h[1, :-1]) for h in row) for row in zip(*accumulators)]
 
     def sums(self, mu, counts=None) -> tuple[float, float]:
         """Weighted sums (sum_k p_k H_B|X,k, sum_k p_k H_E|X,k) at ``mu``

@@ -11,17 +11,16 @@ order.  The CQ and CE curves evaluate every row within ``HULL_TOL`` of a
 hull vertex once more on its own, on this kernel; the last bits of those
 evaluations decide which of several tied rows the hull flags, so a change in
 how the terms are grouped or ordered can move an ``on_hull`` flag.  From
-d = 3 on those rows run in stacks, one call per sub-weight for several
-ensembles: each ensemble's block rows are still row sums of their own, so
-each gets its lone evaluation's bits.  Two such rows that differ by a swap
-of weights 1 and 2 share one set of terms: the second row's terms are the
-first's at swapped columns, bit for bit (see
-``engine.TradeoffEvaluator.stack_entropies``), so gathering them in that
-column order (or reading them through a reversed view, whose pairwise sum
-runs in the view's order) and summing each block row as one pairwise row
-sum, as a lone evaluation of the second row sums it, gives that
-evaluation's bits.  The histogram kernel has no such contract: rows
-evaluated on it are exact to rounding only.
+d = 3 on ``engine.TradeoffEvaluator.lattice_entropies`` runs those rows in
+stacks, one call per sub-weight for several ensembles: each ensemble's
+block rows are still row sums of their own, so each gets its lone
+evaluation's bits.  Two such rows that differ by a swap of weights 1 and 2
+share one set of terms: the second row's terms are the first's at swapped
+columns, bit for bit, so gathering them in that column order (or reading
+them through a reversed view, whose pairwise sum runs in the view's order)
+and summing each block row as one pairwise row sum, as a lone evaluation of
+the second row sums it, gives that evaluation's bits.  The histogram kernel
+has no such contract: rows evaluated on it are exact to rounding only.
 """
 
 import math

@@ -29,7 +29,6 @@ All rates are in dits of the configured log base (default: the dimension d).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -543,16 +542,11 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
     ``HULL_TOL`` (max-norm) of a vertex of the sweep's hull is evaluated on
     its own on the lattice kernel, unless it already holds those bits (an
     orbit's first row whose counts ``pick_kernel`` sends to the lattice), and
-    the hull is taken again on the result.  At d = 2 each such row is a lone
-    evaluation, one kernel call per sub-weight.  From d = 3 on, two such rows
-    that differ by a swap of weights 1 and 2 (``_swap_mates``) are one swap
-    pair, evaluated from one set of lattice terms, and the pairs, then the
-    single rows, run in stacks of several rows a kernel call
-    (``TradeoffEvaluator.stack_entropies``), each row with the bits of its
-    lone evaluation.  Those re-evaluations are one run: ``run_work`` prices
-    them together, one lattice evaluation a row, after the sweep, before the
-    first of them, so a curve whose ties would take past the budget is
-    refused before any lattice kernel call.
+    the hull is taken again on the result.  Those rows are one
+    ``TradeoffEvaluator.lattice_entropies`` call, each row with the bits of
+    its lone evaluation, priced as one run before the first of them, so a
+    curve whose ties would take past the budget is refused before any
+    lattice kernel call.
     """
     resolution = sweep_resolution(spec.d, resolution)
     evaluator = spec.evaluator
@@ -567,41 +561,10 @@ def _curve(spec: ChannelSpec, resolution: int | None, rate_pair, sign) -> CurveR
     for i, counts in orbits.items():
         own[i] = tied[i] and pick_kernel(evaluator.d, evaluator.horizon, counts)[0] == "lattice"
     again = np.flatnonzero(tied & ~own)
-    run_work(evaluator.d, evaluator.horizon, [None] * len(again))
-    if evaluator.d == 2:  # lone evaluations: one kernel call per sub-weight a row
-        for i in again:
-            rates[i] = rate_pair(_evaluated_triple(evaluator, mu[i]))
-    else:
-        pairs, singles = _swap_mates(mu, again)
-        rows = [*itertools.chain(*pairs), *singles]  # each head, then its mate
-        entropies = [
-            *itertools.chain(*evaluator.stack_entropies(mu[[i for i, _ in pairs]], swap=True)),
-            *evaluator.stack_entropies(mu[singles]),
-        ]
-        for row, h in zip(rows, entropies):
-            sums = evaluator.weighted_sums(h)
-            rates[row] = rate_pair(_record(evaluator, _as_ensemble(mu[row], evaluator.d), sums))
+    for i, h in zip(again, evaluator.lattice_entropies(mu[again])):
+        params = _as_ensemble(mu[i], evaluator.d)
+        rates[i] = rate_pair(_record(evaluator, params, evaluator.weighted_sums(h)))
     return CurveResult(mu, rates, tuple(pareto_hull_indices(rates * sign)))
-
-
-def _swap_mates(mu, rows) -> tuple[list, list]:
-    """``rows`` of ``mu`` (d >= 3) as (row, mate) pairs and single rows, each
-    row once: ``mate`` is the row of ``rows`` that holds ``mu[row]`` with its
-    weights 1 and 2 swapped, found by exact lookup; a row is single when
-    there is none (mu1 = mu2, or the swapped ensemble is not among
-    ``rows``)."""
-    swapped = mu[:, [0, 2, 1, *range(3, mu.shape[1])]]
-    at = {mu[i].tobytes(): i for i in rows}
-    pairs, singles, mates = [], [], set()
-    for i in rows:
-        if i not in mates:  # not paired with an earlier row
-            mate = at.get(swapped[i].tobytes())
-            if mate is None or mate == i:
-                singles.append(i)
-            else:
-                pairs.append((i, mate))
-                mates.add(mate)
-    return pairs, singles
 
 
 def cq_curve(spec: ChannelSpec, resolution: int | None = None) -> CurveResult:

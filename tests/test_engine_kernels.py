@@ -129,12 +129,12 @@ def swap_mate(mu) -> np.ndarray:
 
 def oracle_points(rng, d) -> list:
     """Vertices, the uniform point, tied weights 1 and 2 (a row that is its
-    own swap mate), an off-grid point, grid edges with zeros and seeded
-    random points, each normalized."""
+    own swap mate from d = 3 on), an off-grid point, grid edges with zeros
+    and seeded random points, each normalized."""
     points = [np.eye(d)[i] for i in range(d)] + [np.full(d, 1.0 / d)]
     points.append(np.linspace(1.0, 2.0, d))
-    points.append(np.array([3.0, 1.0, 1.0] + [0.5] * (d - 3)))
-    points.append(np.array([math.pi, math.e, math.sqrt(2.0)] + [math.log(3.0)] * (d - 3)))
+    points.append(np.array([3.0, 1.0, 1.0] + [0.5] * (d - 3))[:d])
+    points.append(np.array([math.pi, math.e, math.sqrt(2.0)] + [math.log(3.0)] * (d - 3))[:d])
     for _ in range(6):
         counts = rng.integers(0, 9, d)
         counts[rng.integers(d)] += 1
@@ -143,53 +143,41 @@ def oracle_points(rng, d) -> list:
     return [mu / mu.sum() for mu in points]
 
 
-@pytest.mark.parametrize("d, horizon", [(3, 100), (4, 24), (5, 12), (6, 7)])
-def test_swap_pair_bits_match_two_lone_evaluations(d, horizon):
-    # Bitwise: a swap pair's two results are those of block_entropies at mu
-    # and at its swap mate, whose terms it gathers in the swap order and sums
-    # row by row.  The mate's terms are the same multiset as mu's, so only
-    # the order of the sums can split a last bit.  Each pair is a stack of
-    # one, whose kernel calls have a lone evaluation's shapes.
-    rng = np.random.default_rng(2000 + d)
-    evaluator = TradeoffEvaluator(d, rng.uniform(0.0, 1.0, horizon), float(d))
-    for mu in oracle_points(rng, d):
-        (got,) = evaluator.stack_entropies(mu[None], swap=True)
-        want = (evaluator.block_entropies(mu), evaluator.block_entropies(swap_mate(mu)))
-        for got_h, want_h in zip(got, want):
-            assert all(np.array_equal(g, w) for g, w in zip(got_h, want_h)), mu
-
-
-def test_swap_pair_needs_two_trailing_weights():
-    evaluator = TradeoffEvaluator(2, np.ones(4), 2.0)
-    with pytest.raises(ValueError, match="d >= 3"):
-        evaluator.stack_entropies(np.array([[0.5, 0.5]]), swap=True)
-    with pytest.raises(ValueError, match="rows of 2 weights"):
-        evaluator.stack_entropies(np.array([0.5, 0.5]))
-
-
-@pytest.mark.parametrize("d, horizon", [(3, 100), (4, 24), (5, 12), (6, 7)])
-def test_stacked_rows_match_lone_evaluations(d, horizon, monkeypatch):
-    # Bitwise: every row of a stack, and every swap mate of a pair stack, is
-    # its own lone evaluation, whatever the stack's size: one row, two rows
-    # and the byte budget's size, over 2 * budget + 1 points, so the last
-    # stack of two and of the budget's size holds one row.
+@pytest.mark.parametrize("d, horizon", [(2, 120), (3, 100), (4, 24), (5, 12), (6, 7)])
+def test_lattice_entropies_match_lone_evaluations(d, horizon, monkeypatch):
+    # Bitwise, in input order: every row is its own lone evaluation, whether
+    # the engine runs it alone (d = 2), as a single row of a stack, or as the
+    # head or the mate of a swap pair, whose mate's terms are the head's
+    # gathered in the swap order, the same multiset, so only the order of
+    # the sums could split a last bit.  From d = 3 on the rows hold swap
+    # mates placed after and before their heads, rows whose mate is absent,
+    # rows that are their own mate, and exact duplicates.  Each stack size
+    # runs there: one row, two rows and the byte budget's size, over at
+    # least 2 * budget + 1 rows.
     rng = np.random.default_rng(3000 + d)
     evaluator = TradeoffEvaluator(d, rng.uniform(0.0, 1.0, horizon), float(d))
     budget = engine.stack_rows(d, horizon)
     assert budget > 2
     points = oracle_points(rng, d)
-    points += list(rng.dirichlet(np.ones(d), 2 * budget + 1 - len(points)))
+    if d > 2:
+        heads = points[-4:-1]  # seeded random and grid-edge rows
+        points += [swap_mate(mu) for mu in heads[1:]]  # after their heads
+        points.insert(0, swap_mate(heads[0]))  # before its head
+        keys = {tuple(mu) for mu in points}
+        paired = [mu for mu in points if tuple(swap_mate(mu)) in keys - {tuple(mu)}]
+        assert len(paired) >= 6
+        points += list(rng.dirichlet(np.ones(d), max(0, 2 * budget - 1 - len(points))))
+    points += [points[0], points[1]]  # exact duplicates: a pair's row from d = 3 on
     points = np.array(points)
     lone = [evaluator.block_entropies(mu) for mu in points]
-    mates = [evaluator.block_entropies(swap_mate(mu)) for mu in points]
     for size in (1, 2, budget):
         monkeypatch.setattr(engine, "stack_rows", lambda d, horizon: size)
-        singles = evaluator.stack_entropies(points)
-        pairs = evaluator.stack_entropies(points, swap=True)
-        assert len(singles) == len(pairs) == len(points)
-        for mu, got, (head, mate), want, want_mate in zip(points, singles, pairs, lone, mates):
-            for got_h, want_h in ((got, want), (head, want), (mate, want_mate)):
-                assert all(np.array_equal(g, w) for g, w in zip(got_h, want_h)), (size, mu)
+        got = evaluator.lattice_entropies(points)
+        assert len(got) == len(points)
+        for mu, got_h, want_h in zip(points, got, lone):
+            assert all(np.array_equal(g, w) for g, w in zip(got_h, want_h)), (size, mu)
+    with pytest.raises(ValueError, match=f"rows of {d} weights"):
+        evaluator.lattice_entropies(points[0])
 
 
 def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
@@ -197,32 +185,31 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     # and len(args[0]) * len(args[2]) terms per kernel call.  A curve
     # evaluates each orbit once with its counts, on the kernel the gate
     # picks, then every row tied with a hull vertex once more without them,
-    # on the lattice, but for the orbits' first rows the sweep ran there.  At
-    # d = 3 those rows run in stacks: one stack_entropies call for the heads
-    # of the swap pairs and one for the single rows, each kernel call taking
-    # (E, L) dot products and an (E, m, 1) column for a stack of E rows, and
-    # a lone evaluation's shapes for a stack of one.
+    # on the lattice, but for the orbits' first rows the sweep ran there, in
+    # one lattice_entropies call.  At d = 3 it runs those rows in stacks:
+    # one stack of the heads of the swap pairs and one of the single rows,
+    # each kernel call taking (E, L) dot products and an (E, m, 1) column
+    # for a stack of E rows, and a lone evaluation's shapes for a stack of
+    # one.
     spec = regions.ChannelSpec(3, z=0.5)
     curve = regions.cq_curve(spec, 4)
     orbits = orbit_counts(curve.mu, 4)
     again = reevaluated_rows(spec, curve, 4)
     evals, horizons = [], []
     kernel, weights = kernels.block_family_entropy, regions.unruh_weights
-    evaluate, stack = TradeoffEvaluator.block_entropies, TradeoffEvaluator.stack_entropies
+    evaluate, lattice = TradeoffEvaluator.block_entropies, TradeoffEvaluator.lattice_entropies
 
     def record_eval(self, mu, counts=None):
         evals.append(([tuple(mu)], counts, []))
         return evaluate(self, mu, counts)
 
-    def record_stack(self, mus, swap=False):
-        rows = [tuple(mu) for mu in mus]
-        if swap:
-            rows += [(mu[0], mu[2], mu[1]) for mu in rows]
-        evals.append((rows, ("stack", len(mus), swap), []))
-        return stack(self, mus, swap)
+    def record_lattice(self, mus):
+        evals.append(([tuple(mu) for mu in mus], "lattice", []))
+        return lattice(self, mus)
 
     def record_kernel(*args):
-        evals[-1][2].append((args[0].shape, args[2].shape, args[4].shape, args[5]))
+        swap = args[6] is not None
+        evals[-1][2].append((args[0].shape, args[2].shape, args[4].shape, args[5], swap))
         return kernel(*args)
 
     def record_weights(*args):
@@ -232,55 +219,64 @@ def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
 
     monkeypatch.setattr(kernels, "block_family_entropy", record_kernel)
     monkeypatch.setattr(TradeoffEvaluator, "block_entropies", record_eval)
-    monkeypatch.setattr(TradeoffEvaluator, "stack_entropies", record_stack)
+    monkeypatch.setattr(TradeoffEvaluator, "lattice_entropies", record_lattice)
     monkeypatch.setattr(regions, "unruh_weights", record_weights)
     assert cli.main(["cq-curve", "--d", "3", "--z", "0.5", "--grid", "4", "-o", os.devnull]) == 0
     horizon = truncation_horizon(UnruhConfig(3, 0.5))
     assert horizons == [horizon]
     # One per orbit with its reduced counts, all on the histogram at d = 3,
-    # then one stack of the pair heads and one of the single rows.
+    # then one lattice_entropies call of the rows evaluated again, which
+    # makes K + 1 kernel calls for a stack of the pair heads, then K + 1
+    # for a stack of the single rows.
     assert sorted(counts for _, counts, _ in evals[: len(orbits)]) == sorted(orbits.values())
     assert all(pick_kernel(3, horizon, counts)[0] == "histogram" for counts in orbits.values())
     assert all(calls == [] for _, _, calls in evals[: len(orbits)])
-    stacks = evals[len(orbits) :]
-    assert [counts[2] for _, counts, _ in stacks] == [True, False]
-    rows = sorted(row for mus, _, _ in stacks for row in mus)
-    assert rows == sorted(tuple(curve.mu[i]) for i in again)
-    assert all(len(row) == 3 for row in rows)
+    ((rows, kind, calls),) = evals[len(orbits) :]
+    assert kind == "lattice" and rows == [tuple(curve.mu[i]) for i in again]
+    stacks = [calls[start : start + horizon + 1] for start in range(0, len(calls), horizon + 1)]
+    assert [stack[0][4] for stack in stacks] == [True, False]
     rows_per_stack = engine.stack_rows(3, horizon)
-    for _, (_, count, _), calls in stacks:
+    for stack in stacks:
+        count = 1 if len(stack[0][0]) == 1 else stack[0][0][0]
         assert 0 < count <= rows_per_stack
         lead = () if count == 1 else (count,)
-        assert calls == [
-            (lead + (j + 1,), lead + (horizon + 1 - j, 1), lead + (2, horizon + 1), j)
+        assert stack == [
+            (lead + (j + 1,), lead + (horizon + 1 - j, 1), lead + (2, horizon + 1), j, stack[0][4])
             for j in range(horizon + 1)
         ]
 
 
-def test_a_d2_curve_makes_one_kernel_call_per_sub_weight(monkeypatch, forbid):
-    # At d = 2 no rows are stacked: cq-curve --d 2 --z 0.5 --grid 8 runs its
-    # orbits and its rows tied with a hull vertex as lone evaluations, each
-    # of K + 1 kernel calls with 1-D dot products.  The benchmark's tracer
+def test_a_d2_curve_makes_one_kernel_call_per_sub_weight(monkeypatch):
+    # At d = 2 no rows are stacked or paired: cq-curve --d 2 --z 0.5 --grid
+    # 8 runs its orbits, and in its one lattice_entropies call its rows tied
+    # with a hull vertex, as lone evaluations, each of K + 1 kernel calls
+    # with 1-D dot products and no swap order.  The benchmark's tracer
     # counts lattice calls as evaluations times (K + 1) on its d = 2 argvs.
-    evals, a_subs = [], []
+    evals, a_subs, tied = [], [], []
     kernel, evaluate = kernels.block_family_entropy, TradeoffEvaluator.block_entropies
+    lattice = TradeoffEvaluator.lattice_entropies
 
     def record_eval(self, mu, counts=None):
         evals.append(counts)
         return evaluate(self, mu, counts)
 
+    def record_lattice(self, mus):
+        tied.append(len(mus))
+        return lattice(self, mus)
+
     def record_kernel(*args):
-        a_subs.append(args[0].ndim)
+        a_subs.append((args[0].ndim, args[6]))
         return kernel(*args)
 
     monkeypatch.setattr(kernels, "block_family_entropy", record_kernel)
     monkeypatch.setattr(TradeoffEvaluator, "block_entropies", record_eval)
-    forbid("stacked a d = 2 row", TradeoffEvaluator, "stack_entropies")
+    monkeypatch.setattr(TradeoffEvaluator, "lattice_entropies", record_lattice)
     assert cli.main(["cq-curve", "--d", "2", "--z", "0.5", "--grid", "8", "-o", os.devnull]) == 0
     horizon = truncation_horizon(UnruhConfig(2, 0.5))
     assert None in evals and len(evals) > evals.count(None)  # orbits, then tied rows
+    assert tied == [evals.count(None)]
     assert len(a_subs) == len(evals) * (horizon + 1)
-    assert set(a_subs) == {1}
+    assert set(a_subs) == {(1, None)}
 
 
 def test_engine_matches_spectra_route_per_block():
@@ -533,37 +529,35 @@ def test_cost_function_picks_each_kernel():
     assert pick_kernel(5, 117)[0] == "lattice"
 
 
-def lattice_price(d, horizon, rows) -> int:
-    """What a stack of ``rows`` lattice evaluations holds, priced here from
-    its parts.  Shared: the int32 table of (d-1) dim_K entries, one int64
-    swap order of the largest sub-weight's L columns, and the bookkeeping
-    (a span, a b1 entry and a normalizer pair a sub-weight, and the stack's
-    Python objects).  A row: the float64 dot products of the dim_K columns,
+def lattice_price(d, horizon) -> int:
+    """What one lattice evaluation holds, priced here from its parts: the
+    int32 table of (d-1) dim_K entries, one int64 swap order of the largest
+    sub-weight's L columns, the float64 dot products of the dim_K columns,
     the (2, m, L) float64 terms, p log p and bool mask of the largest
-    sub-weight, found here by trying every one, and its bookkeeping (a mu1 b1
-    entry and two accumulator columns a sub-weight, and its result
-    objects)."""
+    sub-weight, found here by trying every one, and the bookkeeping (a span,
+    a b1 entry, a normalizer pair, a mu1 b1 entry and two accumulator
+    columns a sub-weight, and the Python objects)."""
     dim = math.comb(horizon + d - 1, d - 1)
     sizes = [(horizon + 1 - j, math.comb(j + d - 2, d - 2)) for j in range(horizon + 1)]
     m, length = max(sizes, key=lambda size: size[0] * size[1])
-    shared = 4 * (d - 1) * dim + 8 * length
-    shared += engine.LATTICE_SHARED * (horizon + 1) + engine.OBJECTS_SHARED
-    row = 8 * dim + 34 * m * length + engine.LATTICE_ROW * (horizon + 1) + engine.OBJECTS_ROW
-    return shared + rows * row
+    held = 4 * (d - 1) * dim + 8 * length + 8 * dim + 34 * m * length
+    return held + engine.LATTICE_SUB_WEIGHT * (horizon + 1) + engine.LATTICE_OBJECTS
 
 
 @pytest.mark.parametrize("d, z, shown, rows", [(3, 0.75, "2.1e5", 12), (4, 0.5, "6.0e5", 4)])
 def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(d, z, shown, rows, monkeypatch):
-    # pick_kernel admits the lattice at exactly the price of a stack of one.
-    # A lone evaluation, and stacks of one, two and the byte budget's rows,
-    # of single rows and of swap pairs, each on a fresh evaluator, which
-    # builds its table, peak within the price of their rows.  The budget
-    # holds the largest sub-weight's float64 (2, m, L) terms of its rows
-    # within STACK_BYTES.
+    # pick_kernel admits the lattice at exactly the price of one evaluation,
+    # and a stack of E rows is priced as E of them, an upper bound, since a
+    # stack shares its table and swap order.  A lone evaluation, and
+    # lattice_entropies calls that make one stack of one, two and the byte
+    # budget's rows, of single rows and of swap pairs (each head with its
+    # mate), each on a fresh evaluator, which builds its table, peak within
+    # the price of their stack.  The budget holds the largest sub-weight's
+    # float64 (2, m, L) terms of its rows within STACK_BYTES.
     import tracemalloc
 
     horizon = regions.ChannelSpec(d, z=z).evaluator.horizon
-    priced = lattice_price(d, horizon, 1)
+    priced = lattice_price(d, horizon)
     monkeypatch.setattr(engine, "MAX_KERNEL_BYTES", priced)
     assert pick_kernel(d, horizon)[0] == "lattice"
     assert engine.stack_rows(d, horizon) == 1  # the cap admits no second row
@@ -578,17 +572,19 @@ def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(d, z, shown, rows
     cases = [(1, None)] + [(count, swap) for count in (1, 2, rows) for swap in (False, True)]
     for count, swap in cases:
         mus = rng.dirichlet(np.ones(d), count)
+        if swap:
+            mus = np.concatenate((mus, mus[:, [0, 2, 1, *range(3, d)]]))
         evaluator = regions.ChannelSpec(d, z=z).evaluator
         tracemalloc.start()
         try:
             if swap is None:
                 evaluator.block_entropies(mus[0])
             else:
-                evaluator.stack_entropies(mus, swap)
+                evaluator.lattice_entropies(mus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        price = lattice_price(d, horizon, count)
+        price = count * priced
         assert price / 2 <= peak <= price, (count, swap, peak, price)
 
 

@@ -432,7 +432,9 @@ def test_family_dynamic_region_beats_time_sharing(d, lam, muw, gain):
         (3, 0.25, 16, 4.489e-3, 4.369e-3),
         (3, 0.5, 16, 8.255e-3, 8.676e-3),
         (3, 0.75, 16, 8.188e-3, 1.245e-2),
+        (4, 0.5, 8, 4.616e-3, 1.864e-3),
         (5, 0.25, 8, 8.460e-4, 2.735e-4),
+        (5, 0.5, 8, 3.995e-3, 3.696e-4),
     ],
 )
 def test_unruh_curves_beat_time_sharing(d, z, resolution, cq_gap, ce_gap):
@@ -740,17 +742,28 @@ def count_sums(monkeypatch) -> list:
     return calls
 
 
-def count_stacks(monkeypatch) -> list:
-    """Record the ensembles and ``swap`` flag of every
-    ``TradeoffEvaluator.stack_entropies`` call."""
-    calls = []
-    original = TradeoffEvaluator.stack_entropies
+def count_lattice(monkeypatch) -> list:
+    """Record every ``TradeoffEvaluator.lattice_entropies`` call: its
+    ensembles, and each (E, d) stack it evaluates on the lattice kernel, as
+    the stack's ensembles and its ``swap`` flag."""
+    calls, inside = [], []
+    lattice, stack = TradeoffEvaluator.lattice_entropies, TradeoffEvaluator._lattice_entropies
 
-    def counted(self, mus, swap=False):
-        calls.append(([tuple(mu) for mu in mus.tolist()], swap))
-        return original(self, mus, swap)
+    def counted(self, mus):
+        calls.append(([tuple(mu) for mu in mus.tolist()], []))
+        inside.append(True)
+        try:
+            return lattice(self, mus)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(TradeoffEvaluator, "stack_entropies", counted)
+    def stacked(self, mus, swap=False):
+        if inside:
+            calls[-1][1].append(([tuple(mu) for mu in mus.tolist()], swap))
+        return stack(self, mus, swap)
+
+    monkeypatch.setattr(TradeoffEvaluator, "lattice_entropies", counted)
+    monkeypatch.setattr(TradeoffEvaluator, "_lattice_entropies", stacked)
     return calls
 
 
@@ -835,13 +848,14 @@ def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(mo
     # then every row tied with a hull vertex once more on its own without
     # them, since its last bits decide which of the tied rows the hull flags,
     # except an orbit's first row that the sweep ran on the lattice: it holds
-    # its own bits already.  At d = 2 each such row is a lone evaluation.
-    # From d = 3 on they run in two stacks: the heads of the swap pairs (two
+    # its own bits already.  Those rows are one lattice_entropies call, in
+    # grid order.  At d = 2 each is a lone evaluation.  From d = 3 on they
+    # run in stacks of at most stack_rows: the heads of the swap pairs (two
     # rows that differ by a swap of weights 1 and 2), then the single rows;
     # the single rows and both rows of every pair are the rows evaluated
     # again, each once.
     calls = count_sums(monkeypatch)
-    stacks = count_stacks(monkeypatch)
+    lattice = count_lattice(monkeypatch)
     cases = {
         "d3-z0.5": (ChannelSpec(3, z=0.5), 8),
         "d3-k4": (ChannelSpec(3, k=4), 8),
@@ -853,26 +867,29 @@ def test_curves_evaluate_each_orbit_once_plus_the_tied_mates_of_hull_vertices(mo
     for name, (spec, resolution) in cases.items():
         for curve in (cq_curve, ce_curve):
             calls.clear()
-            stacks.clear()
+            lattice.clear()
             result = curve(spec, resolution)
             rows = [tuple(mu) for mu in result.mu.tolist()]
             orbits = orbit_counts(result.mu, resolution)
             again = reevaluated_rows(spec, result, resolution)
-            assert sorted(calls[: len(orbits)]) == sorted((rows[i], c) for i, c in orbits.items())
-            lone = [mu for mu, _ in calls[len(orbits) :]]
+            assert sorted(calls) == sorted((rows[i], c) for i, c in orbits.items())
             tied = tied_rows(result.rates, result.hull_indices)
+            ((evaluated, stacks),) = lattice
+            assert evaluated == [rows[i] for i in again]
+            heads = [mu for mus, swap in stacks if swap for mu in mus]
+            singles = [mu for mus, swap in stacks if not swap for mu in mus]
             if spec.d == 2:
-                assert stacks == [] and sorted(lone) == sorted(rows[i] for i in again)
-                sizes[name, curve.__name__] = (len(orbits), len(tied), len(again), 0)
-                continue
-            assert lone == [] and [swap for _, swap in stacks] == [True, False]
-            (heads, _), (singles, _) = stacks
+                assert heads == [] and len(stacks) == len(singles)  # lone evaluations
+            flags = [swap for _, swap in stacks]
+            assert flags == sorted(flags, reverse=True)  # the pairs first
+            limit = engine.stack_rows(spec.d, spec.evaluator.horizon)
+            assert all(len(mus) <= limit for mus, _ in stacks)
             mates = [(mu[0], mu[2], mu[1], *mu[3:]) for mu in heads]
             assert all(mu != mate for mu, mate in zip(heads, mates))
             # A single row's swap mate is itself, or not evaluated again.
-            swapped = [(mu[0], mu[2], mu[1], *mu[3:]) for mu in singles]
+            swapped = [(mu[0], mu[2], mu[1], *mu[3:]) for mu in singles if spec.d > 2]
             assert all(mate == mu or mate not in singles for mu, mate in zip(singles, swapped))
-            assert sorted(heads + mates + singles) == sorted(rows[i] for i in again)
+            assert sorted(heads + mates + singles) == sorted(evaluated)
             sizes[name, curve.__name__] = (len(orbits), len(tied), len(again), len(heads))
     # (orbits, tied rows, rows evaluated again, swap pairs among them).  At
     # d >= 3 every orbit ran on the histogram, so every tied row is
