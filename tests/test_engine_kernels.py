@@ -180,6 +180,58 @@ def test_lattice_entropies_match_lone_evaluations(d, horizon, monkeypatch):
         evaluator.lattice_entropies(points[0])
 
 
+def record_kernel_calls(monkeypatch) -> list:
+    """Each lattice kernel call's (a_sub.ndim, has a swap order, has a mate
+    accumulator), in call order."""
+    calls, kernel = [], kernels.block_family_entropy
+
+    def record(*args):
+        calls.append((args[0].ndim, args[6] is not None, args[7] is not None))
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "block_family_entropy", record)
+    return calls
+
+
+@pytest.mark.parametrize("d, horizon", [(3, 100), (4, 24), (5, 12), (6, 7)])
+def test_swap_pair_bits_match_two_lone_evaluations(d, horizon, monkeypatch):
+    # Bitwise: a row and its swap mate, in either order, are one swap pair,
+    # a stack of one: K + 1 kernel calls with a lone evaluation's 1-D dot
+    # products, each passed the swap order and the mate's accumulator.  The
+    # two results are those of block_entropies at each row, in input order.
+    rng = np.random.default_rng(2000 + d)
+    evaluator = TradeoffEvaluator(d, rng.uniform(0.0, 1.0, horizon), float(d))
+    pairs = [mu for mu in oracle_points(rng, d) if not np.array_equal(swap_mate(mu), mu)]
+    assert len(pairs) >= 10
+    for mu in pairs:
+        rows = np.array([mu, swap_mate(mu)])
+        want = [evaluator.block_entropies(row) for row in rows]
+        for order in (rows, rows[::-1]):
+            calls = record_kernel_calls(monkeypatch)
+            got = evaluator.lattice_entropies(order)
+            assert calls == [(1, True, True)] * (horizon + 1), mu
+            wanted = want if order is rows else want[::-1]
+            for got_h, want_h in zip(got, wanted):
+                assert all(np.array_equal(g, w) for g, w in zip(got_h, want_h)), mu
+
+
+def test_swap_pair_needs_two_trailing_weights(monkeypatch):
+    # At d = 2 there are no weights 1 and 2 to exchange: lattice_entropies
+    # pairs no rows, even a row and its reverse, and runs each as a lone
+    # evaluation, K + 1 kernel calls with no swap order.  A 1-D mus is refused.
+    horizon = 40
+    evaluator = TradeoffEvaluator(2, np.ones(horizon), 2.0)
+    rows = np.array([[0.3, 0.7], [0.7, 0.3], [0.5, 0.5]])
+    want = [evaluator.block_entropies(mu) for mu in rows]
+    calls = record_kernel_calls(monkeypatch)
+    got = evaluator.lattice_entropies(rows)
+    assert calls == [(1, False, False)] * (len(rows) * (horizon + 1))
+    for got_h, want_h in zip(got, want):
+        assert all(np.array_equal(g, w) for g, w in zip(got_h, want_h))
+    with pytest.raises(ValueError, match="rows of 2 weights"):
+        evaluator.lattice_entropies(rows[0])
+
+
 def test_lattice_evaluation_keeps_the_traced_call_shape(monkeypatch):
     # The benchmark tracer counts one evaluation per block_entropies call
     # and len(args[0]) * len(args[2]) terms per kernel call.  A curve
