@@ -112,14 +112,13 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
     histogram has nothing to merge, and off-grid points (``None``).  Its work
     is C(K+d, d) terms, and its memory what one evaluation holds
     (``_lattice_bytes``): the (d-1) dim_K int32 entries of its table, one
-    swap order, the float64 dot products of its dim_K columns, the largest
-    sub-weight's (2, m, L) float64 terms, their p log p and their bool zero
-    mask, 34 m L bytes, and the O(K) bookkeeping.  A swap pair holds no
-    more: its kernel calls keep every other sub-weight's L-entry swap order
-    within that sub-weight's 34 m L bytes (see
-    ``kernels.block_family_entropy``).  The cap keeps dim_K far below 2**53,
-    so a dim_K that ``capped_comb`` does not build is refused on either
-    kernel.
+    swap order, the float64 dot products of its dim_K columns, 34 m L bytes
+    for the largest sub-weight's kernel call, and the O(K) bookkeeping.  A
+    call holds 26 m L of those bytes (see ``kernels.block_family_entropy``);
+    the price keeps 8 m L of slack, so that no refusal moves, and a swap
+    pair's L-entry swap order at any other sub-weight fits in it.  The cap
+    keeps dim_K far below 2**53, so a dim_K that ``capped_comb`` does not
+    build is refused on either kernel.
     """
     check_dim(d)
     dim = capped_comb(horizon + d - 1, d - 1, 2**53 - 1)
@@ -158,12 +157,14 @@ def _largest_sub_weight(d: int, horizon: int) -> tuple[int, int]:
 def _lattice_bytes(d: int, horizon: int, dim: int) -> int:
     """The bytes one lattice evaluation holds: the (d-1) dim_K int32 entries
     of the table, one swap order of the largest sub-weight's L int64
-    columns, the float64 dot products of the dim_K columns, the largest
-    sub-weight's (2, m, L) float64 terms, their p log p and their bool zero
-    mask (34 m L bytes), ``LATTICE_SUB_WEIGHT`` bytes a sub-weight and
-    ``LATTICE_OBJECTS``.  The dot products are formed one mode at a time with
-    a temporary of their size, before any term is held, and 8 dim_K <= 34 m
-    L wherever the cap admits the lattice.
+    columns, the float64 dot products of the dim_K columns, 34 m L bytes for
+    the largest sub-weight's kernel call, ``LATTICE_SUB_WEIGHT`` bytes a
+    sub-weight and ``LATTICE_OBJECTS``.  The call holds 26 m L bytes: its
+    (2, m, L) float64 terms, one (m, L) float64 scratch array and their bool
+    zero mask; the 8 m L of slack is kept so that no refusal moves.  The dot
+    products are formed one mode at a time with a temporary of their size,
+    before any term is held, and 8 dim_K <= 34 m L wherever the cap admits
+    the lattice.
     """
     m, length = _largest_sub_weight(d, horizon)
     held = 4 * (d - 1) * dim + 8 * length + 8 * dim + 34 * m * length
@@ -363,16 +364,18 @@ class TradeoffEvaluator:
         mate = np.zeros_like(out) if swap else None
         orders = self._swap_orders() if swap else None
         at = 0 if len(mus) == 1 else slice(None)
+        a_at, mu_b1_at, out_at = a_all[at], mu_b1[at], out[at]
+        mate_at = None if mate is None else mate[at]
         for j, (start, stop) in enumerate(spans):
             kernels.block_family_entropy(
-                a_all[at, start:stop],
+                a_at[..., start:stop],
                 pairs[:, j:],
-                mu_b1[at, : self.horizon + 1 - j],
+                mu_b1_at[..., : self.horizon + 1 - j, :],
                 self._inv_ln_base,
-                out[at],
+                out_at,
                 j,
                 None if orders is None else next(orders),
-                None if mate is None else mate[at],
+                mate_at,
             )
         accumulators = (out,) if mate is None else (out, mate)
         return [tuple((h[0, 1:], h[1, :-1]) for h in row) for row in zip(*accumulators)]

@@ -64,40 +64,43 @@ def block_family_entropy(a_sub, inv_norm, mu_b1, inv_ln_base, out, j, order=None
     ``inv_norm``; its terms are one (2, E, m, L) array, and each of its
     block rows is still one contiguous row sum, so every ensemble of a stack
     gets the bits of its own lone call.  The sides lead, so each is one
-    contiguous block, as in a lone call: numpy copies an input that it
-    cannot prove apart from its output, as it cannot two interleaved sides.
+    contiguous block of the scratch array's shape, as in a lone call.
 
     With ``order``, a permutation of the columns of ``a_sub`` (an index
     array, or a slice such as the reversal ``::-1``), the same ``p log p``
-    terms are also gathered in that column order, into the buffer the logs
-    took (a slice is read as a view), and each row is reduced into ``mate``
-    as into ``out``: the contribution of the ensembles whose dot products
-    are ``a_sub[..., order]``.  A call holds the 32 E m L bytes of ``p`` and
-    its logs, within the 34 m L a row that ``engine.pick_kernel`` prices
-    with the zero mask.  ``order``'s 8 L bytes fit in those 2 E m L when
-    E m >= 4; below that the call takes one side's logs, then one side's
-    gathered terms, at a time, and holds 24 E m L + 8 L <= 32 E m L bytes.
+    terms are also gathered in that column order, one side at a time (a
+    slice is read as a view, an index array gathers into the scratch
+    array), and each row is reduced into ``mate`` as into ``out``: the
+    contribution of the ensembles whose dot products are
+    ``a_sub[..., order]``.
+
+    A call holds the 16 E m L bytes of ``p`` and one (E, m, L) float64
+    scratch array, 24 E m L bytes, plus the 2 E m L bytes of the bool zero
+    mask while it lives and an index ``order``'s 8 L bytes.  The scratch
+    array holds, in turn, the atoms' numerators ``mu1*b1 + a`` (scaled into
+    ``p[0]``), those plus 1 (scaled into ``p[1]``), each side's logs, and a
+    mate's gathered terms of each side.  ``engine.pick_kernel`` prices a row
+    at 34 m L bytes, which covers this for every E m >= 1.
     """
-    m, stack = mu_b1.shape[-2], a_sub.shape[:-1]
-    p = np.empty((2, *stack, m, a_sub.shape[-1]))
-    np.add(mu_b1, a_sub[..., None, :], out=p[0])
-    np.add(p[0], 1.0, out=p[1])
-    p *= inv_norm.reshape(2, *(1,) * len(stack), m, 1)
+    m = mu_b1.shape[-2]
+    x = np.add(mu_b1, a_sub[..., None, :])  # the scratch array
+    p = np.empty((2, *x.shape))
+    np.multiply(x, inv_norm[0], out=p[0])
+    x += 1.0
+    np.multiply(x, inv_norm[1], out=p[1])
     np.putmask(p, p == 0.0, 1.0)
-    split = order is not None and p[0].size < 4 * a_sub.shape[-1]  # E m < 4
-    buf = np.empty(p.shape[1:] if split else p.shape)
-    for side in p if split else (p,):
-        side *= np.log(side, out=buf)  # p log p
+    for side in p:
+        side *= np.log(side, out=x)  # p log p
     h = np.add.reduce(p, axis=-1)
     h *= inv_ln_base
     out[..., j : j + m] -= h.swapaxes(0, -2)
     if order is not None:
-        for side, h_side in zip(p, h) if split else ((p, h),):
+        for side, h_side in zip(p, h):
             if isinstance(order, slice):  # a view, read in that order
                 np.add.reduce(side[..., order], axis=-1, out=h_side)
             else:
-                side.take(order, axis=-1, out=buf, mode="clip")  # "clip" writes out unbuffered
-                np.add.reduce(buf, axis=-1, out=h_side)
+                side.take(order, axis=-1, out=x, mode="clip")  # "clip" writes out unbuffered
+                np.add.reduce(x, axis=-1, out=h_side)
         h *= inv_ln_base
         mate[..., j : j + m] -= h.swapaxes(0, -2)
 

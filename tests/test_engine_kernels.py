@@ -674,11 +674,13 @@ def test_pricing_the_bookkeeping_moves_no_refusal():
     "rows, m", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 8), (2, 1), (3, 1), (2, 2), (4, 1)]
 )
 def test_a_pair_kernel_call_holds_no_more_than_the_priced_terms(rows, m):
-    # The lattice price holds 34 m L bytes a row for a sub-weight: (2, m, L)
-    # terms, their logs and a bool mask.  A pair stack's call also holds its
-    # L-entry swap order, which fits in the mask's share from E m = 4 on;
-    # below that the call takes one side at a time.  The bytes traced here
-    # include the order's.  Each mate is the lone call on its reversed row.
+    # A call holds its (2, m, L) float64 terms, one (m, L) float64 scratch
+    # array for the atoms, each side's logs and the mate's gathered terms,
+    # and a bool zero mask: 26 m L bytes a row, within the 34 m L the
+    # lattice price holds.  A pair stack's call also holds its L-entry swap
+    # order; the bytes traced here include the order's.  A second
+    # full-size buffer for the logs would add 16 E m L bytes.  Each mate is
+    # the lone call on its reversed row.
     import tracemalloc
 
     width = 2**16
@@ -697,7 +699,7 @@ def test_a_pair_kernel_call_holds_no_more_than_the_priced_terms(rows, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 24 * rows * m * width <= peak <= 34 * rows * m * width + 4096
+    assert 24 * rows * m * width <= peak <= 26 * rows * m * width + 8 * width + 4096
     for row in range(rows):
         lone = np.zeros((2, m))
         kernels.block_family_entropy(a_sub[row, ::-1].copy(), inv_norm, mu_b1[row], 1.0, lone, 0)
