@@ -8,17 +8,18 @@ block.  Two exact kernels do this:
   composition of the trailing ``d-1`` modes, extended by ``b1`` photons in
   mode 1, is a basis vector of block ``k = j + b1`` (receiver side) and of
   block ``k + 1`` (environment side, with the +1 photon shift).  One
-  evaluation takes the trailing dot products of all sub-weights from one
-  (d-1)-mode table, then makes one kernel call per sub-weight, C(K+d, d)
-  terms in all.  Each block's terms from one sub-weight are one contiguous
-  1-D pairwise row sum, accumulated in sub-weight order; that order fixes
-  the output bits (see ``kernels``).  ``lattice_entropies`` evaluates
-  several off-grid rows with each row's lone bits: from d = 3 on it pairs
-  each row with its swap mate (mu0, mu2, mu1, mu3, ...), whose terms are the
-  row's at the columns of the compositions with their first two entries
-  exchanged (each dot product is built from zeros one trailing mode at a
-  time, and fl(x + y) = fl(y + x)), and runs the rows in stacks that share
-  the table, one kernel call per sub-weight for a whole stack.
+  evaluation makes one kernel call per sub-weight, C(K+d, d) terms in all,
+  each on its sub-weight's trailing dot products, formed just before the call
+  from that sub-weight's span of one (d-1)-mode table.  Each block's terms
+  from one sub-weight are one contiguous 1-D pairwise row sum, accumulated in
+  sub-weight order; that order fixes the output bits (see ``kernels``).
+  ``lattice_entropies`` evaluates several off-grid rows with each row's lone
+  bits: from d = 3 on it pairs each row with its swap mate (mu0, mu2, mu1,
+  mu3, ...), whose terms are the row's at the columns of the compositions with
+  their first two entries exchanged (each dot product is built from zeros one
+  trailing mode at a time, and fl(x + y) = fl(y + x)), and runs the rows in
+  stacks that share the table, one kernel call per sub-weight for a whole
+  stack.
 * the histogram kernel (a grid point ``mu = counts / n``) counts, per block,
   how many basis vectors share each integer atom numerator ``b . counts``:
   the t modes of the commonest count in closed form, the other d - t in
@@ -27,21 +28,19 @@ block.  Two exact kernels do this:
   v log v (one 1-D log per evaluation; see ``kernels.histogram_entropy``).
 
 Every sweep passes each orbit's integer ``counts``.  ``pick_kernel``, the one
-kernel gate, picks one kernel per input by structure alone, with no
-fallback: a grid point at d >= 3 runs on the histogram, and the lattice takes
-d = 2 and off-grid points (such as the rows the CQ/CE curves evaluate again
-near a hull vertex).  Either is refused only past one memory cap,
-``MAX_KERNEL_BYTES`` = 4e8 bytes (what one lattice evaluation holds: its
-int32 table, a swap order, the float64 dot products, the largest
-sub-weight's terms and the bookkeeping; the histogram's chunk buffers),
-and the histogram also when its counts
-would not be exact floats.  It returns the kernel with its work in one unit,
-lattice terms, a histogram cell priced at ``CELL_PRICE`` = 0.18 terms (the
-largest per-orbit median of ``kernels.histogram_entropy``, about 2.6 ns a
-cell, against 14 ns a lattice term).  ``run_work`` holds a run, every orbit
-of a sweep, the rows a curve evaluates again, or one lone evaluation, to
-one budget before anything is built: ``MAX_RUN_WORK`` = 1e9 terms, about
-14 s.
+kernel gate, picks one kernel per input by structure alone, with no fallback:
+a grid point at d >= 3 runs on the histogram, and the lattice takes d = 2 and
+off-grid points (such as the rows the CQ/CE curves evaluate again near a hull
+vertex).  Either is refused only past one memory cap, ``MAX_KERNEL_BYTES`` =
+4e8 bytes (what one lattice evaluation holds: its int32 table, a swap order,
+the largest sub-weight's dot products and terms, and the bookkeeping; the
+histogram's chunk buffers), and the histogram also when its counts would not
+be exact floats.  It returns the kernel with its work in one unit, lattice
+terms, a histogram cell priced at ``CELL_PRICE`` = 0.18 terms (the largest
+per-orbit median of ``kernels.histogram_entropy``, about 2.6 ns a cell,
+against 14 ns a lattice term).  ``run_work`` holds a run, every orbit of a
+sweep, the rows a curve evaluates again, or one lone evaluation, to one budget
+before anything is built: ``MAX_RUN_WORK`` = 1e9 terms, about 14 s.
 
 A third kernel, ``family_sums``, serves the one-heavy ensembles
 (a, b, ..., b) alone, in about K**2 terms for any d, with no gate.
@@ -112,13 +111,13 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
     histogram has nothing to merge, and off-grid points (``None``).  Its work
     is C(K+d, d) terms, and its memory what one evaluation holds
     (``_lattice_bytes``): the (d-1) dim_K int32 entries of its table, one
-    swap order, the float64 dot products of its dim_K columns, 34 m L bytes
-    for the largest sub-weight's kernel call, and the O(K) bookkeeping.  A
-    call holds 26 m L of those bytes (see ``kernels.block_family_entropy``);
-    the price keeps 8 m L of slack, so that no refusal moves, and a swap
-    pair's L-entry swap order at any other sub-weight fits in it.  The cap
-    keeps dim_K far below 2**53, so a dim_K that ``capped_comb`` does not
-    build is refused on either kernel.
+    swap order, 34 m L bytes for the largest sub-weight's kernel call, and
+    the O(K) bookkeeping.  A call holds 26 m L of those bytes (see
+    ``kernels.block_family_entropy``); the 8 m L of slack holds the
+    sub-weight's float64 dot products and, while they are formed, their
+    product temporary, 16 L bytes, and a swap pair's L-entry swap order at
+    any other sub-weight.  The cap keeps dim_K far below 2**53, so a dim_K
+    that ``capped_comb`` does not build is refused on either kernel.
     """
     check_dim(d)
     dim = capped_comb(horizon + d - 1, d - 1, 2**53 - 1)
@@ -141,8 +140,8 @@ def pick_kernel(d: int, horizon: int, counts=None) -> tuple[str, float]:
     shown = rounded_count(size) if size < math.inf else count_text(n, d - 1, dim, 4 * d + 4)
     raise SizeCapError(
         f"d={d}, K={horizon}: lattice kernel: {count_text(n, d - 1, dim, d - 1)} int32 table "
-        f"entries and {shown} bytes in all (the table, its float64 dot products, the "
-        f"largest sub-weight's terms and the bookkeeping) exceed cap {MAX_KERNEL_BYTES} bytes"
+        f"entries and {shown} bytes in all (the table, the largest sub-weight's dot "
+        f"products and terms, and the bookkeeping) exceed cap {MAX_KERNEL_BYTES} bytes"
     )
 
 
@@ -157,17 +156,16 @@ def _largest_sub_weight(d: int, horizon: int) -> tuple[int, int]:
 def _lattice_bytes(d: int, horizon: int, dim: int) -> int:
     """The bytes one lattice evaluation holds: the (d-1) dim_K int32 entries
     of the table, one swap order of the largest sub-weight's L int64
-    columns, the float64 dot products of the dim_K columns, 34 m L bytes for
-    the largest sub-weight's kernel call, ``LATTICE_SUB_WEIGHT`` bytes a
-    sub-weight and ``LATTICE_OBJECTS``.  The call holds 26 m L bytes: its
-    (2, m, L) float64 terms, one (m, L) float64 scratch array and their bool
-    zero mask; the 8 m L of slack is kept so that no refusal moves.  The dot
-    products are formed one mode at a time with a temporary of their size,
-    before any term is held, and 8 dim_K <= 34 m L wherever the cap admits
-    the lattice.
+    columns, 34 m L bytes for the largest sub-weight's kernel call,
+    ``LATTICE_SUB_WEIGHT`` bytes a sub-weight and ``LATTICE_OBJECTS``.  The
+    call holds 26 m L bytes: its (2, m, L) float64 terms, one (m, L) float64
+    scratch array and their bool zero mask.  The 8 m L of slack holds the
+    sub-weight's L float64 dot products, formed from zeros one trailing mode
+    at a time with a product temporary of their size before the call, 16 L
+    bytes, while the previous sub-weight's are still held.
     """
     m, length = _largest_sub_weight(d, horizon)
-    held = 4 * (d - 1) * dim + 8 * length + 8 * dim + 34 * m * length
+    held = 4 * (d - 1) * dim + 8 * length + 34 * m * length
     return held + LATTICE_SUB_WEIGHT * (horizon + 1) + LATTICE_OBJECTS
 
 
@@ -355,20 +353,21 @@ class TradeoffEvaluator:
         its swap mate.  A stack of one passes the kernel a lone evaluation's
         shapes."""
         table, spans, b1, pairs = self._lattice
-        a_all = np.zeros((len(mus), table.shape[1]))
-        for c in range(self.d - 1):
-            a_all += table[c] * mus[:, c + 1, None]
         mu_b1 = mus[:, 0, None, None] * b1
         # Row 0: receiver block k at column k; row 1: environment block k+1.
         out = np.zeros((len(mus), 2, self.horizon + 1))
         mate = np.zeros_like(out) if swap else None
         orders = self._swap_orders() if swap else None
         at = 0 if len(mus) == 1 else slice(None)
-        a_at, mu_b1_at, out_at = a_all[at], mu_b1[at], out[at]
+        mus_at, mu_b1_at, out_at = mus[at], mu_b1[at], out[at]
         mate_at = None if mate is None else mate[at]
         for j, (start, stop) in enumerate(spans):
+            # Sub-weight j's dot products, from zeros one trailing mode at a time.
+            a = np.zeros(mus_at.shape[:-1] + (stop - start,))
+            for c in range(self.d - 1):
+                a += table[c, start:stop] * mus_at[..., c + 1, None]
             kernels.block_family_entropy(
-                a_at[..., start:stop],
+                a,
                 pairs[:, j:],
                 mu_b1_at[..., : self.horizon + 1 - j, :],
                 self._inv_ln_base,

@@ -104,8 +104,9 @@ def _per_sub_weight_block_entropies(evaluator, mu):
 
 @pytest.mark.parametrize("d, horizon", [(2, 120), (3, 100), (4, 12), (5, 6)])
 def test_engine_bits_match_the_per_sub_weight_loop(d, horizon):
-    # Bitwise, as for the kernel: the evaluation takes all trailing dot
-    # products at once, but every block must keep its last bit.
+    # Bitwise, as for the kernel: the evaluation forms each sub-weight's
+    # trailing dot products with all its columns at once, but every block
+    # must keep its last bit.
     rng = np.random.default_rng(1000 + d)
     evaluator = TradeoffEvaluator(d, rng.uniform(0.0, 1.0, horizon), float(d))
     points = [np.full(d, 1.0 / d), np.eye(d)[0], np.eye(d)[-1]]
@@ -584,28 +585,42 @@ def test_cost_function_picks_each_kernel():
 def lattice_price(d, horizon) -> int:
     """What one lattice evaluation holds, priced here from its parts: the
     int32 table of (d-1) dim_K entries, one int64 swap order of the largest
-    sub-weight's L columns, the float64 dot products of the dim_K columns,
-    the (2, m, L) float64 terms, p log p and bool mask of the largest
-    sub-weight, found here by trying every one, and the bookkeeping (a span,
-    a b1 entry, a normalizer pair, a mu1 b1 entry and two accumulator
-    columns a sub-weight, and the Python objects)."""
+    sub-weight's L columns, the (2, m, L) float64 terms, p log p, bool mask
+    and dot products of the largest sub-weight, found here by trying every
+    one, and the bookkeeping (a span, a b1 entry, a normalizer pair, a mu1 b1
+    entry and two accumulator columns a sub-weight, and the Python
+    objects)."""
     dim = math.comb(horizon + d - 1, d - 1)
     sizes = [(horizon + 1 - j, math.comb(j + d - 2, d - 2)) for j in range(horizon + 1)]
     m, length = max(sizes, key=lambda size: size[0] * size[1])
-    held = 4 * (d - 1) * dim + 8 * length + 8 * dim + 34 * m * length
+    held = 4 * (d - 1) * dim + 8 * length + 34 * m * length
     return held + engine.LATTICE_SUB_WEIGHT * (horizon + 1) + engine.LATTICE_OBJECTS
 
 
-@pytest.mark.parametrize("d, z, shown, rows", [(3, 0.75, "2.1e5", 12), (4, 0.5, "6.0e5", 4)])
+@pytest.mark.parametrize(
+    "d, z, shown, rows",
+    [
+        (2, 0.95, "1.5e5", None),
+        (3, 0.75, "1.7e5", 12),
+        (4, 0.5, "4.7e5", 4),
+        (5, 0.5, "7.9e6", None),
+    ],
+)
 def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(d, z, shown, rows, monkeypatch):
     # pick_kernel admits the lattice at exactly the price of one evaluation,
     # and a stack of E rows is priced as E of them, an upper bound, since a
-    # stack shares its table and swap order.  A lone evaluation, and
-    # lattice_entropies calls that make one stack of one, two and the byte
-    # budget's rows, of single rows and of swap pairs (each head with its
-    # mate), each on a fresh evaluator, which builds its table, peak within
-    # the price of their stack.  The budget holds the largest sub-weight's
-    # float64 (2, m, L) terms of its rows within STACK_BYTES.
+    # stack shares its table and swap order.  A lone evaluation peaks within
+    # the price and above half of it: at d = 2, z = 0.95 (K = 532) as K + 1
+    # one-column calls, whose per-sub-weight bookkeeping dominates, and at
+    # d = 5, z = 0.5 (K = 47) as one evaluation of a large table.  At d = 3
+    # and 4, lattice_entropies calls that make one stack of one, two and the
+    # byte budget's rows, of single rows and of swap pairs (each head with
+    # its mate), each on a fresh evaluator, which builds its table, peak
+    # within the price of their stack, and above half of the part of it
+    # that each row holds on its own: its terms and dot products and its
+    # bookkeeping.  The budget holds the largest sub-weight's float64
+    # (2, m, L) terms of its rows within STACK_BYTES.
+    import gc
     import tracemalloc
 
     horizon = regions.ChannelSpec(d, z=z).evaluator.horizon
@@ -617,16 +632,20 @@ def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(d, z, shown, rows
     with pytest.raises(SizeCapError, match=f"table entries and {shown} bytes in all"):
         pick_kernel(d, horizon)
     monkeypatch.undo()
-    assert engine.stack_rows(d, horizon) == rows
     largest = max((horizon + 1 - j) * math.comb(j + d - 2, d - 2) for j in range(horizon + 1))
-    assert rows * 16 * largest <= engine.STACK_BYTES < (rows + 1) * 16 * largest
+    own = 34 * largest + engine.LATTICE_SUB_WEIGHT * (horizon + 1) + 1024
+    cases = [(1, None)]
+    if rows is not None:
+        assert engine.stack_rows(d, horizon) == rows
+        assert rows * 16 * largest <= engine.STACK_BYTES < (rows + 1) * 16 * largest
+        cases += [(count, swap) for count in (1, 2, rows) for swap in (False, True)]
     rng = np.random.default_rng(d)
-    cases = [(1, None)] + [(count, swap) for count in (1, 2, rows) for swap in (False, True)]
     for count, swap in cases:
         mus = rng.dirichlet(np.ones(d), count)
         if swap:
             mus = np.concatenate((mus, mus[:, [0, 2, 1, *range(3, d)]]))
         evaluator = regions.ChannelSpec(d, z=z).evaluator
+        gc.collect()  # empties the free lists, whose reuse tracemalloc would not see
         tracemalloc.start()
         try:
             if swap is None:
@@ -637,37 +656,67 @@ def test_the_lattice_byte_cap_prices_what_one_evaluation_holds(d, z, shown, rows
         finally:
             tracemalloc.stop()
         price = count * priced
-        assert price / 2 <= peak <= price, (count, swap, peak, price)
+        floor = priced if swap is None else count * own
+        assert floor / 2 <= peak <= price, (count, swap, peak, price)
 
 
-def test_pricing_the_bookkeeping_moves_no_refusal():
-    # The largest K that pick_kernel admits on the lattice at d = 4..12 is
-    # what it was before the bookkeeping and the swap order were priced: the
-    # slack below the byte cap was 1.93 MB at d = 4, K = 406 and 1.37 MB at
-    # d = 5, K = 123.  At d = 3 the byte boundary moved from K = 4,921 to
-    # 4,915, and at d = 2 it lies far past K = 44,721, but there the run
-    # budget refuses every lattice evaluation past K = 1,815 (d = 3) and
-    # 44,719 (d = 2) first, so no run is admitted or refused that was not.
-    boundaries = {4: 406, 5: 123, 6: 61, 7: 39, 8: 28, 9: 22, 10: 18, 11: 16, 12: 14}
+def test_a_stack_holds_the_dot_products_of_one_sub_weight_at_a_time():
+    # Sweep-d3's stack of 12 rows at d = 3, z = 0.75 (K = 102): each kernel
+    # call takes its own sub-weight's (E, L) dot products, formed just
+    # before it, so the stack peaks below the (E, dim_K) float64 dot
+    # products of every sub-weight plus the largest call's terms and
+    # scratch (at least 24 E m L bytes), what an evaluation that took every
+    # sub-weight's dot products at once would hold at that call.
+    import tracemalloc
+
+    evaluator = regions.ChannelSpec(3, z=0.75).evaluator
+    horizon, rows = evaluator.horizon, engine.stack_rows(3, evaluator.horizon)
+    assert (horizon, rows) == (102, 12)
+    mus = np.random.default_rng(12).dirichlet(np.ones(3), rows)
+    evaluator.lattice_entropies(mus[:1])  # builds the table, which every stack shares
+    tracemalloc.start()
+    try:
+        evaluator.lattice_entropies(mus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, length = engine._largest_sub_weight(3, horizon)
+    assert peak < 8 * rows * math.comb(horizon + 2, 2) + 24 * rows * m * length, peak
+
+
+def test_the_lattice_byte_boundaries_are_pinned():
+    # The largest K that pick_kernel admits on the lattice at d = 3..12.
+    # Each sub-weight's dot products are priced in the largest call's slack,
+    # not as the dim_K dot products of every sub-weight, so the boundaries
+    # at d = 3..10 moved up (d = 3: 4,915 -> 5,646, 4: 406 -> 443, 5: 123 ->
+    # 130, 6: 61 -> 64, 7: 39 -> 40, 8: 28 -> 29, 9: 22 -> 23, 10: 18 -> 19);
+    # d = 11 and 12 did not move.  At d = 3 and 4 the run budget refuses
+    # every lattice evaluation past K = 1,815 and 391 first, so no run moved
+    # there; at d = 2 it refuses past K = 44,719, far below the byte
+    # boundary.
+    boundaries = {3: 5646, 4: 443, 5: 130, 6: 64, 7: 40, 8: 29, 9: 23, 10: 19, 11: 16, 12: 14}
     for d, horizon in boundaries.items():
         assert pick_kernel(d, horizon)[0] == "lattice"
         with pytest.raises(SizeCapError, match="bytes in all"):
             pick_kernel(d, horizon + 1)
-    assert pick_kernel(3, 4915)[0] == "lattice"
-    with pytest.raises(SizeCapError, match="bytes in all"):
-        pick_kernel(3, 4916)
-    for d, horizon in ((3, 1815), (2, 44719)):
+    for d, horizon in ((4, 391), (3, 1815), (2, 44719)):
         assert math.comb(horizon + d, d) <= engine.MAX_RUN_WORK < math.comb(horizon + 1 + d, d)
         engine.run_work(d, horizon, [None])
         with pytest.raises(SizeCapError, match="the run budget"):
             engine.run_work(d, horizon + 1, [None])
     assert pick_kernel(2, 44720)[0] == "lattice"
-    # The dot products' temporary, held before any term, fits in the terms'
-    # price wherever a run can reach the lattice.
-    for d, last in {2: 44719, 3: 1815, **boundaries}.items():
-        for horizon in [*range(1, last, 1 + last // 40), last]:
-            sizes = [(horizon + 1 - j) * math.comb(j + d - 2, d - 2) for j in range(horizon + 1)]
-            assert 8 * math.comb(horizon + d - 1, d - 1) <= 34 * max(sizes), (d, horizon)
+    # At every sub-weight j, its L_j float64 dot products and their product
+    # temporary, formed while the previous sub-weight's are still held, and
+    # then the dot products with the call's 26 m_j L_j bytes, fit the price
+    # of the largest call, 34 m L bytes a row, for every K up to the
+    # boundary.  L_j grows with j, and m_j L_j <= m L, so j = K bounds every
+    # sub-weight.
+    for d, last in {2: 44719, **boundaries}.items():
+        for horizon in range(1, last + 1):
+            m, length = engine._largest_sub_weight(d, horizon)
+            widest = math.comb(horizon + d - 2, d - 2)
+            assert 8 * math.comb(horizon + d - 3, d - 2) + 16 * widest <= 34 * m * length
+            assert 8 * widest + 26 * m * length <= 34 * m * length, (d, horizon)
 
 
 @pytest.mark.parametrize(
